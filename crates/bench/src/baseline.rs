@@ -1,11 +1,10 @@
-//! Pipeline baseline: mean-of-N per-stage wall-times for every mini-app
+//! Pipeline baseline: mean-of-N per-stage times for every mini-app
 //! pattern (the paper's three plus the collectives and stencil2d
-//! extensions), derived from the observability layer's span timers rather
-//! than a separate harness. Each pattern runs once under the barrier
-//! kernel schedule (the per-stage `features_ms`/`gram_ms` split) and once
-//! under the default pipelined schedule (`features_pipelined_ms` /
-//! `gram_pipelined_ms` / `kernel_speedup`), plus a tracer-attached pass
-//! for `trace_overhead_pct` and a cold/warm artifact-store pass.
+//! extensions), read from the campaign's own span timers rather than a
+//! separate harness: the per-run worker spans (`run/simulate`,
+//! `run/graph`, `run/features`) and the `campaign/gram` and `campaign`
+//! spans. A tracer-attached pass gives `trace_overhead_pct`, and a
+//! cold/warm artifact-store pass the store columns.
 //! `anacin bench baseline` writes the report as `BENCH_baseline.json`; CI
 //! uploads it so perf regressions across the simulate/graph/features/gram
 //! stages are visible per commit.
@@ -62,25 +61,18 @@ pub struct StageTimings {
     pub pattern: String,
     /// Campaigns averaged over.
     pub samples: u32,
-    /// Mean wall-time of the parallel simulation stage.
+    /// Simulation time per campaign, summed over the worker threads
+    /// (`run/simulate`).
     pub simulate_ms: f64,
-    /// Mean wall-time of event-graph construction.
+    /// Event-graph construction time per campaign, summed over the worker
+    /// threads (`run/graph`).
     pub graph_ms: f64,
-    /// Mean wall-time of feature extraction (barrier schedule).
+    /// Feature-extraction time per campaign, summed over the worker
+    /// threads (`run/features`).
     pub features_ms: f64,
-    /// Mean wall-time of the Gram-matrix dot products (barrier schedule).
+    /// Mean wall-time of the Gram stage (`campaign/gram`).
     pub gram_ms: f64,
-    /// Mean wall-time of the fused pipeline until the last feature vector
-    /// completed (dot products already running underneath).
-    pub features_pipelined_ms: f64,
-    /// Mean wall-time of the fused pipeline's exposed dot-product tail
-    /// after the last feature completed.
-    pub gram_pipelined_ms: f64,
-    /// `(features_ms + gram_ms) / (features_pipelined_ms +
-    /// gram_pipelined_ms)` — how much faster the fused kernel stage is
-    /// than the barrier schedule.
-    pub kernel_speedup: f64,
-    /// Mean end-to-end campaign wall-time (default pipelined schedule).
+    /// Mean end-to-end campaign wall-time (`campaign`).
     pub total_ms: f64,
     /// Relative cost of running the same campaigns with a tracer
     /// attached: `(median traced − median untraced) / median untraced ×
@@ -153,20 +145,13 @@ pub struct GramScaleRow {
 
 /// The gram-at-scale tier: WL features of a real amg2013 campaign held
 /// fixed (cycled and salted up to the largest run count) while the
-/// dot-product schedules race on identical inputs, plus the WL
-/// relabelling lane-width A/B.
+/// dot-product schedules race on identical inputs.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleReport {
     /// Pattern the source features came from.
     pub pattern: String,
     /// Distinct real feature vectors the synthetic runs cycle over.
     pub source_runs: usize,
-    /// Median wall-time of WL feature extraction over the source graphs
-    /// with 4 interleaved FNV lanes.
-    pub wl_lanes4_ms: f64,
-    /// The same extraction with 8 interleaved lanes (the shipped width;
-    /// labels are bit-identical at any width).
-    pub wl_lanes8_ms: f64,
     /// One row per measured run count.
     pub rows: Vec<GramScaleRow>,
 }
@@ -193,7 +178,7 @@ impl BaselineReport {
     pub fn render_table(&self) -> String {
         let mut out = format!(
             "baseline: procs={} runs={} samples={}\n\
-             {:<16} {:>12} {:>10} {:>12} {:>10} {:>9} {:>9} {:>8} {:>10} {:>10} {:>9} {:>9} {:>8}\n",
+             {:<16} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}\n",
             self.procs,
             self.runs,
             self.samples,
@@ -202,9 +187,6 @@ impl BaselineReport {
             "graph_ms",
             "features_ms",
             "gram_ms",
-            "pipe_f_ms",
-            "pipe_g_ms",
-            "kernel_x",
             "total_ms",
             "trace_ovh%",
             "cold_ms",
@@ -217,15 +199,12 @@ impl BaselineReport {
                 None => "-".to_string(),
             };
             out.push_str(&format!(
-                "{:<16} {:>12.3} {:>10.3} {:>12.3} {:>10.3} {:>9.3} {:>9.3} {:>8.2} {:>10.3} {:>10} {:>9.3} {:>9.3} {:>8.1}\n",
+                "{:<16} {:>12.3} {:>10.3} {:>12.3} {:>10.3} {:>10.3} {:>10} {:>9.3} {:>9.3} {:>8.1}\n",
                 r.pattern,
                 r.simulate_ms,
                 r.graph_ms,
                 r.features_ms,
                 r.gram_ms,
-                r.features_pipelined_ms,
-                r.gram_pipelined_ms,
-                r.kernel_speedup,
                 r.total_ms,
                 ovh,
                 r.store_cold_ms,
@@ -241,8 +220,8 @@ impl BaselineReport {
         }
         if let Some(g) = &self.gram_scale {
             out.push_str(&format!(
-                "gram_scale ({}, {} source vector(s)): wl_lanes4={:.3} ms, wl_lanes8={:.3} ms\n",
-                g.pattern, g.source_runs, g.wl_lanes4_ms, g.wl_lanes8_ms
+                "gram_scale ({}, {} source vector(s))\n",
+                g.pattern, g.source_runs
             ));
             for r in &g.rows {
                 out.push_str(&format!(
@@ -302,16 +281,6 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
         .base_seed(cfg.base_seed);
     let result = run_campaign(&ccfg).expect("gram-scale source campaign");
     let kernel = WlKernel::default();
-    let wl_lanes4_ms = time_median_ms(3, || {
-        for g in &result.graphs {
-            std::hint::black_box(kernel.features_with_lanes(g, 4));
-        }
-    });
-    let wl_lanes8_ms = time_median_ms(3, || {
-        for g in &result.graphs {
-            std::hint::black_box(kernel.features_with_lanes(g, 8));
-        }
-    });
     let source: Vec<SparseFeatures> = result.graphs.iter().map(|g| kernel.features(g)).collect();
     let max_runs = cfg.gram_scale_runs.iter().copied().max().unwrap_or(0);
     let feats: Vec<SparseFeatures> = (0..max_runs)
@@ -379,50 +348,43 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
     GramScaleReport {
         pattern: Pattern::Amg2013.to_string(),
         source_runs: source.len(),
-        wl_lanes4_ms,
-        wl_lanes8_ms,
         rows,
     }
 }
 
 /// Run `samples` campaigns per paper pattern and report the mean per-stage
-/// wall-times from the metrics registry's span timers.
+/// times from the metrics registry's span timers.
 pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
     let mut rows = Vec::with_capacity(Pattern::ALL.len());
     for p in Pattern::ALL {
         let ccfg = CampaignConfig::new(p, cfg.procs)
             .runs(cfg.runs)
             .base_seed(cfg.base_seed);
-        // Pipelined pass (the shipped default): end-to-end totals plus the
-        // fused kernel stage's features/tail split.
         let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..RunCtx::default()
+        };
         for _ in 0..cfg.samples {
-            run_campaign_with_metrics(&ccfg, Some(&reg)).expect("baseline campaign");
+            run_campaign_with(&ccfg, &ctx).expect("baseline campaign");
         }
         let report = reg.report();
-        // Barrier pass: the classic per-stage features/gram split the
-        // pipelined schedule dissolves.
-        let barrier_cfg = ccfg.clone().schedule(GramSchedule::Barrier);
-        let barrier_reg = MetricsRegistry::new();
-        for _ in 0..cfg.samples {
-            run_campaign_with_metrics(&barrier_cfg, Some(&barrier_reg))
-                .expect("barrier baseline campaign");
-        }
-        let barrier = barrier_reg.report();
         // Overhead pass: untraced vs traced end-to-end medians over at
         // least MIN_OVERHEAD_SAMPLES timings each (fresh registry per
         // timing so one campaign = one span observation).
         let ov_samples = cfg.samples.max(MIN_OVERHEAD_SAMPLES);
         let campaign_total_ms = |observed: bool| -> f64 {
             let r = MetricsRegistry::new();
+            let tracer = Tracer::new();
             if observed {
-                let tracer = Tracer::new();
                 r.attach_tracer(&tracer);
-                run_campaign_observed(&ccfg, Some(&r), Some(&tracer), 0)
-                    .expect("traced baseline campaign");
-            } else {
-                run_campaign_with_metrics(&ccfg, Some(&r)).expect("untraced baseline campaign");
             }
+            let ctx = RunCtx {
+                metrics: Some(&r),
+                tracer: observed.then_some(&tracer),
+                ..RunCtx::default()
+            };
+            run_campaign_with(&ccfg, &ctx).expect("overhead baseline campaign");
             r.report()
                 .span("campaign")
                 .map(|s| s.total_ns as f64 / 1e6)
@@ -452,11 +414,15 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
             ));
             std::fs::remove_dir_all(&dir).ok();
             let store = ArtifactStore::open(&dir).expect("baseline store");
+            let ctx = RunCtx {
+                store: Some(&store),
+                ..RunCtx::default()
+            };
             let t = Instant::now();
-            run_campaign_incremental(&ccfg, &store).expect("cold store campaign");
+            run_campaign_with(&ccfg, &ctx).expect("cold store campaign");
             cold_ns += t.elapsed().as_nanos();
             let t = Instant::now();
-            run_campaign_incremental(&ccfg, &store).expect("warm store campaign");
+            run_campaign_with(&ccfg, &ctx).expect("warm store campaign");
             warm_ns += t.elapsed().as_nanos();
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -467,40 +433,22 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         } else {
             0.0
         };
-        // Each campaign records one span per stage, so mean = total / count
-        // (guarded: a span deserialised or merged with zero count means 0).
-        let mean_ms = |rep: &anacin_obs::MetricsReport, path: &str| {
-            rep.span(path)
-                .map(|s| {
-                    if s.count == 0 {
-                        0.0
-                    } else {
-                        s.total_ns as f64 / s.count as f64 / 1e6
-                    }
-                })
+        // Time per campaign: per-run worker spans add up over the runs
+        // (and so over the worker threads), stage spans count once.
+        let per_campaign_ms = |path: &str| {
+            report
+                .span(path)
+                .map(|s| s.total_ns as f64 / cfg.samples.max(1) as f64 / 1e6)
                 .unwrap_or(0.0)
-        };
-        let features_ms = mean_ms(&barrier, "campaign/kernel/features");
-        let gram_ms = mean_ms(&barrier, "campaign/kernel/gram");
-        let features_pipelined_ms = mean_ms(&report, "campaign/kernel/pipeline/features");
-        let gram_pipelined_ms = mean_ms(&report, "campaign/kernel/pipeline/gram");
-        let fused = features_pipelined_ms + gram_pipelined_ms;
-        let kernel_speedup = if fused > 0.0 {
-            (features_ms + gram_ms) / fused
-        } else {
-            0.0
         };
         rows.push(StageTimings {
             pattern: p.to_string(),
             samples: cfg.samples,
-            simulate_ms: mean_ms(&report, "campaign/simulate"),
-            graph_ms: mean_ms(&report, "campaign/graph"),
-            features_ms,
-            gram_ms,
-            features_pipelined_ms,
-            gram_pipelined_ms,
-            kernel_speedup,
-            total_ms: mean_ms(&report, "campaign"),
+            simulate_ms: per_campaign_ms("run/simulate"),
+            graph_ms: per_campaign_ms("run/graph"),
+            features_ms: per_campaign_ms("run/features"),
+            gram_ms: per_campaign_ms("campaign/gram"),
+            total_ms: per_campaign_ms("campaign"),
             trace_overhead_pct,
             events: report.counter("sim/events").unwrap_or(0),
             dot_products: report.counter("kernel/dot_products").unwrap_or(0),
@@ -552,10 +500,9 @@ mod tests {
             assert!(row.simulate_ms >= 0.0);
             assert!(row.events > 0);
             assert_eq!(row.dot_products, 2 * 3 / 2);
-            assert!(row.features_ms >= 0.0, "{}", row.pattern);
-            assert!(row.features_pipelined_ms >= 0.0, "{}", row.pattern);
-            assert!(row.gram_pipelined_ms >= 0.0, "{}", row.pattern);
-            assert!(row.kernel_speedup >= 0.0, "{}", row.pattern);
+            assert!(row.graph_ms > 0.0, "{}", row.pattern);
+            assert!(row.features_ms > 0.0, "{}", row.pattern);
+            assert!(row.gram_ms > 0.0, "{}", row.pattern);
             // Tiny 4-proc campaigns sit under the noise floor, so the
             // overhead column must be suppressed, not reported as noise.
             if let Some(v) = row.trace_overhead_pct {
@@ -573,12 +520,10 @@ mod tests {
         assert!(table.contains("collectives"), "{table}");
         assert!(table.contains("stencil2d"), "{table}");
         assert!(table.contains("trace_ovh%"), "{table}");
-        assert!(table.contains("kernel_x"), "{table}");
         assert!(table.contains("store_x"), "{table}");
         let g = r.gram_scale.as_ref().expect("gram_scale section");
         assert_eq!(g.pattern, "amg2013");
         assert_eq!(g.source_runs, 10);
-        assert!(g.wl_lanes4_ms >= 0.0 && g.wl_lanes8_ms >= 0.0);
         assert_eq!(g.rows.len(), 2);
         for (row, want) in g.rows.iter().zip([8usize, 16]) {
             assert_eq!(row.runs, want);
@@ -598,14 +543,12 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"patterns\""));
         assert!(json.contains("\"trace_overhead_pct\""));
-        assert!(json.contains("\"features_pipelined_ms\""));
-        assert!(json.contains("\"gram_pipelined_ms\""));
-        assert!(json.contains("\"kernel_speedup\""));
+        assert!(!json.contains("pipelined"), "{json}");
         assert!(json.contains("\"store_cold_ms\""));
         assert!(json.contains("\"store_warm_ms\""));
         assert!(json.contains("\"store_speedup\""));
         assert!(json.contains("\"gram_scale\""));
-        assert!(json.contains("\"wl_lanes4_ms\""));
+        assert!(!json.contains("wl_lanes"), "{json}");
         assert!(json.contains("\"append_speedup\""));
         assert!(json.contains("\"landmark_error_bound\""));
     }

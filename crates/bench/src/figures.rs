@@ -255,8 +255,9 @@ fn violin_figure(
 /// (paper: 32 vs 16; more processes ⇒ more non-determinism).
 pub fn fig5(scale: &Scale) -> FigureOutput {
     let base = CampaignConfig::new(Pattern::UnstructuredMesh, scale.procs_small).runs(scale.runs);
+    let procs = [scale.procs_small as f64, scale.procs_large as f64];
     let sweep =
-        sweep_procs(&base, &[scale.procs_small, scale.procs_large]).expect("sweep completes");
+        sweep(SweepAxis::Procs, &base, &procs, &RunCtx::default()).expect("sweep completes");
     let small = &sweep.points[0].measurement;
     let large = &sweep.points[1].measurement;
     let holds = large.summary.median > small.summary.median
@@ -280,7 +281,13 @@ pub fn fig5(scale: &Scale) -> FigureOutput {
 /// (paper: 16 processes; more iterations ⇒ more non-determinism).
 pub fn fig6(scale: &Scale) -> FigureOutput {
     let base = CampaignConfig::new(Pattern::UnstructuredMesh, scale.procs_small).runs(scale.runs);
-    let sweep = sweep_iterations(&base, &[1, 2]).expect("sweep completes");
+    let sweep = sweep(
+        SweepAxis::Iterations,
+        &base,
+        &[1.0, 2.0],
+        &RunCtx::default(),
+    )
+    .expect("sweep completes");
     let one = &sweep.points[0].measurement;
     let two = &sweep.points[1].measurement;
     let holds =
@@ -306,8 +313,9 @@ pub fn fig6(scale: &Scale) -> FigureOutput {
 /// 1-byte messages; monotone increase).
 pub fn fig7(scale: &Scale) -> FigureOutput {
     let base = CampaignConfig::new(Pattern::Amg2013, scale.amg_procs).runs(scale.runs);
-    let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-    let sweep = sweep_nd_percent(&base, &percents).expect("sweep completes");
+    let percents = SweepAxis::NdPercent.default_points(&base);
+    let sweep =
+        sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).expect("sweep completes");
     let rho = sweep.spearman_monotonicity();
     let at_zero = sweep.points[0].measurement.mean();
     let series = sweep.mean_series();

@@ -188,14 +188,17 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
         // Full streaming campaign under a fresh watermark.
         reset_peak_rss();
         let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..RunCtx::default()
+        };
         let t = Instant::now();
-        let result = run_campaign_streaming_observed(&ccfg, Some(&reg), None, 0)
-            .expect("large baseline campaign");
+        let result = run_campaign_streaming_with(&ccfg, &ctx).expect("large baseline campaign");
         let campaign_ms = t.elapsed().as_secs_f64() * 1e3;
         let peak = peak_rss_mib();
         let report = reg.report();
         let gram_ms = report
-            .span("campaign/kernel/gram")
+            .span("campaign/gram")
             .map(|s| s.total_ns as f64 / 1e6)
             .unwrap_or(0.0);
         // Traced streaming pass: the same campaign with a Chrome sink
@@ -212,9 +215,13 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             tracer.attach_sink(Box::new(sink));
             let reg2 = MetricsRegistry::new();
             reg2.attach_tracer(&tracer);
+            let ctx = RunCtx {
+                metrics: Some(&reg2),
+                tracer: Some(&tracer),
+                ..RunCtx::default()
+            };
             let t = Instant::now();
-            run_campaign_streaming_observed(&ccfg, Some(&reg2), Some(&tracer), 0)
-                .expect("large baseline traced campaign");
+            run_campaign_streaming_with(&ccfg, &ctx).expect("large baseline traced campaign");
             tracer.finish_sink().expect("drain traced campaign");
             let traced_ms = t.elapsed().as_secs_f64() * 1e3;
             // The large tier measures each pass once; a ratio of two

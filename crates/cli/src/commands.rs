@@ -23,10 +23,8 @@ COMMANDS
   run         run a measurement campaign ('campaign' is an alias)
               --pattern race|amg2013|mesh|collectives  --procs N  --nd P
               --runs N  --iterations N  --nodes N  --seed S  [--json]
-              [--gram-schedule barrier|pipelined]  kernel-stage schedule
-                                (default pipelined; results bit-identical)
               [--dot scalar|blocked]  sparse-dot inner loop (default scalar;
-                                blocked is faster and bit-identical)
+                                results bit-identical)
               [--gram-approx exact|landmarks=K]  opt-in Nystrom approximation
                                 of the Gram matrix from K landmark runs
                                 (R*K dots instead of R^2/2); reports a
@@ -209,9 +207,6 @@ fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
         .iterations(args.get_parsed("iterations", 1u32)?)
         .nodes(args.get_parsed("nodes", 1u32)?)
         .base_seed(args.get_parsed("seed", 1u64)?);
-    if let Some(s) = args.get("gram-schedule") {
-        cfg = cfg.schedule(s.parse()?);
-    }
     if let Some(s) = args.get("dot") {
         cfg = cfg.dot(s.parse()?);
     }
@@ -308,26 +303,105 @@ fn explore_config_of(args: &Args) -> Result<ExploreConfig, String> {
     Ok(xcfg)
 }
 
-/// Unpack a cancellable pipeline's outcome: completed results pass
+/// Unpack a cancellable command's outcome: completed results pass
 /// through, a genuine failure becomes the command error, and a SIGINT
 /// cancellation becomes `Ok(None)` so the caller can flush whatever
 /// sinks are open before exiting non-zero.
-fn until_cancelled<T, E: std::fmt::Display>(
-    r: Result<T, Interrupted<E>>,
-) -> Result<Option<T>, String> {
+fn until_cancelled<T>(r: Result<T, CampaignError>) -> Result<Option<T>, String> {
     match r {
         Ok(v) => Ok(Some(v)),
-        Err(Interrupted::Cancelled { completed_runs }) => {
+        Err(CampaignError::Cancelled { completed_runs }) => {
             eprintln!("interrupted: stopping after {completed_runs} completed run(s)");
             Ok(None)
         }
-        Err(Interrupted::Failed(e)) => Err(e.to_string()),
+        Err(e) => Err(e.to_string()),
     }
 }
 
 /// The error a cancelled command exits with (non-zero, code 2).
 fn interrupted_err() -> String {
     "interrupted by signal; partial output flushed".to_string()
+}
+
+/// What `--metrics`, `--trace` and `--progress` ask a command to record.
+struct Observers {
+    metrics: Option<(String, MetricsRegistry)>,
+    tracer: Option<(String, Tracer)>,
+    /// The registry the command records into: the `--metrics` one, or an
+    /// internal one when tracing (wall-clock spans) or the progress line
+    /// needs it.
+    reg: Option<MetricsRegistry>,
+}
+
+impl Observers {
+    fn of(args: &Args) -> Result<Self, String> {
+        let metrics = metrics_of(args);
+        let tracer = tracer_of(args)?;
+        let reg = match (&metrics, &tracer) {
+            (Some((_, reg)), _) => Some(reg.clone()),
+            (None, Some(_)) => Some(MetricsRegistry::new()),
+            (None, None) if args.flag("progress") => Some(MetricsRegistry::new()),
+            (None, None) => None,
+        };
+        if let (Some(reg), Some((_, t))) = (&reg, &tracer) {
+            reg.attach_tracer(t);
+        }
+        Ok(Observers {
+            metrics,
+            tracer,
+            reg,
+        })
+    }
+
+    /// The live `--progress` line over `total_runs` runs, when asked for.
+    fn progress(&self, args: &Args, total_runs: u32) -> Option<anacin_obs::ProgressReporter> {
+        self.reg
+            .as_ref()
+            .filter(|_| args.flag("progress"))
+            .map(|reg| {
+                anacin_obs::ProgressReporter::start(
+                    reg,
+                    total_runs as u64,
+                    std::time::Duration::from_millis(250),
+                )
+            })
+    }
+
+    /// The `--store`/`--append-to` store, mirroring its activity into the
+    /// command's registry.
+    fn store(&self, dir: Option<&str>) -> Result<Option<(String, ArtifactStore)>, String> {
+        let Some(dir) = dir else { return Ok(None) };
+        let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
+        if let Some(reg) = &self.reg {
+            store.attach_metrics(reg);
+        }
+        Ok(Some((dir.to_string(), store)))
+    }
+
+    fn ctx<'a>(
+        &'a self,
+        cancel: &'a anacin_obs::CancelToken,
+        store: Option<&'a ArtifactStore>,
+    ) -> RunCtx<'a> {
+        RunCtx {
+            metrics: self.reg.as_ref(),
+            tracer: self.tracer.as_ref().map(|(_, t)| t),
+            cancel: Some(cancel),
+            store,
+        }
+    }
+}
+
+/// Print how a command's store treated it (stderr, so `--json` stdout
+/// stays parseable).
+fn report_store(store: &Option<(String, ArtifactStore)>) {
+    if let Some((dir, store)) = store {
+        let a = store.activity();
+        eprintln!(
+            "store {dir}: {} hit(s), {} miss(es), {} publish(es)",
+            a.hits, a.misses, a.puts
+        );
+    }
 }
 
 /// `run --stream`: the bounded-memory campaign path. Each run's trace and
@@ -349,48 +423,25 @@ fn cmd_run_streaming(args: &Args) -> Result<(), String> {
         );
     }
     let cfg = campaign_of(args)?;
-    let metrics = metrics_of(args);
-    let tracer = tracer_of(args)?;
-    let progress = args.flag("progress");
-    let reg = match (&metrics, &tracer) {
-        (Some((_, reg)), _) => Some(reg.clone()),
-        (None, Some(_)) => Some(MetricsRegistry::new()),
-        (None, None) if progress => Some(MetricsRegistry::new()),
-        (None, None) => None,
-    };
-    if let (Some(reg), Some((_, t))) = (&reg, &tracer) {
-        reg.attach_tracer(t);
-    }
+    let obs = Observers::of(args)?;
     // Streamed runs never materialise a full trace, so the exporter
     // can't either: attach an incremental file sink that the simulator
     // pumps records into as they are recorded, keeping the exporter's
     // footprint at one drain chunk regardless of campaign size.
-    if let Some((path, t)) = &tracer {
+    if let Some((path, t)) = &obs.tracer {
         attach_file_sink(path, t)?;
     }
-    let reporter = reg.as_ref().filter(|_| progress).map(|reg| {
-        anacin_obs::ProgressReporter::start(
-            reg,
-            cfg.runs as u64,
-            std::time::Duration::from_millis(250),
-        )
-    });
+    let reporter = obs.progress(args, cfg.runs);
     let token = anacin_obs::install_signal_handlers();
-    let result = run_campaign_streaming_cancellable(
-        &cfg,
-        reg.as_ref(),
-        tracer.as_ref().map(|(_, t)| t),
-        0,
-        Some(&token),
-    );
+    let result = run_campaign_streaming_with(&cfg, &obs.ctx(&token, None));
     if let Some(r) = reporter {
         r.finish();
     }
     let result = until_cancelled(result)?;
-    if let Some((path, reg)) = &metrics {
+    if let Some((path, reg)) = &obs.metrics {
         write_metrics(path, reg)?;
     }
-    if let Some((path, t)) = &tracer {
+    if let Some((path, t)) = &obs.tracer {
         finish_file_sink(path, t)?;
     }
     let result = result.ok_or_else(interrupted_err)?;
@@ -427,21 +478,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return cmd_run_streaming(args);
     }
     let cfg = campaign_of(args)?;
-    let metrics = metrics_of(args);
-    let tracer = tracer_of(args)?;
-    let progress = args.flag("progress");
-    // Tracing needs a registry for wall-clock spans even when no metrics
-    // file was requested; spin up an internal one in that case. The
-    // live progress line reads the same registry.
-    let reg = match (&metrics, &tracer) {
-        (Some((_, reg)), _) => Some(reg.clone()),
-        (None, Some(_)) => Some(MetricsRegistry::new()),
-        (None, None) if progress => Some(MetricsRegistry::new()),
-        (None, None) => None,
-    };
-    if let (Some(reg), Some((_, t))) = (&reg, &tracer) {
-        reg.attach_tracer(t);
-    }
+    let obs = Observers::of(args)?;
     // `--append-to DIR` is `--store DIR` plus the append schedule: the
     // largest stored Gram prefix of this run set is grown row-by-row
     // (R+1 dots per added run) instead of recomputed from scratch.
@@ -449,106 +486,46 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if append && args.get("store").is_some() {
         return Err("--append-to already names the store; drop --store or --append-to".into());
     }
-    let store = match args.get("store").or_else(|| args.get("append-to")) {
-        Some(dir) => {
-            let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
-            if let Some(reg) = &reg {
-                store.attach_metrics(reg);
-            }
-            Some((dir.to_string(), store))
-        }
-        None => None,
-    };
-    let reporter = reg.as_ref().filter(|_| progress).map(|reg| {
-        anacin_obs::ProgressReporter::start(
-            reg,
-            cfg.runs as u64,
-            std::time::Duration::from_millis(250),
-        )
-    });
+    let store = obs.store(args.get("store").or_else(|| args.get("append-to")))?;
+    let reporter = obs.progress(args, cfg.runs);
     let token = anacin_obs::install_signal_handlers();
-    let result = match &store {
-        Some((_, store)) if append => until_cancelled(run_campaign_append_cancellable(
-            &cfg,
-            store,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
-        Some((_, store)) => until_cancelled(run_campaign_incremental_cancellable(
-            &cfg,
-            store,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
-        None => until_cancelled(run_campaign_cancellable(
-            &cfg,
-            reg.as_ref(),
-            tracer.as_ref().map(|(_, t)| t),
-            0,
-            Some(&token),
-        )),
+    let ctx = obs.ctx(&token, store.as_ref().map(|(_, s)| s));
+    let result = if append {
+        run_campaign_append(&cfg, &ctx)
+    } else {
+        run_campaign_with(&cfg, &ctx)
     };
     if let Some(r) = reporter {
         r.finish();
     }
-    let result = result?;
-    // SIGINT: flush every open sink (metrics file, trace file, store
-    // activity line) before exiting non-zero, so an interrupted campaign
-    // still leaves its partial observability artifacts behind.
-    let result = match result {
-        Some(r) => r,
-        None => {
-            if let Some((dir, store)) = &store {
-                let a = store.activity();
-                eprintln!(
-                    "store {dir}: {} hit(s), {} miss(es), {} publish(es)",
-                    a.hits, a.misses, a.puts
-                );
-            }
-            if let Some((path, reg)) = &metrics {
-                write_metrics(path, reg)?;
-            }
-            if let Some((path, t)) = &tracer {
-                write_trace(path, t)?;
-            }
-            return Err(interrupted_err());
-        }
-    };
+    let result = until_cancelled(result)?;
     // `--explore`: enumerate the schedule space of the same setting and
-    // relate the sample to it (worst case, coverage, containment).
-    let explored = if args.flag("explore") {
-        let xcfg = explore_config_of(args)?;
-        let xr = match &store {
-            Some((_, store)) => {
-                explore_campaign_incremental_observed(&cfg, &xcfg, store, reg.as_ref())
-                    .map_err(|e| e.to_string())?
-            }
-            None => {
-                explore_campaign_observed(&cfg, &xcfg, reg.as_ref()).map_err(|e| e.to_string())?
-            }
-        };
-        let coverage = xr.coverage_of(&result);
-        Some((xcfg, xr, coverage))
-    } else {
-        None
+    // relate the sample to it (worst case, coverage, containment). Replays
+    // stay off the tracer, whose run ids belong to the sampled campaign.
+    let explored = match (&result, args.flag("explore")) {
+        (Some(result), true) => {
+            let xcfg = explore_config_of(args)?;
+            let ctx = RunCtx {
+                tracer: None,
+                ..ctx
+            };
+            let xr = explore_campaign(&cfg, &xcfg, &ctx).map_err(|e| e.to_string())?;
+            let coverage = xr.coverage_of(result);
+            Some((xcfg, xr, coverage))
+        }
+        _ => None,
     };
-    if let Some((dir, store)) = &store {
-        let a = store.activity();
-        eprintln!(
-            "store {dir}: {} hit(s), {} miss(es), {} publish(es)",
-            a.hits, a.misses, a.puts
-        );
-    }
-    if let Some((path, reg)) = &metrics {
+    // Flush every open sink (store activity line, metrics file, trace
+    // file) before any exit, so an interrupted campaign still leaves its
+    // partial observability artifacts behind.
+    report_store(&store);
+    if let Some((path, reg)) = &obs.metrics {
         write_metrics(path, reg)?;
     }
-    if let Some((path, t)) = &tracer {
+    if let Some((path, t)) = &obs.tracer {
         write_trace(path, t)?;
     }
+    let result = result.ok_or_else(interrupted_err)?;
     let m = NdMeasurement::from_campaign(campaign_label(&cfg), &result);
     if args.flag("json") {
         // Both arms go through `anacin_core::report` so the daemon can
@@ -755,112 +732,34 @@ fn cmd_distance(args: &Args) -> Result<(), String> {
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let base = campaign_of(args)?;
-    let metrics_path = args.get("metrics").map(str::to_string);
-    let tracer = tracer_of(args)?;
-    let tr = tracer.as_ref().map(|(_, t)| t);
-    let kind = args.get_or("kind", "nd");
+    let axis: SweepAxis = args.get_or("kind", "nd").parse()?;
+    let obs = Observers::of(args)?;
+    let store = obs.store(args.get("store"))?;
     let token = anacin_obs::install_signal_handlers();
-    if let Some(dir) = args.get("store") {
-        // Store-backed sweeps use one registry for the whole sweep (the
-        // per-point instrumented path is not combined with --store).
-        if tracer.is_some() {
-            return Err("--store and --trace cannot be combined on sweep".to_string());
-        }
-        let store = ArtifactStore::open(dir).map_err(|e| e.to_string())?;
-        let reg = metrics_path.as_ref().map(|_| MetricsRegistry::new());
-        if let Some(r) = &reg {
-            store.attach_metrics(r);
-        }
-        let cancel = Some(&token);
-        let sweep = until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_stored_cancellable(&base, &percents, &store, reg.as_ref(), cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_stored_cancellable(
-                    &base,
-                    &[(p / 2).max(2), p, p * 2],
-                    &store,
-                    reg.as_ref(),
-                    cancel,
-                )
-            }
-            "iterations" => {
-                sweep_iterations_stored_cancellable(&base, &[1, 2, 4], &store, reg.as_ref(), cancel)
-            }
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?;
-        if let (Some(path), Some(r)) = (&metrics_path, &reg) {
-            write_metrics(path, r)?;
-        }
-        let a = store.activity();
+    let ctx = obs.ctx(&token, store.as_ref().map(|(_, s)| s));
+    let points = axis.default_points(&base);
+    let sweep = until_cancelled(sweep(axis, &base, &points, &ctx))?;
+    // A cancelled stored sweep has already published every finished run,
+    // so the next invocation resumes warm. Flush the sinks either way:
+    // the partial per-run timeline is exactly what a user hunting a hang
+    // wants.
+    report_store(&store);
+    if let (Some((path, _)), Some(sm)) = (
+        &obs.metrics,
+        sweep.as_ref().and_then(|s| s.metrics.as_ref()),
+    ) {
+        let json = serde_json::to_string_pretty(sm).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        eprint!("{}", sm.aggregate.render_table());
         eprintln!(
-            "store {dir}: {} hit(s), {} miss(es), {} publish(es)",
-            a.hits, a.misses, a.puts
+            "metrics report written to {path} ({} sweep points)",
+            sm.points.len()
         );
-        // A cancelled stored sweep has already published every finished
-        // run, so the next invocation resumes warm; report and exit 2.
-        let sweep = sweep.ok_or_else(interrupted_err)?;
-        print!("{}", sweep_text(&sweep));
-        return Ok(());
     }
-    let cancel = Some(&token);
-    let instrumented = metrics_path.is_some() || tracer.is_some();
-    let sweep = if instrumented {
-        // Instrumented path: per-point registries so stage time can be
-        // plotted against the swept parameter, plus optional tracing.
-        let both = until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_instrumented_cancellable(&base, &percents, tr, cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_instrumented_cancellable(&base, &[(p / 2).max(2), p, p * 2], tr, cancel)
-            }
-            "iterations" => {
-                sweep_iterations_instrumented_cancellable(&base, &[1, 2, 4], tr, cancel)
-            }
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?;
-        let Some((sweep, sm)) = both else {
-            // Flush the trace sink before exiting non-zero: the partial
-            // per-run timeline is exactly what a user hunting a hang wants.
-            if let Some((path, t)) = &tracer {
-                write_trace(path, t)?;
-            }
-            return Err(interrupted_err());
-        };
-        if let Some(path) = &metrics_path {
-            let json = serde_json::to_string_pretty(&sm).map_err(|e| e.to_string())?;
-            std::fs::write(path, json).map_err(|e| e.to_string())?;
-            eprint!("{}", sm.aggregate.render_table());
-            eprintln!(
-                "metrics report written to {path} ({} sweep points)",
-                sm.points.len()
-            );
-        }
-        sweep
-    } else {
-        until_cancelled(match kind.as_str() {
-            "nd" => {
-                let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                sweep_nd_percent_cancellable(&base, &percents, None, cancel)
-            }
-            "procs" => {
-                let p = base.app.procs;
-                sweep_procs_cancellable(&base, &[(p / 2).max(2), p, p * 2], None, cancel)
-            }
-            "iterations" => sweep_iterations_cancellable(&base, &[1, 2, 4], None, cancel),
-            other => return Err(format!("unknown sweep kind '{other}'")),
-        })?
-        .ok_or_else(interrupted_err)?
-    };
-    if let Some((path, t)) = &tracer {
+    if let Some((path, t)) = &obs.tracer {
         write_trace(path, t)?;
     }
+    let sweep = sweep.ok_or_else(interrupted_err)?;
     print!("{}", sweep_text(&sweep));
     Ok(())
 }

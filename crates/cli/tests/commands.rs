@@ -51,14 +51,13 @@ fn campaign_alias_with_metrics_report() {
     ])
     .unwrap();
     let json = std::fs::read_to_string(&path).unwrap();
-    // Every pipeline stage appears with a recorded wall-time (the default
-    // schedule is the fused kernel pipeline).
+    // Every pipeline stage appears with a recorded wall-time.
     for stage in [
-        "campaign/simulate",
-        "campaign/graph",
-        "campaign/kernel/pipeline",
-        "campaign/kernel/pipeline/features",
-        "campaign/kernel/pipeline/gram",
+        "\"campaign\"",
+        "campaign/gram",
+        "run/simulate",
+        "run/graph",
+        "run/features",
     ] {
         assert!(json.contains(stage), "missing {stage} in {json}");
     }
@@ -67,52 +66,10 @@ fn campaign_alias_with_metrics_report() {
         "sim/matched",
         "sim/wildcard_matches",
         "kernel/dot_products",
-        "kernel/pipeline_tasks",
     ] {
         assert!(json.contains(counter), "missing {counter} in {json}");
     }
     std::fs::remove_file(path).ok();
-}
-
-#[test]
-fn campaign_barrier_schedule_reports_stage_spans() {
-    let dir = std::env::temp_dir().join("anacin_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("metrics_barrier.json");
-    run(&[
-        "campaign",
-        "--pattern",
-        "race",
-        "--procs",
-        "6",
-        "--runs",
-        "5",
-        "--gram-schedule",
-        "barrier",
-        "--metrics",
-        path.to_str().unwrap(),
-    ])
-    .unwrap();
-    let json = std::fs::read_to_string(&path).unwrap();
-    for stage in ["campaign/kernel/features", "campaign/kernel/gram"] {
-        assert!(json.contains(stage), "missing {stage} in {json}");
-    }
-    assert!(!json.contains("kernel/pipeline_tasks"), "{json}");
-    std::fs::remove_file(path).ok();
-
-    // An unknown schedule is rejected with a parse error.
-    assert!(run(&[
-        "campaign",
-        "--pattern",
-        "race",
-        "--procs",
-        "4",
-        "--runs",
-        "2",
-        "--gram-schedule",
-        "fused",
-    ])
-    .is_err());
 }
 
 #[test]
@@ -533,12 +490,12 @@ fn run_with_store_warms_and_store_subcommands_operate() {
 }
 
 #[test]
-fn sweep_with_store_runs_and_rejects_trace_combination() {
+fn sweep_with_store_runs_warm_and_traced() {
     let dir = std::env::temp_dir().join("anacin_cli_store_sweep_test");
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.join("store");
-    let store = store.to_str().unwrap();
-    run(&[
+    let trace = dir.join("sweep.json");
+    let sweep = [
         "sweep",
         "--kind",
         "iterations",
@@ -549,20 +506,14 @@ fn sweep_with_store_runs_and_rejects_trace_combination() {
         "--runs",
         "3",
         "--store",
-        store,
-    ])
-    .unwrap();
-    assert!(run(&[
-        "sweep",
-        "--kind",
-        "iterations",
-        "--store",
-        store,
-        "--trace",
-        "/tmp/t.json",
-    ])
-    .unwrap_err()
-    .contains("cannot be combined"));
+        store.to_str().unwrap(),
+    ];
+    run(&sweep).unwrap(); // cold: every point publishes
+    let mut traced = sweep.to_vec();
+    traced.extend(["--trace", trace.to_str().unwrap()]);
+    run(&traced).unwrap(); // warm, and the replayed traces still reach the tracer
+    let json = std::fs::read_to_string(&trace).unwrap();
+    assert!(json.contains("\"cat\":\"sim\""), "warm runs must be traced");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -67,73 +67,6 @@ impl KernelChoice {
     }
 }
 
-/// How the kernel stage schedules feature extraction and dot products.
-///
-/// Purely an execution-strategy knob: both schedules produce bit-identical
-/// matrices at any thread count (each (i, j) dot product is computed
-/// exactly once by the same expression), so — like `threads` — the choice
-/// is excluded from incremental-store fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GramSchedule {
-    /// Extract every φ(G) first, then compute all dot products — two
-    /// barriers, as the original `gram_matrix` does.
-    Barrier,
-    /// Fused single-queue pipeline: dot products start as soon as both
-    /// operand feature vectors exist, overlapping the feature tail.
-    #[default]
-    Pipelined,
-}
-
-impl GramSchedule {
-    fn as_str(&self) -> &'static str {
-        match self {
-            GramSchedule::Barrier => "barrier",
-            GramSchedule::Pipelined => "pipelined",
-        }
-    }
-}
-
-impl std::fmt::Display for GramSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for GramSchedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "barrier" => Ok(GramSchedule::Barrier),
-            "pipelined" => Ok(GramSchedule::Pipelined),
-            other => Err(format!(
-                "unknown gram schedule '{other}' (expected 'barrier' or 'pipelined')"
-            )),
-        }
-    }
-}
-
-// Manual serde impls: a missing field deserialises as `Null`, which maps
-// to the default — so configs serialised before the schedule knob existed
-// keep loading.
-impl serde::Serialize for GramSchedule {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_string())
-    }
-}
-
-impl serde::Deserialize for GramSchedule {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if v.is_null() {
-            return Ok(GramSchedule::default());
-        }
-        match v.as_str() {
-            Some(s) => s.parse().map_err(serde::Error::custom),
-            None => Err(serde::Error::custom("gram schedule must be a string")),
-        }
-    }
-}
-
 /// Whether the kernel stage computes the Gram matrix exactly or through
 /// the landmark (Nyström) approximation.
 ///
@@ -183,9 +116,9 @@ impl std::str::FromStr for GramApprox {
     }
 }
 
-// Manual serde impls, mirroring `GramSchedule`: a missing field
-// deserialises as `Null`, which maps to the default, so configs
-// serialised before the knob existed keep loading.
+// Manual serde impls: a missing field deserialises as `Null`, which maps
+// to the default, so configs serialised before the knob existed keep
+// loading.
 impl serde::Serialize for GramApprox {
     fn to_value(&self) -> serde::Value {
         serde::Value::String(self.to_string())
@@ -229,12 +162,8 @@ pub struct CampaignConfig {
     /// tuned so reorder depth grows gradually with ND%, matching the
     /// paper's Figure-7 shape rather than saturating instantly).
     pub delay: DelayDistribution,
-    /// Kernel-stage schedule. Bit-identical results either way; pipelined
-    /// is faster and the default.
-    pub schedule: GramSchedule,
     /// Dot-product implementation. Bit-identical results either way (the
-    /// blocked merge-join skips only non-matching keys); blocked is faster
-    /// on large sparse feature vectors. Like `threads` and `schedule`,
+    /// blocked merge-join skips only non-matching keys). Like `threads`,
     /// excluded from store fingerprints.
     pub dot: DotKind,
     /// Exact vs landmark-approximate Gram computation. Approximate
@@ -254,7 +183,6 @@ impl Default for CampaignConfig {
             threads: default_threads(),
             kernel: KernelChoice::default(),
             delay: DelayDistribution::Exponential { mean_ns: 100.0 },
-            schedule: GramSchedule::default(),
             dot: DotKind::default(),
             approx: GramApprox::default(),
         }
@@ -319,12 +247,6 @@ impl CampaignConfig {
     /// Builder-style: set the congestion-delay distribution.
     pub fn delay(mut self, delay: DelayDistribution) -> Self {
         self.delay = delay;
-        self
-    }
-
-    /// Builder-style: set the kernel-stage schedule.
-    pub fn schedule(mut self, schedule: GramSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -396,31 +318,6 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn gram_schedule_parses_and_round_trips() {
-        assert_eq!("barrier".parse(), Ok(GramSchedule::Barrier));
-        assert_eq!("pipelined".parse(), Ok(GramSchedule::Pipelined));
-        assert!("fused".parse::<GramSchedule>().is_err());
-        for s in [GramSchedule::Barrier, GramSchedule::Pipelined] {
-            let v = serde::Serialize::to_value(&s);
-            assert_eq!(serde::Deserialize::from_value(&v), Ok(s));
-            assert_eq!(s.to_string().parse(), Ok(s));
-        }
-    }
-
-    #[test]
-    fn configs_without_schedule_field_still_deserialize() {
-        // Configs serialised before the schedule knob existed have no
-        // "schedule" key; they must load with the default.
-        let text = serde_json::to_string(&CampaignConfig::default()).unwrap();
-        let mut v = serde_json::from_str_value(&text).unwrap();
-        if let serde::Value::Object(map) = &mut v {
-            map.retain(|(k, _)| k != "schedule");
-        }
-        let cfg = <CampaignConfig as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(cfg.schedule, GramSchedule::Pipelined);
     }
 
     #[test]

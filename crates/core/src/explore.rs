@@ -20,24 +20,20 @@
 //! [`ScheduleId`] ([`explore_fingerprint`]), so re-exploring a setting is
 //! warm: the enumeration re-runs (it is fast and pure), but replays hit.
 
-use crate::campaign::{CampaignError, CampaignResult};
-use crate::config::{CampaignConfig, GramSchedule};
-use crate::incremental::{absorb_setting, get_or_heal, IncrementalError};
+use crate::campaign::{CampaignError, CampaignResult, RunCtx};
+use crate::config::{CampaignConfig, GramApprox};
+use crate::engine::{self, Plan, Retain, Source};
+use crate::incremental::absorb_setting;
 use anacin_event_graph::EventGraph;
-use anacin_kernels::matrix::{gram_matrix_with_metrics, KernelMatrix};
-use anacin_kernels::pipeline::gram_pipelined_with_metrics;
-use anacin_mpisim::engine::SimError;
+use anacin_kernels::matrix::KernelMatrix;
 use anacin_mpisim::explore::{
-    explore, flush_explore_metrics, simulate_scheduled, ExploreConfig, ExploreReport, Schedule,
-    ScheduleId,
+    explore, flush_explore_metrics, ExploreConfig, ExploreReport, Schedule, ScheduleId,
 };
 use anacin_mpisim::program::Program;
 use anacin_mpisim::trace::Trace;
-use anacin_obs::MetricsRegistry;
-use anacin_store::{ArtifactStore, Fingerprint, FingerprintHasher};
+use anacin_store::{Fingerprint, FingerprintHasher};
 use serde::Serialize;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The fingerprint naming the replayed trace of one explored schedule.
 /// Absorbs the run setting (pattern, app, ND, nodes, delay model), the
@@ -170,193 +166,46 @@ impl ExploreCampaignResult {
     }
 }
 
-/// Replay every explored schedule at the campaign's base seed, warm from
-/// the store when one is supplied. Schedule pins matching, seed pins
-/// delays: each replay is bit-deterministic, so warm and cold paths are
-/// byte-identical.
-fn replay_schedules(
-    program: &Program,
-    config: &CampaignConfig,
-    schedules: &[Schedule],
-    store: Option<&ArtifactStore>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Vec<Trace>, IncrementalError> {
-    let sc = config.sim_config(0);
-    let mut slots: Vec<Option<Trace>> = (0..schedules.len()).map(|_| None).collect();
-    let mut missing: Vec<usize> = Vec::new();
-    if let Some(store) = store {
-        for (i, s) in schedules.iter().enumerate() {
-            match get_or_heal::<Trace>(store, explore_fingerprint(config, s.id()))? {
-                Some(t) => slots[i] = Some(t),
-                None => missing.push(i),
-            }
-        }
-    } else {
-        missing = (0..schedules.len()).collect();
-    }
-    if missing.is_empty() {
-        return Ok(slots
-            .into_iter()
-            .map(|t| t.expect("all slots filled"))
-            .collect());
-    }
-    let threads = config.threads.max(1).min(missing.len());
-    let next = AtomicUsize::new(0);
-    let results: Vec<Vec<(usize, Result<Trace, SimError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let missing = &missing;
-                let sc = &sc;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= missing.len() {
-                            break;
-                        }
-                        let i = missing[slot];
-                        local.push((i, simulate_scheduled(program, sc, &schedules[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Deterministic failure: report the lowest failing schedule index.
-    let mut failure: Option<CampaignError> = None;
-    let mut computed: Vec<(usize, Trace)> = Vec::with_capacity(missing.len());
-    for chunk in results {
-        for (i, r) in chunk {
-            match r {
-                Ok(t) => computed.push((i, t)),
-                Err(source) => {
-                    let run = i as u32;
-                    if failure.as_ref().is_none_or(|f| run < f.run) {
-                        failure = Some(CampaignError {
-                            run,
-                            seed: sc.seed,
-                            source,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = failure {
-        return Err(f.into());
-    }
-    computed.sort_by_key(|&(i, _)| i);
-    for (i, t) in computed {
-        if let Some(store) = store {
-            store.put(explore_fingerprint(config, schedules[i].id()), &t)?;
-        }
-        slots[i] = Some(t);
-    }
-    if let Some(m) = metrics {
-        m.counter("explore/replays").add(missing.len() as u64);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|t| t.expect("all slots filled"))
-        .collect())
-}
-
-fn explore_campaign_inner(
+/// Enumerate the schedule space, replay every distinct schedule through
+/// the campaign engine at the campaign's base seed, and measure the
+/// replays. Schedule pins matching and seed pins delays, so each replay is
+/// bit-deterministic: with a store in `ctx`, replayed traces are keyed by
+/// [`explore_fingerprint`] and a repeated exploration is warm and
+/// byte-identical. Records `explore` and `explore/enumerate` spans around
+/// the engine's own, plus the standard explore counters. The matrix is
+/// always exact: the worst case over the schedule space is only a bound
+/// when every pairwise product is computed.
+pub fn explore_campaign(
     config: &CampaignConfig,
     xcfg: &ExploreConfig,
-    store: Option<&ArtifactStore>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, IncrementalError> {
-    let _outer = metrics.map(|m| m.span("explore"));
+    ctx: &RunCtx,
+) -> Result<ExploreCampaignResult, CampaignError> {
+    let _outer = ctx.metrics.map(|m| m.span("explore"));
     let program = config.pattern.build(&config.app);
     let report = {
-        let _s = metrics.map(|m| m.span("enumerate"));
+        let _s = ctx.metrics.map(|m| m.span("enumerate"));
         let r = explore(&program, xcfg);
-        if let Some(m) = metrics {
+        if let Some(m) = ctx.metrics {
             flush_explore_metrics(m, &r.stats);
         }
         r
     };
-    let traces = {
-        let _s = metrics.map(|m| m.span("replay"));
-        replay_schedules(&program, config, &report.schedules, store, metrics)?
+    let plan = Plan {
+        source: Source::Schedules(&report.schedules),
+        retain: Retain::All,
+        append: false,
+        run_base: 0,
     };
-    let graphs: Vec<EventGraph> = {
-        let _s = metrics.map(|m| m.span("graph"));
-        traces
-            .iter()
-            .map(|t| EventGraph::from_trace_with_metrics(t, metrics))
-            .collect()
-    };
-    let kernel = config.kernel.instantiate();
-    let matrix = {
-        let _s = metrics.map(|m| m.span("kernel"));
-        match config.schedule {
-            GramSchedule::Barrier => {
-                gram_matrix_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
-            }
-            GramSchedule::Pipelined => {
-                gram_pipelined_with_metrics(kernel.as_ref(), &graphs, config.threads, metrics)
-            }
-        }
-    };
+    let exact = config.clone().approx(GramApprox::Exact);
+    let out = engine::run(&exact, &program, ctx, plan)?;
     Ok(ExploreCampaignResult {
         config: config.clone(),
         program,
         report,
-        traces,
-        graphs,
-        matrix,
+        traces: out.traces,
+        graphs: out.graphs,
+        matrix: out.matrix,
     })
-}
-
-/// Enumerate + replay + measure, without observability or a store.
-pub fn explore_campaign(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-) -> Result<ExploreCampaignResult, CampaignError> {
-    explore_campaign_observed(config, xcfg, None)
-}
-
-/// [`explore_campaign`] with per-stage spans (`explore/enumerate`,
-/// `explore/replay`, `explore/graph`, `explore/kernel`) and the standard
-/// explore counters.
-pub fn explore_campaign_observed(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, CampaignError> {
-    explore_campaign_inner(config, xcfg, None, metrics).map_err(|e| match e {
-        IncrementalError::Campaign(c) => c,
-        IncrementalError::Store(_) => unreachable!("no store in use"),
-    })
-}
-
-/// [`explore_campaign`] against an artifact store: replayed traces are
-/// keyed by [`explore_fingerprint`], so a repeated exploration of the
-/// same setting reuses every stored replay.
-pub fn explore_campaign_incremental(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    store: &ArtifactStore,
-) -> Result<ExploreCampaignResult, IncrementalError> {
-    explore_campaign_inner(config, xcfg, Some(store), None)
-}
-
-/// [`explore_campaign_incremental`] with the full instrumentation of
-/// [`explore_campaign_observed`].
-pub fn explore_campaign_incremental_observed(
-    config: &CampaignConfig,
-    xcfg: &ExploreConfig,
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreCampaignResult, IncrementalError> {
-    explore_campaign_inner(config, xcfg, Some(store), metrics)
 }
 
 #[cfg(test)]
@@ -364,7 +213,8 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use anacin_miniapps::Pattern;
-    use anacin_store::Artifact;
+    use anacin_obs::MetricsRegistry;
+    use anacin_store::{Artifact, ArtifactStore};
     use std::path::PathBuf;
 
     fn small_cfg() -> CampaignConfig {
@@ -383,7 +233,7 @@ mod tests {
     fn message_race_explores_completely_and_covers_samples() {
         // 4 senders → 4! = 24 distinct schedules.
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.report.schedules.len(), 24);
         assert!(r.report.is_complete());
         assert_eq!(r.traces.len(), 24);
@@ -400,8 +250,8 @@ mod tests {
     #[test]
     fn explore_campaign_is_deterministic() {
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
-        let b = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let b = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(a.report.ids(), b.report.ids());
         assert_eq!(a.traces, b.traces);
         assert_eq!(a.matrix, b.matrix);
@@ -414,8 +264,13 @@ mod tests {
         // the schedule, which is what makes explored_max comparable to
         // sampled maxima.
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
-        let b = explore_campaign(&cfg.clone().base_seed(999), &ExploreConfig::default()).unwrap();
+        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let b = explore_campaign(
+            &cfg.clone().base_seed(999),
+            &ExploreConfig::default(),
+            &RunCtx::default(),
+        )
+        .unwrap();
         assert_eq!(a.report.ids(), b.report.ids());
         assert_eq!(a.matrix, b.matrix);
         // Self-distances vanish: distinct schedules drive all spread.
@@ -428,9 +283,13 @@ mod tests {
     fn store_makes_re_exploration_warm_and_bit_identical() {
         let cfg = small_cfg();
         let (dir, store) = tmp_store("warm");
-        let cold = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+        let ctx = RunCtx {
+            store: Some(&store),
+            ..RunCtx::default()
+        };
+        let cold = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
         let before = store.activity();
-        let warm = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+        let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
         let after = store.activity();
         assert!(after.hits >= before.hits + cold.traces.len() as u64);
         assert_eq!(warm.traces, cold.traces);
@@ -439,7 +298,7 @@ mod tests {
         }
         assert_eq!(warm.matrix, cold.matrix);
         // And both agree with the storeless path.
-        let plain = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(plain.traces, cold.traces);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -448,7 +307,7 @@ mod tests {
     fn truncated_exploration_reports_incomplete_coverage() {
         let cfg = small_cfg();
         let xcfg = ExploreConfig::with_budget(6);
-        let r = explore_campaign(&cfg, &xcfg).unwrap();
+        let r = explore_campaign(&cfg, &xcfg, &RunCtx::default()).unwrap();
         assert_eq!(r.report.schedules.len(), 6);
         assert!(!r.report.is_complete());
         let sampled = run_campaign(&cfg).unwrap();
@@ -460,14 +319,20 @@ mod tests {
     fn explore_metrics_cover_every_stage() {
         let cfg = small_cfg();
         let m = MetricsRegistry::new();
-        let r = explore_campaign_observed(&cfg, &ExploreConfig::default(), Some(&m)).unwrap();
+        let ctx = RunCtx {
+            metrics: Some(&m),
+            ..RunCtx::default()
+        };
+        let r = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
         let rep = m.report();
         for stage in [
             "explore",
             "explore/enumerate",
-            "explore/replay",
-            "explore/graph",
-            "explore/kernel",
+            "explore/campaign",
+            "explore/campaign/gram",
+            "run/simulate",
+            "run/graph",
+            "run/features",
         ] {
             assert!(rep.span(stage).is_some(), "missing span {stage}");
         }
@@ -482,14 +347,14 @@ mod tests {
         assert!(rep.counter("explore/pruned").is_some());
         assert_eq!(rep.counter("explore/replays"), Some(24));
         // Observability never changes the measurement.
-        let plain = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.matrix, plain.matrix);
     }
 
     #[test]
     fn explore_fingerprints_separate_inputs() {
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         let a = r.report.schedules[0].id();
         let b = r.report.schedules[1].id();
         let base = explore_fingerprint(&cfg, a);

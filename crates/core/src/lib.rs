@@ -31,6 +31,7 @@
 pub mod ablation;
 pub mod campaign;
 pub mod config;
+mod engine;
 pub mod explore;
 pub mod incremental;
 pub mod measure;
@@ -42,25 +43,15 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::ablation::{ablate, default_kernels, AblationReport, AblationRow};
     pub use crate::campaign::{
-        run_campaign, run_campaign_cancellable, run_campaign_observed, run_campaign_streaming,
-        run_campaign_streaming_cancellable, run_campaign_streaming_observed,
-        run_campaign_with_metrics, run_traces, run_traces_cancellable, run_traces_observed,
-        run_traces_with_metrics, CampaignError, CampaignResult, Interrupted,
-        StreamingCampaignResult,
+        run_campaign, run_campaign_append, run_campaign_streaming, run_campaign_streaming_with,
+        run_campaign_with, CampaignError, CampaignResult, RunCtx, StreamingCampaignResult,
     };
-    pub use crate::config::{
-        default_threads, CampaignConfig, GramApprox, GramSchedule, KernelChoice,
-    };
+    pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
     pub use crate::explore::{
-        explore_campaign, explore_campaign_incremental, explore_campaign_incremental_observed,
-        explore_campaign_observed, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
+        explore_campaign, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
     };
     pub use crate::incremental::{
-        campaign_fingerprint, features_fingerprint, run_campaign_append,
-        run_campaign_append_cancellable, run_campaign_append_with_metrics,
-        run_campaign_incremental, run_campaign_incremental_cancellable,
-        run_campaign_incremental_observed, run_campaign_incremental_with_metrics, run_fingerprint,
-        IncrementalError, KEY_SCHEMA,
+        campaign_fingerprint, features_fingerprint, run_fingerprint, KEY_SCHEMA,
     };
     pub use crate::measure::NdMeasurement;
     pub use crate::report::{
@@ -68,20 +59,9 @@ pub mod prelude {
         MeasurementReport, RunWithExploreReport,
     };
     pub use crate::root_cause::{analyze, CallstackRanking, RootCauseConfig};
-    pub use crate::sweep::{
-        sweep_iterations, sweep_iterations_cancellable, sweep_iterations_instrumented,
-        sweep_iterations_instrumented_cancellable, sweep_iterations_stored,
-        sweep_iterations_stored_cancellable, sweep_iterations_with_metrics, sweep_nd_percent,
-        sweep_nd_percent_cancellable, sweep_nd_percent_instrumented,
-        sweep_nd_percent_instrumented_cancellable, sweep_nd_percent_stored,
-        sweep_nd_percent_stored_cancellable, sweep_nd_percent_with_metrics, sweep_procs,
-        sweep_procs_cancellable, sweep_procs_instrumented, sweep_procs_instrumented_cancellable,
-        sweep_procs_stored, sweep_procs_stored_cancellable, sweep_procs_with_metrics, Sweep,
-        SweepMetrics, SweepPoint, SweepPointMetrics,
-    };
+    pub use crate::sweep::{sweep, Sweep, SweepAxis, SweepMetrics, SweepPoint, SweepPointMetrics};
 }
 
-pub use campaign::{run_campaign, run_campaign_with_metrics, CampaignError, CampaignResult};
-pub use config::{CampaignConfig, GramApprox, GramSchedule, KernelChoice};
-pub use incremental::{run_campaign_incremental, IncrementalError};
+pub use campaign::{run_campaign, run_campaign_with, CampaignError, CampaignResult, RunCtx};
+pub use config::{CampaignConfig, GramApprox, KernelChoice};
 pub use measure::NdMeasurement;

@@ -131,9 +131,10 @@ pub struct RunWithExploreReport {
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
+    use crate::campaign::RunCtx;
     use crate::config::CampaignConfig;
     use crate::root_cause::{analyze, RootCauseConfig};
-    use crate::sweep::sweep_nd_percent;
+    use crate::sweep::{sweep, SweepAxis};
     use anacin_miniapps::Pattern;
 
     #[test]
@@ -150,7 +151,13 @@ mod tests {
     #[test]
     fn sweep_table_has_one_row_per_point() {
         let base = CampaignConfig::new(Pattern::MessageRace, 6).runs(5);
-        let sweep = sweep_nd_percent(&base, &[0.0, 100.0]).unwrap();
+        let sweep = sweep(
+            SweepAxis::NdPercent,
+            &base,
+            &[0.0, 100.0],
+            &RunCtx::default(),
+        )
+        .unwrap();
         let table = sweep_table(&sweep);
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("nd_percent"));

@@ -1,19 +1,87 @@
-//! Parameter sweeps: the shape of every evaluation figure.
+//! Parameter sweeps: the shape of every evaluation figure. [`sweep`]
+//! runs one campaign per point of a [`SweepAxis`]:
 //!
-//! * [`sweep_nd_percent`] — Figure 7 (kernel distance vs injected ND%);
-//! * [`sweep_procs`] — Figure 5 (process-count scaling);
-//! * [`sweep_iterations`] — Figure 6 (iteration scaling).
+//! * [`SweepAxis::NdPercent`] — Figure 7 (kernel distance vs injected ND%);
+//! * [`SweepAxis::Procs`] — Figure 5 (process-count scaling);
+//! * [`SweepAxis::Iterations`] — Figure 6 (iteration scaling).
 
-use crate::campaign::{
-    check_cancel, run_campaign_cancellable, CampaignError, CampaignResult, Interrupted,
-};
+use crate::campaign::{CampaignError, RunCtx};
 use crate::config::CampaignConfig;
-use crate::incremental::{run_campaign_incremental_cancellable, IncrementalError};
+use crate::engine::{self, Plan, Retain, Source};
 use crate::measure::NdMeasurement;
-use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport, Tracer};
+use anacin_obs::MetricsReport;
 use anacin_stats::prelude::spearman;
-use anacin_store::ArtifactStore;
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
+
+/// A swept campaign parameter, with the default points the CLI and the
+/// daemon both use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepAxis {
+    /// Injected non-determinism, in percent (`--kind nd`).
+    NdPercent,
+    /// Process count (`--kind procs`).
+    Procs,
+    /// Iteration count (`--kind iterations`).
+    Iterations,
+}
+
+impl FromStr for SweepAxis {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "nd" => Ok(SweepAxis::NdPercent),
+            "procs" => Ok(SweepAxis::Procs),
+            "iterations" => Ok(SweepAxis::Iterations),
+            other => Err(format!("unknown sweep kind '{other}'")),
+        }
+    }
+}
+
+impl SweepAxis {
+    /// The parameter name a finished [`Sweep`] reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepAxis::NdPercent => "nd_percent",
+            SweepAxis::Procs => "procs",
+            SweepAxis::Iterations => "iterations",
+        }
+    }
+
+    /// The default points: ND 0–100% in steps of 10; p/2 (at least 2), p
+    /// and 2p processes for a base of p; 1, 2 and 4 iterations.
+    pub fn default_points(self, base: &CampaignConfig) -> Vec<f64> {
+        match self {
+            SweepAxis::NdPercent => (0..=10).map(|i| i as f64 * 10.0).collect(),
+            SweepAxis::Procs => {
+                let p = base.app.procs;
+                vec![(p / 2).max(2) as f64, p as f64, (p * 2) as f64]
+            }
+            SweepAxis::Iterations => vec![1.0, 2.0, 4.0],
+        }
+    }
+
+    /// The label and campaign of the point at `x`.
+    fn point(self, base: &CampaignConfig, x: f64) -> (String, CampaignConfig) {
+        match self {
+            SweepAxis::NdPercent => (format!("nd={x}%"), base.clone().nd_percent(x)),
+            SweepAxis::Procs => {
+                let mut cfg = base.clone();
+                cfg.app.procs = x as u32;
+                (format!("{} procs", cfg.app.procs), cfg)
+            }
+            SweepAxis::Iterations => {
+                let it = x as u32;
+                let plural = if it == 1 { "" } else { "s" };
+                (
+                    format!("{it} iteration{plural}"),
+                    base.clone().iterations(it),
+                )
+            }
+        }
+    }
+}
 
 /// One sweep point: the swept value and its measurement.
 #[derive(Debug, Clone)]
@@ -31,6 +99,8 @@ pub struct Sweep {
     pub parameter: String,
     /// The points, in sweep order.
     pub points: Vec<SweepPoint>,
+    /// Per-point metrics, when the sweep ran with a registry.
+    pub metrics: Option<SweepMetrics>,
 }
 
 impl Sweep {
@@ -80,8 +150,8 @@ pub struct SweepPointMetrics {
     pub x: f64,
     /// Human label of the point (e.g. `nd=30%`, `8 procs`).
     pub label: String,
-    /// This point's own metrics snapshot (stage spans + counters for the
-    /// one campaign the point ran).
+    /// What the registry recorded while this point's campaign ran (stage
+    /// spans + counters; see [`MetricsReport::delta_since`]).
     pub report: MetricsReport,
 }
 
@@ -96,402 +166,110 @@ pub struct SweepMetrics {
     pub points: Vec<SweepPointMetrics>,
 }
 
-/// The `(x, label, config)` triples of each sweep kind, built in one
-/// place so the plain, instrumented, stored, and cancellable paths can
-/// never disagree on labels or configs.
-fn nd_configs(base: &CampaignConfig, percents: &[f64]) -> Vec<(f64, String, CampaignConfig)> {
-    percents
-        .iter()
-        .map(|&p| (p, format!("nd={p}%"), base.clone().nd_percent(p)))
-        .collect()
-}
-
-fn procs_configs(base: &CampaignConfig, procs: &[u32]) -> Vec<(f64, String, CampaignConfig)> {
-    procs
-        .iter()
-        .map(|&n| {
-            let mut cfg = base.clone();
-            cfg.app.procs = n;
-            (n as f64, format!("{n} procs"), cfg)
-        })
-        .collect()
-}
-
-fn iterations_configs(
+/// Sweep `axis` over `points`, one campaign per point, under `ctx`. The
+/// cancel token is checked between points and inside each campaign, and a
+/// cancelled sweep reports the runs completed across all its points. With
+/// a registry in `ctx`, each point's share of it is reported in
+/// [`Sweep::metrics`]; with a tracer, run ids continue from point to point
+/// so they never collide. Measurements are bit-identical whatever the
+/// context.
+pub fn sweep(
+    axis: SweepAxis,
     base: &CampaignConfig,
-    iterations: &[u32],
-) -> Vec<(f64, String, CampaignConfig)> {
-    iterations
-        .iter()
-        .map(|&it| {
-            (
-                it as f64,
-                format!("{it} iteration{}", if it == 1 { "" } else { "s" }),
-                base.clone().iterations(it),
-            )
-        })
-        .collect()
-}
-
-/// Run each point's campaign through `run`, checking the cancel token
-/// between points. `Interrupted::Cancelled` reports runs completed
-/// across the whole sweep, not just the point that was interrupted.
-fn sweep_points<E>(
-    parameter: &str,
-    configs: Vec<(f64, String, CampaignConfig)>,
-    cancel: Option<&CancelToken>,
-    mut run: impl FnMut(&CampaignConfig) -> Result<CampaignResult, Interrupted<E>>,
-) -> Result<Sweep, Interrupted<E>> {
-    let mut points = Vec::with_capacity(configs.len());
+    points: &[f64],
+    ctx: &RunCtx,
+) -> Result<Sweep, CampaignError> {
+    let mut out = Vec::with_capacity(points.len());
+    let mut point_metrics = Vec::new();
+    let mut before = ctx.metrics.map(|m| m.report());
     let mut done_runs = 0u32;
-    for (x, label, cfg) in configs {
-        check_cancel(cancel, done_runs)?;
-        let r = match run(&cfg) {
-            Ok(r) => r,
-            Err(Interrupted::Cancelled { completed_runs }) => {
-                return Err(Interrupted::Cancelled {
-                    completed_runs: done_runs + completed_runs,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        done_runs += cfg.runs;
-        points.push(SweepPoint {
-            x,
-            measurement: NdMeasurement::from_campaign(label, &r),
-        });
-    }
-    Ok(Sweep {
-        parameter: parameter.to_string(),
-        points,
-    })
-}
-
-/// Run one sweep point per `(x, label, config)` triple, giving each point
-/// its own registry so stage costs stay attributable per point. A shared
-/// [`Tracer`] (optionally) collects all points' timelines, with run ids
-/// offset by `point_index * base_runs` so they never collide.
-fn sweep_instrumented_impl(
-    parameter: &str,
-    configs: Vec<(f64, String, CampaignConfig)>,
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    let mut points = Vec::with_capacity(configs.len());
-    let mut metric_points = Vec::with_capacity(configs.len());
-    let mut aggregate = MetricsReport::default();
-    let mut run_base = 0u32;
-    let mut done_runs = 0u32;
-    for (x, label, cfg) in configs {
-        check_cancel(cancel, done_runs)?;
-        let reg = MetricsRegistry::new();
-        if let Some(t) = tracer {
-            reg.attach_tracer(t);
+    for &x in points {
+        if ctx.cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(CampaignError::Cancelled {
+                completed_runs: done_runs,
+            });
         }
-        let r = match run_campaign_cancellable(&cfg, Some(&reg), tracer, run_base, cancel) {
-            Ok(r) => r,
-            Err(Interrupted::Cancelled { completed_runs }) => {
-                return Err(Interrupted::Cancelled {
+        let (label, config) = axis.point(base, x);
+        let program = config.pattern.build(&config.app);
+        let plan = Plan {
+            source: Source::Seeded,
+            retain: Retain::Features,
+            append: false,
+            run_base: done_runs,
+        };
+        let matrix = match engine::run(&config, &program, ctx, plan) {
+            Ok(o) => o.matrix,
+            Err(CampaignError::Cancelled { completed_runs }) => {
+                return Err(CampaignError::Cancelled {
                     completed_runs: done_runs + completed_runs,
                 })
             }
             Err(e) => return Err(e),
         };
-        run_base += cfg.runs;
-        done_runs += cfg.runs;
-        let report = reg.report();
-        aggregate.merge(&report);
-        metric_points.push(SweepPointMetrics {
-            parameter: parameter.to_string(),
+        done_runs += config.runs;
+        if let (Some(m), Some(prev)) = (ctx.metrics, before.as_mut()) {
+            let now = m.report();
+            point_metrics.push(SweepPointMetrics {
+                parameter: axis.name().to_string(),
+                x,
+                label: label.clone(),
+                report: now.delta_since(prev),
+            });
+            *prev = now;
+        }
+        out.push(SweepPoint {
             x,
-            label: label.clone(),
-            report,
-        });
-        points.push(SweepPoint {
-            x,
-            measurement: NdMeasurement::from_campaign(label, &r),
+            measurement: NdMeasurement::from_matrix(label, &matrix),
         });
     }
-    Ok((
-        Sweep {
-            parameter: parameter.to_string(),
-            points,
-        },
+    let metrics = ctx.metrics.map(|_| {
+        let mut aggregate = MetricsReport::default();
+        for p in &point_metrics {
+            aggregate.merge(&p.report);
+        }
         SweepMetrics {
             aggregate,
-            points: metric_points,
-        },
-    ))
-}
-
-/// Sweep the ND percentage (Figure 7: 0..=100 in steps of 10 in the
-/// paper).
-pub fn sweep_nd_percent(base: &CampaignConfig, percents: &[f64]) -> Result<Sweep, CampaignError> {
-    sweep_nd_percent_with_metrics(base, percents, None)
-}
-
-/// [`sweep_nd_percent`], threading an optional metrics registry through
-/// every campaign it runs.
-pub fn sweep_nd_percent_with_metrics(
-    base: &CampaignConfig,
-    percents: &[f64],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_nd_percent_cancellable(base, percents, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_with_metrics`] with cooperative cancellation: the
-/// token is checked between points and inside each campaign, so a
-/// SIGINT (CLI) or a `Cancel` frame (daemon) stops after the in-flight
-/// run finishes.
-pub fn sweep_nd_percent_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points("nd_percent", nd_configs(base, percents), cancel, |cfg| {
-        run_campaign_cancellable(cfg, metrics, None, 0, cancel)
+            points: point_metrics,
+        }
+    });
+    Ok(Sweep {
+        parameter: axis.name().to_string(),
+        points: out,
+        metrics,
     })
-}
-
-/// [`sweep_nd_percent`], instrumented per point: each point runs under
-/// its own registry (reported in [`SweepMetrics::points`]) and an
-/// optional shared tracer collects every run's timeline with unique run
-/// ids. Measurements are bit-identical to the plain sweep.
-pub fn sweep_nd_percent_instrumented(
-    base: &CampaignConfig,
-    percents: &[f64],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_nd_percent_instrumented_cancellable(base, percents, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_instrumented`] with cooperative cancellation.
-pub fn sweep_nd_percent_instrumented_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl("nd_percent", nd_configs(base, percents), tracer, cancel)
-}
-
-/// [`sweep_nd_percent`] against an artifact store: every campaign in the
-/// sweep runs incrementally ([`run_campaign_incremental_with_metrics`]),
-/// so re-running a sweep — or regenerating a figure from it — reuses every
-/// stored run. Measurements are bit-identical to the plain sweep.
-pub fn sweep_nd_percent_stored(
-    base: &CampaignConfig,
-    percents: &[f64],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_nd_percent_stored_cancellable(base, percents, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_nd_percent_stored`] with cooperative cancellation; completed
-/// runs are published before the sweep stops, so it resumes warm.
-pub fn sweep_nd_percent_stored_cancellable(
-    base: &CampaignConfig,
-    percents: &[f64],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points("nd_percent", nd_configs(base, percents), cancel, |cfg| {
-        run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel)
-    })
-}
-
-/// Sweep the process count (Figure 5 compares 16 vs 32).
-pub fn sweep_procs(base: &CampaignConfig, procs: &[u32]) -> Result<Sweep, CampaignError> {
-    sweep_procs_with_metrics(base, procs, None)
-}
-
-/// [`sweep_procs`], threading an optional metrics registry through every
-/// campaign it runs.
-pub fn sweep_procs_with_metrics(
-    base: &CampaignConfig,
-    procs: &[u32],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_procs_cancellable(base, procs, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_with_metrics`] with cooperative cancellation — see
-/// [`sweep_nd_percent_cancellable`].
-pub fn sweep_procs_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points("procs", procs_configs(base, procs), cancel, |cfg| {
-        run_campaign_cancellable(cfg, metrics, None, 0, cancel)
-    })
-}
-
-/// [`sweep_procs`], instrumented per point — see
-/// [`sweep_nd_percent_instrumented`].
-pub fn sweep_procs_instrumented(
-    base: &CampaignConfig,
-    procs: &[u32],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_procs_instrumented_cancellable(base, procs, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_instrumented`] with cooperative cancellation.
-pub fn sweep_procs_instrumented_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl("procs", procs_configs(base, procs), tracer, cancel)
-}
-
-/// [`sweep_procs`] against an artifact store — see
-/// [`sweep_nd_percent_stored`].
-pub fn sweep_procs_stored(
-    base: &CampaignConfig,
-    procs: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_procs_stored_cancellable(base, procs, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_procs_stored`] with cooperative cancellation — see
-/// [`sweep_nd_percent_stored_cancellable`].
-pub fn sweep_procs_stored_cancellable(
-    base: &CampaignConfig,
-    procs: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points("procs", procs_configs(base, procs), cancel, |cfg| {
-        run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel)
-    })
-}
-
-/// Sweep the iteration count (Figure 6 compares 1 vs 2).
-pub fn sweep_iterations(base: &CampaignConfig, iterations: &[u32]) -> Result<Sweep, CampaignError> {
-    sweep_iterations_with_metrics(base, iterations, None)
-}
-
-/// [`sweep_iterations`], threading an optional metrics registry through
-/// every campaign it runs.
-pub fn sweep_iterations_with_metrics(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, CampaignError> {
-    sweep_iterations_cancellable(base, iterations, metrics, None).map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_with_metrics`] with cooperative cancellation — see
-/// [`sweep_nd_percent_cancellable`].
-pub fn sweep_iterations_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<CampaignError>> {
-    sweep_points(
-        "iterations",
-        iterations_configs(base, iterations),
-        cancel,
-        |cfg| run_campaign_cancellable(cfg, metrics, None, 0, cancel),
-    )
-}
-
-/// [`sweep_iterations`] against an artifact store — see
-/// [`sweep_nd_percent_stored`].
-pub fn sweep_iterations_stored(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Sweep, IncrementalError> {
-    sweep_iterations_stored_cancellable(base, iterations, store, metrics, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_stored`] with cooperative cancellation — see
-/// [`sweep_nd_percent_stored_cancellable`].
-pub fn sweep_iterations_stored_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    store: &ArtifactStore,
-    metrics: Option<&MetricsRegistry>,
-    cancel: Option<&CancelToken>,
-) -> Result<Sweep, Interrupted<IncrementalError>> {
-    sweep_points(
-        "iterations",
-        iterations_configs(base, iterations),
-        cancel,
-        |cfg| run_campaign_incremental_cancellable(cfg, store, metrics, None, 0, cancel),
-    )
-}
-
-/// [`sweep_iterations`], instrumented per point — see
-/// [`sweep_nd_percent_instrumented`].
-pub fn sweep_iterations_instrumented(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    tracer: Option<&Tracer>,
-) -> Result<(Sweep, SweepMetrics), CampaignError> {
-    sweep_iterations_instrumented_cancellable(base, iterations, tracer, None)
-        .map_err(Interrupted::into_failure)
-}
-
-/// [`sweep_iterations_instrumented`] with cooperative cancellation.
-pub fn sweep_iterations_instrumented_cancellable(
-    base: &CampaignConfig,
-    iterations: &[u32],
-    tracer: Option<&Tracer>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Sweep, SweepMetrics), Interrupted<CampaignError>> {
-    sweep_instrumented_impl(
-        "iterations",
-        iterations_configs(base, iterations),
-        tracer,
-        cancel,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use anacin_miniapps::Pattern;
+    use anacin_obs::{MetricsRegistry, Tracer};
 
     fn small_base(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
         CampaignConfig::new(pattern, procs).runs(runs)
     }
 
+    fn plain(axis: SweepAxis, base: &CampaignConfig, points: &[f64]) -> Sweep {
+        sweep(axis, base, points, &RunCtx::default()).unwrap()
+    }
+
     #[test]
     fn nd_sweep_is_monotone_for_race() {
         let base = small_base(Pattern::MessageRace, 8, 10);
-        let sweep = sweep_nd_percent(&base, &[0.0, 25.0, 50.0, 75.0, 100.0]).unwrap();
+        let sweep = plain(SweepAxis::NdPercent, &base, &[0.0, 25.0, 50.0, 75.0, 100.0]);
         assert_eq!(sweep.points.len(), 5);
         // Distance at 0% is exactly zero.
         assert_eq!(sweep.points[0].measurement.mean(), 0.0);
         // Strong monotone trend.
         let rho = sweep.spearman_monotonicity();
         assert!(rho > 0.85, "Spearman rho = {rho}");
+        assert!(sweep.metrics.is_none(), "no registry, no per-point metrics");
     }
 
     #[test]
     fn proc_sweep_increases_distance() {
         let base = small_base(Pattern::UnstructuredMesh, 4, 10);
-        let sweep = sweep_procs(&base, &[4, 16]).unwrap();
+        let sweep = plain(SweepAxis::Procs, &base, &[4.0, 16.0]);
         let series = sweep.mean_series();
         assert!(
             series[1].1 > series[0].1,
@@ -499,12 +277,13 @@ mod tests {
             series[1].1,
             series[0].1
         );
+        assert_eq!(sweep.points[1].measurement.label, "16 procs");
     }
 
     #[test]
     fn iteration_sweep_increases_distance() {
         let base = small_base(Pattern::UnstructuredMesh, 8, 10);
-        let sweep = sweep_iterations(&base, &[1, 2]).unwrap();
+        let sweep = plain(SweepAxis::Iterations, &base, &[1.0, 2.0]);
         let series = sweep.mean_series();
         assert!(series[1].1 > series[0].1);
         assert_eq!(sweep.points[0].measurement.label, "1 iteration");
@@ -512,9 +291,29 @@ mod tests {
     }
 
     #[test]
+    fn axes_parse_and_define_their_default_points() {
+        let base = small_base(Pattern::MessageRace, 8, 4);
+        let nd: SweepAxis = "nd".parse().unwrap();
+        let expect: Vec<f64> = (0..=10).map(|i| f64::from(i) * 10.0).collect();
+        assert_eq!(nd.default_points(&base), expect);
+        let procs: SweepAxis = "procs".parse().unwrap();
+        assert_eq!(procs.default_points(&base), vec![4.0, 8.0, 16.0]);
+        assert_eq!(
+            procs.default_points(&small_base(Pattern::MessageRace, 3, 4)),
+            vec![2.0, 3.0, 6.0]
+        );
+        let it: SweepAxis = "iterations".parse().unwrap();
+        assert_eq!(it.default_points(&base), vec![1.0, 2.0, 4.0]);
+        assert_eq!(
+            "bananas".parse::<SweepAxis>(),
+            Err("unknown sweep kind 'bananas'".to_string())
+        );
+    }
+
+    #[test]
     fn monotone_within_tolerance() {
         let base = small_base(Pattern::MessageRace, 8, 8);
-        let sweep = sweep_nd_percent(&base, &[0.0, 25.0, 50.0, 75.0, 100.0]).unwrap();
+        let sweep = plain(SweepAxis::NdPercent, &base, &[0.0, 25.0, 50.0, 75.0, 100.0]);
         assert!(sweep.is_monotone_within(0.05));
         // A strict zero-tolerance check can legitimately fail on plateau
         // noise, but the rising race curve at these points happens to be
@@ -528,23 +327,27 @@ mod tests {
     fn instrumented_sweep_matches_plain_and_reports_per_point() {
         let base = small_base(Pattern::MessageRace, 6, 5);
         let percents = [0.0, 50.0, 100.0];
-        let plain = sweep_nd_percent(&base, &percents).unwrap();
+        let plain = plain(SweepAxis::NdPercent, &base, &percents);
         let tracer = Tracer::with_capacity(1 << 16);
-        let (sweep, metrics) =
-            sweep_nd_percent_instrumented(&base, &percents, Some(&tracer)).unwrap();
+        let reg = MetricsRegistry::new();
+        reg.attach_tracer(&tracer);
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            tracer: Some(&tracer),
+            ..RunCtx::default()
+        };
+        let sweep = sweep(SweepAxis::NdPercent, &base, &percents, &ctx).unwrap();
         // Instrumentation is bit-exact.
         assert_eq!(sweep.mean_series(), plain.mean_series());
         // One report per point, each covering one campaign.
+        let metrics = sweep.metrics.expect("a registry yields per-point metrics");
         assert_eq!(metrics.points.len(), 3);
         for (pm, &p) in metrics.points.iter().zip(&percents) {
             assert_eq!(pm.parameter, "nd_percent");
             assert_eq!(pm.x, p);
             assert_eq!(pm.report.counter("campaign/runs"), Some(5));
-            assert!(
-                pm.report.span("campaign/simulate").is_some(),
-                "{}",
-                pm.label
-            );
+            assert_eq!(pm.report.span("campaign").map(|s| s.count), Some(1));
+            assert_eq!(pm.report.span("run/simulate").map(|s| s.count), Some(5));
         }
         // The aggregate is the sum of the points.
         assert_eq!(metrics.aggregate.counter("campaign/runs"), Some(15));
@@ -562,7 +365,15 @@ mod tests {
     #[test]
     fn sweep_metrics_round_trip_json() {
         let base = small_base(Pattern::MessageRace, 4, 3);
-        let (_, metrics) = sweep_procs_instrumented(&base, &[4, 6], None).unwrap();
+        let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..RunCtx::default()
+        };
+        let metrics = sweep(SweepAxis::Procs, &base, &[4.0, 6.0], &ctx)
+            .unwrap()
+            .metrics
+            .unwrap();
         let json = serde_json::to_string_pretty(&metrics).unwrap();
         let back: SweepMetrics = serde_json::from_str(&json).unwrap();
         assert_eq!(back, metrics);
@@ -574,13 +385,17 @@ mod tests {
             std::env::temp_dir().join(format!("anacin-sweep-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = anacin_store::ArtifactStore::open(&dir).unwrap();
+        let ctx = RunCtx {
+            store: Some(&store),
+            ..RunCtx::default()
+        };
         let base = small_base(Pattern::MessageRace, 6, 5);
         let percents = [0.0, 100.0];
-        let plain = sweep_nd_percent(&base, &percents).unwrap();
-        let cold = sweep_nd_percent_stored(&base, &percents, &store, None).unwrap();
+        let plain = plain(SweepAxis::NdPercent, &base, &percents);
+        let cold = sweep(SweepAxis::NdPercent, &base, &percents, &ctx).unwrap();
         assert_eq!(cold.mean_series(), plain.mean_series());
         let puts_after_cold = store.activity().puts;
-        let warm = sweep_nd_percent_stored(&base, &percents, &store, None).unwrap();
+        let warm = sweep(SweepAxis::NdPercent, &base, &percents, &ctx).unwrap();
         assert_eq!(warm.mean_series(), plain.mean_series());
         // The warm sweep published nothing new.
         assert_eq!(store.activity().puts, puts_after_cold);
@@ -590,7 +405,7 @@ mod tests {
     #[test]
     fn sweep_series_shapes() {
         let base = small_base(Pattern::MessageRace, 6, 6);
-        let sweep = sweep_nd_percent(&base, &[0.0, 100.0]).unwrap();
+        let sweep = plain(SweepAxis::NdPercent, &base, &[0.0, 100.0]);
         assert_eq!(sweep.parameter, "nd_percent");
         assert_eq!(sweep.mean_series().len(), 2);
     }

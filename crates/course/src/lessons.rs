@@ -176,7 +176,8 @@ pub fn use_case_2(cfg: &LessonConfig) -> LessonReport {
 
     // Goal B.1 — Figure 5: process scaling.
     let base = CampaignConfig::new(Pattern::UnstructuredMesh, cfg.procs_small).runs(cfg.runs);
-    let sweep = sweep_procs(&base, &[cfg.procs_small, cfg.procs_large]).expect("sweep runs");
+    let procs = [cfg.procs_small as f64, cfg.procs_large as f64];
+    let sweep = sweep(SweepAxis::Procs, &base, &procs, &RunCtx::default()).expect("sweep runs");
     let vs: Vec<ViolinSummary> = sweep
         .points
         .iter()
@@ -200,7 +201,13 @@ pub fn use_case_2(cfg: &LessonConfig) -> LessonReport {
     ));
 
     // Goal B.2 — Figure 6: iteration scaling on the small process count.
-    let sweep_it = sweep_iterations(&base, &[1, 2]).expect("sweep runs");
+    let sweep_it = anacin_core::sweep::sweep(
+        SweepAxis::Iterations,
+        &base,
+        &[1.0, 2.0],
+        &RunCtx::default(),
+    )
+    .expect("sweep runs");
     let vs_it: Vec<ViolinSummary> = sweep_it
         .points
         .iter()
@@ -241,8 +248,9 @@ pub fn use_case_3(cfg: &LessonConfig) -> LessonReport {
 
     // Goal C.1 — Figure 7: ND% sweep.
     let base = CampaignConfig::new(Pattern::Amg2013, cfg.procs_small.min(8)).runs(cfg.runs);
-    let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-    let sweep = sweep_nd_percent(&base, &percents).expect("sweep runs");
+    let percents = SweepAxis::NdPercent.default_points(&base);
+    let sweep =
+        sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).expect("sweep runs");
     narrative.push_str(&format!(
         "Figure 7 — kernel distance vs percentage of non-determinism (AMG 2013):\n{}",
         ascii::series_table(&sweep.mean_series(), "nd %", "kernel distance")

@@ -171,20 +171,6 @@ impl EventGraph {
     /// which is precisely the communication non-determinism the kernel
     /// distance measures.
     pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_trace_with_metrics(trace, None)
-    }
-
-    /// [`EventGraph::from_trace`], additionally flushing node/edge counts
-    /// into `metrics` (`graph/nodes`, `graph/edges`, `graph/message_edges`)
-    /// when a registry is supplied. Construction is unaffected.
-    pub fn from_trace_with_metrics(
-        trace: &Trace,
-        metrics: Option<&anacin_obs::MetricsRegistry>,
-    ) -> Self {
-        // Per-graph wall time (nests as `campaign/graph/build` inside the
-        // campaign runner), so traced timelines show each run's build cost
-        // rather than one opaque stage total.
-        let _span = metrics.map(|m| m.span("build"));
         let world = trace.world_size();
         let mut nodes = Vec::with_capacity(trace.total_events());
         let mut rank_base = Vec::with_capacity(world as usize);
@@ -274,20 +260,13 @@ impl EventGraph {
                 targets: in_targets,
             },
         );
-        let graph = EventGraph {
+        EventGraph {
             world_size: world,
             nodes,
             rank_base,
             out,
             incoming,
-        };
-        if let Some(m) = metrics {
-            m.counter("graph/nodes").add(graph.node_count() as u64);
-            m.counter("graph/edges").add(graph.edge_count() as u64);
-            m.counter("graph/message_edges")
-                .add(graph.message_edge_count() as u64);
         }
-        graph
     }
 
     /// Number of ranks in the traced job.

@@ -15,8 +15,8 @@
 //! * **Reproducibility** — every reduction (dot products, norms,
 //!   normalisation totals) accumulates in increasing-id order, so each
 //!   value is a pure function of the *contents*, never of instance
-//!   identity. Two extractions of φ(G) in different processes (or the
-//!   pipelined and barrier Gram schedules) produce bit-identical numbers
+//!   identity. Two extractions of φ(G) in different processes (or Gram
+//!   matrices built at different thread counts) produce bit-identical numbers
 //!   even for kernels with non-integer weights, where float summation
 //!   order would otherwise leak through. The HashMap-backed predecessor
 //!   violated this: iteration order depended on each map's random hasher

@@ -47,7 +47,6 @@ pub mod graphlet;
 pub mod histogram;
 pub mod kernel;
 pub mod matrix;
-pub mod pipeline;
 pub mod shortest_path;
 pub mod wl;
 
@@ -62,11 +61,7 @@ pub mod prelude {
     pub use crate::kernel::GraphKernel;
     pub use crate::matrix::{
         gram_append, gram_from_features_with_dot, gram_from_features_with_metrics, gram_matrix,
-        gram_matrix_with_metrics, parallel_features, parallel_features_with_metrics, KernelMatrix,
-    };
-    pub use crate::pipeline::{
-        gram_pipelined, gram_pipelined_seeded_with_dot, gram_pipelined_seeded_with_metrics,
-        gram_pipelined_with_metrics,
+        parallel_features, KernelMatrix,
     };
     pub use crate::shortest_path::ShortestPathKernel;
     pub use crate::wl::WlKernel;

@@ -108,35 +108,45 @@ impl KernelMatrix {
     }
 }
 
-/// Compute φ(G) for each graph in parallel.
+/// Compute φ(G) for each graph in parallel: workers pull graph indices
+/// from an atomic counter, so one slow graph never idles the others.
 pub fn parallel_features(
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
     threads: usize,
 ) -> Vec<SparseFeatures> {
-    parallel_features_with_metrics(kernel, graphs, threads, None)
-}
-
-/// [`parallel_features`], additionally recording a `features` span, the
-/// `kernel/features` counter, and the `kernel/threads` gauge when a
-/// registry is supplied. Results are identical either way.
-///
-/// This is the barrier entry point to the fused pipeline's feature stage
-/// (`pipeline::features_stage`) — one scheduler serves both the barrier
-/// and pipelined paths.
-pub fn parallel_features_with_metrics(
-    kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
-    threads: usize,
-    metrics: Option<&MetricsRegistry>,
-) -> Vec<SparseFeatures> {
-    let threads = threads.max(1).min(graphs.len().max(1));
-    let _span = metrics.map(|m| m.span("features"));
-    if let Some(m) = metrics {
-        m.counter("kernel/features").add(graphs.len() as u64);
-        m.set_gauge("kernel/threads", threads as f64);
+    let n = graphs.len();
+    let next = AtomicUsize::new(0);
+    let chunks: Vec<Vec<(usize, SparseFeatures)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.max(1).min(n.max(1)))
+            .map(|_| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, kernel.features(&graphs[i])));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    let mut slots: Vec<Option<SparseFeatures>> = (0..n).map(|_| None).collect();
+    for (i, f) in chunks.into_iter().flatten() {
+        slots[i] = Some(f);
     }
-    crate::pipeline::features_stage(kernel, graphs, threads, metrics)
+    slots
+        .into_iter()
+        .map(|f| f.expect("every graph featurised"))
+        .collect()
 }
 
 /// Compute the Gram matrix of `graphs` under `kernel` using up to
@@ -146,26 +156,13 @@ pub fn gram_matrix(
     graphs: &[EventGraph],
     threads: usize,
 ) -> KernelMatrix {
-    gram_matrix_with_metrics(kernel, graphs, threads, None)
+    let feats = parallel_features(kernel, graphs, threads);
+    gram_from_features_with_metrics(&kernel.name(), &feats, threads, None)
 }
 
-/// [`gram_matrix`], additionally recording `features`/`gram` spans and the
-/// `kernel/dot_products` counter when a registry is supplied. The matrix is
-/// bit-identical either way.
-pub fn gram_matrix_with_metrics(
-    kernel: &dyn GraphKernel,
-    graphs: &[EventGraph],
-    threads: usize,
-    metrics: Option<&MetricsRegistry>,
-) -> KernelMatrix {
-    let feats = parallel_features_with_metrics(kernel, graphs, threads, metrics);
-    gram_from_features_with_metrics(&kernel.name(), &feats, threads, metrics)
-}
-
-/// Compute the Gram matrix directly from precomputed feature vectors —
-/// the warm path when per-run features come out of the artifact store
-/// instead of being re-extracted from graphs. Bit-identical to
-/// [`gram_matrix_with_metrics`] given the same features.
+/// Compute the Gram matrix directly from precomputed feature vectors,
+/// counting `kernel/dot_products` when a registry is supplied. Bit-identical
+/// to [`gram_matrix`] given the same features.
 pub fn gram_from_features_with_metrics(
     kernel_name: &str,
     feats: &[SparseFeatures],
@@ -194,7 +191,6 @@ pub fn gram_from_features_with_dot(
     // worker draws which. Each (i, j) product is still computed exactly once
     // by the same expression, so the result is bit-identical to the serial
     // computation no matter the thread count.
-    let _span = metrics.map(|m| m.span("gram"));
     if let Some(m) = metrics {
         m.counter("kernel/dot_products")
             .add((n * (n + 1) / 2) as u64);
@@ -253,9 +249,9 @@ pub fn gram_from_features_with_dot(
 /// vectors (the stored campaign's `R` plus the new run's, last), `prev`
 /// the stored `R × R` matrix. Only the new row/column is computed —
 /// exactly `R + 1` dot products instead of the `(R+1)(R+2)/2` a cold
-/// recompute pays — counted into `kernel/dot_products` **and**
-/// `kernel/pipeline_tasks` (each dot is one task; the new run's feature
-/// extraction is counted separately by the caller via `kernel/features`).
+/// recompute pays — counted into `kernel/dot_products` (the new run's
+/// feature extraction is counted separately by the caller via
+/// `kernel/features`).
 ///
 /// **Bit-exactness.** The copied `R × R` block is the stored matrix's
 /// bytes unchanged, and each new entry `(i, R)` is computed by the same
@@ -277,10 +273,8 @@ pub fn gram_append(
         prev.n + 1,
         "gram_append expects the previous matrix plus exactly one new feature vector"
     );
-    let _span = metrics.map(|m| m.span("gram"));
     if let Some(m) = metrics {
         m.counter("kernel/dot_products").add(n as u64);
-        m.counter("kernel/pipeline_tasks").add(n as u64);
     }
     let mut values = vec![0.0; n * n];
     for i in 0..prev.n {
@@ -443,7 +437,6 @@ mod tests {
                     m = gram_append(&m, &feats[..=r], threads, dot, Some(&reg));
                     let report = reg.report();
                     assert_eq!(report.counter("kernel/dot_products"), Some(r as u64 + 1));
-                    assert_eq!(report.counter("kernel/pipeline_tasks"), Some(r as u64 + 1));
                     let cold = gram_from_features_with_dot(&k.name(), &feats[..=r], 1, dot, None);
                     assert_eq!(m.len(), r + 1);
                     for i in 0..=r {
@@ -471,17 +464,14 @@ mod tests {
     }
 
     #[test]
-    fn gram_metrics_count_dot_products_and_features() {
+    fn gram_metrics_count_dot_products() {
         let graphs = race_graphs(6, 100.0);
+        let k = WlKernel::default();
+        let feats = parallel_features(&k, &graphs, 2);
         let reg = anacin_obs::MetricsRegistry::new();
-        let m = gram_matrix_with_metrics(&WlKernel::default(), &graphs, 2, Some(&reg));
-        assert_eq!(m.len(), 6);
-        let report = reg.report();
-        assert_eq!(report.counter("kernel/features"), Some(6));
-        assert_eq!(report.counter("kernel/dot_products"), Some(6 * 7 / 2));
-        assert!(report.gauge("kernel/threads").unwrap() >= 1.0);
-        assert!(report.span("features").is_some());
-        assert!(report.span("gram").is_some());
+        let m = gram_from_features_with_metrics(&k.name(), &feats, 2, Some(&reg));
+        assert_eq!(m, gram_matrix(&k, &graphs, 1));
+        assert_eq!(reg.report().counter("kernel/dot_products"), Some(6 * 7 / 2));
     }
 
     #[test]

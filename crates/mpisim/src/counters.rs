@@ -62,6 +62,7 @@ mod tests {
     use crate::engine::{simulate_counted, SimConfig};
     use crate::program::ProgramBuilder;
     use crate::types::{Rank, Tag, TagSpec};
+    use anacin_store::Artifact;
 
     fn race() -> crate::program::Program {
         let mut b = ProgramBuilder::new(4);
@@ -75,31 +76,29 @@ mod tests {
     }
 
     #[test]
-    fn batched_flush_matches_per_run_registry_flush() {
+    fn counted_runs_flush_every_counter_and_match_plain_runs() {
         let p = race();
         let batched = MetricsRegistry::new();
         let counters = SimCounters::new(&batched);
+        let mut events = 0;
         for seed in 0..5 {
             let c = SimConfig::with_nd_percent(100.0, seed);
-            simulate_counted(&p, &c, None, Some(&counters)).unwrap();
-        }
-        let per_run = MetricsRegistry::new();
-        for seed in 0..5 {
-            let c = SimConfig::with_nd_percent(100.0, seed);
-            crate::engine::simulate_with_metrics(&p, &c, Some(&per_run)).unwrap();
+            let counted = simulate_counted(&p, &c, Some(&counters)).unwrap();
+            let plain = crate::engine::simulate(&p, &c).unwrap();
+            assert_eq!(
+                counted.to_wire(),
+                plain.to_wire(),
+                "counting is observational"
+            );
+            events += plain.total_events() as u64;
         }
         let a = batched.report();
-        let b = per_run.report();
-        for name in [
-            "sim/runs",
-            "sim/events",
-            "sim/messages",
-            "sim/matched",
-            "sim/wildcard_matches",
-            "sim/delays_injected",
-        ] {
-            assert_eq!(a.counter(name), b.counter(name), "{name}");
-        }
+        assert_eq!(a.counter("sim/runs"), Some(5));
+        assert_eq!(a.counter("sim/events"), Some(events));
+        assert_eq!(a.counter("sim/messages"), Some(5 * 3));
+        assert_eq!(a.counter("sim/matched"), Some(5 * 3));
+        assert_eq!(a.counter("sim/wildcard_matches"), Some(5 * 3));
+        assert!(a.counter("sim/delays_injected").is_some());
     }
 
     #[test]
@@ -113,7 +112,7 @@ mod tests {
                     let counters = SimCounters::new(&m);
                     for seed in 0..3 {
                         let c = SimConfig::with_nd_percent(100.0, seed);
-                        simulate_counted(p, &c, None, Some(&counters)).unwrap();
+                        simulate_counted(p, &c, Some(&counters)).unwrap();
                     }
                 });
             }

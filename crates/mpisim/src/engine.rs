@@ -32,7 +32,6 @@ use crate::replay::MatchRecord;
 use crate::stack::CallStackId;
 use crate::trace::{EventId, EventKind, Trace, TraceEvent, TraceMeta};
 use crate::types::{ChannelSeq, Rank, ReqSlot, SimTime, Tag};
-use anacin_obs::{MetricsRegistry, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -261,70 +260,19 @@ pub fn simulate(program: &Program, config: &SimConfig) -> Result<Trace, SimError
     Engine::new(program, config, None).run(None)
 }
 
-/// [`simulate`], instrumented: records the run's wall time under the span
-/// `sim` and flushes execution counters (`sim/events`, `sim/messages`,
-/// `sim/matched`, `sim/wildcard_matches`, `sim/delays_injected`) into
-/// `metrics`. With `metrics = None` this is exactly [`simulate`] — the
-/// instrumentation never touches simulated time or matching, so traces
-/// are bit-identical either way.
-pub fn simulate_with_metrics(
-    program: &Program,
-    config: &SimConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<Trace, SimError> {
-    let counters = metrics.map(SimCounters::new);
-    simulate_counted(program, config, metrics, counters.as_ref())
-}
-
-/// [`simulate_with_metrics`] with pre-resolved counter handles: `metrics`
-/// provides only the per-run `sim` span; the six execution counters flush
-/// through `counters` with lock-free atomic adds. Worker loops that
-/// simulate many runs should create one [`SimCounters`] per worker and
-/// call this, instead of paying six registry-map locks per run.
+/// [`simulate`], flushing the run's execution counters (`sim/runs`,
+/// `sim/events`, `sim/messages`, `sim/matched`, `sim/wildcard_matches`,
+/// `sim/delays_injected`) through pre-resolved [`SimCounters`] handles.
+/// Worker loops that simulate many runs create one [`SimCounters`] per
+/// worker, so every flush is a handful of lock-free atomic adds. The
+/// counters never touch simulated time or matching, so the trace is
+/// bit-identical to [`simulate`]'s either way.
 pub fn simulate_counted(
     program: &Program,
     config: &SimConfig,
-    metrics: Option<&MetricsRegistry>,
     counters: Option<&SimCounters>,
 ) -> Result<Trace, SimError> {
-    let _span = metrics.map(|m| m.span("sim"));
     Engine::new(program, config, None).run(counters)
-}
-
-/// [`simulate_with_metrics`], plus timeline tracing: when `tracer` is
-/// given as `(tracer, run)`, every event of the finished trace is emitted
-/// onto the tracer's ring as a simulated-time record tagged with `run`
-/// and the config seed (see [`Trace::record_into`]).
-///
-/// Emission happens strictly *after* the engine has finished — the
-/// simulation itself is byte-for-byte the same as [`simulate`], which is
-/// the observability invariant the differential tests assert.
-pub fn simulate_traced(
-    program: &Program,
-    config: &SimConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<(&Tracer, u32)>,
-) -> Result<Trace, SimError> {
-    let counters = metrics.map(SimCounters::new);
-    simulate_traced_counted(program, config, metrics, tracer, counters.as_ref())
-}
-
-/// [`simulate_traced`] with pre-resolved counter handles (see
-/// [`simulate_counted`]): the campaign worker-pool entry point. One
-/// [`SimCounters`] per worker batches counter flushes into lock-free
-/// atomic adds instead of serialising every run on the registry mutex.
-pub fn simulate_traced_counted(
-    program: &Program,
-    config: &SimConfig,
-    metrics: Option<&MetricsRegistry>,
-    tracer: Option<(&Tracer, u32)>,
-    counters: Option<&SimCounters>,
-) -> Result<Trace, SimError> {
-    let trace = simulate_counted(program, config, metrics, counters)?;
-    if let Some((tracer, run)) = tracer {
-        trace.record_into(tracer, run);
-    }
-    Ok(trace)
 }
 
 /// Run `program` under `config`, forcing every wildcard receive to match

@@ -67,10 +67,7 @@ pub mod types;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::counters::SimCounters;
-    pub use crate::engine::{
-        simulate, simulate_counted, simulate_replay, simulate_traced, simulate_traced_counted,
-        SimConfig, SimError,
-    };
+    pub use crate::engine::{simulate, simulate_counted, simulate_replay, SimConfig, SimError};
     pub use crate::explore::{
         explore, explore_observed, simulate_scheduled, ExploreConfig, ExploreReport, ExploreStats,
         Schedule, ScheduleId,
@@ -85,9 +82,6 @@ pub mod prelude {
 }
 
 pub use counters::SimCounters;
-pub use engine::{
-    simulate, simulate_counted, simulate_replay, simulate_traced, simulate_traced_counted,
-    SimConfig, SimError,
-};
+pub use engine::{simulate, simulate_counted, simulate_replay, SimConfig, SimError};
 pub use program::{Program, ProgramBuilder};
 pub use trace::Trace;

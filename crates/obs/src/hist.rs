@@ -146,6 +146,22 @@ pub fn merge_sparse(into: &mut Vec<HistBucket>, other: &[HistBucket]) {
     }
 }
 
+/// The buckets `later` gained over `earlier` (two snapshots of one
+/// histogram), dropping buckets that gained nothing — the histogram half
+/// of [`crate::MetricsReport::delta_since`].
+pub fn subtract_sparse(later: &[HistBucket], earlier: &[HistBucket]) -> Vec<HistBucket> {
+    later
+        .iter()
+        .filter_map(|b| {
+            let before = earlier
+                .binary_search_by_key(&b.i, |x| x.i)
+                .map_or(0, |pos| earlier[pos].n);
+            let n = b.n.saturating_sub(before);
+            (n > 0).then_some(HistBucket { i: b.i, n })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

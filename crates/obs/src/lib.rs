@@ -51,7 +51,7 @@ pub mod sink;
 pub mod tracer;
 
 pub use hist::{HistBucket, LatencyHistogram};
-pub use progress::{MetricsDelta, ProgressReporter};
+pub use progress::ProgressReporter;
 pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_requested, CancelToken};
 pub use sink::{ChromeJsonSink, CountingWriter, FoldedSink, SharedBuffer, TraceSink};
 pub use tracer::{
@@ -134,15 +134,20 @@ impl MetricsRegistry {
     /// the span also emits begin/end timeline marks, so the aggregate
     /// statistics and the trace stay in lock-step.
     pub fn span(&self, name: &str) -> Span {
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(parent) => format!("{parent}/{name}"),
-                None => name.to_string(),
-            };
-            stack.push(path.clone());
-            path
+        let path = SPAN_STACK.with(|stack| match stack.borrow().last() {
+            Some(parent) => format!("{parent}/{name}"),
+            None => name.to_string(),
         });
+        self.span_at(path)
+    }
+
+    /// [`MetricsRegistry::span`], recorded under exactly `path` whatever
+    /// spans are open on this thread: for per-item spans (one per campaign
+    /// run, say) that must aggregate under one name on every thread.
+    /// Spans started inside it still nest under `path`.
+    pub fn span_at(&self, path: impl Into<String>) -> Span {
+        let path = path.into();
+        SPAN_STACK.with(|stack| stack.borrow_mut().push(path.clone()));
         let tracer = self.tracer();
         if let Some(t) = &tracer {
             t.span_begin(&path);
@@ -328,7 +333,7 @@ pub struct GaugeSample {
 /// One span in a [`MetricsReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanSample {
-    /// Nesting-resolved span path, e.g. `campaign/kernel/gram`.
+    /// Nesting-resolved span path, e.g. `campaign/gram`.
     pub name: String,
     /// Number of recorded intervals.
     pub count: u64,
@@ -522,6 +527,17 @@ mod tests {
             let sp = r.span(path).unwrap_or_else(|| panic!("missing {path}"));
             assert_eq!(sp.count, 1, "{path}");
         }
+    }
+
+    #[test]
+    fn span_at_ignores_the_open_stack_but_nests_its_children() {
+        let m = MetricsRegistry::new();
+        let _outer = m.span("campaign");
+        let run = m.span_at("run/simulate");
+        assert_eq!(run.path(), "run/simulate");
+        assert_eq!(m.span("sim").path(), "run/simulate/sim");
+        drop(run);
+        assert_eq!(m.span("gram").path(), "campaign/gram");
     }
 
     #[test]

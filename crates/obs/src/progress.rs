@@ -2,46 +2,32 @@
 //! them, and a one-line stderr renderer.
 //!
 //! The primitive is [`MetricsReport::delta_since`]: two point-in-time
-//! reports subtract into a [`MetricsDelta`] — what happened *this
-//! interval* — which is serialisable and therefore exactly what a
-//! future `anacin serve` streams to clients. The CLI's `--progress`
-//! flag drives the same machinery locally: a [`ProgressReporter`]
-//! thread snapshots the registry a few times a second and rewrites one
-//! stderr status line (runs done, events simulated, the currently
-//! hottest stage, ETA).
+//! reports subtract into the report of what happened *this interval* —
+//! what `anacin serve` streams to clients and what a sweep attributes to
+//! each of its points. The CLI's `--progress` flag drives the same
+//! machinery locally: a [`ProgressReporter`] thread snapshots the
+//! registry a few times a second and rewrites one stderr status line
+//! (runs done, events simulated, the currently hottest stage, ETA).
 //!
 //! Everything here is observability-only: the reporter thread reads the
 //! registry and writes stderr; it cannot perturb a measurement.
 
-use crate::{CounterSample, GaugeSample, MetricsRegistry, MetricsReport, SpanSample};
-use serde::Serialize;
+use crate::hist::{bucket_lower_bound, percentiles_sparse, subtract_sparse};
+use crate::{CounterSample, MetricsRegistry, MetricsReport, SpanSample};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What changed between two [`MetricsReport`] snapshots: counter values
-/// are increments, span counts/totals are increments (min/max/quantiles
-/// carry the *current* cumulative values — interval quantiles would need
-/// interval histograms), gauges carry their latest value.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct MetricsDelta {
-    /// Counter increments over the interval (zero-increment counters
-    /// are omitted).
-    pub counters: Vec<CounterSample>,
-    /// Current gauge values.
-    pub gauges: Vec<GaugeSample>,
-    /// Span activity over the interval (spans with no new intervals and
-    /// no new time are omitted; `hist` is left empty to keep deltas
-    /// small).
-    pub spans: Vec<SpanSample>,
-}
-
 impl MetricsReport {
-    /// The delta from `prev` (an earlier snapshot of the same registry)
-    /// to `self`. Instruments that did not change are omitted, so an
-    /// idle interval serialises to almost nothing.
-    pub fn delta_since(&self, prev: &MetricsReport) -> MetricsDelta {
+    /// What happened between `prev` (an earlier snapshot of the same
+    /// registry) and `self`, as a report of its own: counter values are
+    /// increments, span counts, totals and histograms are the interval's,
+    /// and the interval's quantiles, min and max are read back from its
+    /// histogram (bucket precision, ≤ ~3.2%). Gauges carry their latest
+    /// value. Instruments that did not change are omitted, so an idle
+    /// interval serialises to almost nothing.
+    pub fn delta_since(&self, prev: &MetricsReport) -> MetricsReport {
         let counters = self
             .counters
             .iter()
@@ -58,13 +44,18 @@ impl MetricsReport {
             .spans
             .iter()
             .filter_map(|s| {
-                let (pc, pt) = prev
-                    .span(&s.name)
-                    .map(|p| (p.count, p.total_ns))
-                    .unwrap_or((0, 0));
-                let count = s.count.saturating_sub(pc);
-                let total_ns = s.total_ns.saturating_sub(pt);
-                (count > 0 || total_ns > 0).then(|| SpanSample {
+                let p = prev.span(&s.name);
+                let count = s.count.saturating_sub(p.map_or(0, |p| p.count));
+                let total_ns = s.total_ns.saturating_sub(p.map_or(0, |p| p.total_ns));
+                if count == 0 && total_ns == 0 {
+                    return None;
+                }
+                let hist = subtract_sparse(&s.hist, p.map_or(&[], |p| &p.hist));
+                let (p50_ns, p95_ns, p99_ns) = percentiles_sparse(&hist);
+                let bound = |b: Option<&crate::HistBucket>| {
+                    b.map_or(0, |b| bucket_lower_bound(b.i as usize))
+                };
+                Some(SpanSample {
                     name: s.name.clone(),
                     count,
                     total_ns,
@@ -73,16 +64,16 @@ impl MetricsReport {
                     } else {
                         total_ns as f64 / count as f64
                     },
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                    p50_ns: s.p50_ns,
-                    p95_ns: s.p95_ns,
-                    p99_ns: s.p99_ns,
-                    hist: Vec::new(),
+                    min_ns: bound(hist.first()),
+                    max_ns: bound(hist.last()),
+                    p50_ns,
+                    p95_ns,
+                    p99_ns,
+                    hist,
                 })
             })
             .collect();
-        MetricsDelta {
+        MetricsReport {
             counters,
             gauges: self.gauges.clone(),
             spans,
@@ -110,7 +101,7 @@ fn compact(n: u64) -> String {
 /// interval, and a linear ETA once at least one run has finished.
 pub fn render_progress_line(
     report: &MetricsReport,
-    delta: &MetricsDelta,
+    delta: &MetricsReport,
     total_runs: u64,
     elapsed: Duration,
 ) -> String {
@@ -283,7 +274,7 @@ mod tests {
     fn progress_line_omits_eta_when_done_or_idle() {
         let m = MetricsRegistry::new();
         let report = m.report();
-        let delta = MetricsDelta::default();
+        let delta = MetricsReport::default();
         let idle = render_progress_line(&report, &delta, 8, Duration::from_secs(1));
         assert!(idle.starts_with("[0/8 runs]"), "{idle}");
         assert!(!idle.contains("ETA"), "{idle}");

@@ -19,7 +19,7 @@
 //! must only ever *extend* the enum, so a v1 peer never receives a
 //! frame it cannot decode.
 
-use anacin_core::prelude::CampaignConfig;
+use anacin_core::prelude::{CampaignConfig, SweepAxis};
 use serde::{Deserialize, Serialize};
 
 /// Highest protocol schema this build speaks.
@@ -84,12 +84,10 @@ impl JobSpec {
             | JobSpec::Explore { config, .. }
             | JobSpec::Append { config } => config.runs as u64,
             JobSpec::Sweep { kind, config } => {
-                let points = match kind.as_str() {
-                    "nd" => 11,
-                    "procs" | "iterations" => 3,
-                    _ => 1,
-                };
-                config.runs as u64 * points
+                let points = kind
+                    .parse::<SweepAxis>()
+                    .map_or(1, |axis| axis.default_points(config).len());
+                config.runs as u64 * points as u64
             }
         }
     }

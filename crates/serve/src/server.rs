@@ -28,7 +28,7 @@ use crate::queue::{AdmissionQueue, QueuedJob};
 use anacin_core::prelude::*;
 use anacin_core::report::to_json;
 use anacin_mpisim::explore::ExploreConfig;
-use anacin_obs::{CancelToken, MetricsDelta, MetricsRegistry, MetricsReport};
+use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport};
 use anacin_store::{ArtifactStore, Fingerprint};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -632,76 +632,44 @@ fn run_spec(
         Err(e) => return JobOutcome::Failed(format!("store unavailable: {e}")),
     };
     store.attach_metrics(reg);
+    let ctx = RunCtx {
+        metrics: Some(reg),
+        tracer: None,
+        cancel: Some(cancel),
+        store: Some(&store),
+    };
+    let payload = match job_payload(spec, &ctx) {
+        Ok(payload) => payload,
+        Err(e) if matches!(e.downcast_ref(), Some(CampaignError::Cancelled { .. })) => {
+            return JobOutcome::Cancelled
+        }
+        Err(e) => return JobOutcome::Failed(e.to_string()),
+    };
+    let activity = store.activity();
+    JobOutcome::Done {
+        payload,
+        hits: activity.hits,
+        misses: activity.misses,
+        puts: activity.puts,
+    }
+}
+
+/// The job's result payload: exactly what the equivalent local command
+/// prints, built through the same `anacin_core::report` functions.
+fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, Box<dyn std::error::Error>> {
     let payload = match spec {
         JobSpec::Campaign { config } => {
-            match run_campaign_incremental_cancellable(
-                config,
-                &store,
-                Some(reg),
-                None,
-                0,
-                Some(cancel),
-            ) {
-                Ok(result) => match measurement_json(config, &result.matrix) {
-                    Ok(json) => format!("{json}\n"),
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                },
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            }
+            measurement_json(config, &run_campaign_with(config, ctx)?.matrix)?
         }
+        // Same payload shape as `Campaign`; append-then-read is
+        // byte-identical to a cold recompute, so the payload is too.
         JobSpec::Append { config } => {
-            // Same payload shape as `Campaign`; only the kernel stage
-            // differs (stored-prefix reuse), and append-then-read is
-            // byte-identical to a cold recompute, so the result payload
-            // is too.
-            match run_campaign_append_cancellable(config, &store, Some(reg), None, 0, Some(cancel))
-            {
-                Ok(result) => match measurement_json(config, &result.matrix) {
-                    Ok(json) => format!("{json}\n"),
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                },
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            }
+            measurement_json(config, &run_campaign_append(config, ctx)?.matrix)?
         }
         JobSpec::Sweep { kind, config } => {
-            // The same default point sets as `anacin sweep --kind`.
-            let swept = match kind.as_str() {
-                "nd" => {
-                    let percents: Vec<f64> = (0..=10).map(|i| i as f64 * 10.0).collect();
-                    sweep_nd_percent_stored_cancellable(
-                        config,
-                        &percents,
-                        &store,
-                        Some(reg),
-                        Some(cancel),
-                    )
-                }
-                "procs" => {
-                    let p = config.app.procs;
-                    sweep_procs_stored_cancellable(
-                        config,
-                        &[(p / 2).max(2), p, p * 2],
-                        &store,
-                        Some(reg),
-                        Some(cancel),
-                    )
-                }
-                "iterations" => sweep_iterations_stored_cancellable(
-                    config,
-                    &[1, 2, 4],
-                    &store,
-                    Some(reg),
-                    Some(cancel),
-                ),
-                other => return JobOutcome::Failed(format!("unknown sweep kind '{other}'")),
-            };
-            match swept {
-                Ok(sweep) => sweep_text(&sweep),
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            }
+            let axis: SweepAxis = kind.parse()?;
+            let points = axis.default_points(config);
+            return Ok(sweep_text(&sweep(axis, config, &points, ctx)?));
         }
         JobSpec::Explore {
             config,
@@ -712,48 +680,20 @@ fn run_spec(
             if *brute_force {
                 xcfg = xcfg.brute_force();
             }
-            let result = match run_campaign_incremental_cancellable(
-                config,
-                &store,
-                Some(reg),
-                None,
-                0,
-                Some(cancel),
-            ) {
-                Ok(r) => r,
-                Err(Interrupted::Cancelled { .. }) => return JobOutcome::Cancelled,
-                Err(Interrupted::Failed(e)) => return JobOutcome::Failed(e.to_string()),
-            };
-            if cancel.is_cancelled() {
-                return JobOutcome::Cancelled;
-            }
-            let xr = match explore_campaign_incremental_observed(config, &xcfg, &store, Some(reg)) {
-                Ok(x) => x,
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            };
-            let coverage = xr.coverage_of(&result);
+            let result = run_campaign_with(config, ctx)?;
+            let xr = explore_campaign(config, &xcfg, ctx)?;
             let m = NdMeasurement::from_campaign(campaign_label(config), &result);
-            let report = RunWithExploreReport {
+            to_json(&RunWithExploreReport {
                 measurement: MeasurementReport::from(&m),
                 explore: ExploreSection {
                     config: xcfg,
                     stats: xr.report.stats,
-                    coverage,
+                    coverage: xr.coverage_of(&result),
                 },
-            };
-            match to_json(&report) {
-                Ok(json) => format!("{json}\n"),
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            }
+            })?
         }
     };
-    let activity = store.activity();
-    JobOutcome::Done {
-        payload,
-        hits: activity.hits,
-        misses: activity.misses,
-        puts: activity.puts,
-    }
+    Ok(format!("{payload}\n"))
 }
 
 struct TickerSetup {
@@ -831,7 +771,7 @@ fn progress_frame(
     id: u64,
     total_runs: u64,
     report: &MetricsReport,
-    delta: &MetricsDelta,
+    delta: &MetricsReport,
     interval: Duration,
     elapsed: Duration,
 ) -> Frame {

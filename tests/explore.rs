@@ -47,7 +47,7 @@ fn message_race_enumeration_matches_brute_force() {
 #[test]
 fn explored_worst_case_bounds_a_thousand_samples() {
     let cfg = race_cfg();
-    let r = explore_campaign(&cfg, &ExploreConfig::default()).unwrap();
+    let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
     assert!(r.report.is_complete());
     let explored_ids: HashSet<u64> = r.report.schedules.iter().map(|s| s.id().0).collect();
     let explored_max = r.max_distance();
@@ -110,12 +110,12 @@ fn explore_campaign_is_thread_invariant() {
     let base = {
         let mut c = race_cfg();
         c.threads = 1;
-        explore_campaign(&c, &ExploreConfig::default()).unwrap()
+        explore_campaign(&c, &ExploreConfig::default(), &RunCtx::default()).unwrap()
     };
     for threads in [2usize, 8] {
         let mut c = race_cfg();
         c.threads = threads;
-        let r = explore_campaign(&c, &ExploreConfig::default()).unwrap();
+        let r = explore_campaign(&c, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.report.ids(), base.report.ids(), "{threads} threads");
         assert_eq!(r.traces.len(), base.traces.len());
         for (a, b) in r.traces.iter().zip(base.traces.iter()) {
@@ -131,9 +131,13 @@ fn explore_campaign_is_thread_invariant() {
 fn explored_traces_round_trip_through_the_store() {
     let cfg = race_cfg();
     let (dir, store) = tmp_store("roundtrip");
-    let cold = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+    let ctx = RunCtx {
+        store: Some(&store),
+        ..RunCtx::default()
+    };
+    let cold = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
     let hits_before = store.activity().hits;
-    let warm = explore_campaign_incremental(&cfg, &ExploreConfig::default(), &store).unwrap();
+    let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
     assert!(
         store.activity().hits >= hits_before + cold.traces.len() as u64,
         "warm exploration did not hit the store for every replay"

@@ -86,7 +86,8 @@ fn fig7_shape_is_robust_to_the_delay_distribution() {
         let base = CampaignConfig::new(Pattern::MessageRace, 8)
             .runs(8)
             .delay(delay);
-        let sweep = sweep_nd_percent(&base, &[0.0, 25.0, 50.0, 75.0, 100.0]).unwrap();
+        let percents = [0.0, 25.0, 50.0, 75.0, 100.0];
+        let sweep = sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).unwrap();
         let rho = sweep.spearman_monotonicity();
         assert!(rho > 0.8, "{delay:?}: rho = {rho}");
         assert_eq!(sweep.points[0].measurement.mean(), 0.0, "{delay:?}");

@@ -1,8 +1,7 @@
-//! Differential tests for the fused feature→Gram pipeline: the pipelined
-//! schedule must be bit-identical to the barrier schedule for every kernel
-//! at every thread count, warm-store reads must be bit-identical to cold
-//! pipelined computes, and the interned WL relabelling must reproduce the
-//! pre-interner label stream exactly.
+//! Differential tests for the per-run pipeline: a resumed store-backed
+//! campaign must land on the uninterrupted result bit-for-bit, and the
+//! interned WL relabelling must reproduce the pre-interner label stream
+//! exactly.
 
 use anacin_store::ArtifactStore;
 use anacin_testkit::prelude::{generate, GenConfig};
@@ -38,97 +37,9 @@ fn generated_graphs() -> Vec<EventGraph> {
     graphs
 }
 
-fn all_kernels() -> Vec<Box<dyn GraphKernel>> {
-    vec![
-        Box::new(WlKernel::default()),
-        Box::new(VertexHistogramKernel::default()),
-        Box::new(EdgeHistogramKernel::default()),
-        Box::new(ShortestPathKernel::default()),
-        Box::new(GraphletKernel::default()),
-    ]
-}
-
-/// The tentpole invariant: for every kernel, the pipelined scheduler
-/// produces a Gram matrix bit-identical to the barrier scheduler at any
-/// thread count — each cell is computed exactly once by the same
-/// expression, so the schedule can never leak into the numbers.
-#[test]
-fn pipelined_gram_is_bit_identical_to_barrier_for_every_kernel() {
-    let graphs = generated_graphs();
-    for kernel in all_kernels() {
-        let barrier = gram_matrix(kernel.as_ref(), &graphs, 1);
-        for threads in [1usize, 2, 8] {
-            let pipelined = gram_pipelined(kernel.as_ref(), &graphs, threads);
-            assert_eq!(
-                bits(&pipelined),
-                bits(&barrier),
-                "kernel {} at {threads} threads diverged from barrier",
-                kernel.name()
-            );
-        }
-    }
-}
-
-/// The barrier schedule stays reachable through the campaign config, and
-/// both schedules agree bit-for-bit end to end (simulate → graph →
-/// features → Gram), at several thread counts.
-#[test]
-fn campaign_schedules_agree_bit_for_bit() {
-    let base = CampaignConfig::new(Pattern::UnstructuredMesh, 6)
-        .runs(6)
-        .base_seed(23);
-    let mut barrier_cfg = base.clone().schedule(GramSchedule::Barrier);
-    barrier_cfg.threads = 1;
-    let reference = run_campaign(&barrier_cfg).expect("barrier campaign");
-    for threads in [1usize, 2, 8] {
-        let mut cfg = base.clone().schedule(GramSchedule::Pipelined);
-        cfg.threads = threads;
-        let pipelined = run_campaign(&cfg).expect("pipelined campaign");
-        assert_eq!(
-            bits(&pipelined.matrix),
-            bits(&reference.matrix),
-            "pipelined({threads} threads) vs barrier(1 thread)"
-        );
-    }
-}
-
-/// Warm store reads, cold pipelined computes, and the store-free barrier
-/// pipeline all agree bit-for-bit: the schedule is excluded from store
-/// fingerprints precisely because it cannot change the artifact.
-#[test]
-fn warm_store_matches_cold_pipelined_and_plain_barrier() {
-    let cfg = CampaignConfig::new(Pattern::Amg2013, 6)
-        .runs(5)
-        .base_seed(31);
-    assert_eq!(cfg.schedule, GramSchedule::Pipelined, "pipelined default");
-    let plain_barrier =
-        run_campaign(&cfg.clone().schedule(GramSchedule::Barrier)).expect("barrier campaign");
-
-    let (dir, store) = temp_store("cold_warm");
-    let cold = run_campaign_incremental(&cfg, &store).expect("cold pipelined campaign");
-    assert!(store.activity().puts > 0, "cold run publishes artifacts");
-
-    let store = ArtifactStore::open(&dir).expect("reopen store");
-    let warm = run_campaign_incremental(&cfg, &store).expect("warm campaign");
-    let a = store.activity();
-    assert_eq!(a.misses, 0, "warm run must hit on every artifact");
-    assert_eq!(a.puts, 0, "warm run must publish nothing");
-
-    for (label, r) in [("cold", &cold), ("warm", &warm)] {
-        assert_eq!(r.traces, plain_barrier.traces, "{label} traces differ");
-        assert_eq!(r.graphs, plain_barrier.graphs, "{label} graphs differ");
-        assert_eq!(
-            bits(&r.matrix),
-            bits(&plain_barrier.matrix),
-            "{label} gram bits differ from plain barrier pipeline"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A resumed campaign drives the *seeded* pipeline (warm features feed the
-/// dot queue directly, only missing runs are extracted) and still lands on
-/// the uninterrupted result bit-for-bit.
+/// A resumed campaign seeds the per-run pipeline with the stored runs
+/// (only missing runs are simulated, graphed and featurised) and still
+/// lands on the uninterrupted result bit-for-bit.
 #[test]
 fn resumed_campaign_seeds_pipeline_and_matches_uninterrupted_result() {
     let full = CampaignConfig::new(Pattern::MessageRace, 8)
@@ -137,8 +48,12 @@ fn resumed_campaign_seeds_pipeline_and_matches_uninterrupted_result() {
     let prefix = full.clone().runs(3);
 
     let (dir, store) = temp_store("resume");
-    run_campaign_incremental(&prefix, &store).expect("interrupted prefix campaign");
-    let resumed = run_campaign_incremental(&full, &store).expect("resumed campaign");
+    let ctx = RunCtx {
+        store: Some(&store),
+        ..RunCtx::default()
+    };
+    run_campaign_with(&prefix, &ctx).expect("interrupted prefix campaign");
+    let resumed = run_campaign_with(&full, &ctx).expect("resumed campaign");
     let uninterrupted = run_campaign(&full).expect("uninterrupted campaign");
     assert_eq!(resumed.traces, uninterrupted.traces);
     assert_eq!(bits(&resumed.matrix), bits(&uninterrupted.matrix));

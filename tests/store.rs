@@ -1,5 +1,5 @@
 //! Cross-crate differential tests of the content-addressed artifact store
-//! and the incremental campaign path built on it: warm and cold runs must
+//! and the store-backed campaigns built on it: warm and cold runs must
 //! be bit-identical to each other and to the plain (store-free) pipeline,
 //! an interrupted campaign must resume to exactly the uninterrupted
 //! result, and run-level artifacts must be reused across kernel sweeps.
@@ -17,6 +17,18 @@ fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
     (dir, store)
 }
 
+/// A campaign against `store`.
+fn stored_campaign(
+    cfg: &CampaignConfig,
+    store: &ArtifactStore,
+) -> Result<CampaignResult, CampaignError> {
+    let ctx = RunCtx {
+        store: Some(store),
+        ..RunCtx::default()
+    };
+    run_campaign_with(cfg, &ctx)
+}
+
 fn bits(m: &anacin_kernels::prelude::KernelMatrix) -> Vec<u64> {
     m.values().iter().map(|v| v.to_bits()).collect()
 }
@@ -29,14 +41,14 @@ fn cold_and_warm_campaigns_are_bit_identical_to_the_plain_pipeline() {
     let plain = run_campaign(&cfg).expect("plain campaign");
 
     let (dir, store) = temp_store("diff");
-    let cold = run_campaign_incremental(&cfg, &store).expect("cold campaign");
+    let cold = stored_campaign(&cfg, &store).expect("cold campaign");
     let after_cold = store.activity();
     assert!(after_cold.puts > 0, "cold run must publish artifacts");
 
     // Reopen (fresh handle, empty LRU) so the warm pass exercises the
     // on-disk read path, not just the in-memory front.
     let store = ArtifactStore::open(&dir).expect("reopen store");
-    let warm = run_campaign_incremental(&cfg, &store).expect("warm campaign");
+    let warm = stored_campaign(&cfg, &store).expect("warm campaign");
     let a = store.activity();
     assert_eq!(a.misses, 0, "warm run must hit on every artifact");
     assert_eq!(a.puts, 0, "warm run must publish nothing");
@@ -61,10 +73,10 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_result() {
     let prefix = full.clone().runs(3);
 
     let (dir, store) = temp_store("resume");
-    run_campaign_incremental(&prefix, &store).expect("prefix campaign");
+    stored_campaign(&prefix, &store).expect("prefix campaign");
 
     let store = ArtifactStore::open(&dir).expect("reopen store");
-    let resumed = run_campaign_incremental(&full, &store).expect("resumed campaign");
+    let resumed = stored_campaign(&full, &store).expect("resumed campaign");
     let a = store.activity();
     assert!(
         a.hits >= 6,
@@ -89,10 +101,10 @@ fn kernel_sweep_reuses_run_artifacts_across_kernel_choices() {
     });
 
     let (dir, store) = temp_store("kernels");
-    run_campaign_incremental(&wl, &store).expect("wl campaign");
+    stored_campaign(&wl, &store).expect("wl campaign");
     let after_wl = store.activity();
 
-    let vh_result = run_campaign_incremental(&vh, &store).expect("vh campaign");
+    let vh_result = stored_campaign(&vh, &store).expect("vh campaign");
     let a = store.activity();
     // Traces and graphs are kernel-independent: the second campaign reads
     // all 8 of them back and republishes only its own features (4), Gram
@@ -111,7 +123,7 @@ fn verify_detects_and_heal_recovers_from_on_disk_corruption() {
         .runs(3)
         .base_seed(9);
     let (dir, store) = temp_store("corrupt");
-    run_campaign_incremental(&cfg, &store).expect("cold campaign");
+    stored_campaign(&cfg, &store).expect("cold campaign");
 
     // Flip one byte in the middle of a stored trace frame.
     let path = store.path_of(run_fingerprint(&cfg, 0), anacin_store::ArtifactKind::Trace);
@@ -126,7 +138,7 @@ fn verify_detects_and_heal_recovers_from_on_disk_corruption() {
 
     // A fresh incremental run self-heals: recomputes the damaged run and
     // republishes it, ending bit-identical to the plain pipeline.
-    let healed = run_campaign_incremental(&cfg, &store).expect("healing campaign");
+    let healed = stored_campaign(&cfg, &store).expect("healing campaign");
     assert!(store.activity().corrupt >= 1);
     let plain = run_campaign(&cfg).expect("plain campaign");
     assert_eq!(bits(&healed.matrix), bits(&plain.matrix));

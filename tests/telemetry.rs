@@ -25,6 +25,16 @@ fn canonical_lines(doc: &str) -> Vec<String> {
     lines
 }
 
+/// A streaming campaign recording into `metrics` and, optionally, `tracer`.
+fn streamed(cfg: &CampaignConfig, metrics: &MetricsRegistry, tracer: Option<&Tracer>) {
+    let ctx = RunCtx {
+        metrics: Some(metrics),
+        tracer,
+        ..RunCtx::default()
+    };
+    run_campaign_streaming_with(cfg, &ctx).expect("campaign");
+}
+
 /// Run one streaming campaign with a Chrome sink attached; return the
 /// streamed document and the tracer (whose ring still holds every
 /// record — draining never removes, so the snapshot export remains the
@@ -37,7 +47,7 @@ fn streamed_campaign(pattern: Pattern, procs: u32, runs: u32) -> (String, Tracer
     let buf = SharedBuffer::new();
     let sink = ChromeJsonSink::new(buf.clone(), true).expect("sink header");
     tracer.attach_sink(Box::new(sink));
-    run_campaign_streaming_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    streamed(&cfg, &reg, Some(&tracer));
     let stats = tracer.finish_sink().expect("finish sink");
     assert_eq!(stats.lost, 0, "{pattern}: ring overflowed during test");
     assert_eq!(stats.pending, 0, "{pattern}: finish left records behind");
@@ -65,7 +75,7 @@ fn streamed_folded_export_is_byte_identical_to_snapshot() {
     reg.attach_tracer(&tracer);
     let buf = SharedBuffer::new();
     tracer.attach_sink(Box::new(FoldedSink::new(buf.clone())));
-    run_campaign_streaming_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    streamed(&cfg, &reg, Some(&tracer));
     tracer.finish_sink().expect("finish sink");
     // Folded output is derived entirely from span marks at finish time,
     // so it is byte-identical, not merely canonically equal.
@@ -89,7 +99,7 @@ fn streamed_export_conserves_sim_event_count() {
 fn span_histograms_are_ordered_bounded_and_conserve_counts() {
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(6);
     let reg = MetricsRegistry::new();
-    run_campaign_streaming_observed(&cfg, Some(&reg), None, 0).expect("campaign");
+    streamed(&cfg, &reg, None);
     let report = reg.report();
     assert!(!report.spans.is_empty(), "campaign produced no spans");
     for span in &report.spans {
@@ -128,8 +138,8 @@ fn span_histograms_are_ordered_bounded_and_conserve_counts() {
 fn merged_report_percentiles_come_from_merged_histograms() {
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
     let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
-    run_campaign_streaming_observed(&cfg, Some(&a), None, 0).expect("campaign a");
-    run_campaign_streaming_observed(&cfg, Some(&b), None, 0).expect("campaign b");
+    streamed(&cfg, &a, None);
+    streamed(&cfg, &b, None);
     let (ra, rb) = (a.report(), b.report());
     let mut merged = ra.clone();
     merged.merge(&rb);

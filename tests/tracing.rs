@@ -12,6 +12,20 @@ fn campaign(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
     CampaignConfig::new(pattern, procs).runs(runs)
 }
 
+/// A campaign with a tracer and, optionally, a metrics registry.
+fn traced_campaign(
+    cfg: &CampaignConfig,
+    metrics: Option<&MetricsRegistry>,
+    tracer: &Tracer,
+) -> CampaignResult {
+    let ctx = RunCtx {
+        metrics,
+        tracer: Some(tracer),
+        ..RunCtx::default()
+    };
+    run_campaign_with(cfg, &ctx).expect("traced campaign")
+}
+
 /// Serialise traces for bit-identity comparison (Trace has no PartialEq;
 /// the JSON form covers every field including match linkage and times).
 fn trace_bytes(traces: &[Trace]) -> Vec<String> {
@@ -33,8 +47,7 @@ fn traced_campaign_is_bit_identical_to_untraced() {
         let reg = MetricsRegistry::new();
         let tracer = Tracer::new();
         reg.attach_tracer(&tracer);
-        let traced =
-            run_campaign_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("traced campaign");
+        let traced = traced_campaign(&cfg, Some(&reg), &tracer);
         // Bit-identical artifacts: every trace byte-for-byte, every kernel
         // distance exactly equal.
         assert_eq!(
@@ -60,7 +73,7 @@ fn sim_trace_export_is_byte_identical_across_worker_thread_counts() {
     for threads in [1usize, 2, 8] {
         cfg.threads = threads;
         let tracer = Tracer::new();
-        run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+        traced_campaign(&cfg, None, &tracer);
         // Wall-clock spans depend on real time; the simulated-time export
         // must not.
         exports.push(tracer.snapshot().chrome_trace(false));
@@ -81,7 +94,7 @@ fn traced_event_counts_match_event_graph_node_counts() {
     ] {
         let cfg = campaign(pattern, 6, 5);
         let tracer = Tracer::new();
-        let result = run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+        let result = traced_campaign(&cfg, None, &tracer);
         let per_run = tracer.snapshot().sim_events_per_run();
         assert_eq!(per_run.len(), result.graphs.len(), "{pattern}");
         for (run, count) in per_run {
@@ -104,7 +117,7 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
     let procs = 6u32;
     let cfg = campaign(Pattern::MessageRace, procs, 3);
     let tracer = Tracer::new();
-    run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    traced_campaign(&cfg, None, &tracer);
     let snap = tracer.snapshot();
     for run in 0..3u32 {
         let mut ranks: Vec<u32> = snap
@@ -146,7 +159,7 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
 fn matched_messages_share_flow_ids_between_send_and_recv() {
     let cfg = campaign(Pattern::MessageRace, 6, 2);
     let tracer = Tracer::new();
-    let result = run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    let result = traced_campaign(&cfg, None, &tracer);
     let snap = tracer.snapshot();
     for run in 0..2u32 {
         let mut sends: Vec<u64> = snap
@@ -184,7 +197,7 @@ fn matched_messages_share_flow_ids_between_send_and_recv() {
 fn ring_overflow_on_a_real_campaign_keeps_newest_and_counts_drops() {
     let cfg = campaign(Pattern::Amg2013, 8, 4);
     let tracer = Tracer::with_capacity(64);
-    run_campaign_observed(&cfg, None, Some(&tracer), 0).expect("campaign");
+    traced_campaign(&cfg, None, &tracer);
     let snap = tracer.snapshot();
     assert!(snap.recorded > 64, "campaign must overflow the tiny ring");
     assert!(snap.dropped > 0);
@@ -203,7 +216,7 @@ fn folded_stacks_cover_the_pipeline_stages() {
     let reg = MetricsRegistry::new();
     let tracer = Tracer::new();
     reg.attach_tracer(&tracer);
-    run_campaign_observed(&cfg, Some(&reg), Some(&tracer), 0).expect("campaign");
+    traced_campaign(&cfg, Some(&reg), &tracer);
     let folded = tracer.snapshot().folded_stacks();
     assert!(folded.contains("campaign"), "{folded}");
     for line in folded.lines() {
@@ -217,10 +230,17 @@ fn folded_stacks_cover_the_pipeline_stages() {
 fn per_point_sweep_metrics_are_bit_exact_and_cover_every_point() {
     let base = campaign(Pattern::MessageRace, 6, 4);
     let percents = [0.0, 50.0, 100.0];
-    let plain = sweep_nd_percent(&base, &percents).expect("plain sweep");
-    let (instrumented, metrics) =
-        sweep_nd_percent_instrumented(&base, &percents, None).expect("instrumented sweep");
+    let plain =
+        sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).expect("plain sweep");
+    let reg = MetricsRegistry::new();
+    let ctx = RunCtx {
+        metrics: Some(&reg),
+        ..RunCtx::default()
+    };
+    let instrumented =
+        sweep(SweepAxis::NdPercent, &base, &percents, &ctx).expect("instrumented sweep");
     assert_eq!(plain.mean_series(), instrumented.mean_series());
+    let metrics = instrumented.metrics.expect("per-point metrics");
     assert_eq!(metrics.points.len(), percents.len());
     for pm in &metrics.points {
         assert_eq!(pm.report.counter("campaign/runs"), Some(4), "{}", pm.label);
