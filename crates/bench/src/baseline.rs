@@ -117,17 +117,16 @@ pub struct ServeRow {
 /// Gram-schedule timings at one run count of the gram-at-scale tier:
 /// the same synthetic amg2013 feature set pushed through every dot
 /// schedule, single-threaded so the ratios measure the schedules, not
-/// the thread pool. `exact_ms` is the reference full recompute with the
-/// scalar merge-join dot; `blocked_ms` and `append_ms` are bit-identical
-/// alternatives, `landmark_ms` is the opt-in approximation.
+/// the thread pool. `exact_ms` is the reference full recompute;
+/// `append_ms` is its bit-identical incremental alternative,
+/// `landmark_ms` the opt-in approximation.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleRow {
     /// Feature vectors (runs) in the Gram matrix.
     pub runs: usize,
-    /// Full recompute, scalar merge-join dot (the pre-existing path).
+    /// Full recompute (`gram_from_features_with_metrics`: label-major
+    /// from `LABEL_MAJOR_MIN_RUNS` runs on).
     pub exact_ms: f64,
-    /// Full recompute, blocked/galloping dot (bit-identical to exact).
-    pub blocked_ms: f64,
     /// One `gram_append` step: growing the stored `runs−1` matrix by
     /// one run (`runs` new dots instead of `runs·(runs−1)/2`).
     pub append_ms: f64,
@@ -137,8 +136,6 @@ pub struct GramScaleRow {
     pub landmark_k: usize,
     /// Frobenius error bound the approximation reported.
     pub landmark_error_bound: f64,
-    /// `exact_ms / blocked_ms`.
-    pub blocked_speedup: f64,
     /// `exact_ms / append_ms`.
     pub append_speedup: f64,
 }
@@ -225,12 +222,10 @@ impl BaselineReport {
             ));
             for r in &g.rows {
                 out.push_str(&format!(
-                    "  R={:<4} exact={:.3} ms  blocked={:.3} ms ({:.1}x)  \
-                     append={:.3} ms ({:.1}x)  landmark(k={})={:.3} ms bound={:.3}\n",
+                    "  R={:<4} exact={:.3} ms  append={:.3} ms ({:.1}x)  \
+                     landmark(k={})={:.3} ms bound={:.3}\n",
                     r.runs,
                     r.exact_ms,
-                    r.blocked_ms,
-                    r.blocked_speedup,
                     r.append_ms,
                     r.append_speedup,
                     r.landmark_k,
@@ -296,24 +291,9 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
         .map(|&r| {
             let slice = &feats[..r];
             let exact_ms = time_median_ms(3, || {
-                std::hint::black_box(gram_from_features_with_dot(
-                    "wl",
-                    slice,
-                    1,
-                    DotKind::Scalar,
-                    None,
-                ));
+                std::hint::black_box(gram_from_features_with_metrics("wl", slice, 1, None));
             });
-            let blocked_ms = time_median_ms(3, || {
-                std::hint::black_box(gram_from_features_with_dot(
-                    "wl",
-                    slice,
-                    1,
-                    DotKind::Blocked,
-                    None,
-                ));
-            });
-            let prev = gram_from_features_with_dot("wl", &slice[..r - 1], 1, DotKind::Scalar, None);
+            let prev = gram_from_features_with_metrics("wl", &slice[..r - 1], 1, None);
             let append_ms = time_median_ms(3, || {
                 std::hint::black_box(gram_append(&prev, slice, 1, DotKind::Scalar, None));
             });
@@ -327,16 +307,10 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
             GramScaleRow {
                 runs: r,
                 exact_ms,
-                blocked_ms,
                 append_ms,
                 landmark_ms,
                 landmark_k: k,
                 landmark_error_bound: bound,
-                blocked_speedup: if blocked_ms > 0.0 {
-                    exact_ms / blocked_ms
-                } else {
-                    0.0
-                },
                 append_speedup: if append_ms > 0.0 {
                     exact_ms / append_ms
                 } else {
@@ -528,7 +502,7 @@ mod tests {
         for (row, want) in g.rows.iter().zip([8usize, 16]) {
             assert_eq!(row.runs, want);
             assert!(row.exact_ms > 0.0, "R={}", row.runs);
-            assert!(row.blocked_ms > 0.0 && row.append_ms > 0.0 && row.landmark_ms > 0.0);
+            assert!(row.append_ms > 0.0 && row.landmark_ms > 0.0);
             assert_eq!(row.landmark_k, (row.runs as f64).sqrt().round() as usize);
             assert!(
                 row.landmark_error_bound.is_finite() && row.landmark_error_bound >= 0.0,
@@ -536,7 +510,7 @@ mod tests {
                 row.runs,
                 row.landmark_error_bound
             );
-            assert!(row.blocked_speedup > 0.0 && row.append_speedup > 0.0);
+            assert!(row.append_speedup > 0.0);
         }
         assert!(table.contains("gram_scale"), "{table}");
         // Serialises cleanly for BENCH_baseline.json.

@@ -41,7 +41,7 @@ const SERVE_METRICS: &[&str] = &["serve_cold_ms", "serve_warm_ms"];
 
 /// Dot-schedule metrics tracked per run count of a baseline report's
 /// `gram_scale` section.
-const GRAM_SCALE_METRICS: &[&str] = &["exact_ms", "blocked_ms", "append_ms", "landmark_ms"];
+const GRAM_SCALE_METRICS: &[&str] = &["exact_ms", "append_ms", "landmark_ms"];
 
 /// Regressions smaller than this many units (milliseconds / MiB) never
 /// flag, whatever the relative change: sub-millisecond stages jitter by
@@ -393,9 +393,9 @@ mod tests {
                   "total_ms":5.0,"trace_overhead_pct":null,
                   "events":3780,"dot_products":165}}],
                 "gram_scale":{{"pattern":"amg2013","source_runs":10,
-                  "rows":[{{"runs":256,"exact_ms":{exact_ms},"blocked_ms":20.0,
+                  "rows":[{{"runs":256,"exact_ms":{exact_ms},
                     "append_ms":0.4,"landmark_ms":4.0,"landmark_k":16,
-                    "landmark_error_bound":3.5,"blocked_speedup":2.0,
+                    "landmark_error_bound":3.5,
                     "append_speedup":100.0}}]}}}}"#
         )
     }

@@ -23,7 +23,8 @@ COMMANDS
   run         run a measurement campaign ('campaign' is an alias)
               --pattern race|amg2013|mesh|collectives  --procs N  --nd P
               --runs N  --iterations N  --nodes N  --seed S  [--json]
-              [--dot scalar|blocked]  sparse-dot inner loop (default scalar;
+              [--dot scalar|blocked]  sparse-dot inner loop of --append-to
+                                and --gram-approx only (default scalar;
                                 results bit-identical)
               [--gram-approx exact|landmarks=K]  opt-in Nystrom approximation
                                 of the Gram matrix from K landmark runs

@@ -162,9 +162,12 @@ pub struct CampaignConfig {
     /// tuned so reorder depth grows gradually with ND%, matching the
     /// paper's Figure-7 shape rather than saturating instantly).
     pub delay: DelayDistribution,
-    /// Dot-product implementation. Bit-identical results either way (the
-    /// blocked merge-join skips only non-matching keys). Like `threads`,
-    /// excluded from store fingerprints.
+    /// Dot-product implementation of `gram_append` (append jobs) and
+    /// `landmark_gram` only; the cold exact Gram ignores it. Bit-identical
+    /// results either way (the blocked merge-join skips only non-matching
+    /// keys). Like `threads`, excluded from store fingerprints. Kept only
+    /// because the benchmark passes it to `gram_append`; it goes with the
+    /// next change to the benchmark.
     pub dot: DotKind,
     /// Exact vs landmark-approximate Gram computation. Approximate
     /// matrices are never published to the store.

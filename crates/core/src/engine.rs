@@ -22,7 +22,7 @@ use anacin_event_graph::EventGraph;
 use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
-use anacin_kernels::matrix::{gram_append, gram_from_features_with_dot, KernelMatrix};
+use anacin_kernels::matrix::{gram_append, gram_from_features_with_metrics, KernelMatrix};
 use anacin_mpisim::engine::simulate_counted;
 use anacin_mpisim::explore::{simulate_scheduled, Schedule};
 use anacin_mpisim::program::Program;
@@ -329,8 +329,7 @@ impl Engine<'_> {
         if let GramApprox::Landmarks(k) = config.approx {
             return Ok(landmark_gram(&name, feats, k, config.threads, config.dot, metrics).matrix);
         }
-        let compute =
-            || gram_from_features_with_dot(&name, feats, config.threads, config.dot, metrics);
+        let compute = || gram_from_features_with_metrics(&name, feats, config.threads, metrics);
         let store = match (self.ctx.store, self.plan.source) {
             (Some(store), Source::Seeded) => store,
             _ => return Ok(compute()),

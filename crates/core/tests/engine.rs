@@ -10,7 +10,7 @@
 use anacin_core::prelude::*;
 use anacin_event_graph::LabelPolicy;
 use anacin_kernels::feature::DotKind;
-use anacin_kernels::matrix::KernelMatrix;
+use anacin_kernels::matrix::{KernelMatrix, LABEL_MAJOR_MIN_RUNS};
 use anacin_miniapps::Pattern;
 use anacin_store::ArtifactStore;
 use std::path::PathBuf;
@@ -88,22 +88,28 @@ fn every_mode_reproduces_the_plain_matrix_bit_for_bit() {
         Mode::WarmStore,
         Mode::Append,
     ];
+    // 6 runs take the pairwise Gram; one past the crossover, the cold
+    // matrices are label-major and the append grows one pairwise row.
+    let run_counts = [6, LABEL_MAJOR_MIN_RUNS as u32 + 1];
     for (k, kernel) in kernels.into_iter().enumerate() {
-        for dot in [DotKind::Scalar, DotKind::Blocked] {
-            let base = CampaignConfig::new(Pattern::MessageRace, 6)
-                .runs(6)
-                .kernel(kernel);
-            let reference = run_campaign(&base).expect("plain campaign");
-            for threads in [1usize, 2, 8] {
-                for mode in modes {
-                    let mut cfg = base.clone().dot(dot);
-                    cfg.threads = threads;
-                    let tag = format!("diff-{k}-{dot}-{threads}-{mode:?}");
-                    assert_eq!(
-                        bits(&matrix_in(mode, &cfg, &tag)),
-                        bits(&reference.matrix),
-                        "kernel={kernel:?} dot={dot} threads={threads} mode={mode:?}"
-                    );
+        for runs in run_counts {
+            for dot in [DotKind::Scalar, DotKind::Blocked] {
+                let base = CampaignConfig::new(Pattern::MessageRace, 6)
+                    .runs(runs)
+                    .kernel(kernel);
+                let reference = run_campaign(&base).expect("plain campaign");
+                for threads in [1usize, 2, 8] {
+                    for mode in modes {
+                        let mut cfg = base.clone().dot(dot);
+                        cfg.threads = threads;
+                        let tag = format!("diff-{k}-{runs}-{dot}-{threads}-{mode:?}");
+                        assert_eq!(
+                            bits(&matrix_in(mode, &cfg, &tag)),
+                            bits(&reference.matrix),
+                            "kernel={kernel:?} runs={runs} dot={dot} threads={threads} \
+                             mode={mode:?}"
+                        );
+                    }
                 }
             }
         }

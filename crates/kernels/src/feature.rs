@@ -176,6 +176,11 @@ impl SparseFeatures {
         self.map.is_empty()
     }
 
+    /// The `(id, weight)` entries, sorted by id.
+    pub(crate) fn entries(&self) -> &[(u64, f64)] {
+        &self.map
+    }
+
     /// Inner product with another vector: a linear merge-join over the two
     /// sorted arrays. Summation runs in increasing shared-id order, so the
     /// result is deterministic and exactly symmetric in its arguments

@@ -60,8 +60,8 @@ pub mod prelude {
     pub use crate::histogram::{EdgeHistogramKernel, VertexHistogramKernel};
     pub use crate::kernel::GraphKernel;
     pub use crate::matrix::{
-        gram_append, gram_from_features_with_dot, gram_from_features_with_metrics, gram_matrix,
-        parallel_features, KernelMatrix,
+        gram_append, gram_from_features_with_metrics, gram_matrix, parallel_features, KernelMatrix,
+        LABEL_MAJOR_MIN_RUNS,
     };
     pub use crate::shortest_path::ShortestPathKernel;
     pub use crate::wl::WlKernel;

@@ -110,31 +110,30 @@ proptest! {
 
     /// Growing a Gram matrix run-by-run with `gram_append` is
     /// bit-identical to the full recompute, for any prefix split, thread
-    /// count, and dot kind — and the blocked dot never changes a bit of
-    /// the full matrix either.
+    /// count, and dot kind — including a matrix grown pairwise past
+    /// `LABEL_MAJOR_MIN_RUNS`, whose recompute is label-major.
     #[test]
     fn gram_append_matches_full_recompute(
-        n in 2usize..7,
+        small_n in 2usize..7,
+        above_crossover in 0usize..2,
         split in 1usize..6,
         threads in 1usize..5,
         dot_i in 0usize..2,
         seed in 0u64..20,
     ) {
         let dot = if dot_i == 0 { DotKind::Scalar } else { DotKind::Blocked };
+        let (n, start) = if above_crossover == 1 {
+            (LABEL_MAJOR_MIN_RUNS + 1, LABEL_MAJOR_MIN_RUNS + 1 - split.min(3))
+        } else {
+            (small_n, split.min(small_n - 1))
+        };
         let k = WlKernel::default();
         let graphs: Vec<_> = (0..n)
             .map(|i| race_graph(5, 100.0, seed + i as u64))
             .collect();
         let feats: Vec<_> = graphs.iter().map(|g| k.features(g)).collect();
-        let full = gram_from_features_with_dot("wl", &feats, threads, dot, None);
-        let scalar = gram_from_features_with_dot("wl", &feats, threads, DotKind::Scalar, None);
-        for i in 0..n {
-            for j in 0..n {
-                prop_assert_eq!(full.value(i, j).to_bits(), scalar.value(i, j).to_bits());
-            }
-        }
-        let start = split.min(n - 1);
-        let mut grown = gram_from_features_with_dot("wl", &feats[..start], threads, dot, None);
+        let full = gram_from_features_with_metrics("wl", &feats, threads, None);
+        let mut grown = gram_from_features_with_metrics("wl", &feats[..start], threads, None);
         for upto in start + 1..=n {
             grown = gram_append(&grown, &feats[..upto], threads, dot, None);
         }
@@ -159,7 +158,7 @@ proptest! {
             .map(|i| race_graph(4, 100.0, seed + i as u64))
             .collect();
         let feats: Vec<_> = graphs.iter().map(|g| kern.features(g)).collect();
-        let exact = gram_from_features_with_dot("wl", &feats, 1, DotKind::Scalar, None);
+        let exact = gram_from_features_with_metrics("wl", &feats, 1, None);
         let approx = landmark_gram("wl", &feats, k_landmarks, 1, DotKind::Scalar, None);
         let scale: f64 = (0..n).map(|i| exact.value(i, i)).sum::<f64>().max(1.0);
         let mut err2 = 0.0;
@@ -179,6 +178,53 @@ proptest! {
         if k_landmarks >= n {
             prop_assert!(err2.sqrt() <= 1e-6 * scale,
                 "full landmark set left error {}", err2.sqrt());
+        }
+    }
+
+    /// The exact Gram matrix equals serial merge-join dots bit for bit on
+    /// both sides of `LABEL_MAJOR_MIN_RUNS`, for every kernel kind, at ND
+    /// 0 and 100 and any thread count, with some vectors emptied, some
+    /// moved to ids no other run holds, and weights scaled off the
+    /// integers.
+    #[test]
+    fn gram_equals_serial_dots_across_the_crossover(
+        size_i in 0usize..3,
+        threads_i in 0usize..3,
+        ki in arb_kernel(),
+        nd_i in 0usize..2,
+        empty_every in 2usize..9,
+        disjoint_every in 2usize..9,
+        scaled in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let c = LABEL_MAJOR_MIN_RUNS;
+        let n = [c - 1, c, 3 * c][size_i];
+        let threads = [1, 2, 8][threads_i];
+        let k = kernel_by_index(ki);
+        let nd = [0.0, 100.0][nd_i];
+        let mut feats: Vec<SparseFeatures> = (0..n)
+            .map(|i| k.features(&race_graph(5, nd, seed + i as u64)))
+            .collect();
+        for (i, f) in feats.iter_mut().enumerate() {
+            if i % empty_every == 0 {
+                *f = SparseFeatures::new();
+            } else if i % disjoint_every == 0 {
+                let salt = (i as u64 + 1) << 48;
+                *f = f.iter().map(|(id, w)| (id ^ salt, w)).collect();
+            }
+            if scaled == 1 {
+                f.scale(1.0 / (3.0 + i as f64));
+            }
+        }
+        let m = gram_from_features_with_metrics("k", &feats, threads, None);
+        for i in 0..n {
+            for j in 0..n {
+                prop_assert_eq!(
+                    m.value(i, j).to_bits(),
+                    feats[i].dot(&feats[j]).to_bits(),
+                    "({}, {})", i, j
+                );
+            }
         }
     }
 

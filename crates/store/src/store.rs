@@ -276,8 +276,13 @@ pub struct ArtifactStore {
     pins: Mutex<HashMap<Key, usize>>,
     activity: Activity,
     obs: Mutex<Option<ObsCounters>>,
-    tmp_seq: AtomicU64,
 }
+
+/// Sequence number of the next temp file, shared by every handle in the
+/// process: the daemon opens one handle per job on one root, and with a
+/// per-handle counter two jobs publishing the same key in the same order
+/// shared a temp path, so one job's rename failed.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl fmt::Debug for ArtifactStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -327,7 +332,6 @@ impl ArtifactStore {
             pins: Mutex::new(HashMap::new()),
             activity: Activity::default(),
             obs: Mutex::new(None),
-            tmp_seq: AtomicU64::new(0),
         })
     }
 
@@ -343,6 +347,18 @@ impl ArtifactStore {
             .join(&hex[0..2])
             .join(&hex[2..4])
             .join(format!("{hex}.{}", kind.ext()))
+    }
+
+    /// A fresh temp-file path beside [`ArtifactStore::path_of`], unique
+    /// per (process, call) whichever handle asks, so concurrent writers
+    /// of the same key never share a temp file.
+    fn temp_path(&self, fp: Fingerprint, kind: ArtifactKind) -> PathBuf {
+        self.path_of(fp, kind).with_file_name(format!(
+            ".tmp-{}-{}-{}",
+            fp.hex(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     // ------------------------------------------------------------- metrics
@@ -444,15 +460,9 @@ impl ArtifactStore {
         let path = self.path_of(fp, kind);
         let dir = path.parent().expect("sharded path has a parent");
         fs::create_dir_all(dir)?;
-        // Unique temp name per (process, call) so concurrent writers of
-        // the same key never share a temp file; the final rename is atomic
-        // and idempotent because content-addressed bytes are identical.
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}-{}",
-            fp.hex(),
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
+        // The final rename is atomic and idempotent because
+        // content-addressed bytes are identical.
+        let tmp = self.temp_path(fp, kind);
         let mut f = fs::File::create(&tmp)?;
         f.write_all(&frame)?;
         f.sync_all()?;
@@ -987,6 +997,64 @@ mod tests {
             .map(|(p, _, _, _)| p.clone())
             .collect();
         assert_eq!(leftovers.len(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn handles_on_one_root_never_share_a_temp_name() {
+        let root = tmp_root("temp-names");
+        let (a, b) = (
+            ArtifactStore::open(&root).unwrap(),
+            ArtifactStore::open(&root).unwrap(),
+        );
+        let fp = Fingerprint::of(b"same key");
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..100 {
+            for store in [&a, &b] {
+                let tmp = store.temp_path(fp, ArtifactKind::Distances);
+                assert_eq!(
+                    tmp.parent(),
+                    store.path_of(fp, ArtifactKind::Distances).parent()
+                );
+                assert!(
+                    seen.insert(tmp.clone()),
+                    "temp name reused: {}",
+                    tmp.display()
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn two_handles_publish_one_key_concurrently_without_error() {
+        let root = tmp_root("two-handles");
+        let fp = Fingerprint::of(b"contended across handles");
+        let d = DistanceSample(vec![4.0; 8]);
+        let handles = [
+            ArtifactStore::open(&root).unwrap(),
+            ArtifactStore::open(&root).unwrap(),
+        ];
+        std::thread::scope(|s| {
+            for store in &handles {
+                let d = &d;
+                s.spawn(move || {
+                    for i in 0..1000 {
+                        if let Err(e) = store.put(fp, d) {
+                            panic!("put {i} failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let back: DistanceSample = handles[0].get(fp).unwrap().unwrap();
+        assert_eq!(back, d);
+        let path = handles[0].path_of(fp, ArtifactKind::Distances);
+        let names: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "temp files left behind: {names:?}");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -205,44 +205,66 @@ pub fn oracle_schedule_exhaustiveness(
 }
 
 /// Growing a Gram matrix one run at a time with `gram_append` must be
-/// bit-identical to the one-shot recompute — under both dot kinds — and
+/// bit-identical to the one-shot recompute — under both dot kinds, and
+/// also for salted replicas of the runs grown past
+/// [`LABEL_MAJOR_MIN_RUNS`], where the recompute is label-major — and
 /// the appended matrix must still satisfy the distance axioms: zero
 /// diagonal (a replayed run is zero distance from itself), symmetry,
 /// and non-negativity.
 pub fn oracle_append_invariance(graphs: &[EventGraph]) -> Result<(), String> {
     let wl = WlKernel::default();
     let feats: Vec<SparseFeatures> = graphs.iter().map(|g| wl.features(g)).collect();
-    for dot in [DotKind::Scalar, DotKind::Blocked] {
-        let full = gram_from_features_with_dot("wl", &feats, 2, dot, None);
-        let mut grown = gram_from_features_with_dot("wl", &feats[..1], 2, dot, None);
-        for upto in 2..=feats.len() {
-            grown = gram_append(&grown, &feats[..upto], 2, dot, None);
+    if feats.is_empty() {
+        return Ok(());
+    }
+    // Each replica keeps its source run's labels plus one of its own.
+    let wide: Vec<SparseFeatures> = (0..=LABEL_MAJOR_MIN_RUNS)
+        .map(|i| {
+            let mut pairs: Vec<(u64, f64)> = feats[i % feats.len()].iter().collect();
+            pairs.push((u64::MAX - i as u64, 0.5 + i as f64));
+            SparseFeatures::from_pairs(pairs)
+        })
+        .collect();
+    for (set, start) in [(&feats, 1), (&wide, LABEL_MAJOR_MIN_RUNS - 1)] {
+        let full = gram_from_features_with_metrics("wl", set, 2, None);
+        for dot in [DotKind::Scalar, DotKind::Blocked] {
+            let mut grown = gram_from_features_with_metrics("wl", &set[..start], 2, None);
+            for upto in start + 1..=set.len() {
+                grown = gram_append(&grown, &set[..upto], 2, dot, None);
+            }
+            check_appended(&grown, &full, dot)?;
         }
-        for i in 0..feats.len() {
-            for j in 0..feats.len() {
-                if grown.value(i, j).to_bits() != full.value(i, j).to_bits() {
-                    return Err(format!(
-                        "gram_append({dot}) diverged from recompute at ({i},{j}): \
-                         {} vs {}",
-                        grown.value(i, j),
-                        full.value(i, j)
-                    ));
-                }
+    }
+    Ok(())
+}
+
+/// `grown` equals `full` bit for bit and satisfies the distance axioms.
+fn check_appended(grown: &KernelMatrix, full: &KernelMatrix, dot: DotKind) -> Result<(), String> {
+    let n = full.len();
+    for i in 0..n {
+        for j in 0..n {
+            if grown.value(i, j).to_bits() != full.value(i, j).to_bits() {
+                return Err(format!(
+                    "gram_append({dot}) diverged from the {n}-run recompute at ({i},{j}): \
+                     {} vs {}",
+                    grown.value(i, j),
+                    full.value(i, j)
+                ));
             }
         }
-        for i in 0..feats.len() {
-            let self_d = grown.distance(i, i);
-            if self_d != 0.0 {
-                return Err(format!("appended gram: d({i},{i}) = {self_d}, expected 0"));
-            }
-            for j in i + 1..feats.len() {
-                let dij = grown.distance(i, j);
-                let dji = grown.distance(j, i);
-                if !dij.is_finite() || dij < 0.0 || dij.to_bits() != dji.to_bits() {
-                    return Err(format!(
-                        "appended gram: d({i},{j}) = {dij}, d({j},{i}) = {dji}"
-                    ));
-                }
+    }
+    for i in 0..n {
+        let self_d = grown.distance(i, i);
+        if self_d != 0.0 {
+            return Err(format!("appended gram: d({i},{i}) = {self_d}, expected 0"));
+        }
+        for j in i + 1..n {
+            let dij = grown.distance(i, j);
+            let dji = grown.distance(j, i);
+            if !dij.is_finite() || dij < 0.0 || dij.to_bits() != dji.to_bits() {
+                return Err(format!(
+                    "appended gram: d({i},{j}) = {dij}, d({j},{i}) = {dji}"
+                ));
             }
         }
     }
@@ -260,7 +282,7 @@ pub fn oracle_approx_bound(graphs: &[EventGraph]) -> Result<(), String> {
     // Duplicate the first run: an exact replay in feature space.
     feats.push(feats[0].clone());
     let n = feats.len();
-    let exact = gram_from_features_with_dot("wl", &feats, 2, DotKind::Scalar, None);
+    let exact = gram_from_features_with_metrics("wl", &feats, 2, None);
     let scale: f64 = (0..n).map(|i| exact.value(i, i)).sum::<f64>().max(1.0);
     for k in [n.div_ceil(2), n] {
         let approx = landmark_gram("wl", &feats, k, 2, DotKind::Scalar, None);

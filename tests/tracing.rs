@@ -195,7 +195,10 @@ fn matched_messages_share_flow_ids_between_send_and_recv() {
 
 #[test]
 fn ring_overflow_on_a_real_campaign_keeps_newest_and_counts_drops() {
-    let cfg = campaign(Pattern::Amg2013, 8, 4);
+    // One worker simulates the runs in order, so the newest records are
+    // the last run's; with two workers run 2 can finish after run 3.
+    let mut cfg = campaign(Pattern::Amg2013, 8, 4);
+    cfg.threads = 1;
     let tracer = Tracer::with_capacity(64);
     traced_campaign(&cfg, None, &tracer);
     let snap = tracer.snapshot();
