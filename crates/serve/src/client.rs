@@ -9,6 +9,7 @@
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
 use crate::server::Stream;
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -85,6 +86,8 @@ pub struct Client {
     reader: Stream,
     writer: Stream,
     schema: u16,
+    /// Terminal outcomes read while waiting on another job id.
+    finished: HashMap<u64, Outcome>,
 }
 
 impl Client {
@@ -105,6 +108,7 @@ impl Client {
             reader: stream,
             writer,
             schema: PROTOCOL_SCHEMA,
+            finished: HashMap::new(),
         };
         client.send(&Frame::Hello {
             schema: PROTOCOL_SCHEMA,
@@ -188,13 +192,17 @@ impl Client {
     }
 
     /// Block until job `id` reaches a terminal frame (`Result`,
-    /// `Error`, or `Busy`). Frames about other job ids are skipped, so
-    /// callers can interleave jobs and wait for each in turn.
+    /// `Error`, or `Busy`). Terminal frames for other job ids are kept
+    /// for their own `wait`, so callers can interleave jobs and wait for
+    /// each in any order; other jobs' `Progress` frames are dropped.
     pub fn wait(
         &mut self,
         id: u64,
         mut on_progress: impl FnMut(&Frame),
     ) -> Result<Outcome, ClientError> {
+        if let Some(outcome) = self.finished.remove(&id) {
+            return Ok(outcome);
+        }
         loop {
             let frame = match self.recv()? {
                 Some(f) => f,
@@ -204,8 +212,13 @@ impl Client {
                     ))
                 }
             };
-            match frame {
-                Frame::Progress { id: fid, .. } if fid == id => on_progress(&frame),
+            let (fid, outcome) = match frame {
+                Frame::Progress { id: fid, .. } => {
+                    if fid == id {
+                        on_progress(&frame);
+                    }
+                    continue;
+                }
                 Frame::Result {
                     id: fid,
                     payload,
@@ -213,24 +226,30 @@ impl Client {
                     store_hits,
                     store_misses,
                     store_puts,
-                } if fid == id => {
-                    return Ok(Outcome::Done(JobResult {
+                } => (
+                    fid,
+                    Outcome::Done(JobResult {
                         payload,
                         elapsed_ms,
                         store_hits,
                         store_misses,
                         store_puts,
-                    }))
-                }
-                Frame::Error { id: fid, message } if fid == id || fid == 0 => {
-                    return Ok(Outcome::Failed { message })
+                    }),
+                ),
+                // Id 0 is a connection-level error: it ends every wait.
+                Frame::Error { id: fid, message } => {
+                    (if fid == 0 { id } else { fid }, Outcome::Failed { message })
                 }
                 Frame::Busy {
                     id: fid,
                     retry_after_ms,
-                } if fid == id => return Ok(Outcome::Rejected { retry_after_ms }),
-                _ => {}
+                } => (fid, Outcome::Rejected { retry_after_ms }),
+                _ => continue,
+            };
+            if fid == id {
+                return Ok(outcome);
             }
+            self.finished.insert(fid, outcome);
         }
     }
 }

@@ -8,8 +8,9 @@
 //!   [`proto::JobSpec`]) both sides speak.
 //! - [`frame`] — the length-prefixed JSON transport those frames ride
 //!   on, hardened against truncation and hostile lengths.
-//! - [`queue`] — the bounded admission queue with round-robin
-//!   per-client fairness and explicit backpressure.
+//! - `jobs` (private) — the daemon's job table: every admitted job,
+//!   queued or running, under one lock, with round-robin per-client
+//!   fairness and explicit backpressure.
 //! - [`server`] — the daemon: connection handling, worker pool, shared
 //!   store, streaming progress, graceful drain.
 //! - [`client`] — a small synchronous client used by `anacin client`
@@ -28,12 +29,11 @@
 pub mod bench;
 pub mod client;
 pub mod frame;
+mod jobs;
 pub mod proto;
-pub mod queue;
 pub mod server;
 
 pub use client::Client;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 pub use proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
-pub use queue::{AdmissionQueue, AdmitError};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -5,12 +5,13 @@
 //!
 //! - one **accept** thread polling the listener (non-blocking, so a
 //!   drain request is noticed within ~25 ms);
-//! - one **reader** thread per connection, decoding frames and feeding
-//!   the admission queue;
-//! - `workers` **worker** threads popping the queue and executing jobs;
-//! - one **ticker** thread per running job, snapshotting the job's
-//!   registry every `progress_interval` and streaming `Progress`
-//!   frames (it also enforces the per-job timeout).
+//! - one **reader** thread per connection, decoding frames and admitting
+//!   or cancelling jobs in the job table;
+//! - `workers` **worker** threads claiming jobs from the table and
+//!   executing them;
+//! - one **ticker** thread per running job, streaming `Progress` frames
+//!   every `progress_interval` from the job's registry and enforcing the
+//!   per-job timeout, until its worker stops it.
 //!
 //! Every job opens its own [`ArtifactStore`] handle on the shared root
 //! and gets a fresh [`MetricsRegistry`], so per-job progress deltas and
@@ -18,13 +19,14 @@
 //! while the *disk* is shared, which is what makes client B's campaign
 //! warm after client A ran the same configuration cold.
 //!
-//! Graceful drain ([`ServerHandle::drain`]): stop admitting (`Busy`),
-//! close the queue, let workers finish everything queued and in flight,
-//! then join. A result that had begun streaming is always delivered.
+//! Graceful drain ([`ServerHandle::drain`]): close the job table (new
+//! submits get `Busy`), let workers finish everything queued and in
+//! flight, then join. A result that had begun streaming is always
+//! delivered.
 
 use crate::frame::{read_frame, write_frame, FrameError};
+use crate::jobs::{Cancel, Job, Jobs};
 use crate::proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
-use crate::queue::{AdmissionQueue, QueuedJob};
 use anacin_core::prelude::*;
 use anacin_core::report::to_json;
 use anacin_mpisim::explore::ExploreConfig;
@@ -35,7 +37,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -181,7 +184,7 @@ impl Listener {
 /// reader thread (Busy/Error replies) and whichever workers run its
 /// jobs (Progress/Result frames). The mutex serialises whole frames,
 /// so concurrent jobs of one client never interleave bytes.
-type SharedWriter = Arc<Mutex<Stream>>;
+pub(crate) type SharedWriter = Arc<Mutex<Stream>>;
 
 fn send(writer: &SharedWriter, frame: &Frame) -> bool {
     write_frame(&mut *writer.lock().unwrap(), frame).is_ok()
@@ -189,17 +192,13 @@ fn send(writer: &SharedWriter, frame: &Frame) -> bool {
 
 struct Shared {
     cfg: ServerConfig,
-    queue: AdmissionQueue,
+    /// Every admitted job until its terminal frame is written.
+    jobs: Jobs,
     /// Server-level counters and histograms (`serve/*`, queue wait).
     reg: MetricsRegistry,
-    draining: AtomicBool,
     /// First client to run each campaign fingerprint — later warm hits
     /// by a *different* client count as cross-client sharing.
     producers: Mutex<HashMap<Fingerprint, u64>>,
-    /// Cancellation tokens of running jobs, keyed (client, job id).
-    running: Mutex<HashMap<(u64, u64), CancelToken>>,
-    /// Live connection writers, keyed by client id.
-    writers: Mutex<HashMap<u64, SharedWriter>>,
     next_client: AtomicU64,
 }
 
@@ -269,12 +268,9 @@ impl Server {
             reg.counter(name);
         }
         let shared = Arc::new(Shared {
-            queue: AdmissionQueue::new(cfg.queue_capacity),
+            jobs: Jobs::new(cfg.queue_capacity, reg.clone()),
             reg,
-            draining: AtomicBool::new(false),
             producers: Mutex::new(HashMap::new()),
-            running: Mutex::new(HashMap::new()),
-            writers: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
             cfg,
         });
@@ -324,12 +320,11 @@ impl ServerHandle {
         self.shared.reg.report()
     }
 
-    /// Begin a graceful drain: refuse new submits with `Busy`, close
-    /// the queue. Everything already queued or running still finishes
-    /// and delivers its `Result`.
+    /// Begin a graceful drain: refuse new submits with `Busy`.
+    /// Everything already queued or running still finishes and delivers
+    /// its `Result`.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.queue.close();
+        self.shared.jobs.close();
     }
 
     /// Drain and wait for the accept loop and every worker to finish,
@@ -347,7 +342,7 @@ impl ServerHandle {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
-    while !shared.draining.load(Ordering::Acquire) {
+    while !shared.jobs.is_closed() {
         match listener.accept() {
             Ok(stream) => {
                 let client = shared.next_client.fetch_add(1, Ordering::Relaxed);
@@ -371,7 +366,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     }
 }
 
-fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
+fn handle_client(shared: &Shared, stream: Stream, client: u64) {
     let writer: SharedWriter = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -402,26 +397,17 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
         }
     }
     shared.reg.counter("serve/clients").inc();
-    shared
-        .writers
-        .lock()
-        .unwrap()
-        .insert(client, Arc::clone(&writer));
     loop {
         match read_frame(&mut reader) {
             Ok(Some(Frame::Submit { id, job })) => {
-                let refused = shared.draining.load(Ordering::Acquire)
-                    || shared
-                        .queue
-                        .push(QueuedJob {
-                            client,
-                            id,
-                            spec: job,
-                            enqueued: Instant::now(),
-                        })
-                        .is_err();
-                if refused {
-                    shared.reg.counter("serve/jobs_rejected").inc();
+                let job = Job {
+                    client,
+                    id,
+                    spec: job,
+                    enqueued: Instant::now(),
+                    writer: Arc::clone(&writer),
+                };
+                if !shared.jobs.admit(job) {
                     send(
                         &writer,
                         &Frame::Busy {
@@ -429,34 +415,22 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
                             retry_after_ms: shared.cfg.retry_after_ms,
                         },
                     );
-                } else {
-                    shared.reg.counter("serve/jobs_admitted").inc();
                 }
             }
             Ok(Some(Frame::Cancel { id })) => {
-                if shared.queue.remove_job(client, id) {
-                    // Never started: answer immediately.
-                    shared.reg.counter("serve/jobs_cancelled").inc();
-                    send(
-                        &writer,
-                        &Frame::Error {
-                            id,
-                            message: "cancelled".into(),
-                        },
-                    );
-                } else if let Some(token) = shared.running.lock().unwrap().get(&(client, id)) {
-                    // Running: fire the token; the worker answers once
-                    // the in-flight run finishes.
-                    token.cancel();
-                } else {
-                    send(
-                        &writer,
-                        &Frame::Error {
-                            id,
-                            message: "no such job".into(),
-                        },
-                    );
-                }
+                let message = match shared.jobs.cancel(client, id) {
+                    Cancel::Dequeued => "cancelled",
+                    // The worker answers once the in-flight run finishes.
+                    Cancel::Signalled => continue,
+                    Cancel::Unknown => "no such job",
+                };
+                send(
+                    &writer,
+                    &Frame::Error {
+                        id,
+                        message: message.into(),
+                    },
+                );
             }
             Ok(Some(other)) => {
                 send(
@@ -481,29 +455,18 @@ fn handle_client(shared: &Arc<Shared>, stream: Stream, client: u64) {
             Err(_) => break,
         }
     }
-    // Disconnect: drop this client's queued jobs and cancel its running
-    // ones — nobody is left to receive the results.
-    shared.writers.lock().unwrap().remove(&client);
-    let dropped = shared.queue.remove_client(client);
-    if !dropped.is_empty() {
-        shared
-            .reg
-            .counter("serve/jobs_cancelled")
-            .add(dropped.len() as u64);
-    }
-    for (key, token) in shared.running.lock().unwrap().iter() {
-        if key.0 == client {
-            token.cancel();
-        }
-    }
+    shared.jobs.disconnect(client);
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
+fn worker_loop(shared: &Shared) {
+    while let Some((job, cancel)) = shared.jobs.claim() {
         shared
             .reg
             .record_span("serve/queue_wait", job.enqueued.elapsed().as_nanos() as u64);
-        execute_job(shared, job);
+        send(&job.writer, &execute_job(shared, &job, &cancel));
+        // Only after the terminal frame: a racing `Cancel` then finds
+        // the job running, or answers "no such job" after that frame.
+        shared.jobs.finish(job.client, job.id);
     }
 }
 
@@ -518,44 +481,30 @@ enum JobOutcome {
     Failed(String),
 }
 
-fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
-    let QueuedJob {
-        client, id, spec, ..
-    } = job;
-    let writer = shared.writers.lock().unwrap().get(&client).cloned();
-    let cancel = CancelToken::new();
-    shared
-        .running
-        .lock()
-        .unwrap()
-        .insert((client, id), cancel.clone());
+/// Run one claimed job and build its terminal frame, with the ticker
+/// already joined so no `Progress` frame can follow it.
+fn execute_job(shared: &Shared, job: &Job, cancel: &CancelToken) -> Frame {
     // A fresh registry per job: progress deltas and store counts are
     // exactly this job's, even with many jobs in flight.
     let reg = MetricsRegistry::new();
     let start = Instant::now();
-    let stop = Arc::new(AtomicBool::new(false));
-    let timed_out = Arc::new(AtomicBool::new(false));
-    let ticker = spawn_ticker(TickerSetup {
-        writer: writer.clone(),
-        reg: reg.clone(),
-        id,
-        total_runs: spec.total_runs(),
-        cancel: cancel.clone(),
-        stop: Arc::clone(&stop),
-        timed_out: Arc::clone(&timed_out),
-        job_timeout: shared.cfg.job_timeout,
-        interval: shared.cfg.progress_interval,
-        start,
+    let (outcome, timed_out) = thread::scope(|s| {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let ticker = thread::Builder::new()
+            .name(format!("serve-progress-{}", job.id))
+            .spawn_scoped(s, || tick(&shared.cfg, job, &reg, cancel, start, stopped))
+            .expect("spawn progress ticker");
+        let outcome = run_spec(shared, &job.spec, &reg, cancel);
+        drop(stop);
+        // A panicked ticker costs only Progress frames; still answer.
+        (outcome, ticker.join().unwrap_or(false))
     });
-    let outcome = run_spec(shared, &spec, &reg, &cancel);
-    stop.store(true, Ordering::Release);
-    let _ = ticker.join();
-    shared.running.lock().unwrap().remove(&(client, id));
     let elapsed = start.elapsed();
     shared
         .reg
         .record_span("serve/job_exec", elapsed.as_nanos() as u64);
-    let response = match outcome {
+    let id = job.id;
+    match outcome {
         JobOutcome::Done {
             payload,
             hits,
@@ -566,7 +515,7 @@ fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
             shared.reg.counter("serve/store_hits").add(hits);
             shared.reg.counter("serve/store_misses").add(misses);
             shared.reg.counter("serve/store_puts").add(puts);
-            attribute_sharing(shared, &spec, client, hits);
+            attribute_sharing(shared, &job.spec, job.client, hits);
             Frame::Result {
                 id,
                 payload,
@@ -578,17 +527,11 @@ fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
         }
         JobOutcome::Cancelled => {
             shared.reg.counter("serve/jobs_cancelled").inc();
-            let message = if timed_out.load(Ordering::Acquire) {
-                format!(
-                    "job timed out after {} ms",
-                    shared
-                        .cfg
-                        .job_timeout
-                        .map(|t| t.as_millis() as u64)
-                        .unwrap_or(0)
-                )
-            } else {
-                "cancelled".to_string()
+            let message = match shared.cfg.job_timeout {
+                Some(limit) if timed_out => {
+                    format!("job timed out after {} ms", limit.as_millis())
+                }
+                _ => "cancelled".to_string(),
             };
             Frame::Error { id, message }
         }
@@ -596,9 +539,6 @@ fn execute_job(shared: &Arc<Shared>, job: QueuedJob) {
             shared.reg.counter("serve/jobs_failed").inc();
             Frame::Error { id, message }
         }
-    };
-    if let Some(w) = &writer {
-        send(w, &response);
     }
 }
 
@@ -696,73 +636,58 @@ fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, Box<dyn std::erro
     Ok(format!("{payload}\n"))
 }
 
-struct TickerSetup {
-    writer: Option<SharedWriter>,
-    reg: MetricsRegistry,
-    id: u64,
-    total_runs: u64,
-    cancel: CancelToken,
-    stop: Arc<AtomicBool>,
-    timed_out: Arc<AtomicBool>,
-    job_timeout: Option<Duration>,
-    interval: Duration,
+/// Stream `Progress` frames from the job registry's deltas every
+/// `progress_interval`, and cancel the job at its deadline, until the
+/// worker drops the sender of `stop`. Between frames it sleeps in
+/// `stop` until the next frame or the deadline, whichever is sooner.
+/// Returns whether the deadline cancelled the job.
+fn tick(
+    cfg: &ServerConfig,
+    job: &Job,
+    reg: &MetricsRegistry,
+    cancel: &CancelToken,
     start: Instant,
-}
-
-/// Stream `Progress` frames from registry deltas while the job runs,
-/// and enforce the per-job timeout. Wakes every few milliseconds (so a
-/// short timeout fires promptly) but emits at `interval`.
-fn spawn_ticker(setup: TickerSetup) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("serve-progress-{}", setup.id))
-        .spawn(move || {
-            let TickerSetup {
-                writer,
-                reg,
-                id,
-                total_runs,
-                cancel,
-                stop,
-                timed_out,
-                job_timeout,
-                interval,
-                start,
-            } = setup;
-            let mut prev = reg.report();
-            let mut last_emit = Instant::now();
-            while !stop.load(Ordering::Acquire) {
-                if let Some(limit) = job_timeout {
-                    if start.elapsed() > limit && !cancel.is_cancelled() {
-                        timed_out.store(true, Ordering::Release);
-                        cancel.cancel();
-                    }
-                }
-                if last_emit.elapsed() >= interval {
-                    let now = reg.report();
-                    let delta = now.delta_since(&prev);
-                    let frame = progress_frame(
-                        id,
-                        total_runs,
-                        &now,
-                        &delta,
-                        last_emit.elapsed(),
-                        start.elapsed(),
-                    );
-                    prev = now;
-                    last_emit = Instant::now();
-                    if let Some(w) = &writer {
-                        if !send(w, &frame) {
-                            // The client is unreachable; stop burning
-                            // compute on a result nobody will read.
-                            cancel.cancel();
-                            break;
-                        }
-                    }
-                }
-                thread::sleep(Duration::from_millis(5));
+    stop: Receiver<()>,
+) -> bool {
+    let interval = cfg.progress_interval;
+    let mut deadline = cfg.job_timeout.map(|limit| start + limit);
+    let mut timed_out = false;
+    let mut prev = reg.report();
+    let mut last_emit = start;
+    loop {
+        let wake = deadline.map_or(last_emit + interval, |d| d.min(last_emit + interval));
+        let wait = wake.saturating_duration_since(Instant::now());
+        if stop.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
+            return timed_out;
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            deadline = None;
+            if !cancel.is_cancelled() {
+                timed_out = true;
+                cancel.cancel();
             }
-        })
-        .expect("spawn progress ticker")
+        }
+        if last_emit.elapsed() >= interval {
+            let now = reg.report();
+            let delta = now.delta_since(&prev);
+            let frame = progress_frame(
+                job.id,
+                job.spec.total_runs(),
+                &now,
+                &delta,
+                last_emit.elapsed(),
+                start.elapsed(),
+            );
+            prev = now;
+            last_emit = Instant::now();
+            if !send(&job.writer, &frame) {
+                // The client is unreachable; stop burning compute on a
+                // result nobody will read.
+                cancel.cancel();
+                return timed_out;
+            }
+        }
+    }
 }
 
 /// One `Progress` frame from a cumulative report plus the interval
