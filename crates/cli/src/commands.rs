@@ -954,17 +954,8 @@ fn cmd_store(args: &Args) -> Result<(), String> {
             let budget: u64 = args.get_parsed("budget", 256u64 << 20)?;
             let r = store.gc(budget).map_err(|e| e.to_string())?;
             println!(
-                "store {dir}: evicted {} file(s) / {} byte(s); kept {} file(s) / {} byte(s)\
-                 {}",
-                r.evicted_files,
-                r.evicted_bytes,
-                r.kept_files,
-                r.kept_bytes,
-                if r.pinned_skipped > 0 {
-                    format!(" ({} pinned artifact(s) skipped)", r.pinned_skipped)
-                } else {
-                    String::new()
-                }
+                "store {dir}: evicted {} file(s) / {} byte(s); kept {} file(s) / {} byte(s)",
+                r.evicted_files, r.evicted_bytes, r.kept_files, r.kept_bytes,
             );
             Ok(())
         }

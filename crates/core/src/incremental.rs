@@ -208,7 +208,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, bytes).unwrap();
 
-        // Resume in a fresh process image (new store handle, cold LRU):
+        // Resume through a new store handle, as a later process would:
         // the damage must be detected, recomputed, and republished.
         let store = ArtifactStore::open(store.root()).unwrap();
         let healed = run_campaign_with(&cfg, &stored(&store)).unwrap();

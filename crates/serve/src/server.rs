@@ -58,13 +58,14 @@ pub struct ServerConfig {
     pub job_timeout: Option<Duration>,
     /// How often a running job streams a `Progress` frame.
     pub progress_interval: Duration,
-    /// Backoff suggested in `Busy` frames.
-    pub retry_after_ms: u64,
 }
+
+/// Backoff, in milliseconds, suggested in `Busy` frames.
+pub(crate) const RETRY_AFTER_MS: u64 = 250;
 
 impl ServerConfig {
     /// Defaults: workers from available parallelism (capped at 4),
-    /// capacity 64, no timeout, 250 ms progress, 250 ms retry hint.
+    /// capacity 64, no timeout, 250 ms progress.
     pub fn new(store_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             store_dir: store_dir.into(),
@@ -74,7 +75,6 @@ impl ServerConfig {
             queue_capacity: 64,
             job_timeout: None,
             progress_interval: Duration::from_millis(250),
-            retry_after_ms: 250,
         }
     }
 
@@ -99,12 +99,6 @@ impl ServerConfig {
     /// Set the progress-frame interval.
     pub fn progress_interval(mut self, t: Duration) -> Self {
         self.progress_interval = t;
-        self
-    }
-
-    /// Set the backoff suggested in `Busy` frames.
-    pub fn retry_after_ms(mut self, ms: u64) -> Self {
-        self.retry_after_ms = ms;
         self
     }
 }
@@ -412,7 +406,7 @@ fn handle_client(shared: &Shared, stream: Stream, client: u64) {
                         &writer,
                         &Frame::Busy {
                             id,
-                            retry_after_ms: shared.cfg.retry_after_ms,
+                            retry_after_ms: RETRY_AFTER_MS,
                         },
                     );
                 }

@@ -202,9 +202,7 @@ fn submits_beyond_capacity_get_busy() {
 #[test]
 fn busy_submit_succeeds_after_server_suggested_backoff() {
     within(|| {
-        let (dir, handle) = start("retry", |c| {
-            c.workers(1).queue_capacity(1).retry_after_ms(20)
-        });
+        let (dir, handle) = start("retry", |c| c.workers(1).queue_capacity(1));
         let mut alice = connect(&dir, "alice");
         // A long job the single worker picks up…
         let long = CampaignConfig::new(Pattern::UnstructuredMesh, 32).runs(40);

@@ -22,8 +22,8 @@
 //!   codecs that domain crates implement for their own types.
 //! * [`ArtifactStore`] — the sharded on-disk store: atomic publish
 //!   (temp + fsync + rename), checksum footers, schema-version
-//!   invalidation, an in-memory LRU front, byte-budget GC with pin
-//!   guards, and activity counters that mirror into `crates/obs`.
+//!   invalidation, byte-budget GC, and activity counters that mirror
+//!   into `crates/obs`.
 //!
 //! ```
 //! use anacin_store::{ArtifactStore, DistanceSample, Fingerprint};
@@ -47,7 +47,7 @@ pub mod wire;
 pub use artifact::{Artifact, ArtifactKind, DistanceSample};
 pub use fingerprint::{Fingerprint, FingerprintHasher};
 pub use store::{
-    ActivitySnapshot, ArtifactStore, GcReport, PinGuard, StoreError, StoreStats, VerifyReport,
-    DEFAULT_LRU_BUDGET, FORMAT_VERSION, FRAME_OVERHEAD, MAGIC, STORE_SCHEMA_VERSION,
+    ActivitySnapshot, ArtifactStore, GcReport, StoreError, StoreStats, VerifyReport,
+    FORMAT_VERSION, FRAME_OVERHEAD, MAGIC, STORE_SCHEMA_VERSION,
 };
 pub use wire::{ByteReader, ByteWriter, WireError};

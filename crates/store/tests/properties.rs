@@ -85,7 +85,7 @@ proptest! {
     }
 
     /// A distance sample survives the full encode → frame → disk → decode
-    /// path bit-for-bit, through a fresh store handle (cold LRU).
+    /// path bit-for-bit, read back through a second store handle.
     #[test]
     fn distance_sample_round_trips_through_the_store(
         values in prop::collection::vec(-1e9f64..1e9, 0..64),

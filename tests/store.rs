@@ -2,13 +2,18 @@
 //! and the store-backed campaigns built on it: warm and cold runs must
 //! be bit-identical to each other and to the plain (store-free) pipeline,
 //! an interrupted campaign must resume to exactly the uninterrupted
-//! result, and run-level artifacts must be reused across kernel sweeps.
+//! result, run-level artifacts must be reused across kernel sweeps, and
+//! a store with truncated, zeroed or deleted files must heal to the same
+//! result, recomputing exactly what was damaged.
 
 use anacin_core::prelude::*;
 use anacin_event_graph::LabelPolicy;
 use anacin_miniapps::Pattern;
-use anacin_store::ArtifactStore;
-use std::path::PathBuf;
+use anacin_obs::{MetricsRegistry, MetricsReport};
+use anacin_store::{ActivitySnapshot, ArtifactKind, ArtifactStore};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
 
 fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
     let dir = std::env::temp_dir().join(format!("anacin_ws_store_{}_{}", std::process::id(), tag));
@@ -45,8 +50,8 @@ fn cold_and_warm_campaigns_are_bit_identical_to_the_plain_pipeline() {
     let after_cold = store.activity();
     assert!(after_cold.puts > 0, "cold run must publish artifacts");
 
-    // Reopen (fresh handle, empty LRU) so the warm pass exercises the
-    // on-disk read path, not just the in-memory front.
+    // Reopen, as a later process would: the warm pass reads only what
+    // the cold pass left on disk.
     let store = ArtifactStore::open(&dir).expect("reopen store");
     let warm = stored_campaign(&cfg, &store).expect("warm campaign");
     let a = store.activity();
@@ -126,7 +131,7 @@ fn verify_detects_and_heal_recovers_from_on_disk_corruption() {
     stored_campaign(&cfg, &store).expect("cold campaign");
 
     // Flip one byte in the middle of a stored trace frame.
-    let path = store.path_of(run_fingerprint(&cfg, 0), anacin_store::ArtifactKind::Trace);
+    let path = store.path_of(run_fingerprint(&cfg, 0), ArtifactKind::Trace);
     let mut bytes = std::fs::read(&path).expect("read stored trace");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -149,5 +154,165 @@ fn verify_detects_and_heal_recovers_from_on_disk_corruption() {
         .expect("verify after heal")
         .corrupt
         .is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How one stored file is damaged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Damage {
+    /// Cut to a shorter length, 0 and frames under 16 bytes included.
+    Truncate,
+    /// A random byte range set to zero.
+    Zero,
+    /// Removed.
+    Delete,
+}
+
+/// Apply `damage` to the file at `path`. Returns whether its bytes
+/// changed: zeroing bytes that are already zero is no damage.
+fn damage_file(path: &Path, damage: Damage, rng: &mut SmallRng) -> bool {
+    let before = std::fs::read(path).expect("read stored file");
+    let (mut bytes, len) = (before.clone(), before.len());
+    match damage {
+        Damage::Delete => {
+            std::fs::remove_file(path).expect("delete stored file");
+            return true;
+        }
+        Damage::Truncate => {
+            let cut = if rng.gen_bool(0.5) {
+                rng.gen_range(0..16.min(len))
+            } else {
+                rng.gen_range(0..len)
+            };
+            bytes.truncate(cut);
+        }
+        Damage::Zero => {
+            let start = rng.gen_range(0..len);
+            let end = rng.gen_range(start + 1..=len);
+            bytes[start..end].fill(0);
+        }
+    }
+    std::fs::write(path, &bytes).expect("rewrite damaged file");
+    bytes != before
+}
+
+/// Every file a seeded campaign reads back: each run's trace, graph and
+/// feature vector, then the Gram matrix.
+fn campaign_files(cfg: &CampaignConfig, store: &ArtifactStore) -> Vec<(ArtifactKind, PathBuf)> {
+    let mut files = Vec::new();
+    for run in 0..cfg.runs {
+        let fp = run_fingerprint(cfg, run);
+        files.push((ArtifactKind::Trace, store.path_of(fp, ArtifactKind::Trace)));
+        files.push((ArtifactKind::Graph, store.path_of(fp, ArtifactKind::Graph)));
+        let fp = features_fingerprint(cfg, run);
+        files.push((
+            ArtifactKind::Features,
+            store.path_of(fp, ArtifactKind::Features),
+        ));
+    }
+    let fp = campaign_fingerprint(cfg);
+    files.push((ArtifactKind::Gram, store.path_of(fp, ArtifactKind::Gram)));
+    files
+}
+
+/// A campaign through a new handle on `dir`, with its store activity
+/// and metrics.
+fn rerun(cfg: &CampaignConfig, dir: &Path) -> (CampaignResult, ActivitySnapshot, MetricsReport) {
+    let store = ArtifactStore::open(dir).expect("reopen store");
+    let reg = MetricsRegistry::new();
+    let ctx = RunCtx {
+        metrics: Some(&reg),
+        store: Some(&store),
+        ..RunCtx::default()
+    };
+    let result = run_campaign_with(cfg, &ctx).expect("healing campaign");
+    (result, store.activity(), reg.report())
+}
+
+/// Crash test: damage a random non-empty subset of a published
+/// campaign's files, then rerun it. The result is bit-identical to the
+/// store-free pipeline, and the store's counters name exactly the
+/// damage: a deleted file is a miss, a truncated or zeroed one is
+/// corrupt, each is recomputed and republished once (a Gram matrix with
+/// its distance sample), and nothing undamaged is recomputed.
+#[test]
+fn damaged_store_heals_recomputing_exactly_the_damage() {
+    let patterns = [Pattern::MessageRace, Pattern::Amg2013, Pattern::Stencil2d];
+    let mut rng = SmallRng::seed_from_u64(0x5EED_C4A5);
+    for case in 0..64 {
+        let cfg = CampaignConfig::new(patterns[case % patterns.len()], 4)
+            .runs(rng.gen_range(4..=6))
+            .base_seed(rng.gen_range(0..1_000_000));
+        let (dir, store) = temp_store(&format!("crash-{case}"));
+        stored_campaign(&cfg, &store).expect("cold campaign");
+        let files = campaign_files(&cfg, &store);
+
+        let mut picked: Vec<bool> = files.iter().map(|_| rng.gen_bool(0.3)).collect();
+        if !picked.contains(&true) {
+            picked[rng.gen_range(0..files.len())] = true;
+        }
+        let (mut deleted, mut corrupted, mut puts) = (0, 0, 0);
+        let (mut traces, mut features) = (0, 0);
+        let mut damage_log = Vec::new();
+        for ((kind, path), _) in files.iter().zip(&picked).filter(|(_, &p)| p) {
+            let damage = [Damage::Truncate, Damage::Zero, Damage::Delete][rng.gen_range(0..3usize)];
+            if !damage_file(path, damage, &mut rng) {
+                continue;
+            }
+            damage_log.push((*kind, damage));
+            match damage {
+                Damage::Delete => deleted += 1,
+                Damage::Truncate | Damage::Zero => corrupted += 1,
+            }
+            puts += if *kind == ArtifactKind::Gram { 2 } else { 1 };
+            traces += (*kind == ArtifactKind::Trace) as u64;
+            features += (*kind == ArtifactKind::Features) as u64;
+        }
+
+        let (healed, a, report) = rerun(&cfg, &dir);
+        let plain = run_campaign(&cfg).expect("plain campaign");
+        let ctx = format!("case {case}: {cfg:?} damage {damage_log:?}");
+        assert_eq!(bits(&healed.matrix), bits(&plain.matrix), "{ctx}");
+        assert_eq!(
+            (a.misses, a.corrupt, a.puts),
+            (deleted, corrupted, puts),
+            "{ctx}"
+        );
+        assert_eq!(report.counter("sim/runs").unwrap_or(0), traces, "{ctx}");
+        assert_eq!(
+            report.counter("kernel/features").unwrap_or(0),
+            features,
+            "{ctx}"
+        );
+        let v = store.verify().expect("verify after heal");
+        assert!(v.corrupt.is_empty(), "{ctx}: {:?}", v.corrupt);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// No campaign reads the distance sample back, so damage to it alone
+/// leaves a rerun fully warm; `verify` still finds it.
+#[test]
+fn damaged_distance_sample_is_found_by_verify_not_by_campaigns() {
+    let cfg = CampaignConfig::new(Pattern::MessageRace, 4)
+        .runs(5)
+        .base_seed(21);
+    let (dir, store) = temp_store("crash-dist");
+    stored_campaign(&cfg, &store).expect("cold campaign");
+    let dist = store.path_of(campaign_fingerprint(&cfg), ArtifactKind::Distances);
+    let mut rng = SmallRng::seed_from_u64(5);
+    assert!(damage_file(&dist, Damage::Truncate, &mut rng));
+
+    let (warm, a, report) = rerun(&cfg, &dir);
+    assert_eq!(
+        bits(&warm.matrix),
+        bits(&run_campaign(&cfg).unwrap().matrix)
+    );
+    let reads = 3 * cfg.runs as u64 + 1;
+    assert_eq!((a.hits, a.misses, a.corrupt, a.puts), (reads, 0, 0, 0));
+    assert_eq!(report.counter("sim/runs"), None);
+    let v = store.verify().expect("verify");
+    assert_eq!(v.corrupt.len(), 1, "{:?}", v.corrupt);
+    assert_eq!(v.corrupt[0].0, dist);
     std::fs::remove_dir_all(&dir).ok();
 }
