@@ -626,7 +626,8 @@ fn cmd_explore(args: &Args) -> Result<(), String> {
             let program = pattern.build(&app);
             let xcfg = explore_config_of(args)?;
             let metrics = metrics_of(args);
-            let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r));
+            let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r))
+                .map_err(|e| e.to_string())?;
             if let Some((path, reg)) = &metrics {
                 write_metrics(path, reg)?;
             }

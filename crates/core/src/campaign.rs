@@ -60,6 +60,9 @@ pub enum CampaignError {
         /// The underlying simulator failure.
         source: SimError,
     },
+    /// Enumerating the schedule space failed: some explored execution
+    /// made the simulator report this error.
+    Explore(SimError),
     /// The artifact store failed in a way that is not self-healable (I/O).
     Store(StoreError),
     /// The cancel token fired before the campaign finished.
@@ -75,6 +78,7 @@ impl fmt::Display for CampaignError {
             CampaignError::Run { run, seed, source } => {
                 write!(f, "run {run} (seed {seed}) failed: {source}")
             }
+            CampaignError::Explore(e) => write!(f, "schedule exploration failed: {e}"),
             CampaignError::Store(e) => write!(f, "artifact store failed: {e}"),
             CampaignError::Cancelled { completed_runs } => {
                 write!(f, "cancelled after {completed_runs} completed run(s)")
@@ -86,7 +90,7 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CampaignError::Run { source, .. } => Some(source),
+            CampaignError::Run { source, .. } | CampaignError::Explore(source) => Some(source),
             CampaignError::Store(e) => Some(e),
             CampaignError::Cancelled { .. } => None,
         }

@@ -174,7 +174,8 @@ impl ExploreCampaignResult {
 /// byte-identical. Records `explore` and `explore/enumerate` spans around
 /// the engine's own, plus the standard explore counters. The matrix is
 /// always exact: the worst case over the schedule space is only a bound
-/// when every pairwise product is computed.
+/// when every pairwise product is computed. A simulator error met during
+/// the enumeration is [`CampaignError::Explore`].
 pub fn explore_campaign(
     config: &CampaignConfig,
     xcfg: &ExploreConfig,
@@ -184,7 +185,7 @@ pub fn explore_campaign(
     let program = config.pattern.build(&config.app);
     let report = {
         let _s = ctx.metrics.map(|m| m.span("enumerate"));
-        let r = explore(&program, xcfg);
+        let r = explore(&program, xcfg).map_err(CampaignError::Explore)?;
         if let Some(m) = ctx.metrics {
             flush_explore_metrics(m, &r.stats);
         }

@@ -6,12 +6,28 @@
 //! between blocking points depends only on already-delivered messages, and
 //! MPI matching is insensitive to whether a receive is posted before or
 //! after a message it does not yet see (the posted/unexpected queues
-//! commute). The queue is ordered by `(time, injection seq)`, so runs are
-//! bit-reproducible for a given seed.
+//! commute).
 //!
 //! Non-determinism across *seeds* enters exclusively through the network
 //! model's congestion delays; with `nd_fraction = 0` every seed produces
 //! the identical trace (verified by tests).
+//!
+//! ## One interpreter, two wires
+//!
+//! `run_rank` and `deliver` are the only code that executes an op or
+//! matches an arrival. The engine is generic over the wire a sent message
+//! waits on until it is delivered:
+//!
+//! * [`simulate`], [`simulate_counted`] and [`simulate_replay`] drain an
+//!   arrival heap ordered by `(time, injection seq)`, so runs are
+//!   bit-reproducible for a given seed;
+//! * the schedule explorer ([`crate::explore`]) parks messages in
+//!   per-`(src, dst)` FIFOs and chooses which channel head to deliver
+//!   next, cloning the engine at branch points.
+//!
+//! Either way a delivery runs every rank it wakes, inline, so a program
+//! means the same thing — errors included — whether it is sampled or
+//! enumerated.
 //!
 //! ## Event placement
 //!
@@ -31,11 +47,11 @@ use crate::program::Program;
 use crate::replay::MatchRecord;
 use crate::stack::CallStackId;
 use crate::trace::{EventId, EventKind, Trace, TraceEvent, TraceMeta};
-use crate::types::{ChannelSeq, Rank, ReqSlot, SimTime, Tag};
+use crate::types::{ChannelSeq, Rank, ReqSlot, SimTime, SrcSpec, Tag};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Configuration of one simulated run.
@@ -165,7 +181,7 @@ enum ReqState {
     RecvEmitted(SimTime),
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Status {
     Ready,
     BlockedRecv,
@@ -174,6 +190,7 @@ enum Status {
     Done,
 }
 
+#[derive(Clone)]
 struct RankState {
     pc: usize,
     now: SimTime,
@@ -236,6 +253,12 @@ impl RankState {
     }
 }
 
+/// Where a sent message waits until the engine delivers it.
+pub(crate) trait Wire {
+    /// Park a message the engine has just sent.
+    fn push(&mut self, msg: InFlightMsg);
+}
+
 #[derive(PartialEq, Eq)]
 struct QueuedArrival {
     time: SimTime,
@@ -255,9 +278,52 @@ impl PartialOrd for QueuedArrival {
     }
 }
 
+/// The timed wire: arrivals leave in `(time, injection seq)` order.
+#[derive(Default)]
+struct ArrivalHeap {
+    heap: BinaryHeap<Reverse<QueuedArrival>>,
+    seq: u64,
+}
+
+impl Wire for ArrivalHeap {
+    fn push(&mut self, msg: InFlightMsg) {
+        self.seq += 1;
+        self.heap.push(Reverse(QueuedArrival {
+            time: msg.arrival,
+            seq: self.seq,
+            msg,
+        }));
+    }
+}
+
+/// The untimed wire: one FIFO per `(src, dst)` channel, whose heads the
+/// schedule explorer delivers in the order it chooses.
+#[derive(Clone)]
+pub(crate) struct Channels {
+    world: usize,
+    /// Channel `(src, dst)` at `dst * world + src`, so index order is the
+    /// explorer's canonical `(dst, src)` transition order.
+    fifos: Vec<VecDeque<InFlightMsg>>,
+}
+
+impl Channels {
+    pub(crate) fn new(world: usize) -> Self {
+        Channels {
+            world,
+            fifos: vec![VecDeque::new(); world * world],
+        }
+    }
+}
+
+impl Wire for Channels {
+    fn push(&mut self, msg: InFlightMsg) {
+        self.fifos[msg.dst.index() * self.world + msg.src.index()].push_back(msg);
+    }
+}
+
 /// Run `program` under `config` with free (MPI-standard) matching.
 pub fn simulate(program: &Program, config: &SimConfig) -> Result<Trace, SimError> {
-    Engine::new(program, config, None).run(None)
+    simulate_counted(program, config, None)
 }
 
 /// [`simulate`], flushing the run's execution counters (`sim/runs`,
@@ -272,7 +338,7 @@ pub fn simulate_counted(
     config: &SimConfig,
     counters: Option<&SimCounters>,
 ) -> Result<Trace, SimError> {
-    Engine::new(program, config, None).run(counters)
+    Engine::start(program, config, None, ArrivalHeap::default())?.run(counters)
 }
 
 /// Run `program` under `config`, forcing every wildcard receive to match
@@ -282,57 +348,32 @@ pub fn simulate_replay(
     config: &SimConfig,
     record: &MatchRecord,
 ) -> Result<Trace, SimError> {
-    Engine::new(program, config, Some(record)).run(None)
+    Engine::start(program, config, Some(record), ArrivalHeap::default())?.run(None)
 }
 
-struct Engine<'a> {
+/// One execution of a program: every rank's state and match engine, plus
+/// the wire `W` on which sent messages wait for delivery.
+#[derive(Clone)]
+pub(crate) struct Engine<'a, W> {
     program: &'a Program,
     network: NetworkModel<SmallRng>,
     config: SimConfig,
     ranks: Vec<RankState>,
     matchers: Vec<MatchEngine>,
-    queue: BinaryHeap<Reverse<QueuedArrival>>,
-    queue_seq: u64,
+    wire: W,
     messages: u64,
     replay: Option<&'a MatchRecord>,
 }
 
-impl<'a> Engine<'a> {
-    fn new(program: &'a Program, config: &SimConfig, replay: Option<&'a MatchRecord>) -> Self {
-        let world = program.world_size() as usize;
-        let network = NetworkModel::new(
-            config.network.clone(),
-            program.world_size(),
-            SmallRng::seed_from_u64(config.seed),
-        );
-        Engine {
-            program,
-            network,
-            config: config.clone(),
-            ranks: (0..world).map(|_| RankState::new(world)).collect(),
-            matchers: (0..world).map(|_| MatchEngine::new()).collect(),
-            queue: BinaryHeap::new(),
-            queue_seq: 0,
-            messages: 0,
-            replay,
-        }
-    }
-
+impl<'a> Engine<'a, ArrivalHeap> {
+    /// Deliver arrivals in time order until none is left, then report the
+    /// finished trace or the ranks left blocked.
     fn run(mut self, counters: Option<&SimCounters>) -> Result<Trace, SimError> {
-        let world = self.program.world_size();
-        // Every rank calls Init at t=0 and runs to its first blocking point.
-        for r in 0..world {
-            let rank = Rank(r);
-            self.ranks[rank.index()]
-                .emit(EventKind::Init, SimTime::ZERO, CallStackId::UNKNOWN)
-                .ok_or(SimError::TraceTooLarge { rank })?;
-            self.run_rank(rank)?;
-        }
-        // Drain arrivals.
-        while let Some(Reverse(QueuedArrival { msg, .. })) = self.queue.pop() {
+        while let Some(Reverse(QueuedArrival { msg, .. })) = self.wire.heap.pop() {
             self.deliver(msg)?;
         }
         // Termination check.
+        let world = self.program.world_size();
         let blocked: Vec<BlockedRank> = self
             .ranks
             .iter()
@@ -381,6 +422,83 @@ impl<'a> Engine<'a> {
             c.flush(&trace, self.network.delays_injected());
         }
         Ok(trace)
+    }
+}
+
+/// The schedule explorer's view of the engine.
+impl Engine<'_, Channels> {
+    /// Deliver the head of channel `(src, dst)`, running every rank it
+    /// wakes. False if the channel is empty.
+    pub(crate) fn deliver_head(&mut self, src: usize, dst: usize) -> Result<bool, SimError> {
+        match self.wire.fifos[dst * self.wire.world + src].pop_front() {
+            Some(msg) => self.deliver(msg).map(|()| true),
+            None => Ok(false),
+        }
+    }
+
+    /// Channels holding undelivered messages, as `(src, dst)` ordered by
+    /// `(dst, src)`.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let world = self.wire.world;
+        let busy = self.wire.fifos.iter().enumerate();
+        busy.filter(|(_, q)| !q.is_empty())
+            .map(move |(i, _)| ((i % world) as u32, (i / world) as u32))
+    }
+
+    /// Can the order of arrivals into `dst` still change what it matches?
+    /// Only a source-wildcard receive observes it: one posted now, or one
+    /// still ahead of `dst`'s pc (`last_any` is the index of its last
+    /// source-wildcard receive op).
+    pub(crate) fn observes_arrival_order(&self, dst: usize, last_any: Option<usize>) -> bool {
+        self.matchers[dst]
+            .posted_iter()
+            .any(|p| p.src == SrcSpec::Any)
+            || last_any.is_some_and(|last| self.ranks[dst].pc <= last)
+    }
+
+    /// True once every rank has finalized.
+    pub(crate) fn finished(&self) -> bool {
+        self.ranks.iter().all(|r| r.status == Status::Done)
+    }
+
+    /// The matching decisions of every receive emitted so far.
+    pub(crate) fn match_record(&self) -> MatchRecord {
+        MatchRecord::from_rank_events(self.ranks.iter().map(|r| r.events.as_slice()))
+    }
+}
+
+impl<'a, W: Wire> Engine<'a, W> {
+    /// Every rank calls Init at t=0 and runs to its first blocking point.
+    pub(crate) fn start(
+        program: &'a Program,
+        config: &SimConfig,
+        replay: Option<&'a MatchRecord>,
+        wire: W,
+    ) -> Result<Self, SimError> {
+        let world = program.world_size() as usize;
+        let network = NetworkModel::new(
+            config.network.clone(),
+            program.world_size(),
+            SmallRng::seed_from_u64(config.seed),
+        );
+        let mut engine = Engine {
+            program,
+            network,
+            config: config.clone(),
+            ranks: (0..world).map(|_| RankState::new(world)).collect(),
+            matchers: (0..world).map(|_| MatchEngine::new()).collect(),
+            wire,
+            messages: 0,
+            replay,
+        };
+        for r in 0..program.world_size() {
+            let rank = Rank(r);
+            engine.ranks[rank.index()]
+                .emit(EventKind::Init, SimTime::ZERO, CallStackId::UNKNOWN)
+                .ok_or(SimError::TraceTooLarge { rank })?;
+            engine.run_rank(rank)?;
+        }
+        Ok(engine)
     }
 
     /// Execute `rank` from its current pc until it blocks or finishes.
@@ -588,12 +706,7 @@ impl<'a> Engine<'a> {
             arrival,
             sync,
         };
-        self.queue_seq += 1;
-        self.queue.push(Reverse(QueuedArrival {
-            time: arrival,
-            seq: self.queue_seq,
-            msg,
-        }));
+        self.wire.push(msg);
         self.messages += 1;
         // Local completion.
         let rs = &mut self.ranks[rank.index()];
@@ -774,8 +887,9 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, ExploreConfig};
     use crate::program::ProgramBuilder;
-    use crate::types::{SrcSpec, TagSpec};
+    use crate::types::TagSpec;
 
     fn pingpong() -> Program {
         let mut b = ProgramBuilder::new(2);
@@ -956,15 +1070,20 @@ mod tests {
 
     #[test]
     fn unknown_request_is_an_error() {
+        // The same error whether the program is simulated or explored.
         let mut b = ProgramBuilder::new(1);
         b.rank(Rank(0)).wait(ReqSlot(3));
         let p = b.build();
-        match simulate(&p, &SimConfig::deterministic()) {
-            Err(SimError::UnknownRequest { rank, req }) => {
-                assert_eq!(rank, Rank(0));
-                assert_eq!(req, ReqSlot(3));
-            }
-            other => panic!("expected UnknownRequest, got {other:?}"),
+        let want = SimError::UnknownRequest {
+            rank: Rank(0),
+            req: ReqSlot(3),
+        };
+        assert_eq!(simulate(&p, &SimConfig::deterministic()), Err(want.clone()));
+        for cfg in [
+            ExploreConfig::default(),
+            ExploreConfig::default().brute_force(),
+        ] {
+            assert_eq!(explore(&p, &cfg).unwrap_err(), want);
         }
     }
 

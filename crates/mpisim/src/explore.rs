@@ -24,10 +24,18 @@
 //! network delays. A schedule is therefore fully determined by the order
 //! in which channel heads are delivered, and the explorer's single
 //! transition kind is "deliver the oldest undelivered message on channel
-//! `(src, dst)`". Between deliveries every rank runs eagerly to its next
-//! blocking point — sound because matching is insensitive to whether a
-//! receive is posted before or after a message it does not match (the
-//! posted/unexpected queues commute, see [`crate::engine`]).
+//! `(src, dst)`".
+//!
+//! There is one interpreter. The walk's state is the simulator's own
+//! engine on a deterministic network, with sent messages parked in
+//! per-channel FIFOs instead of the timed arrival heap, cloned at branch
+//! points. A transition is the engine's `deliver` of the chosen head,
+//! which runs every rank it wakes to its next blocking point, exactly as
+//! in [`simulate`](crate::engine::simulate) — sound because matching is
+//! insensitive to whether a receive is posted before or after a message
+//! it does not match (the posted/unexpected queues commute, see
+//! [`crate::engine`]). So an op the engine rejects fails the walk with the
+//! same [`SimError`]: [`explore`] returns `Err` where `simulate` would.
 //!
 //! Two reductions keep the walk tractable without losing schedules:
 //!
@@ -50,27 +58,25 @@
 //!
 //! A [`Schedule`] is the per-rank, per-posting-ordinal `(src, seq)`
 //! matching decision vector — exactly the content of a
-//! [`MatchRecord`](crate::replay::MatchRecord), and [`simulate_scheduled`]
-//! replays one through the ordinary engine to produce a full [`Trace`]
-//! (bit-identical for a fixed `SimConfig`). [`ScheduleId`] is a
-//! splitmix64 fingerprint of the canonical decision sequence; the id of
+//! [`MatchRecord`](crate::replay::MatchRecord), read off a finished
+//! state's `Recv` events by the code that reads a trace's. Then
+//! [`simulate_scheduled`] replays one through the timed engine to produce
+//! a full [`Trace`] (bit-identical for a fixed `SimConfig`). [`ScheduleId`]
+//! is a splitmix64 fingerprint of the canonical decision sequence; the id of
 //! an explored schedule equals the id of [`Schedule::from_trace`] of any
 //! sampled trace that resolved its races the same way, which is what
 //! makes set-membership tests and warm artifact-store keys possible.
 
-use crate::matching::{InFlightMsg, MatchEngine, PostKind, PostedRecv};
+use crate::engine::{simulate_replay, Channels, Engine, SimConfig, SimError};
 use crate::ops::Op;
 use crate::program::Program;
 use crate::replay::MatchRecord;
 use crate::trace::Trace;
-use crate::types::{ChannelSeq, Rank, ReqSlot, SimTime, SrcSpec, Tag};
+use crate::types::{ChannelSeq, Rank};
 use anacin_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::collections::VecDeque;
 use std::fmt;
-
-use crate::engine::{simulate_replay, SimConfig, SimError};
 
 /// splitmix64 — the same finalizer the network delay model seeds with;
 /// statistically strong enough for fingerprinting decision sequences.
@@ -278,353 +284,49 @@ impl Shape {
     }
 }
 
-/// Where a rank stands between deliveries.
-#[derive(Clone, PartialEq, Eq)]
-enum XStatus {
-    Ready,
-    BlockedRecv,
-    BlockedSsend,
-    BlockedWait(Vec<ReqSlot>),
-    Done,
-}
+/// The walk's state: the engine itself on a deterministic network, its
+/// sent messages parked on their channels until the walk delivers them.
+type State<'a> = Engine<'a, Channels>;
 
-/// Request-slot state (the causal shadow of the engine's `ReqState`).
-#[derive(Clone, PartialEq, Eq)]
-enum XReq {
-    Unused,
-    SendDone,
-    RecvPending,
-    RecvDone {
-        ordinal: u32,
-        src: Rank,
-        seq: ChannelSeq,
-    },
-    RecvEmitted,
-}
-
-#[derive(Clone)]
-struct XRank {
-    pc: usize,
-    status: XStatus,
-    requests: Vec<XReq>,
-    chan_seq: Vec<u64>,
-    recv_ordinal: u32,
-    decisions: Vec<Option<(Rank, ChannelSeq)>>,
-}
-
-/// An undelivered message parked on its `(src, dst)` channel.
-#[derive(Clone)]
-struct XMsg {
-    tag: Tag,
-    seq: ChannelSeq,
-    sync: bool,
-}
-
-/// A causal (time-free) simulator state: everything matching-relevant and
-/// nothing else, cheap to clone at every branch point.
-#[derive(Clone)]
-struct XState {
-    ranks: Vec<XRank>,
-    matchers: Vec<MatchEngine>,
-    /// `channels[src][dst]`: sent-but-undelivered messages in send order.
-    channels: Vec<Vec<VecDeque<XMsg>>>,
-}
-
-impl XState {
-    fn new(world: usize) -> Self {
-        XState {
-            ranks: (0..world)
-                .map(|_| XRank {
-                    pc: 0,
-                    status: XStatus::Ready,
-                    requests: Vec::new(),
-                    chan_seq: vec![0; world],
-                    recv_ordinal: 0,
-                    decisions: Vec::new(),
-                })
-                .collect(),
-            matchers: (0..world).map(|_| MatchEngine::new()).collect(),
-            channels: vec![vec![VecDeque::new(); world]; world],
-        }
-    }
-
-    fn req_mut(&mut self, r: usize, slot: ReqSlot) -> &mut XReq {
-        let v = &mut self.ranks[r].requests;
-        if v.len() <= slot.index() {
-            v.resize(slot.index() + 1, XReq::Unused);
-        }
-        &mut v[slot.index()]
-    }
-
-    fn record_decision(&mut self, r: usize, ordinal: u32, src: Rank, seq: ChannelSeq) {
-        let d = &mut self.ranks[r].decisions;
-        let i = ordinal as usize;
-        if d.len() <= i {
-            d.resize(i + 1, None);
-        }
-        d[i] = Some((src, seq));
-    }
-
-    fn send(&mut self, from: usize, dst: Rank, tag: Tag, sync: bool) {
-        let c = &mut self.ranks[from].chan_seq[dst.index()];
-        let seq = ChannelSeq(*c);
-        *c += 1;
-        self.channels[from][dst.index()].push_back(XMsg { tag, seq, sync });
-    }
-
-    fn wake_sync_sender(&mut self, msg: &InFlightMsg) {
-        if msg.sync {
-            let s = msg.src.index();
-            debug_assert!(matches!(self.ranks[s].status, XStatus::BlockedSsend));
-            self.ranks[s].status = XStatus::Ready;
-        }
-    }
-
-    /// All requests done? If so emit receive completions (ordinal-keyed,
-    /// so emission order is irrelevant here) and report ready.
-    fn try_wait(&mut self, r: usize, reqs: &[ReqSlot]) -> bool {
-        let pending = |req: &XReq| matches!(req, XReq::Unused | XReq::RecvPending);
-        if reqs.iter().any(|s| {
-            pending(
-                self.ranks[r]
-                    .requests
-                    .get(s.index())
-                    .unwrap_or(&XReq::Unused),
-            )
-        }) {
-            // NB an `Unused` slot never completes: the engine reports
-            // `UnknownRequest`, the explorer reaches a deadlock terminal.
-            // Validated programs (`check_requests`) have neither.
-            return false;
-        }
-        for &s in reqs {
-            if let XReq::RecvDone { ordinal, src, seq } = *self.req_mut(r, s) {
-                self.record_decision(r, ordinal, src, seq);
-                *self.req_mut(r, s) = XReq::RecvEmitted;
-            }
-        }
-        true
-    }
-
-    /// Run rank `r` from its pc to the next blocking point (mirrors
-    /// `Engine::run_rank` minus the clock and the trace).
-    fn run_rank(&mut self, program: &Program, r: usize) {
-        let rank = Rank(r as u32);
-        loop {
-            let pc = self.ranks[r].pc;
-            let Some(op) = program.ops(rank).get(pc).cloned() else {
-                self.ranks[r].status = XStatus::Done;
-                return;
-            };
-            match op {
-                Op::Send { dst, tag, .. } => self.send(r, dst, tag, false),
-                Op::Ssend { dst, tag, .. } => {
-                    self.send(r, dst, tag, true);
-                    self.ranks[r].status = XStatus::BlockedSsend;
-                    self.ranks[r].pc = pc + 1;
-                    return;
-                }
-                Op::Isend { dst, tag, req, .. } => {
-                    self.send(r, dst, tag, false);
-                    *self.req_mut(r, req) = XReq::SendDone;
-                }
-                Op::Recv { src, tag, .. } => {
-                    let ordinal = self.ranks[r].recv_ordinal;
-                    self.ranks[r].recv_ordinal += 1;
-                    let posted = PostedRecv {
-                        src,
-                        tag,
-                        event_idx: 0,
-                        ordinal,
-                        kind: PostKind::Blocking,
-                        posted_at: SimTime::ZERO,
-                        forced: None,
-                    };
-                    match self.matchers[r].on_post(posted) {
-                        Some((recv, msg)) => {
-                            self.record_decision(r, recv.ordinal, msg.src, msg.seq);
-                            self.wake_sync_sender(&msg);
-                        }
-                        None => {
-                            self.ranks[r].status = XStatus::BlockedRecv;
-                            self.ranks[r].pc = pc + 1;
-                            return;
-                        }
-                    }
-                }
-                Op::Irecv { src, tag, req, .. } => {
-                    let ordinal = self.ranks[r].recv_ordinal;
-                    self.ranks[r].recv_ordinal += 1;
-                    *self.req_mut(r, req) = XReq::RecvPending;
-                    let posted = PostedRecv {
-                        src,
-                        tag,
-                        event_idx: 0,
-                        ordinal,
-                        kind: PostKind::Nonblocking(req),
-                        posted_at: SimTime::ZERO,
-                        forced: None,
-                    };
-                    if let Some((recv, msg)) = self.matchers[r].on_post(posted) {
-                        *self.req_mut(r, req) = XReq::RecvDone {
-                            ordinal: recv.ordinal,
-                            src: msg.src,
-                            seq: msg.seq,
-                        };
-                        self.wake_sync_sender(&msg);
-                    }
-                }
-                Op::Wait { req, .. } => {
-                    if !self.try_wait(r, &[req]) {
-                        self.ranks[r].status = XStatus::BlockedWait(vec![req]);
-                        self.ranks[r].pc = pc + 1;
-                        return;
-                    }
-                }
-                Op::Waitall { ref reqs, .. } => {
-                    if !self.try_wait(r, reqs) {
-                        self.ranks[r].status = XStatus::BlockedWait(reqs.clone());
-                        self.ranks[r].pc = pc + 1;
-                        return;
-                    }
-                }
-                Op::Compute { .. } => {}
-            }
-            self.ranks[r].pc += 1;
-        }
-    }
-
-    /// Deliver the head of channel `(s, d)` to `d`'s match engine and
-    /// propagate the consequences (the DFS transition).
-    fn deliver(&mut self, s: usize, d: usize) {
-        let m = self.channels[s][d]
-            .pop_front()
-            .expect("deliver on an empty channel");
-        let msg = InFlightMsg {
-            src: Rank(s as u32),
-            dst: Rank(d as u32),
-            tag: m.tag,
-            bytes: 0,
-            seq: m.seq,
-            send_event_idx: 0,
-            arrival: SimTime::ZERO,
-            sync: m.sync,
-        };
-        if let Some((recv, msg)) = self.matchers[d].on_arrival(msg) {
-            self.wake_sync_sender(&msg);
-            match recv.kind {
-                PostKind::Blocking => {
-                    debug_assert!(matches!(self.ranks[d].status, XStatus::BlockedRecv));
-                    self.record_decision(d, recv.ordinal, msg.src, msg.seq);
-                    self.ranks[d].status = XStatus::Ready;
-                }
-                PostKind::Nonblocking(req) => {
-                    *self.req_mut(d, req) = XReq::RecvDone {
-                        ordinal: recv.ordinal,
-                        src: msg.src,
-                        seq: msg.seq,
-                    };
-                    if let XStatus::BlockedWait(reqs) = self.ranks[d].status.clone() {
-                        if self.try_wait(d, &reqs) {
-                            self.ranks[d].status = XStatus::Ready;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Can delivery order into `d` still influence matching? Only a
-    /// source-wildcard receive makes arrival interleaving observable;
-    /// per-channel FIFO scans settle everything else deterministically.
-    fn branch_relevant(&self, shape: &Shape, d: usize) -> bool {
-        if self.matchers[d]
-            .posted_iter()
-            .any(|p| p.src == SrcSpec::Any)
-        {
-            return true;
-        }
-        match (&self.ranks[d].status, shape.last_any_recv[d]) {
-            (XStatus::Done, _) | (_, None) => false,
-            (_, Some(last)) => self.ranks[d].pc <= last,
-        }
-    }
-
-    /// Deliver everything destined to non-branch-relevant ranks, in
-    /// canonical order. Returns true if anything moved.
-    fn eager_deliveries(&mut self, shape: &Shape) -> bool {
+/// Deliver everything destined to ranks that cannot observe arrival
+/// order, in canonical order, until nothing moves (eager delivery). Each
+/// delivery runs the ranks it wakes, so afterwards the only way forward is
+/// a branch delivery.
+fn settle(state: &mut State<'_>, shape: &Shape) -> Result<(), SimError> {
+    loop {
         let mut moved = false;
         for d in 0..shape.world {
-            if self.branch_relevant(shape, d) {
+            if state.observes_arrival_order(d, shape.last_any_recv[d]) {
                 continue;
             }
             for s in 0..shape.world {
-                while !self.channels[s][d].is_empty() {
-                    self.deliver(s, d);
+                while state.deliver_head(s, d)? {
                     moved = true;
                 }
             }
         }
-        moved
-    }
-
-    /// Run every ready rank (and, when pruning, every eager delivery) to
-    /// fixpoint. After this, the only way forward is a branch delivery.
-    fn settle(&mut self, program: &Program, shape: &Shape, prune: bool) {
-        loop {
-            let mut progress = false;
-            for r in 0..shape.world {
-                if self.ranks[r].status == XStatus::Ready {
-                    self.run_rank(program, r);
-                    progress = true;
-                }
-            }
-            if prune && self.eager_deliveries(shape) {
-                progress = true;
-            }
-            if !progress {
-                return;
-            }
-        }
-    }
-
-    /// Channels with undelivered messages, canonically ordered by
-    /// `(dst, src)`. In prune mode (post-settle) these all target
-    /// branch-relevant destinations.
-    fn enabled(&self, shape: &Shape) -> Vec<(u32, u32)> {
-        let mut v = Vec::new();
-        for d in 0..shape.world {
-            for s in 0..shape.world {
-                if !self.channels[s][d].is_empty() {
-                    v.push((s as u32, d as u32));
-                }
-            }
-        }
-        v
-    }
-
-    fn complete(&self) -> bool {
-        self.ranks.iter().all(|r| r.status == XStatus::Done)
-    }
-
-    fn schedule(&self) -> Schedule {
-        Schedule {
-            decisions: self.ranks.iter().map(|r| r.decisions.clone()).collect(),
+        if !moved {
+            return Ok(());
         }
     }
 }
 
 /// One DFS node: a settled state plus the transitions still to take.
-struct Frame {
-    state: XState,
+struct Frame<'a> {
+    state: State<'a>,
     transitions: Vec<(u32, u32)>,
     next: usize,
     sleep: Vec<(u32, u32)>,
 }
 
 /// Enumerate the distinct schedules of `program` under the bounds in
-/// `config`. Deterministic: same inputs, same report, every time.
-pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
+/// `config`. Deterministic: same inputs, same report, every time. Fails
+/// with the error [`simulate`](crate::engine::simulate) would report when
+/// some explored path executes an op the engine rejects.
+pub fn explore<'p>(
+    program: &'p Program,
+    config: &ExploreConfig,
+) -> Result<ExploreReport, SimError> {
     let shape = Shape::new(program);
     let mut stats = ExploreStats::default();
     let mut seen: HashSet<u64> = HashSet::new();
@@ -637,15 +339,17 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
     // Admit a settled state: record terminals, cap the frontier, push
     // interior nodes. Returns false when the schedule budget halts the
     // whole walk.
-    let mut admit = |state: XState,
+    let mut admit = |state: State<'p>,
                      sleep: Vec<(u32, u32)>,
                      stats: &mut ExploreStats,
-                     stack: &mut Vec<Frame>,
+                     stack: &mut Vec<Frame<'p>>,
                      pending: &mut usize|
      -> bool {
-        if state.complete() {
+        if state.finished() {
             stats.terminals += 1;
-            let schedule = state.schedule();
+            let schedule = Schedule {
+                decisions: state.match_record().into_decisions(),
+            };
             if seen.insert(schedule.id().0) {
                 schedules.push(schedule);
                 if schedules.len() >= config.max_schedules {
@@ -657,7 +361,7 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
             }
             return true;
         }
-        let enabled = state.enabled(&shape);
+        let enabled: Vec<(u32, u32)> = state.heads().collect();
         if enabled.is_empty() {
             stats.deadlocks += 1;
             return true;
@@ -694,13 +398,18 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
         true
     };
 
-    let mut root = XState::new(shape.world);
-    root.settle(program, &shape, config.prune);
-    if !admit(root, Vec::new(), &mut stats, &mut stack, &mut pending) {
-        stats.schedules = schedules.len() as u64;
-        return ExploreReport { schedules, stats };
+    let mut root = Engine::start(
+        program,
+        &SimConfig::deterministic(),
+        None,
+        Channels::new(shape.world),
+    )?;
+    if config.prune {
+        settle(&mut root, &shape)?;
     }
-
+    // A root that halts the walk is a terminal, so it leaves the stack
+    // empty and the loop below never starts.
+    admit(root, Vec::new(), &mut stats, &mut stack, &mut pending);
     while let Some(top) = stack.last_mut() {
         if top.next >= top.transitions.len() {
             stack.pop();
@@ -728,16 +437,24 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> ExploreReport {
         } else {
             Vec::new()
         };
-        let mut child = top.state.clone();
-        child.deliver(t.0 as usize, t.1 as usize);
-        child.settle(program, &shape, config.prune);
+        // A frame's last transition takes its state instead of a copy:
+        // nothing reads the frame after it.
+        let mut child = if top.next == top.transitions.len() {
+            stack.pop().expect("the top frame is on the stack").state
+        } else {
+            top.state.clone()
+        };
+        child.deliver_head(t.0 as usize, t.1 as usize)?;
+        if config.prune {
+            settle(&mut child, &shape)?;
+        }
         if !admit(child, child_sleep, &mut stats, &mut stack, &mut pending) {
             break;
         }
     }
 
     stats.schedules = schedules.len() as u64;
-    ExploreReport { schedules, stats }
+    Ok(ExploreReport { schedules, stats })
 }
 
 /// [`explore`] under an `"explore"` span, flushing the walk counters.
@@ -745,13 +462,13 @@ pub fn explore_observed(
     program: &Program,
     config: &ExploreConfig,
     metrics: Option<&MetricsRegistry>,
-) -> ExploreReport {
+) -> Result<ExploreReport, SimError> {
     let _span = metrics.map(|m| m.span("explore"));
-    let report = explore(program, config);
+    let report = explore(program, config)?;
     if let Some(m) = metrics {
         flush_explore_metrics(m, &report.stats);
     }
-    report
+    Ok(report)
 }
 
 /// Flush walk statistics into the standard explore counters
@@ -769,7 +486,7 @@ mod tests {
     use super::*;
     use crate::engine::simulate;
     use crate::program::ProgramBuilder;
-    use crate::types::TagSpec;
+    use crate::types::{Tag, TagSpec};
 
     fn message_race(n: u32) -> Program {
         let mut b = ProgramBuilder::new(n);
@@ -798,11 +515,11 @@ mod tests {
             .recv(Rank(0), TagSpec::Tag(Tag(0)))
             .send(Rank(0), Tag(1), 1);
         let p = b.build();
-        let pruned = explore(&p, &ExploreConfig::default());
+        let pruned = explore(&p, &ExploreConfig::default()).unwrap();
         assert_eq!(pruned.schedules.len(), 1);
         assert_eq!(pruned.stats.branches, 0, "nothing to branch over");
         assert!(pruned.is_complete());
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert_eq!(id_set(&pruned), id_set(&brute));
     }
 
@@ -810,7 +527,7 @@ mod tests {
     fn message_race_enumerates_all_permutations() {
         // n-1 senders race into one wildcard receiver: (n-1)! schedules.
         for (n, want) in [(3u32, 2usize), (4, 6), (5, 24)] {
-            let report = explore(&message_race(n), &ExploreConfig::default());
+            let report = explore(&message_race(n), &ExploreConfig::default()).unwrap();
             assert_eq!(report.schedules.len(), want, "race({n})");
             assert!(report.is_complete());
             assert_eq!(report.stats.deadlocks, 0);
@@ -834,8 +551,8 @@ mod tests {
             }
         }
         let p = b.build();
-        let pruned = explore(&p, &ExploreConfig::default());
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let pruned = explore(&p, &ExploreConfig::default()).unwrap();
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert!(pruned.is_complete() && brute.is_complete());
         assert_eq!(pruned.schedules.len(), 4);
         assert_eq!(id_set(&pruned), id_set(&brute));
@@ -859,18 +576,18 @@ mod tests {
             .recv_any(TagSpec::Tag(Tag(0)))
             .recv(Rank(1), TagSpec::Tag(Tag(0)));
         let p = b.build();
-        let report = explore(&p, &ExploreConfig::default());
+        let report = explore(&p, &ExploreConfig::default()).unwrap();
         assert_eq!(report.schedules.len(), 1);
         assert!(report.stats.deadlocks >= 1);
         assert!(report.is_complete());
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert_eq!(id_set(&report), id_set(&brute));
     }
 
     #[test]
     fn schedule_budget_truncates() {
         let cfg = ExploreConfig::with_budget(5);
-        let report = explore(&message_race(6), &cfg);
+        let report = explore(&message_race(6), &cfg).unwrap();
         assert_eq!(report.schedules.len(), 5);
         assert!(report.stats.truncated);
         assert!(!report.is_complete());
@@ -882,7 +599,7 @@ mod tests {
             max_branches: 7,
             ..ExploreConfig::default()
         };
-        let report = explore(&message_race(6), &cfg);
+        let report = explore(&message_race(6), &cfg).unwrap();
         assert!(report.stats.truncated);
         assert!(report.stats.branches <= 8);
     }
@@ -893,7 +610,7 @@ mod tests {
             max_frontier: 1,
             ..ExploreConfig::default()
         };
-        let report = explore(&message_race(5), &cfg);
+        let report = explore(&message_race(5), &cfg).unwrap();
         assert!(report.stats.truncated);
         assert!(report.stats.dropped > 0);
         assert!(!report.schedules.is_empty());
@@ -903,7 +620,7 @@ mod tests {
     #[test]
     fn explored_schedules_replay_to_themselves() {
         let p = message_race(5);
-        let report = explore(&p, &ExploreConfig::default());
+        let report = explore(&p, &ExploreConfig::default()).unwrap();
         for s in &report.schedules {
             let t = simulate_scheduled(&p, &SimConfig::with_nd_percent(100.0, 7), s).unwrap();
             assert_eq!(Schedule::from_trace(&t).id(), s.id());
@@ -914,7 +631,7 @@ mod tests {
     #[test]
     fn sampled_runs_land_inside_the_explored_set() {
         let p = message_race(5);
-        let report = explore(&p, &ExploreConfig::default());
+        let report = explore(&p, &ExploreConfig::default()).unwrap();
         let ids = id_set(&report);
         for seed in 0..200u64 {
             let t = simulate(&p, &SimConfig::with_nd_percent(100.0, seed)).unwrap();
@@ -940,8 +657,8 @@ mod tests {
             r0.waitall(reqs);
         }
         let p = b.build();
-        let pruned = explore(&p, &ExploreConfig::default());
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let pruned = explore(&p, &ExploreConfig::default()).unwrap();
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert_eq!(pruned.schedules.len(), 6);
         assert_eq!(id_set(&pruned), id_set(&brute));
     }
@@ -959,8 +676,8 @@ mod tests {
             b.rank(Rank(0)).recv_any(TagSpec::Tag(Tag(0)));
         }
         let p = b.build();
-        let pruned = explore(&p, &ExploreConfig::default());
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let pruned = explore(&p, &ExploreConfig::default()).unwrap();
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert_eq!(pruned.schedules.len(), 6);
         assert_eq!(id_set(&pruned), id_set(&brute));
         for s in &pruned.schedules {
@@ -981,18 +698,18 @@ mod tests {
             .recv(Rank(1), TagSpec::Any)
             .recv(Rank(2), TagSpec::Any);
         let p = b.build();
-        let report = explore(&p, &ExploreConfig::default());
+        let report = explore(&p, &ExploreConfig::default()).unwrap();
         assert_eq!(report.schedules.len(), 1);
         assert_eq!(report.stats.branches, 0);
-        let brute = explore(&p, &ExploreConfig::default().brute_force());
+        let brute = explore(&p, &ExploreConfig::default().brute_force()).unwrap();
         assert_eq!(id_set(&report), id_set(&brute));
     }
 
     #[test]
     fn schedule_ids_are_stable_and_distinct() {
         let p = message_race(4);
-        let a = explore(&p, &ExploreConfig::default());
-        let b = explore(&p, &ExploreConfig::default());
+        let a = explore(&p, &ExploreConfig::default()).unwrap();
+        let b = explore(&p, &ExploreConfig::default()).unwrap();
         assert_eq!(a.ids(), b.ids(), "enumeration must be deterministic");
         assert_eq!(
             a.ids().into_iter().collect::<HashSet<_>>().len(),
@@ -1006,7 +723,8 @@ mod tests {
     #[test]
     fn explore_observed_flushes_counters() {
         let m = MetricsRegistry::new();
-        let report = explore_observed(&message_race(4), &ExploreConfig::default(), Some(&m));
+        let report =
+            explore_observed(&message_race(4), &ExploreConfig::default(), Some(&m)).unwrap();
         let rep = m.report();
         assert_eq!(
             rep.counter("explore/schedules"),

@@ -178,7 +178,7 @@ impl NetworkConfig {
 /// Given the same `NetworkConfig` and the same RNG seed, delivery times are
 /// bit-identical across runs — the property the record/replay module and
 /// the course's "same seed, same run" exercises rely on.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetworkModel<R: Rng> {
     config: NetworkConfig,
     world_size: u32,

@@ -11,7 +11,7 @@
 //! order), the `(source rank, channel sequence)` of the matched message.
 //! [`crate::engine::simulate_replay`] consults it when posting receives.
 
-use crate::trace::{EventKind, Trace};
+use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::types::{ChannelSeq, Rank};
 use serde::{Deserialize, Serialize};
 
@@ -30,26 +30,33 @@ impl MatchRecord {
     /// posting ordinal (event order and posting order differ for
     /// nonblocking receives).
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut decisions: Vec<Vec<Option<(Rank, ChannelSeq)>>> =
-            vec![Vec::new(); trace.world_size() as usize];
-        for r in 0..trace.world_size() {
-            let rank = Rank(r);
-            for ev in trace.rank_events(rank) {
-                if let EventKind::Recv {
-                    src,
-                    seq,
-                    post_ordinal,
-                    ..
-                } = ev.kind
-                {
-                    let d = &mut decisions[rank.index()];
-                    if d.len() <= post_ordinal as usize {
-                        d.resize(post_ordinal as usize + 1, None);
+        Self::from_rank_events((0..trace.world_size()).map(|r| trace.rank_events(Rank(r))))
+    }
+
+    /// The decisions read off each rank's `Recv` events, in rank order —
+    /// a finished trace's, or the schedule explorer's engine state's.
+    pub(crate) fn from_rank_events<'e>(ranks: impl Iterator<Item = &'e [TraceEvent]>) -> Self {
+        let decisions = ranks
+            .map(|events| {
+                let mut d: Vec<Option<(Rank, ChannelSeq)>> = Vec::new();
+                for ev in events {
+                    if let EventKind::Recv {
+                        src,
+                        seq,
+                        post_ordinal,
+                        ..
+                    } = ev.kind
+                    {
+                        let i = post_ordinal as usize;
+                        if d.len() <= i {
+                            d.resize(i + 1, None);
+                        }
+                        d[i] = Some((src, seq));
                     }
-                    d[post_ordinal as usize] = Some((src, seq));
                 }
-            }
-        }
+                d
+            })
+            .collect();
         MatchRecord { decisions }
     }
 

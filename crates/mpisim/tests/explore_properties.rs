@@ -108,8 +108,8 @@ proptest! {
     #[test]
     fn pruning_is_sound_on_tiny_programs(seed in 0u64..1 << 48) {
         let p = tiny_program(seed);
-        let pruned = explore(&p, &generous());
-        let brute = explore(&p, &generous().brute_force());
+        let pruned = explore(&p, &generous()).unwrap();
+        let brute = explore(&p, &generous().brute_force()).unwrap();
         prop_assert!(pruned.is_complete(), "pruned walk truncated on a tiny program");
         prop_assert!(brute.is_complete(), "brute walk truncated on a tiny program");
         let pruned_ids: HashSet<u64> = pruned.schedules.iter().map(|s| s.id().0).collect();
@@ -124,7 +124,7 @@ proptest! {
     #[test]
     fn explored_schedules_replay_to_their_own_id(seed in 0u64..1 << 48, nd_seed in 0u64..1000) {
         let p = tiny_program(seed);
-        let report = explore(&p, &generous());
+        let report = explore(&p, &generous()).unwrap();
         prop_assert!(report.is_complete());
         for s in &report.schedules {
             let t = simulate_scheduled(&p, &SimConfig::with_nd_percent(100.0, nd_seed), s)
@@ -138,7 +138,7 @@ proptest! {
     #[test]
     fn sampling_stays_inside_the_explored_set(seed in 0u64..1 << 48, sim_seed in 0u64..10_000) {
         let p = tiny_program(seed);
-        let report = explore(&p, &generous());
+        let report = explore(&p, &generous()).unwrap();
         prop_assert!(report.is_complete());
         let ids: HashSet<u64> = report.schedules.iter().map(|s| s.id().0).collect();
         // Deadlock-capable draws may fail to simulate; that is fine — the

@@ -125,6 +125,15 @@ mod tests {
         assert!(validate_trace(&b.program, &t).is_err());
     }
 
+    #[test]
+    fn exhaustiveness_oracle_reports_a_failed_walk() {
+        let mut b = ProgramBuilder::new(1);
+        b.rank(Rank(0)).wait(anacin_mpisim::types::ReqSlot(3));
+        let err = oracle_schedule_exhaustiveness(&b.build(), &[1], &ExploreConfig::default())
+            .unwrap_err();
+        assert!(err.contains("unknown request slot 3"), "{err}");
+    }
+
     /// Nightly-tier sweep: thousands of generated programs through the
     /// full battery. A 20k-seed run of this sweep is what surfaced the
     /// ssend-to-chaotic-rank deadlock documented in [`crate::generator`].

@@ -166,13 +166,15 @@ pub fn oracle_kernel_axioms(graphs: &[EventGraph]) -> Result<usize, String> {
 /// sound. Returns `Ok(None)` when a budget truncated the walk (nothing
 /// can be asserted about an incomplete set), otherwise `Ok(Some(n))`
 /// with the size of the enumerated space. Seeds whose free run deadlocks
-/// are skipped: the oracle constrains only runs that complete.
+/// are skipped: the oracle constrains only runs that complete. A walk
+/// that fails with a simulator error is an `Err`.
 pub fn oracle_schedule_exhaustiveness(
     p: &Program,
     seeds: &[u64],
     xcfg: &ExploreConfig,
 ) -> Result<Option<usize>, String> {
-    let report = explore(p, xcfg);
+    let report =
+        explore(p, xcfg).map_err(|e| format!("exploring the schedule space failed: {e}"))?;
     if !report.is_complete() {
         return Ok(None);
     }

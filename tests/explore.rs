@@ -2,6 +2,7 @@
 //! criteria of the explore feature, end to end through the facade.
 //!
 //! * the message race's enumeration is verified against brute force;
+//! * the walk's counts on two non-blocking patterns are pinned;
 //! * the explored worst-case kernel distance bounds the empirical maximum
 //!   over 1000 random samples;
 //! * scheduled replay is bit-identical across repeated calls, across
@@ -31,8 +32,8 @@ fn tmp_store(tag: &str) -> (PathBuf, ArtifactStore) {
 fn message_race_enumeration_matches_brute_force() {
     let cfg = race_cfg();
     let program = cfg.pattern.build(&cfg.app);
-    let por = explore(&program, &ExploreConfig::default());
-    let brute = explore(&program, &ExploreConfig::default().brute_force());
+    let por = explore(&program, &ExploreConfig::default()).unwrap();
+    let brute = explore(&program, &ExploreConfig::default().brute_force()).unwrap();
     assert!(por.is_complete(), "POR walk truncated");
     assert!(brute.is_complete(), "brute-force walk truncated");
     let a: HashSet<u64> = por.schedules.iter().map(|s| s.id().0).collect();
@@ -40,6 +41,35 @@ fn message_race_enumeration_matches_brute_force() {
     assert_eq!(a, b, "pruning changed the schedule set");
     assert_eq!(a.len(), 24, "expected all 4! arrival permutations");
     assert!(por.stats.branches <= brute.stats.branches);
+}
+
+/// The walk over non-blocking programs (`isend`/`irecv`/`waitall`) is
+/// pinned: these are the counts of every branch, pruned transition and
+/// terminal the explorer has always produced on two such patterns.
+#[test]
+fn nonblocking_pattern_walks_keep_their_counts() {
+    let walks = [
+        (Pattern::Amg2013, 3, (3_042, 3_798, 64, 196)),
+        (
+            Pattern::UnstructuredMesh,
+            4,
+            (65_535, 180_225, 1_296, 1_296),
+        ),
+    ];
+    for (pattern, procs, (branches, pruned, schedules, terminals)) in walks {
+        let program = pattern.build(&MiniAppConfig::with_procs(procs));
+        let report = explore(&program, &ExploreConfig::default()).unwrap();
+        let want = ExploreStats {
+            branches,
+            pruned,
+            dropped: 0,
+            schedules,
+            terminals,
+            deadlocks: 0,
+            truncated: false,
+        };
+        assert_eq!(report.stats, want, "{pattern} at {procs} ranks");
+    }
 }
 
 /// The explored maximum really is a worst case: 1000 random samples stay
@@ -88,7 +118,7 @@ fn explored_worst_case_bounds_a_thousand_samples() {
 fn scheduled_replay_is_bit_identical_across_repeats() {
     let cfg = race_cfg();
     let program = cfg.pattern.build(&cfg.app);
-    let report = explore(&program, &ExploreConfig::default());
+    let report = explore(&program, &ExploreConfig::default()).unwrap();
     let sc = cfg.sim_config(0);
     for s in report.schedules.iter().take(6) {
         let a = simulate_scheduled(&program, &sc, s).unwrap();
