@@ -1,5 +1,6 @@
 //! End-to-end pipeline cost: the per-figure campaign loops
-//! (simulate → graph → kernel matrix) and the root-cause analysis.
+//! (simulate → graph → kernel matrix) and the root-cause analysis, which
+//! runs its own campaign.
 
 use anacin_core::prelude::*;
 use anacin_miniapps::Pattern;
@@ -27,9 +28,8 @@ fn campaigns(c: &mut Criterion) {
     let mut group = c.benchmark_group("root_cause");
     group.sample_size(10);
     let cfg = CampaignConfig::new(Pattern::Amg2013, 8).runs(10);
-    let result = run_campaign(&cfg).unwrap();
     group.bench_function("analyze_16_slices", |b| {
-        b.iter(|| analyze(&result, &RootCauseConfig::default()));
+        b.iter(|| analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).unwrap());
     });
     group.finish();
 }

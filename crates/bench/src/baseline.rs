@@ -10,8 +10,10 @@
 //! stages are visible per commit.
 
 use anacin_core::prelude::*;
+use anacin_event_graph::EventGraph;
 use anacin_kernels::prelude::*;
 use anacin_miniapps::Pattern;
+use anacin_mpisim::engine::simulate;
 use anacin_obs::{MetricsRegistry, Tracer};
 use anacin_store::ArtifactStore;
 use serde::Serialize;
@@ -274,9 +276,14 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
     let ccfg = CampaignConfig::new(Pattern::Amg2013, cfg.procs)
         .runs(source_runs)
         .base_seed(cfg.base_seed);
-    let result = run_campaign(&ccfg).expect("gram-scale source campaign");
+    let program = ccfg.pattern.build(&ccfg.app);
     let kernel = WlKernel::default();
-    let source: Vec<SparseFeatures> = result.graphs.iter().map(|g| kernel.features(g)).collect();
+    let source: Vec<SparseFeatures> = (0..source_runs)
+        .map(|i| {
+            let trace = simulate(&program, &ccfg.sim_config(i)).expect("gram-scale source run");
+            kernel.features(&EventGraph::from_trace(&trace))
+        })
+        .collect();
     let max_runs = cfg.gram_scale_runs.iter().copied().max().unwrap_or(0);
     let feats: Vec<SparseFeatures> = (0..max_runs)
         .map(|i| {

@@ -363,8 +363,8 @@ pub fn fig7(scale: &Scale) -> FigureOutput {
 /// high-non-determinism regions of AMG 2013 (same settings as Fig. 7).
 pub fn fig8(scale: &Scale) -> FigureOutput {
     let cfg = CampaignConfig::new(Pattern::Amg2013, scale.amg_procs).runs(scale.runs);
-    let campaign = run_campaign(&cfg).expect("campaign completes");
-    let ranking = analyze(&campaign, &RootCauseConfig::default());
+    let (_, ranking) =
+        analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).expect("campaign completes");
     let items: Vec<(String, f64)> = ranking
         .entries
         .iter()

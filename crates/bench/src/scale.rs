@@ -4,11 +4,10 @@
 //! every pattern, both kernel schedules, store passes), this tier answers
 //! a different question: does one campaign at 1024 ranks and tens of
 //! millions of events complete end-to-end, in what time per stage, and
-//! within what peak memory? It therefore runs the *streaming* campaign
-//! path (`run_campaign_streaming`) — the only path meant for this scale —
-//! plus one materialised run for the per-stage simulate/graph/features
-//! split, and reads the process peak RSS from `/proc/self/status`
-//! (`VmHWM`) on platforms that have it.
+//! within what peak memory? It therefore runs the campaign, which frees
+//! each run inside its worker, plus one isolated run for the per-stage
+//! simulate/graph/features split, and reads the process peak RSS from
+//! `/proc/self/status` (`VmHWM`) on platforms that have it.
 //!
 //! `anacin bench baseline --scale large` writes the report as
 //! `BENCH_large.json`; the nightly CI job uploads it so scaling
@@ -81,7 +80,7 @@ pub struct LargeStageTimings {
     pub features_ms: f64,
     /// Wall-time of the Gram stage over the full campaign's features.
     pub gram_ms: f64,
-    /// End-to-end wall-time of the full streaming campaign.
+    /// End-to-end wall-time of the full campaign.
     pub campaign_ms: f64,
     /// Simulated trace events across the whole campaign.
     pub events: u64,
@@ -89,11 +88,11 @@ pub struct LargeStageTimings {
     pub nodes: u64,
     /// Kernel dot products of the campaign's Gram stage.
     pub dot_products: u64,
-    /// Peak RSS (MiB) observed across the streaming campaign, watermark-
+    /// Peak RSS (MiB) observed across the campaign, watermark-
     /// reset beforehand where the platform allows; `None` off Linux.
     pub peak_rss_mib: Option<f64>,
     /// Relative wall-time cost of streaming a full Chrome trace during
-    /// the campaign, percent over the untraced streaming run. `None`
+    /// the campaign, percent over the untraced run. `None`
     /// when the untraced run was too fast to compare meaningfully.
     pub trace_overhead_pct: Option<f64>,
 }
@@ -167,9 +166,9 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             .runs(cfg.runs)
             .iterations(cfg.iterations)
             .base_seed(cfg.base_seed);
-        // Stage split, measured on run 0 in isolation: the streaming
-        // campaign interleaves stages across workers, so clean per-stage
-        // numbers come from one materialised pass over a single run.
+        // Stage split, measured on run 0 in isolation: the campaign
+        // interleaves stages across workers, so clean per-stage numbers
+        // come from one pass over a single run.
         let program = ccfg.pattern.build(&ccfg.app);
         let kernel = ccfg.kernel.instantiate();
         let t = Instant::now();
@@ -185,7 +184,7 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
         let features_ms = t.elapsed().as_secs_f64() * 1e3;
         drop(graph);
         drop(_features);
-        // Full streaming campaign under a fresh watermark.
+        // Full campaign under a fresh watermark.
         reset_peak_rss();
         let reg = MetricsRegistry::new();
         let ctx = RunCtx {
@@ -193,7 +192,7 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             ..RunCtx::default()
         };
         let t = Instant::now();
-        let result = run_campaign_streaming_with(&ccfg, &ctx).expect("large baseline campaign");
+        let result = run_campaign_with(&ccfg, &ctx).expect("large baseline campaign");
         let campaign_ms = t.elapsed().as_secs_f64() * 1e3;
         let peak = peak_rss_mib();
         let report = reg.report();
@@ -201,7 +200,7 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             .span("campaign/gram")
             .map(|s| s.total_ns as f64 / 1e6)
             .unwrap_or(0.0);
-        // Traced streaming pass: the same campaign with a Chrome sink
+        // Traced pass: the same campaign with a Chrome sink
         // attached, draining through the full formatter into a counting
         // writer (all the serialisation cost, none of the disk noise).
         let trace_overhead_pct = {
@@ -221,7 +220,7 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
                 ..RunCtx::default()
             };
             let t = Instant::now();
-            run_campaign_streaming_with(&ccfg, &ctx).expect("large baseline traced campaign");
+            run_campaign_with(&ccfg, &ctx).expect("large baseline traced campaign");
             tracer.finish_sink().expect("drain traced campaign");
             let traced_ms = t.elapsed().as_secs_f64() * 1e3;
             // The large tier measures each pass once; a ratio of two

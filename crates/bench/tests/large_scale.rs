@@ -1,14 +1,13 @@
 //! Nightly end-to-end scale gate: a 1024-rank amg2013 campaign with tens
-//! of millions of events must complete through the streaming path, with
-//! peak memory bounded to a few in-flight runs rather than the whole
-//! sample. `#[ignore]`d — the nightly CI job runs
+//! of millions of events must complete, with peak memory bounded to a
+//! few in-flight runs rather than the whole sample. `#[ignore]`d — the nightly CI job runs
 //! `cargo test --release -- --ignored`.
 
 use anacin_bench::{peak_rss_mib, reset_peak_rss};
 use anacin_core::prelude::*;
 use anacin_miniapps::Pattern;
 
-/// Peak-RSS ceiling for the streaming 1024-rank campaign. Measured at
+/// Peak-RSS ceiling for the 1024-rank campaign. Measured at
 /// ~2.6 GiB (3 worker threads × one in-flight trace+graph each); the
 /// ceiling leaves allocator/machine headroom while still failing hard if
 /// the path ever rematerialises the whole sample.
@@ -19,7 +18,7 @@ const PEAK_RSS_CEILING_MIB: f64 = 6144.0;
 fn campaign_at_1024_ranks_streams_within_memory_budget() {
     let cfg = CampaignConfig::new(Pattern::Amg2013, 1024).runs(3);
     let watermark_reset = reset_peak_rss();
-    let r = run_campaign_streaming(&cfg).expect("1024-rank campaign must complete");
+    let r = run_campaign(&cfg).expect("1024-rank campaign must complete");
     // Scale bar: two all-to-all phases per run at 1024 ranks is ~4.2M
     // events per run, ~12.6M per campaign.
     assert!(
@@ -28,6 +27,7 @@ fn campaign_at_1024_ranks_streams_within_memory_budget() {
         r.total_events
     );
     assert_eq!(r.matrix.len(), 3);
+    assert_eq!(r.schedules.len(), 3);
     for d in r.distance_sample() {
         assert!(d.is_finite() && d >= 0.0, "distance {d}");
     }
@@ -42,7 +42,7 @@ fn campaign_at_1024_ranks_streams_within_memory_budget() {
         if let Some(peak) = peak_rss_mib() {
             assert!(
                 peak < PEAK_RSS_CEILING_MIB,
-                "peak RSS {peak:.0} MiB exceeds the {PEAK_RSS_CEILING_MIB:.0} MiB streaming budget"
+                "peak RSS {peak:.0} MiB exceeds the {PEAK_RSS_CEILING_MIB:.0} MiB budget"
             );
         }
     }

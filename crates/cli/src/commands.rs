@@ -41,19 +41,19 @@ COMMANDS
               [--trace FILE[.json|.folded]]  record an execution trace:
                                 Chrome Trace Event JSON (Perfetto) or
                                 folded flamegraph stacks (inferno);
-                                with --stream the file is written
-                                incrementally as the ring drains, so
-                                tracing adds O(1) memory at any scale
+                                written incrementally as the ring
+                                drains, so tracing adds O(1) memory at
+                                any scale
               [--trace-capacity N]  trace ring size in events (default 262144)
               [--progress]  live one-line status on stderr (runs done,
                             events simulated, hottest stage, ETA)
               [--store DIR]  run incrementally against a content-addressed
                              artifact store: reuse every stored trace/graph/
                              feature vector, publish what was recomputed
-              [--stream]  bounded-memory campaign: drop each run's trace and
-                          graph once its features exist (1024-rank scale);
-                          measurement bit-identical to the default path
-                          (incompatible with --store and --explore)
+              [--stream]  accepted for old scripts; does nothing (every
+                          campaign frees each run's trace and graph once
+                          its features exist, so memory is bounded at
+                          1024-rank scale)
               [--explore]  also enumerate the schedule space (partial-order
                            reduced DFS), replay every distinct schedule and
                            report the true worst-case distance + how much
@@ -105,8 +105,8 @@ COMMANDS
   bench       performance baselines
               anacin bench baseline [--procs N] [--runs N] [--samples N]
               [--out FILE]  (default BENCH_baseline.json)
-              anacin bench baseline --scale large  1024-rank streaming
-              tier: per-stage timings + peak RSS + trace overhead
+              anacin bench baseline --scale large  1024-rank tier:
+              per-stage timings + peak RSS + trace overhead
               → BENCH_large.json
               [--procs N] [--runs N] [--iterations N] [--out FILE]
               anacin bench trend DIR  regression gate over per-commit
@@ -405,81 +405,18 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
     }
 }
 
-/// `run --stream`: the bounded-memory campaign path. Each run's trace and
-/// graph are dropped as soon as its feature vector exists, so the
-/// measurement fits in a per-worker footprint at 1024-rank scale. The
-/// printed measurement (and `--json` payload) is byte-identical to the
-/// materialised path's: the matrix is bit-identical by construction.
-fn cmd_run_streaming(args: &Args) -> Result<(), String> {
-    if args.get("store").is_some() || args.get("append-to").is_some() {
-        return Err(
-            "--stream keeps no traces or graphs to publish; drop --stream or --store/--append-to"
-                .into(),
-        );
-    }
-    if args.flag("explore") {
-        return Err(
-            "--explore compares coverage against the materialised sample; drop --stream or --explore"
-                .into(),
-        );
-    }
+/// `anacin run`. Every campaign frees each run's trace and graph inside
+/// its worker, so memory stays one in-flight run per worker at any rank
+/// count (`--stream` is accepted and changes nothing). `--trace` writes
+/// its file incrementally as the simulator pumps records into it, so the
+/// exporter holds one drain chunk and records reach the file before the
+/// ring can overwrite them.
+fn cmd_run(args: &Args) -> Result<(), String> {
     let cfg = campaign_of(args)?;
     let obs = Observers::of(args)?;
-    // Streamed runs never materialise a full trace, so the exporter
-    // can't either: attach an incremental file sink that the simulator
-    // pumps records into as they are recorded, keeping the exporter's
-    // footprint at one drain chunk regardless of campaign size.
     if let Some((path, t)) = &obs.tracer {
         attach_file_sink(path, t)?;
     }
-    let reporter = obs.progress(args, cfg.runs);
-    let token = anacin_obs::install_signal_handlers();
-    let result = run_campaign_streaming_with(&cfg, &obs.ctx(&token, None));
-    if let Some(r) = reporter {
-        r.finish();
-    }
-    let result = until_cancelled(result)?;
-    if let Some((path, reg)) = &obs.metrics {
-        write_metrics(path, reg)?;
-    }
-    if let Some((path, t)) = &obs.tracer {
-        finish_file_sink(path, t)?;
-    }
-    let result = result.ok_or_else(interrupted_err)?;
-    let m = NdMeasurement::from_matrix(campaign_label(&cfg), &result.matrix);
-    if args.flag("json") {
-        let rep = MeasurementReport::from(&m);
-        let json = anacin_core::report::to_json(&rep).map_err(|e| e.to_string())?;
-        println!("{json}");
-        return Ok(());
-    }
-    println!(
-        "pattern={} procs={} nd={}% runs={} iterations={}",
-        cfg.pattern, cfg.app.procs, cfg.nd_percent, cfg.runs, cfg.app.iterations
-    );
-    println!(
-        "kernel distance over {} run pairs: mean={:.4} median={:.4} std={:.4}",
-        m.distances.len(),
-        m.summary.mean,
-        m.summary.median,
-        m.summary.std_dev
-    );
-    eprintln!(
-        "streamed {} run(s): {} simulated event(s), {} graph node(s) (peak ≈ per-worker)",
-        cfg.runs, result.total_events, result.total_nodes
-    );
-    if let Some(v) = m.violin() {
-        print!("{}", ascii::violins(&[v], 48));
-    }
-    Ok(())
-}
-
-fn cmd_run(args: &Args) -> Result<(), String> {
-    if args.flag("stream") {
-        return cmd_run_streaming(args);
-    }
-    let cfg = campaign_of(args)?;
-    let obs = Observers::of(args)?;
     // `--append-to DIR` is `--store DIR` plus the append schedule: the
     // largest stored Gram prefix of this run set is grown row-by-row
     // (R+1 dots per added run) instead of recomputed from scratch.
@@ -524,7 +461,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         write_metrics(path, reg)?;
     }
     if let Some((path, t)) = &obs.tracer {
-        write_trace(path, t)?;
+        finish_file_sink(path, t)?;
     }
     let result = result.ok_or_else(interrupted_err)?;
     let m = NdMeasurement::from_campaign(campaign_label(&cfg), &result);
@@ -1054,13 +991,18 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
 fn cmd_root_cause(args: &Args) -> Result<(), String> {
     let cfg = campaign_of(args)?;
-    let result = run_campaign(&cfg).map_err(|e| e.to_string())?;
     let rc = RootCauseConfig {
         slices: args.get_parsed("slices", 16usize)?,
         top_fraction: args.get_parsed("top", 0.25f64)?,
         ..Default::default()
     };
-    let ranking = analyze(&result, &rc);
+    if rc.slices < 1 {
+        return Err("--slices must be at least 1".into());
+    }
+    if cfg.runs < 2 {
+        return Err("root-cause compares runs: --runs must be at least 2".into());
+    }
+    let (_, ranking) = analyze(&cfg, &rc, &RunCtx::default()).map_err(|e| e.to_string())?;
     print!("{}", ranking_table(&ranking, 10));
     println!(
         "high-ND windows: {:?} (of {} windows)",
@@ -1704,8 +1646,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
 
 fn cmd_ablation(args: &Args) -> Result<(), String> {
     let cfg = campaign_of(args)?;
-    let result = run_campaign(&cfg).map_err(|e| e.to_string())?;
-    let report = anacin_core::ablation::ablate(&result, &anacin_core::ablation::default_kernels());
+    let report = ablate(&cfg, &default_kernels(), &RunCtx::default()).map_err(|e| e.to_string())?;
     print!("{}", report.table());
     let top = report.by_signal()[0].kernel.clone();
     println!("\nmost discriminating kernel on this sample: {top}");
@@ -1715,7 +1656,17 @@ fn cmd_ablation(args: &Args) -> Result<(), String> {
 fn cmd_report(args: &Args) -> Result<(), String> {
     use anacin_viz::html::HtmlReport;
     let cfg = campaign_of(args)?;
-    let result = run_campaign(&cfg).map_err(|e| e.to_string())?;
+    if cfg.runs < 1 {
+        return Err("report needs a run to show: --runs must be at least 1".into());
+    }
+    // Root cause needs two runs to compare; one run is still a report.
+    let (result, ranking) = if cfg.runs >= 2 {
+        let (result, ranking) = analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default())
+            .map_err(|e| e.to_string())?;
+        (result, Some(ranking))
+    } else {
+        (run_campaign(&cfg).map_err(|e| e.to_string())?, None)
+    };
     let m = NdMeasurement::from_campaign(format!("{}", cfg.pattern), &result);
     let mut report = HtmlReport::new(
         format!("Non-determinism report: {}", cfg.pattern),
@@ -1764,8 +1715,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         "Each dot is one run; tight clusters are reproducible outcome classes.",
         anacin_viz::heatmap::scatter_svg(&embedding.points, "run embedding"),
     );
-    if result.graphs.len() >= 2 {
-        let ranking = analyze(&result, &RootCauseConfig::default());
+    if let Some(ranking) = ranking {
         let items: Vec<(String, f64)> = ranking
             .entries
             .iter()
@@ -1784,11 +1734,13 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             ranking_table(&ranking, 10),
         );
     }
+    // Run 0 is a pure function of its seed: simulate it again for its graph.
+    let run0 = simulate(&result.program, &cfg.sim_config(0)).map_err(|e| e.to_string())?;
     report.svg_section(
         "Event graph of run 0",
         "Green = process start/end, blue = send, red = receive; dashed edges are \
          messages.",
-        svg::event_graph_svg(&result.graphs[0], "run 0"),
+        svg::event_graph_svg(&EventGraph::from_trace(&run0), "run 0"),
     );
     let path = args.get("out").unwrap_or("report.html").to_string();
     std::fs::write(&path, report.render()).map_err(|e| e.to_string())?;

@@ -554,3 +554,118 @@ fn testkit_gen_and_check() {
         .unwrap_err()
         .contains("invalid value"));
 }
+
+/// Run the `anacin` binary itself: (exit code, stdout, stderr).
+fn anacin(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_anacin"))
+        .args(args)
+        .output()
+        .expect("spawn anacin");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// A usage error exits 2 with an `error:` line, like any other.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let (code, _, stderr) = anacin(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn root_cause_rejects_zero_slices() {
+    assert_usage_error(
+        &["root-cause", "--procs", "4", "--runs", "3", "--slices", "0"],
+        "--slices",
+    );
+}
+
+#[test]
+fn root_cause_rejects_a_single_run() {
+    assert_usage_error(&["root-cause", "--procs", "4", "--runs", "1"], "--runs");
+}
+
+#[test]
+fn report_rejects_zero_runs() {
+    let dir = std::env::temp_dir().join("anacin_cli_report_zero_runs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("report.html");
+    let out = out.to_str().unwrap();
+    assert_usage_error(&["report", "--runs", "0", "--out", out], "--runs");
+    assert!(!std::path::Path::new(out).exists(), "no report for no runs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_trace_writes_every_simulated_event() {
+    // 20 runs x 992 events overflow an 8192-record ring several times
+    // over; the file is written as the ring drains, so nothing is lost.
+    let dir = std::env::temp_dir().join("anacin_cli_trace_all_events");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.json");
+    let (code, _, stderr) = anacin(&[
+        "run",
+        "--pattern",
+        "amg2013",
+        "--procs",
+        "16",
+        "--runs",
+        "20",
+        "--trace",
+        path.to_str().unwrap(),
+        "--trace-capacity",
+        "8192",
+        "--json",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let json = std::fs::read_to_string(&path).unwrap();
+    let sim = json
+        .lines()
+        .filter(|l| l.contains("\"cat\":\"sim\""))
+        .count();
+    assert_eq!(sim, 20 * 992, "{stderr}");
+    assert!(stderr.contains(" 0 lost to ring overflow"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stream_composes_with_the_store_and_the_explorer() {
+    let dir = std::env::temp_dir().join(format!("anacin_cli_stream_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.join("s");
+    let store = store.to_str().unwrap();
+    let campaign = ["run", "--pattern", "amg2013", "--procs", "8", "--json"];
+    let json_of = |extra: &[&str]| {
+        let args: Vec<&str> = campaign.iter().chain(extra).copied().collect();
+        let (code, stdout, stderr) = anacin(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        (stdout, stderr)
+    };
+    let (plain4, _) = json_of(&["--runs", "4"]);
+    let (cold, cold_err) = json_of(&["--runs", "4", "--stream", "--store", store]);
+    assert_eq!(cold, plain4);
+    // 4 traces, 4 graphs, 4 feature vectors and the matrix (published
+    // with its distance sample).
+    assert!(
+        cold_err.contains("0 hit(s), 13 miss(es), 14 publish(es)"),
+        "{cold_err}"
+    );
+    let (warm, warm_err) = json_of(&["--runs", "4", "--stream", "--store", store]);
+    assert_eq!(warm, plain4);
+    assert!(
+        warm_err.contains(&format!(
+            "store {store}: 13 hit(s), 0 miss(es), 0 publish(es)"
+        )),
+        "{warm_err}"
+    );
+    let (plain5, _) = json_of(&["--runs", "5"]);
+    let (appended, _) = json_of(&["--runs", "5", "--stream", "--append-to", store]);
+    assert_eq!(appended, plain5);
+    let explore = ["--pattern", "message-race", "--procs", "5", "--runs", "20"];
+    let (explored, _) = json_of(&[&explore[..], &["--explore"]].concat());
+    let (streamed, _) = json_of(&[&explore[..], &["--explore", "--stream"]].concat());
+    assert_eq!(streamed, explored);
+    assert!(explored.contains("\"coverage\""), "{explored}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,8 +8,8 @@
 //! different runs (vertex histograms on pure match reorderings) is blind
 //! to the phenomenon, whatever its speed.
 
-use crate::campaign::CampaignResult;
-use crate::config::KernelChoice;
+use crate::campaign::{seeded_campaign, CampaignError, RunCtx};
+use crate::config::{CampaignConfig, KernelChoice};
 use anacin_event_graph::LabelPolicy;
 use anacin_kernels::matrix::gram_matrix;
 use serde::{Deserialize, Serialize};
@@ -91,14 +91,20 @@ pub fn default_kernels() -> Vec<KernelChoice> {
     ]
 }
 
-/// Evaluate `kernels` over an existing campaign's graphs.
-pub fn ablate(result: &CampaignResult, kernels: &[KernelChoice]) -> AblationReport {
+/// Run `config`'s campaign and evaluate `kernels` over its graphs, which
+/// its workers hand over in run order.
+pub fn ablate(
+    config: &CampaignConfig,
+    kernels: &[KernelChoice],
+    ctx: &RunCtx,
+) -> Result<AblationReport, CampaignError> {
+    let (_, graphs) = seeded_campaign(config, ctx, false, &|_, g| g.clone())?;
     let rows = kernels
         .iter()
         .map(|kc| {
             let kernel = kc.instantiate();
             let start = std::time::Instant::now();
-            let m = gram_matrix(kernel.as_ref(), &result.graphs, result.config.threads);
+            let m = gram_matrix(kernel.as_ref(), &graphs, config.threads);
             let micros = start.elapsed().as_micros();
             let d = m.pairwise_distances();
             let separated = if d.is_empty() {
@@ -114,22 +120,23 @@ pub fn ablate(result: &CampaignResult, kernels: &[KernelChoice]) -> AblationRepo
             }
         })
         .collect();
-    AblationReport { rows }
+    Ok(AblationReport { rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use crate::config::CampaignConfig;
     use anacin_miniapps::Pattern;
+
+    fn ablate_default(cfg: &CampaignConfig) -> AblationReport {
+        ablate(cfg, &default_kernels(), &RunCtx::default()).unwrap()
+    }
 
     #[test]
     fn wl_peer_beats_histograms_on_the_race() {
         // The race's runs differ only by match order; histogram kernels
         // are blind to that, WL with peer labels is not.
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 8).runs(8)).unwrap();
-        let report = ablate(&r, &default_kernels());
+        let report = ablate_default(&CampaignConfig::new(Pattern::MessageRace, 8).runs(8));
         let signal = |name_part: &str| {
             report
                 .rows
@@ -153,8 +160,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 5).runs(5)).unwrap();
-        let report = ablate(&r, &default_kernels());
+        let report = ablate_default(&CampaignConfig::new(Pattern::MessageRace, 5).runs(5));
         let t = report.table();
         assert_eq!(t.lines().count(), 1 + report.rows.len());
         assert!(t.contains("mean distance"));

@@ -4,15 +4,17 @@
 //! This is the paper's experimental loop ("run the same application many
 //! times to collect a sample of non-deterministic executions", §III-B),
 //! compressed from cluster-hours to milliseconds by the simulator. Every
-//! entry point here, the sweeps and the explorer run the same private
-//! engine; they differ only in what they keep of each run and in the
-//! [`RunCtx`] they pass.
+//! entry point here, the sweeps, the explorer, root-cause analysis and
+//! the kernel ablation run the same private engine, which frees each
+//! run's trace and graph inside its worker; they differ only in what
+//! they take from each run there and in the [`RunCtx`] they pass.
 
 use crate::config::CampaignConfig;
-use crate::engine::{self, Plan, Retain, Source};
+use crate::engine::{self, Plan, Source};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::matrix::KernelMatrix;
 use anacin_mpisim::engine::SimError;
+use anacin_mpisim::explore::{Schedule, ScheduleId};
 use anacin_mpisim::program::Program;
 use anacin_mpisim::stack::CallStackTable;
 use anacin_mpisim::trace::Trace;
@@ -103,18 +105,23 @@ impl From<StoreError> for CampaignError {
     }
 }
 
-/// The artifacts of one campaign.
+/// The measurement of one campaign. Each run's trace and graph are freed
+/// inside its worker, so memory stays one in-flight run per worker plus
+/// the feature vectors, whatever the rank or run count.
 pub struct CampaignResult {
     /// The configuration that produced the result.
     pub config: CampaignConfig,
     /// The program all runs executed.
     pub program: Program,
-    /// One trace per run (seed = `base_seed + i`).
-    pub traces: Vec<Trace>,
-    /// One event graph per run.
-    pub graphs: Vec<EventGraph>,
     /// The kernel matrix over all runs.
     pub matrix: KernelMatrix,
+    /// The schedule each run realised (`Schedule::from_trace(trace).id()`
+    /// of run `i`, seed `base_seed + i`), in run order.
+    pub schedules: Vec<ScheduleId>,
+    /// Total simulated trace events across all runs.
+    pub total_events: u64,
+    /// Total event-graph nodes across all runs.
+    pub total_nodes: u64,
 }
 
 impl CampaignResult {
@@ -141,6 +148,10 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, CampaignE
     run_campaign_with(config, &RunCtx::default())
 }
 
+// Kept because perfbench's wide-stream workload calls this name.
+#[doc(hidden)]
+pub use self::run_campaign as run_campaign_streaming;
+
 /// [`run_campaign`] under a [`RunCtx`]. The result is bit-identical to
 /// the plain one whatever the context: observers never touch simulated
 /// time or the injection RNG, and stored artifacts decode to exactly the
@@ -149,7 +160,7 @@ pub fn run_campaign_with(
     config: &CampaignConfig,
     ctx: &RunCtx,
 ) -> Result<CampaignResult, CampaignError> {
-    materialised(config, ctx, false)
+    Ok(seeded_campaign(config, ctx, false, &|_, _| ())?.0)
 }
 
 /// Grow a stored campaign: like [`run_campaign_with`], but the Gram stage
@@ -164,113 +175,71 @@ pub fn run_campaign_append(
     config: &CampaignConfig,
     ctx: &RunCtx,
 ) -> Result<CampaignResult, CampaignError> {
-    materialised(config, ctx, true)
+    Ok(seeded_campaign(config, ctx, true, &|_, _| ())?.0)
 }
 
-fn materialised(
+/// A seeded campaign whose workers also reduce every run with `per_run`
+/// before its trace and graph are freed; returns the campaign and the
+/// reductions in run order.
+pub(crate) fn seeded_campaign<S: Send>(
     config: &CampaignConfig,
     ctx: &RunCtx,
     append: bool,
-) -> Result<CampaignResult, CampaignError> {
+    per_run: &(dyn Fn(&Trace, &EventGraph) -> S + Sync),
+) -> Result<(CampaignResult, Vec<S>), CampaignError> {
     let program = config.pattern.build(&config.app);
     let plan = Plan {
         source: Source::Seeded,
-        retain: Retain::All,
         append,
         run_base: 0,
     };
-    let out = engine::run(config, &program, ctx, plan)?;
-    Ok(CampaignResult {
-        config: config.clone(),
-        program,
-        traces: out.traces,
-        graphs: out.graphs,
-        matrix: out.matrix,
-    })
-}
-
-/// The measurement of a streaming campaign: everything [`run_campaign`]
-/// produces *except* the per-run traces and graphs, which are dropped as
-/// soon as each run's feature vector exists. Peak memory is therefore one
-/// in-flight trace + graph per worker thread plus the (tiny) feature
-/// vectors, instead of every run's trace and graph at once — the
-/// difference between fitting a 1024-rank campaign in memory and not.
-pub struct StreamingCampaignResult {
-    /// The configuration that produced the result.
-    pub config: CampaignConfig,
-    /// The program all runs executed.
-    pub program: Program,
-    /// The kernel matrix over all runs.
-    pub matrix: KernelMatrix,
-    /// Total simulated trace events across all runs.
-    pub total_events: u64,
-    /// Total event-graph nodes across all runs.
-    pub total_nodes: u64,
-}
-
-impl StreamingCampaignResult {
-    /// The kernel-distance sample — identical to
-    /// [`CampaignResult::distance_sample`] for the same configuration.
-    pub fn distance_sample(&self) -> Vec<f64> {
-        self.matrix.pairwise_distances()
-    }
-
-    /// The scalar "measured amount of non-determinism".
-    pub fn mean_distance(&self) -> f64 {
-        self.matrix.mean_pairwise_distance()
-    }
-}
-
-/// Run a full campaign without materialising all traces and graphs: each
-/// run is simulated, graphed and reduced to its feature vector on one
-/// worker, which frees the trace and graph before claiming the next run.
-/// The matrix is bit-identical to [`run_campaign`]'s: the per-run code is
-/// the same, and the Gram stage computes every `(i, j)` product once by
-/// the same expression regardless of thread count.
-pub fn run_campaign_streaming(
-    config: &CampaignConfig,
-) -> Result<StreamingCampaignResult, CampaignError> {
-    run_campaign_streaming_with(config, &RunCtx::default())
-}
-
-/// [`run_campaign_streaming`] under a [`RunCtx`] (see [`run_campaign_with`]).
-pub fn run_campaign_streaming_with(
-    config: &CampaignConfig,
-    ctx: &RunCtx,
-) -> Result<StreamingCampaignResult, CampaignError> {
-    let program = config.pattern.build(&config.app);
-    let plan = Plan {
-        source: Source::Seeded,
-        retain: Retain::Features,
-        append: false,
-        run_base: 0,
-    };
-    let out = engine::run(config, &program, ctx, plan)?;
-    Ok(StreamingCampaignResult {
+    let out = engine::run(config, &program, ctx, plan, &|t, g| {
+        (Schedule::from_trace(t).id(), per_run(t, g))
+    })?;
+    let (schedules, reduced) = out.per_run.into_iter().unzip();
+    let result = CampaignResult {
         config: config.clone(),
         program,
         matrix: out.matrix,
+        schedules,
         total_events: out.total_events,
         total_nodes: out.total_nodes,
-    })
+    };
+    Ok((result, reduced))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use anacin_miniapps::Pattern;
+    use anacin_mpisim::engine::simulate;
+
+    /// Every run of `cfg`, simulated afresh: run `i` is a pure function of
+    /// `cfg.sim_config(i)`, so this is what the campaign's workers saw.
+    pub(crate) fn fresh_traces(cfg: &CampaignConfig) -> Vec<Trace> {
+        let program = cfg.pattern.build(&cfg.app);
+        (0..cfg.runs)
+            .map(|i| simulate(&program, &cfg.sim_config(i)).unwrap())
+            .collect()
+    }
 
     #[test]
     fn campaign_produces_consistent_artifacts() {
         let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(8);
         let r = run_campaign(&cfg).unwrap();
-        assert_eq!(r.traces.len(), 8);
-        assert_eq!(r.graphs.len(), 8);
+        let traces = fresh_traces(&cfg);
+        assert_eq!(r.schedules.len(), 8);
         assert_eq!(r.matrix.len(), 8);
         assert_eq!(r.distance_sample().len(), 8 * 7 / 2);
-        for t in &r.traces {
+        for (t, id) in traces.iter().zip(&r.schedules) {
             assert_eq!(t.meta.unmatched_messages, 0);
+            assert_eq!(Schedule::from_trace(t).id(), *id);
         }
+        let nodes: usize = traces
+            .iter()
+            .map(|t| EventGraph::from_trace(t).node_count())
+            .sum();
+        assert_eq!(r.total_nodes, nodes as u64);
     }
 
     #[test]
@@ -360,11 +329,10 @@ mod tests {
             .base_seed(77);
         let plan = Plan {
             source: Source::Seeded,
-            retain: Retain::All,
             append: false,
             run_base: 0,
         };
-        let Err(err) = engine::run(&cfg, &program, &RunCtx::default(), plan) else {
+        let Err(err) = engine::run(&cfg, &program, &RunCtx::default(), plan, &|_, _| ()) else {
             panic!("a deadlocking program must fail");
         };
         let CampaignError::Run { run, seed, source } = &err else {
@@ -387,19 +355,25 @@ mod tests {
             ..RunCtx::default()
         };
         let r = run_campaign_with(&cfg, &ctx).unwrap();
-        let streamed_reg = MetricsRegistry::new();
+        let append_reg = MetricsRegistry::new();
         let ctx = RunCtx {
-            metrics: Some(&streamed_reg),
+            metrics: Some(&append_reg),
             ..RunCtx::default()
         };
-        let s = run_campaign_streaming_with(&cfg, &ctx).unwrap();
-        let events: usize = r.traces.iter().map(|t| t.total_events()).sum();
-        let nodes: usize = r.graphs.iter().map(|g| g.node_count()).sum();
-        assert_eq!(
-            (s.total_events, s.total_nodes),
-            (events as u64, nodes as u64)
-        );
-        for report in [reg.report(), streamed_reg.report()] {
+        let s = run_campaign_append(&cfg, &ctx).unwrap();
+        let traces = fresh_traces(&cfg);
+        let events: usize = traces.iter().map(|t| t.total_events()).sum();
+        let nodes: usize = traces
+            .iter()
+            .map(|t| EventGraph::from_trace(t).node_count())
+            .sum();
+        for result in [&r, &s] {
+            assert_eq!(
+                (result.total_events, result.total_nodes),
+                (events as u64, nodes as u64)
+            );
+        }
+        for report in [reg.report(), append_reg.report()] {
             // Wall-times are present (non-negative by construction: the
             // report stores unsigned nanoseconds) for every stage.
             for (stage, count) in [
@@ -439,6 +413,7 @@ mod tests {
         let a = run_campaign_streaming(&cfg).unwrap();
         let b = run_campaign_streaming(&cfg).unwrap();
         assert_eq!(a.matrix, b.matrix);
+        assert_eq!(a.schedules, b.schedules);
         assert_eq!(a.total_events, b.total_events);
         assert_eq!(a.total_nodes, b.total_nodes);
     }

@@ -7,10 +7,11 @@
 //! One Gram stage then reads a stored matrix, grows a stored prefix
 //! (append), or computes the matrix exactly or by landmarks.
 //!
-//! Callers vary only three things ([`Plan`]): where runs come from
-//! (seeded runs or replays of explored schedules), whether traces and
-//! graphs are kept (materialised results) or freed inside the worker
-//! (`--stream`), and whether the Gram stage may grow a stored prefix.
+//! Callers vary only two things ([`Plan`]): where runs come from (seeded
+//! runs or replays of explored schedules) and whether the Gram stage may
+//! grow a stored prefix. Every run's trace and graph are freed inside its
+//! worker; a caller that needs more of a run than its feature vector
+//! passes a per-run function, which the worker calls while both exist.
 
 use crate::campaign::{CampaignError, RunCtx};
 use crate::config::{CampaignConfig, GramApprox};
@@ -43,19 +44,9 @@ pub(crate) enum Source<'a> {
     Schedules(&'a [Schedule]),
 }
 
-/// What the engine keeps of each run besides its feature vector.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Retain {
-    /// Every trace and graph (materialised results).
-    All,
-    /// Nothing: each trace and graph is freed inside its worker.
-    Features,
-}
-
 /// How one engine call differs from a plain campaign.
 pub(crate) struct Plan<'a> {
     pub source: Source<'a>,
-    pub retain: Retain,
     /// Grow the largest stored Gram prefix of this run set instead of
     /// recomputing the matrix (append jobs).
     pub append: bool,
@@ -64,33 +55,34 @@ pub(crate) struct Plan<'a> {
     pub run_base: u32,
 }
 
-/// Everything one engine call produced. `traces` and `graphs` are empty
-/// unless the plan retained them.
-pub(crate) struct Output {
-    pub traces: Vec<Trace>,
-    pub graphs: Vec<EventGraph>,
+/// Everything one engine call produced.
+pub(crate) struct Output<S> {
+    /// The per-run function's value for each run, in run order.
+    pub per_run: Vec<S>,
     pub matrix: KernelMatrix,
     pub total_events: u64,
     pub total_nodes: u64,
 }
 
 /// One finished run, as its worker hands it back.
-struct RunOut {
-    kept: Option<(Trace, EventGraph)>,
+struct RunOut<S> {
+    summary: S,
     features: SparseFeatures,
     events: u64,
     nodes: u64,
 }
 
-/// Run `plan` over `program`. Records the `campaign` span (with
+/// Run `plan` over `program`, calling `per_run` on each run's trace and
+/// graph inside its worker. Records the `campaign` span (with
 /// `campaign/gram` under it) on the calling thread and the per-run
 /// `run/simulate`, `run/graph` and `run/features` spans on the workers.
-pub(crate) fn run(
+pub(crate) fn run<S: Send>(
     config: &CampaignConfig,
     program: &Program,
     ctx: &RunCtx,
     plan: Plan,
-) -> Result<Output, CampaignError> {
+    per_run: &(dyn Fn(&Trace, &EventGraph) -> S + Sync),
+) -> Result<Output<S>, CampaignError> {
     let _campaign = ctx.metrics.map(|m| m.span("campaign"));
     let kernel = config.kernel.instantiate();
     let engine = Engine {
@@ -99,6 +91,7 @@ pub(crate) fn run(
         ctx,
         kernel: kernel.as_ref(),
         plan: &plan,
+        per_run,
     };
     let runs = engine.runs()?;
     if ctx.cancel.is_some_and(|c| c.is_cancelled()) {
@@ -106,15 +99,12 @@ pub(crate) fn run(
             completed_runs: runs.len() as u32,
         });
     }
-    let (mut traces, mut graphs, mut feats) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut per_run, mut feats) = (Vec::new(), Vec::new());
     let (mut total_events, mut total_nodes) = (0, 0);
     for r in runs {
         total_events += r.events;
         total_nodes += r.nodes;
-        if let Some((trace, graph)) = r.kept {
-            traces.push(trace);
-            graphs.push(graph);
-        }
+        per_run.push(r.summary);
         feats.push(r.features);
     }
     let matrix = {
@@ -127,23 +117,23 @@ pub(crate) fn run(
         m.counter("stats/nan_distances").add(nan as u64);
     }
     Ok(Output {
-        traces,
-        graphs,
+        per_run,
         matrix,
         total_events,
         total_nodes,
     })
 }
 
-struct Engine<'a> {
+struct Engine<'a, S> {
     config: &'a CampaignConfig,
     program: &'a Program,
     ctx: &'a RunCtx<'a>,
     kernel: &'a dyn GraphKernel,
     plan: &'a Plan<'a>,
+    per_run: &'a (dyn Fn(&Trace, &EventGraph) -> S + Sync),
 }
 
-impl Engine<'_> {
+impl<S: Send> Engine<'_, S> {
     fn len(&self) -> usize {
         match self.plan.source {
             Source::Seeded => self.config.runs as usize,
@@ -157,7 +147,7 @@ impl Engine<'_> {
     /// claiming runs; the run each one is on completes, so a half-built
     /// trace is never observable and (with a store) every finished run is
     /// published.
-    fn runs(&self) -> Result<Vec<RunOut>, CampaignError> {
+    fn runs(&self) -> Result<Vec<RunOut<S>>, CampaignError> {
         let n = self.len();
         let threads = self.config.threads.max(1).min(n.max(1));
         if let Some(m) = self.ctx.metrics {
@@ -180,8 +170,8 @@ impl Engine<'_> {
         };
         // Two or more workers are all spawned threads: sharing the runs with
         // the caller's long-lived allocator arena raised the peak RSS of
-        // repeated 192-run materialised campaigns by ~40%.
-        let done: Vec<Vec<(usize, Result<RunOut, CampaignError>)>> = if threads == 1 {
+        // repeated 192-run campaigns that kept every run by ~40%.
+        let done: Vec<Vec<_>> = if threads == 1 {
             vec![work()]
         } else {
             std::thread::scope(|s| {
@@ -192,7 +182,7 @@ impl Engine<'_> {
                     .collect()
             })
         };
-        let mut slots: Vec<Option<RunOut>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<RunOut<S>>> = (0..n).map(|_| None).collect();
         // Keep the *lowest* failing run, so the reported failure does not
         // depend on how runs interleaved across workers.
         let mut failure: Option<(usize, CampaignError)> = None;
@@ -211,7 +201,7 @@ impl Engine<'_> {
         }
         // Runs are claimed in index order and every claimed run completes,
         // so a cancelled campaign's finished runs are exactly [0, k).
-        let outs: Vec<RunOut> = slots.into_iter().flatten().collect();
+        let outs: Vec<RunOut<S>> = slots.into_iter().flatten().collect();
         if outs.len() < n {
             return Err(CampaignError::Cancelled {
                 completed_runs: outs.len() as u32,
@@ -224,7 +214,7 @@ impl Engine<'_> {
         &self,
         i: usize,
         counters: &mut Option<SimCounters>,
-    ) -> Result<RunOut, CampaignError> {
+    ) -> Result<RunOut<S>, CampaignError> {
         let span = |path: &str| self.ctx.metrics.map(|m| m.span_at(path));
         let trace = {
             let _s = span("run/simulate");
@@ -238,18 +228,19 @@ impl Engine<'_> {
             self.graph(i, &trace)?
         };
         let events = trace.total_events() as u64;
-        // Free the trace before feature extraction unless the result keeps
-        // it: at `--stream` scale it is the largest object on a worker.
-        let trace = (self.plan.retain == Retain::All).then_some(trace);
+        let summary = (self.per_run)(&trace, &graph);
+        // Free the trace before feature extraction: at 1024 ranks it is
+        // the largest object on a worker.
+        drop(trace);
         let features = {
             let _s = span("run/features");
             self.features(i, &graph)?
         };
         Ok(RunOut {
+            summary,
+            features,
             events,
             nodes: graph.node_count() as u64,
-            kept: trace.map(|t| (t, graph)),
-            features,
         })
     }
 

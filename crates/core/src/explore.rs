@@ -22,15 +22,13 @@
 
 use crate::campaign::{CampaignError, CampaignResult, RunCtx};
 use crate::config::{CampaignConfig, GramApprox};
-use crate::engine::{self, Plan, Retain, Source};
+use crate::engine::{self, Plan, Source};
 use crate::incremental::absorb_setting;
-use anacin_event_graph::EventGraph;
 use anacin_kernels::matrix::KernelMatrix;
 use anacin_mpisim::explore::{
-    explore, flush_explore_metrics, ExploreConfig, ExploreReport, Schedule, ScheduleId,
+    explore, flush_explore_metrics, ExploreConfig, ExploreReport, ScheduleId,
 };
 use anacin_mpisim::program::Program;
-use anacin_mpisim::trace::Trace;
 use anacin_store::{Fingerprint, FingerprintHasher};
 use serde::Serialize;
 use std::collections::HashSet;
@@ -51,8 +49,8 @@ pub fn explore_fingerprint(config: &CampaignConfig, id: ScheduleId) -> Fingerpri
     h.finish()
 }
 
-/// The artifacts of one explore campaign: one trace/graph per distinct
-/// schedule, plus the kernel matrix over all of them.
+/// The measurement of one explore campaign: the enumeration and the
+/// kernel matrix over one replay per distinct schedule.
 pub struct ExploreCampaignResult {
     /// The configuration that produced the result.
     pub config: CampaignConfig,
@@ -60,11 +58,7 @@ pub struct ExploreCampaignResult {
     pub program: Program,
     /// The enumeration itself: schedules in discovery order + statistics.
     pub report: ExploreReport,
-    /// One replayed trace per explored schedule (same order).
-    pub traces: Vec<Trace>,
-    /// One event graph per explored schedule.
-    pub graphs: Vec<EventGraph>,
-    /// The kernel matrix over the explored schedules.
+    /// The kernel matrix over the explored schedules (same order).
     pub matrix: KernelMatrix,
 }
 
@@ -140,11 +134,7 @@ impl ExploreCampaignResult {
     /// Compare against a sampled campaign of the same setting.
     pub fn coverage_of(&self, sampled: &CampaignResult) -> ExploreCoverage {
         let explored_ids: HashSet<u64> = self.report.schedules.iter().map(|s| s.id().0).collect();
-        let sampled_ids: HashSet<u64> = sampled
-            .traces
-            .iter()
-            .map(|t| Schedule::from_trace(t).id().0)
-            .collect();
+        let sampled_ids: HashSet<u64> = sampled.schedules.iter().map(|id| id.0).collect();
         let covered = sampled_ids.iter().all(|id| explored_ids.contains(id));
         let overlap = sampled_ids.intersection(&explored_ids).count() as u64;
         let fraction = if explored_ids.is_empty() {
@@ -155,7 +145,7 @@ impl ExploreCampaignResult {
         ExploreCoverage {
             explored: explored_ids.len() as u64,
             complete: self.report.is_complete(),
-            sampled_runs: sampled.traces.len() as u64,
+            sampled_runs: sampled.schedules.len() as u64,
             sampled_distinct: sampled_ids.len() as u64,
             overlap,
             fraction,
@@ -193,19 +183,16 @@ pub fn explore_campaign(
     };
     let plan = Plan {
         source: Source::Schedules(&report.schedules),
-        retain: Retain::All,
         append: false,
         run_base: 0,
     };
     let exact = config.clone().approx(GramApprox::Exact);
-    let out = engine::run(&exact, &program, ctx, plan)?;
+    let matrix = engine::run(&exact, &program, ctx, plan, &|_, _| ())?.matrix;
     Ok(ExploreCampaignResult {
         config: config.clone(),
         program,
         report,
-        traces: out.traces,
-        graphs: out.graphs,
-        matrix: out.matrix,
+        matrix,
     })
 }
 
@@ -214,6 +201,8 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use anacin_miniapps::Pattern;
+    use anacin_mpisim::explore::simulate_scheduled;
+    use anacin_mpisim::trace::Trace;
     use anacin_obs::MetricsRegistry;
     use anacin_store::{Artifact, ArtifactStore};
     use std::path::PathBuf;
@@ -230,6 +219,19 @@ mod tests {
         (dir, store)
     }
 
+    /// The replayed trace of every explored schedule, as `store` holds it
+    /// under the schedule's explore key.
+    fn stored_traces(store: &ArtifactStore, r: &ExploreCampaignResult) -> Vec<Trace> {
+        r.report
+            .schedules
+            .iter()
+            .map(|s| {
+                let fp = explore_fingerprint(&r.config, s.id());
+                store.get::<Trace>(fp).unwrap().expect("replay stored")
+            })
+            .collect()
+    }
+
     #[test]
     fn message_race_explores_completely_and_covers_samples() {
         // 4 senders → 4! = 24 distinct schedules.
@@ -237,8 +239,7 @@ mod tests {
         let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
         assert_eq!(r.report.schedules.len(), 24);
         assert!(r.report.is_complete());
-        assert_eq!(r.traces.len(), 24);
-        assert_eq!(r.graphs.len(), 24);
+        assert_eq!(r.matrix.len(), 24, "one replay per schedule");
         let sampled = run_campaign(&cfg).unwrap();
         let cov = r.coverage_of(&sampled);
         assert!(cov.covered, "a sampled schedule escaped the enumeration");
@@ -251,11 +252,20 @@ mod tests {
     #[test]
     fn explore_campaign_is_deterministic() {
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
-        let b = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let ((dir_a, store_a), (dir_b, store_b)) = (tmp_store("det-a"), tmp_store("det-b"));
+        let run = |store| {
+            let ctx = RunCtx {
+                store: Some(store),
+                ..RunCtx::default()
+            };
+            explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap()
+        };
+        let (a, b) = (run(&store_a), run(&store_b));
         assert_eq!(a.report.ids(), b.report.ids());
-        assert_eq!(a.traces, b.traces);
+        assert_eq!(stored_traces(&store_a, &a), stored_traces(&store_b, &b));
         assert_eq!(a.matrix, b.matrix);
+        let _ = std::fs::remove_dir_all(dir_a);
+        let _ = std::fs::remove_dir_all(dir_b);
     }
 
     #[test]
@@ -292,15 +302,28 @@ mod tests {
         let before = store.activity();
         let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
         let after = store.activity();
-        assert!(after.hits >= before.hits + cold.traces.len() as u64);
-        assert_eq!(warm.traces, cold.traces);
-        for (w, c) in warm.traces.iter().zip(cold.traces.iter()) {
-            assert_eq!(w.to_wire(), c.to_wire(), "warm replay not byte-identical");
-        }
+        assert!(after.hits >= before.hits + cold.report.schedules.len() as u64);
+        // The warm pass read the cold pass's replays and wrote nothing.
+        assert_eq!(after.puts, before.puts);
         assert_eq!(warm.matrix, cold.matrix);
-        // And both agree with the storeless path.
+        // Every stored replay is byte-identical to the replay a storeless
+        // exploration computes, and both paths measure the same matrix.
+        let sc = cfg.sim_config(0);
+        for (s, stored) in cold
+            .report
+            .schedules
+            .iter()
+            .zip(stored_traces(&store, &cold))
+        {
+            let fresh = simulate_scheduled(&cold.program, &sc, s).unwrap();
+            assert_eq!(
+                stored.to_wire(),
+                fresh.to_wire(),
+                "replay not byte-identical"
+            );
+        }
         let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
-        assert_eq!(plain.traces, cold.traces);
+        assert_eq!(plain.matrix, cold.matrix);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -116,8 +116,10 @@ pub(crate) fn get_or_heal<A: Artifact>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::tests::fresh_traces;
     use crate::campaign::{run_campaign, run_campaign_append, run_campaign_with, RunCtx};
     use crate::config::GramApprox;
+    use anacin_event_graph::EventGraph;
     use anacin_kernels::matrix::KernelMatrix;
     use anacin_miniapps::Pattern;
     use anacin_mpisim::trace::Trace;
@@ -146,6 +148,16 @@ mod tests {
         CampaignConfig::new(Pattern::MessageRace, 6).runs(6)
     }
 
+    /// Every run's trace as `store` holds it under its run key.
+    fn stored_traces(store: &ArtifactStore, cfg: &CampaignConfig) -> Vec<Trace> {
+        (0..cfg.runs)
+            .map(|run| {
+                let fp = run_fingerprint(cfg, run);
+                store.get::<Trace>(fp).unwrap().expect("stored trace")
+            })
+            .collect()
+    }
+
     #[test]
     fn warm_run_is_bit_identical_and_simulates_nothing() {
         let cfg = small_cfg();
@@ -159,17 +171,18 @@ mod tests {
             ..stored(&store)
         };
         let warm = run_campaign_with(&cfg, &ctx).unwrap();
-        assert_eq!(warm.traces, cold.traces);
-        assert_eq!(warm.graphs, cold.graphs);
-        assert_eq!(warm.matrix, cold.matrix);
-        // Byte-level identity of the serialised artifacts.
-        for run in 0..cfg.runs {
-            assert_eq!(
-                warm.traces[run as usize].to_wire(),
-                cold.traces[run as usize].to_wire()
-            );
-        }
         let report = reg.report();
+        assert_eq!(warm.schedules, cold.schedules);
+        assert_eq!(warm.matrix, cold.matrix);
+        // The stored runs the warm pass read are byte-identical to what a
+        // storeless run simulates and graphs.
+        for (run, fresh) in fresh_traces(&cfg).iter().enumerate() {
+            let fp = run_fingerprint(&cfg, run as u32);
+            let trace = store.get::<Trace>(fp).unwrap().expect("stored trace");
+            assert_eq!(trace.to_wire(), fresh.to_wire());
+            let graph = store.get::<EventGraph>(fp).unwrap().expect("stored graph");
+            assert_eq!(graph, EventGraph::from_trace(fresh));
+        }
         // Fully warm: every artifact was a hit, nothing was simulated.
         assert_eq!(report.counter("sim/runs"), None);
         // 6 traces + 6 graphs + 6 feature vectors + 1 matrix.
@@ -191,7 +204,8 @@ mod tests {
         // The 3 stored traces were reused, the other 3 simulated.
         assert!(after.hits >= before.hits + 3);
         let uninterrupted = run_campaign(&cfg).unwrap();
-        assert_eq!(resumed.traces, uninterrupted.traces);
+        assert_eq!(resumed.schedules, uninterrupted.schedules);
+        assert_eq!(stored_traces(&store, &cfg), fresh_traces(&cfg));
         assert_eq!(resumed.matrix, uninterrupted.matrix);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -213,14 +227,13 @@ mod tests {
         let store = ArtifactStore::open(store.root()).unwrap();
         let healed = run_campaign_with(&cfg, &stored(&store)).unwrap();
         let plain = run_campaign(&cfg).unwrap();
-        assert_eq!(healed.traces, plain.traces);
+        assert_eq!(healed.schedules, plain.schedules);
+        assert_eq!(healed.matrix, plain.matrix);
         assert!(store.activity().corrupt >= 1);
-        // The damaged file was republished: a fresh read decodes cleanly.
-        assert!(ArtifactStore::open(store.root())
-            .unwrap()
-            .get::<Trace>(run_fingerprint(&cfg, 0))
-            .unwrap()
-            .is_some());
+        // The damaged file was republished: a fresh read decodes cleanly,
+        // to exactly the trace a storeless run simulates.
+        let reopened = ArtifactStore::open(store.root()).unwrap();
+        assert_eq!(stored_traces(&reopened, &cfg), fresh_traces(&cfg));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -334,7 +347,8 @@ mod tests {
         let viaappend = run_campaign_append(&cfg, &stored(&store)).unwrap();
         let plain = run_campaign(&cfg).unwrap();
         assert_eq!(viaappend.matrix, plain.matrix);
-        assert_eq!(viaappend.traces, plain.traces);
+        assert_eq!(viaappend.schedules, plain.schedules);
+        assert_eq!(stored_traces(&store, &cfg), fresh_traces(&cfg));
         // And the store is now warm: a second append is a pure read.
         let reg = MetricsRegistry::new();
         let ctx = RunCtx {

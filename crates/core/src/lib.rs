@@ -42,9 +42,10 @@ pub mod sweep;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::ablation::{ablate, default_kernels, AblationReport, AblationRow};
+    #[doc(hidden)]
+    pub use crate::campaign::run_campaign_streaming;
     pub use crate::campaign::{
-        run_campaign, run_campaign_append, run_campaign_streaming, run_campaign_streaming_with,
-        run_campaign_with, CampaignError, CampaignResult, RunCtx, StreamingCampaignResult,
+        run_campaign, run_campaign_append, run_campaign_with, CampaignError, CampaignResult, RunCtx,
     };
     pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
     pub use crate::explore::{

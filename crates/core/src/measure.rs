@@ -22,9 +22,9 @@ impl NdMeasurement {
         Self::from_matrix(label, &result.matrix)
     }
 
-    /// Build straight from a kernel matrix — the constructor the streaming
-    /// campaign path uses, since it retains no traces or graphs. Given the
-    /// same matrix, the measurement is identical to [`Self::from_campaign`].
+    /// Build straight from a kernel matrix, as sweeps and `anacin run
+    /// --json` do. Given the same matrix, the measurement is identical to
+    /// [`Self::from_campaign`].
     pub fn from_matrix(
         label: impl Into<String>,
         matrix: &anacin_kernels::matrix::KernelMatrix,

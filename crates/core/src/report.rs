@@ -165,8 +165,8 @@ mod tests {
 
     #[test]
     fn ranking_table_limits_rows() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::Amg2013, 4).runs(6)).unwrap();
-        let ranking = analyze(&r, &RootCauseConfig::default());
+        let cfg = CampaignConfig::new(Pattern::Amg2013, 4).runs(6);
+        let (_, ranking) = analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).unwrap();
         let table = ranking_table(&ranking, 2);
         assert!(table.lines().count() <= 3);
         assert!(table.contains("rel.freq"));

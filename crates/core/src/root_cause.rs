@@ -8,7 +8,10 @@
 //!
 //! Pipeline:
 //! 1. slice every run's event graph into the same number of windows by
-//!    relative program position (run-invariant membership);
+//!    relative program position (run-invariant membership), inside the
+//!    campaign's worker: each run is reduced there to its windows' label
+//!    histograms and the `(call path, label)` of each receive, and its
+//!    trace and graph are freed;
 //! 2. score each window by how much the runs *disagree* in it (mean
 //!    pairwise L1 distance between per-window label histograms);
 //! 3. keep the top windows, and within them attribute divergence to
@@ -20,12 +23,14 @@
 //! 4. report call paths by normalized relative (weighted) frequency —
 //!    wildcard receive paths (the true root sources) rise to the top.
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{seeded_campaign, CampaignError, CampaignResult, RunCtx};
+use crate::config::CampaignConfig;
 use anacin_event_graph::label::{initial_labels, LabelPolicy};
 use anacin_event_graph::slice::slice_by_position;
-use anacin_mpisim::stack::CallStackId;
+use anacin_event_graph::EventGraph;
+use anacin_mpisim::stack::{CallStackId, CallStackTable};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Root-cause analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,63 +86,90 @@ impl CallstackRanking {
     }
 }
 
-/// Per-window label histograms for one run.
-fn window_histograms(
-    g: &anacin_event_graph::EventGraph,
-    slices: usize,
-    policy: LabelPolicy,
-) -> Vec<HashMap<u64, f64>> {
-    let labels = initial_labels(g, policy);
-    slice_by_position(g, slices)
+/// Label counts of one window of one run.
+type Histogram = HashMap<u64, f64>;
+
+/// One window of one run, as far as the analysis reads it.
+struct Window {
+    labels: Histogram,
+    /// `(call path, label)` of each receive, in node order.
+    recvs: Vec<(CallStackId, u64)>,
+}
+
+/// Reduce one run's graph to its windows. Labels and slices are computed
+/// once per graph.
+fn windows(g: &EventGraph, config: &RootCauseConfig) -> Vec<Window> {
+    let labels = initial_labels(g, config.policy);
+    slice_by_position(g, config.slices)
         .into_iter()
         .map(|s| {
-            let mut h: HashMap<u64, f64> = HashMap::new();
-            for id in &s.nodes {
-                *h.entry(labels[id.index()]).or_insert(0.0) += 1.0;
+            let mut w = Window {
+                labels: HashMap::new(),
+                recvs: Vec::new(),
+            };
+            for &id in &s.nodes {
+                let label = labels[id.index()];
+                *w.labels.entry(label).or_insert(0.0) += 1.0;
+                let node = g.node(id);
+                if node.kind.is_recv() {
+                    w.recvs.push((node.stack, label));
+                }
             }
-            h
+            w
         })
         .collect()
 }
 
-fn l1(a: &HashMap<u64, f64>, b: &HashMap<u64, f64>) -> f64 {
-    let mut keys: std::collections::HashSet<u64> = a.keys().copied().collect();
+fn l1(a: &Histogram, b: &Histogram) -> f64 {
+    let mut keys: HashSet<u64> = a.keys().copied().collect();
     keys.extend(b.keys().copied());
     keys.into_iter()
         .map(|k| (a.get(&k).copied().unwrap_or(0.0) - b.get(&k).copied().unwrap_or(0.0)).abs())
         .sum()
 }
 
-/// Run the analysis over a finished campaign.
+/// Mean of `f(i, j)` over the run pairs `i < j`, summed in that order
+/// (`runs >= 2`).
+fn mean_pairwise(runs: usize, f: impl Fn(usize, usize) -> f64) -> f64 {
+    let mut total = 0.0;
+    for i in 0..runs {
+        for j in (i + 1)..runs {
+            total += f(i, j);
+        }
+    }
+    total / (runs * (runs - 1) / 2) as f64
+}
+
+/// Run a campaign and rank the call paths active where its runs diverge.
+/// Each run is reduced to its windows inside the campaign's worker, so
+/// the analysis holds no trace or graph and runs at any rank count, and
+/// with a store in `ctx` a repeated analysis is warm.
 ///
 /// # Panics
 /// Panics when the campaign has fewer than two runs (nothing to compare)
-/// or `config.slices == 0`.
-pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRanking {
-    assert!(
-        result.graphs.len() >= 2,
-        "need at least two runs to compare"
-    );
-    assert!(config.slices > 0, "need at least one slice");
-    let per_run: Vec<Vec<HashMap<u64, f64>>> = result
-        .graphs
-        .iter()
-        .map(|g| window_histograms(g, config.slices, config.policy))
-        .collect();
+/// or `rc.slices == 0`.
+pub fn analyze(
+    config: &CampaignConfig,
+    rc: &RootCauseConfig,
+    ctx: &RunCtx,
+) -> Result<(CampaignResult, CallstackRanking), CampaignError> {
+    assert!(config.runs >= 2, "need at least two runs to compare");
+    assert!(rc.slices > 0, "need at least one slice");
+    let (result, runs) = seeded_campaign(config, ctx, false, &|_, g| windows(g, rc))?;
+    let ranking = rank(&runs, rc, result.stacks());
+    Ok((result, ranking))
+}
+
+fn rank(
+    runs: &[Vec<Window>],
+    config: &RootCauseConfig,
+    stacks: &CallStackTable,
+) -> CallstackRanking {
+    let hist = |run: usize, s: usize| &runs[run][s].labels;
     // Divergence per window: mean pairwise L1 across runs.
-    let runs = per_run.len();
-    let mut divergence = vec![0.0; config.slices];
-    for (s, div) in divergence.iter_mut().enumerate() {
-        let mut total = 0.0;
-        let mut pairs = 0u64;
-        for i in 0..runs {
-            for j in (i + 1)..runs {
-                total += l1(&per_run[i][s], &per_run[j][s]);
-                pairs += 1;
-            }
-        }
-        *div = if pairs > 0 { total / pairs as f64 } else { 0.0 };
-    }
+    let divergence: Vec<f64> = (0..config.slices)
+        .map(|s| mean_pairwise(runs.len(), |i, j| l1(hist(i, s), hist(j, s))))
+        .collect();
     // High-ND windows: top fraction of strictly positive divergences.
     let mut positive: Vec<usize> = (0..config.slices)
         .filter(|&s| divergence[s] > 0.0)
@@ -155,58 +187,50 @@ pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRa
     // Per-window, per-label disagreement: how much each label's count
     // varies across runs (mean pairwise |Δcount|). A receive whose label
     // is identical in every run carries no root-cause signal.
-    let label_divergence: Vec<HashMap<u64, f64>> = high
+    let label_divergence: Vec<Histogram> = high
         .iter()
         .map(|&s| {
-            let mut keys: std::collections::HashSet<u64> = Default::default();
-            for hist in per_run.iter().map(|r| &r[s]) {
-                keys.extend(hist.keys().copied());
-            }
-            let mut out = HashMap::new();
-            for key in keys {
-                let mut total = 0.0;
-                let mut pairs = 0u64;
-                for i in 0..runs {
-                    for j in (i + 1)..runs {
-                        let a = per_run[i][s].get(&key).copied().unwrap_or(0.0);
-                        let b = per_run[j][s].get(&key).copied().unwrap_or(0.0);
-                        total += (a - b).abs();
-                        pairs += 1;
-                    }
-                }
-                out.insert(key, if pairs > 0 { total / pairs as f64 } else { 0.0 });
-            }
-            out
+            let keys: HashSet<u64> = (0..runs.len())
+                .flat_map(|r| hist(r, s).keys().copied())
+                .collect();
+            keys.into_iter()
+                .map(|key| {
+                    let count = |r: usize| hist(r, s).get(&key).copied().unwrap_or(0.0);
+                    (
+                        key,
+                        mean_pairwise(runs.len(), |i, j| (count(i) - count(j)).abs()),
+                    )
+                })
+                .collect()
         })
         .collect();
     // Attribute: each receive in a high window adds its label's
-    // disagreement to its call path.
-    let mut counts: HashMap<CallStackId, u64> = HashMap::new();
-    let mut weights: HashMap<CallStackId, f64> = HashMap::new();
-    for g in &result.graphs {
-        let labels = initial_labels(g, config.policy);
-        let slices = slice_by_position(g, config.slices);
+    // disagreement to its call path, run by run and in node order.
+    let mut paths: BTreeMap<CallStackId, (u64, f64)> = BTreeMap::new();
+    for run in runs {
         for (hi, &s) in high.iter().enumerate() {
-            for &id in &slices[s].nodes {
-                let node = g.node(id);
-                if node.kind.is_recv() {
-                    *counts.entry(node.stack).or_insert(0) += 1;
-                    let w = label_divergence[hi]
-                        .get(&labels[id.index()])
-                        .copied()
-                        .unwrap_or(0.0);
-                    *weights.entry(node.stack).or_insert(0.0) += w;
-                }
+            for &(stack, label) in &run[s].recvs {
+                let path = paths.entry(stack).or_insert((0, 0.0));
+                path.0 += 1;
+                path.1 += label_divergence[hi].get(&label).copied().unwrap_or(0.0);
             }
         }
     }
-    let total_weight: f64 = weights.values().sum();
-    let stacks = result.stacks();
-    let mut entries: Vec<CallstackFrequency> = counts
+    ranking_of(paths, divergence, high, stacks)
+}
+
+/// Normalise per-path `(count, weight)` into the ranked table.
+fn ranking_of(
+    paths: BTreeMap<CallStackId, (u64, f64)>,
+    divergence: Vec<f64>,
+    high: Vec<usize>,
+    stacks: &CallStackTable,
+) -> CallstackRanking {
+    let total_weight: f64 = paths.values().map(|&(_, w)| w).sum();
+    let mut entries: Vec<CallstackFrequency> = paths
         .into_iter()
-        .map(|(id, count)| {
+        .map(|(id, (count, w))| {
             let cs = stacks.resolve(id);
-            let w = weights.get(&id).copied().unwrap_or(0.0);
             CallstackFrequency {
                 stack: cs.to_string(),
                 leaf: cs.leaf().unwrap_or("<unknown>").to_string(),
@@ -236,14 +260,200 @@ pub fn analyze(result: &CampaignResult, config: &RootCauseConfig) -> CallstackRa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use crate::config::CampaignConfig;
+    use crate::campaign::tests::fresh_traces;
     use anacin_miniapps::Pattern;
+    use anacin_store::ArtifactStore;
+
+    fn ranking(cfg: &CampaignConfig) -> CallstackRanking {
+        analyze(cfg, &RootCauseConfig::default(), &RunCtx::default())
+            .unwrap()
+            .1
+    }
+
+    /// Per-window label histograms for one run, straight from its graph.
+    fn window_histograms(g: &EventGraph, slices: usize, policy: LabelPolicy) -> Vec<Histogram> {
+        let labels = initial_labels(g, policy);
+        slice_by_position(g, slices)
+            .into_iter()
+            .map(|s| {
+                let mut h: Histogram = HashMap::new();
+                for id in &s.nodes {
+                    *h.entry(labels[id.index()]).or_insert(0.0) += 1.0;
+                }
+                h
+            })
+            .collect()
+    }
+
+    /// The analysis as it ran over whole, retained graphs before it became
+    /// an engine stage: the reference the per-run windows must reproduce
+    /// bit for bit. Only the final normalisation is shared.
+    fn reference(
+        graphs: &[EventGraph],
+        config: &RootCauseConfig,
+        stacks: &CallStackTable,
+    ) -> CallstackRanking {
+        let per_run: Vec<Vec<Histogram>> = graphs
+            .iter()
+            .map(|g| window_histograms(g, config.slices, config.policy))
+            .collect();
+        let runs = per_run.len();
+        let mut divergence = vec![0.0; config.slices];
+        for (s, div) in divergence.iter_mut().enumerate() {
+            let mut total = 0.0;
+            let mut pairs = 0u64;
+            for i in 0..runs {
+                for j in (i + 1)..runs {
+                    total += l1(&per_run[i][s], &per_run[j][s]);
+                    pairs += 1;
+                }
+            }
+            *div = if pairs > 0 { total / pairs as f64 } else { 0.0 };
+        }
+        let mut positive: Vec<usize> = (0..config.slices)
+            .filter(|&s| divergence[s] > 0.0)
+            .collect();
+        positive.sort_by(|&a, &b| divergence[b].partial_cmp(&divergence[a]).unwrap());
+        let keep = ((positive.len() as f64 * config.top_fraction).ceil() as usize)
+            .max(1)
+            .min(positive.len());
+        let mut high: Vec<usize> = positive.into_iter().take(keep).collect();
+        high.sort_unstable();
+        let label_divergence: Vec<Histogram> = high
+            .iter()
+            .map(|&s| {
+                let mut keys: HashSet<u64> = Default::default();
+                for hist in per_run.iter().map(|r| &r[s]) {
+                    keys.extend(hist.keys().copied());
+                }
+                let mut out = HashMap::new();
+                for key in keys {
+                    let mut total = 0.0;
+                    let mut pairs = 0u64;
+                    for i in 0..runs {
+                        for j in (i + 1)..runs {
+                            let a = per_run[i][s].get(&key).copied().unwrap_or(0.0);
+                            let b = per_run[j][s].get(&key).copied().unwrap_or(0.0);
+                            total += (a - b).abs();
+                            pairs += 1;
+                        }
+                    }
+                    out.insert(key, if pairs > 0 { total / pairs as f64 } else { 0.0 });
+                }
+                out
+            })
+            .collect();
+        let mut paths: BTreeMap<CallStackId, (u64, f64)> = BTreeMap::new();
+        for g in graphs {
+            let labels = initial_labels(g, config.policy);
+            let slices = slice_by_position(g, config.slices);
+            for (hi, &s) in high.iter().enumerate() {
+                for &id in &slices[s].nodes {
+                    let node = g.node(id);
+                    if node.kind.is_recv() {
+                        let path = paths.entry(node.stack).or_insert((0, 0.0));
+                        path.0 += 1;
+                        path.1 += label_divergence[hi]
+                            .get(&labels[id.index()])
+                            .copied()
+                            .unwrap_or(0.0);
+                    }
+                }
+            }
+        }
+        ranking_of(paths, divergence, high, stacks)
+    }
+
+    fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        xs.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn rankings_keep_the_bits_of_the_graph_based_analysis() {
+        for (pattern, procs) in [
+            (Pattern::MessageRace, 8),
+            (Pattern::Amg2013, 6),
+            (Pattern::UnstructuredMesh, 8),
+        ] {
+            for nd in [50.0, 100.0] {
+                let base = CampaignConfig::new(pattern, procs).runs(8).nd_percent(nd);
+                let graphs: Vec<EventGraph> = fresh_traces(&base)
+                    .iter()
+                    .map(EventGraph::from_trace)
+                    .collect();
+                for slices in [4, 16] {
+                    let rc = RootCauseConfig {
+                        slices,
+                        ..RootCauseConfig::default()
+                    };
+                    for threads in [1, 2] {
+                        let mut cfg = base.clone();
+                        cfg.threads = threads;
+                        let (result, got) = analyze(&cfg, &rc, &RunCtx::default()).unwrap();
+                        let want = reference(&graphs, &rc, result.stacks());
+                        let at = format!("{pattern} nd={nd} slices={slices} threads={threads}");
+                        assert_eq!(
+                            bits(got.slice_divergence.iter().copied()),
+                            bits(want.slice_divergence.iter().copied()),
+                            "{at}"
+                        );
+                        assert_eq!(got.high_slices, want.high_slices, "{at}");
+                        let key = |r: &CallstackRanking| -> Vec<(String, u64)> {
+                            r.entries
+                                .iter()
+                                .map(|e| (e.stack.clone(), e.count))
+                                .collect()
+                        };
+                        assert_eq!(key(&got), key(&want), "{at}");
+                        assert_eq!(
+                            bits(got.entries.iter().map(|e| e.frequency)),
+                            bits(want.entries.iter().map(|e| e.frequency)),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_analysis_is_warm_and_bit_identical() {
+        let cfg = CampaignConfig::new(Pattern::Amg2013, 6).runs(8);
+        let rc = RootCauseConfig::default();
+        let dir = std::env::temp_dir().join(format!("anacin-root-cause-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let ctx = RunCtx {
+            store: Some(&store),
+            ..RunCtx::default()
+        };
+        analyze(&cfg, &rc, &ctx).unwrap();
+        let warm_store = ArtifactStore::open(&dir).unwrap();
+        let ctx = RunCtx {
+            store: Some(&warm_store),
+            ..RunCtx::default()
+        };
+        let (warm, warm_ranking) = analyze(&cfg, &rc, &ctx).unwrap();
+        let a = warm_store.activity();
+        assert_eq!((a.misses, a.puts), (0, 0), "warm pass recomputed something");
+        let (plain, plain_ranking) = analyze(&cfg, &rc, &RunCtx::default()).unwrap();
+        assert_eq!(warm.matrix, plain.matrix);
+        assert_eq!(warm.schedules, plain.schedules);
+        assert_eq!(
+            bits(warm_ranking.entries.iter().map(|e| e.frequency)),
+            bits(plain_ranking.entries.iter().map(|e| e.frequency))
+        );
+        assert_eq!(
+            bits(warm_ranking.slice_divergence.iter().copied()),
+            bits(plain_ranking.slice_divergence.iter().copied())
+        );
+        assert_eq!(warm_ranking, plain_ranking);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn ranks_racy_receive_paths_first() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::Amg2013, 6).runs(8)).unwrap();
-        let ranking = analyze(&r, &RootCauseConfig::default());
+        let ranking = ranking(&CampaignConfig::new(Pattern::Amg2013, 6).runs(8));
         assert!(!ranking.entries.is_empty());
         let top = ranking.top().unwrap();
         // The AMG pattern's receives are hypre-style Irecvs — the true
@@ -257,20 +467,17 @@ mod tests {
 
     #[test]
     fn zero_nd_campaign_has_no_divergence() {
-        let r = run_campaign(
+        let ranking = ranking(
             &CampaignConfig::new(Pattern::Amg2013, 4)
                 .runs(5)
                 .nd_percent(0.0),
-        )
-        .unwrap();
-        let ranking = analyze(&r, &RootCauseConfig::default());
+        );
         assert!(ranking.slice_divergence.iter().all(|&d| d == 0.0));
     }
 
     #[test]
     fn divergence_positive_where_races_happen() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 8).runs(8)).unwrap();
-        let ranking = analyze(&r, &RootCauseConfig::default());
+        let ranking = ranking(&CampaignConfig::new(Pattern::MessageRace, 8).runs(8));
         assert!(ranking.slice_divergence.iter().any(|&d| d > 0.0));
         assert!(!ranking.high_slices.is_empty());
         // All highs are in range and sorted.
@@ -288,8 +495,7 @@ mod tests {
 
     #[test]
     fn mesh_pattern_surfaces_halo_receives() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::UnstructuredMesh, 8).runs(8)).unwrap();
-        let ranking = analyze(&r, &RootCauseConfig::default());
+        let ranking = ranking(&CampaignConfig::new(Pattern::UnstructuredMesh, 8).runs(8));
         let top = ranking.top().unwrap();
         assert!(
             top.stack.contains("exchange_halo"),
@@ -301,7 +507,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "two runs")]
     fn single_run_panics() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 4).runs(1)).unwrap();
-        analyze(&r, &RootCauseConfig::default());
+        ranking(&CampaignConfig::new(Pattern::MessageRace, 4).runs(1));
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::campaign::{CampaignError, RunCtx};
 use crate::config::CampaignConfig;
-use crate::engine::{self, Plan, Retain, Source};
+use crate::engine::{self, Plan, Source};
 use crate::measure::NdMeasurement;
 use anacin_obs::MetricsReport;
 use anacin_stats::prelude::spearman;
@@ -193,11 +193,10 @@ pub fn sweep(
         let program = config.pattern.build(&config.app);
         let plan = Plan {
             source: Source::Seeded,
-            retain: Retain::Features,
             append: false,
             run_base: done_runs,
         };
-        let matrix = match engine::run(&config, &program, ctx, plan) {
+        let matrix = match engine::run(&config, &program, ctx, plan, &|_, _| ()) {
             Ok(o) => o.matrix,
             Err(CampaignError::Cancelled { completed_runs }) => {
                 return Err(CampaignError::Cancelled {

@@ -1,9 +1,9 @@
 //! Differential and store-traffic oracles for the one campaign engine.
 //!
-//! Every mode a campaign can run in — materialised, `--stream`, cold
-//! store, warm store, append — is the same per-run loop plus one Gram
-//! stage, so each must reproduce the plain `run_campaign` matrix bit for
-//! bit at any thread count. And because the store is a read-through cache
+//! Every mode a campaign can run in — plain, cold store, warm store,
+//! append — is the same per-run loop plus one Gram stage, so each must
+//! reproduce the plain `run_campaign` matrix bit for bit, and its
+//! schedules, at any thread count. And because the store is a read-through cache
 //! at every stage, the number of lookups and publications per job is a
 //! fixed function of what the store already holds.
 
@@ -34,22 +34,20 @@ fn bits(m: &KernelMatrix) -> Vec<u64> {
 
 #[derive(Debug, Clone, Copy)]
 enum Mode {
-    Materialised,
-    Stream,
+    Plain,
     ColdStore,
     WarmStore,
     Append,
 }
 
-/// The matrix `mode` produces for `cfg`, starting from an empty store.
-fn matrix_in(mode: Mode, cfg: &CampaignConfig, tag: &str) -> KernelMatrix {
+/// The campaign `mode` produces for `cfg`, starting from an empty store.
+fn result_in(mode: Mode, cfg: &CampaignConfig, tag: &str) -> CampaignResult {
     let dir = temp_dir(tag);
     let store = ArtifactStore::open(&dir).expect("open store");
     let ctx = stored(&store);
-    let m = match mode {
-        Mode::Materialised => run_campaign_with(cfg, &RunCtx::default()).map(|r| r.matrix),
-        Mode::Stream => run_campaign_streaming_with(cfg, &RunCtx::default()).map(|r| r.matrix),
-        Mode::ColdStore => run_campaign_with(cfg, &ctx).map(|r| r.matrix),
+    let r = match mode {
+        Mode::Plain => run_campaign_with(cfg, &RunCtx::default()),
+        Mode::ColdStore => run_campaign_with(cfg, &ctx),
         Mode::WarmStore => {
             run_campaign_with(cfg, &ctx).expect("cold pass");
             // A fresh handle has a cold in-memory front, so the warm pass
@@ -57,16 +55,16 @@ fn matrix_in(mode: Mode, cfg: &CampaignConfig, tag: &str) -> KernelMatrix {
             let warm = ArtifactStore::open(&dir).expect("reopen store");
             let r = run_campaign_with(cfg, &stored(&warm));
             assert_eq!(warm.activity().misses, 0, "warm pass must hit everything");
-            r.map(|r| r.matrix)
+            r
         }
         Mode::Append => {
             let shorter = cfg.clone().runs(cfg.runs - 1);
             run_campaign_with(&shorter, &ctx).expect("prefix campaign");
-            run_campaign_append(cfg, &ctx).map(|r| r.matrix)
+            run_campaign_append(cfg, &ctx)
         }
     };
     std::fs::remove_dir_all(&dir).ok();
-    m.expect("campaign")
+    r.expect("campaign")
 }
 
 #[test]
@@ -81,13 +79,7 @@ fn every_mode_reproduces_the_plain_matrix_bit_for_bit() {
             max_distance: 3,
         },
     ];
-    let modes = [
-        Mode::Materialised,
-        Mode::Stream,
-        Mode::ColdStore,
-        Mode::WarmStore,
-        Mode::Append,
-    ];
+    let modes = [Mode::Plain, Mode::ColdStore, Mode::WarmStore, Mode::Append];
     // 6 runs take the pairwise Gram; one past the crossover, the cold
     // matrices are label-major and the append grows one pairwise row.
     let run_counts = [6, LABEL_MAJOR_MIN_RUNS as u32 + 1];
@@ -103,12 +95,13 @@ fn every_mode_reproduces_the_plain_matrix_bit_for_bit() {
                         let mut cfg = base.clone().dot(dot);
                         cfg.threads = threads;
                         let tag = format!("diff-{k}-{runs}-{dot}-{threads}-{mode:?}");
-                        assert_eq!(
-                            bits(&matrix_in(mode, &cfg, &tag)),
-                            bits(&reference.matrix),
+                        let at = format!(
                             "kernel={kernel:?} runs={runs} dot={dot} threads={threads} \
                              mode={mode:?}"
                         );
+                        let r = result_in(mode, &cfg, &tag);
+                        assert_eq!(bits(&r.matrix), bits(&reference.matrix), "{at}");
+                        assert_eq!(r.schedules, reference.schedules, "{at}");
                     }
                 }
             }

@@ -273,8 +273,9 @@ pub fn use_case_3(cfg: &LessonConfig) -> LessonReport {
     ));
 
     // Goal C.2 — Figure 8: callstack ranking at 100% ND.
-    let campaign = run_campaign(&base.clone().nd_percent(100.0)).expect("campaign runs");
-    let ranking = analyze(&campaign, &RootCauseConfig::default());
+    let cfg = base.clone().nd_percent(100.0);
+    let (_, ranking) =
+        analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).expect("campaign runs");
     let items: Vec<(String, f64)> = ranking
         .entries
         .iter()

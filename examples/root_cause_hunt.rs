@@ -12,9 +12,11 @@
 use anacin_x::prelude::*;
 
 fn main() {
-    // 1. Collect a sample of runs at full non-determinism.
+    // 1. Collect a sample of runs at full non-determinism, and localise
+    //    the divergence along logical time as each run completes.
     let cfg = CampaignConfig::new(Pattern::Amg2013, 8).runs(12);
-    let result = run_campaign(&cfg).expect("campaign completes");
+    let rc = RootCauseConfig::default();
+    let (result, ranking) = analyze(&cfg, &rc, &RunCtx::default()).expect("campaign completes");
     println!(
         "ran {} executions of {} on {} processes; mean kernel distance {:.3}\n",
         cfg.runs,
@@ -23,9 +25,7 @@ fn main() {
         result.mean_distance()
     );
 
-    // 2. Localise the divergence along logical time.
-    let rc = RootCauseConfig::default();
-    let ranking = analyze(&result, &rc);
+    // 2. Where in logical time the runs disagree.
     println!(
         "windows with the most run-to-run disagreement: {:?} (of {})",
         ranking.high_slices, rc.slices

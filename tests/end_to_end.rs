@@ -3,24 +3,33 @@
 
 use anacin_x::prelude::*;
 
+/// A campaign and its root-cause ranking (core::root_cause runs the
+/// campaign itself).
+fn analyzed(cfg: &CampaignConfig) -> (CampaignResult, CallstackRanking) {
+    analyze(cfg, &RootCauseConfig::default(), &RunCtx::default()).expect("campaign completes")
+}
+
 #[test]
 fn full_pipeline_race_to_root_cause() {
     // 1. Pattern → programs (miniapps + mpisim).
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(10);
-    // 2. Campaign → traces, graphs, kernel matrix (core + event-graph + kernels).
-    let result = run_campaign(&cfg).expect("campaign completes");
-    assert_eq!(result.traces.len(), 10);
-    for t in &result.traces {
+    // 2. Campaign → kernel matrix and ranking (core + event-graph +
+    //    kernels); each run's trace is a pure function of its seed.
+    let (result, ranking) = analyzed(&cfg);
+    assert_eq!(result.schedules.len(), 10);
+    let traces: Vec<Trace> = (0..cfg.runs)
+        .map(|run| simulate(&result.program, &cfg.sim_config(run)).expect("run simulates"))
+        .collect();
+    for (t, id) in traces.iter().zip(&result.schedules) {
         t.validate().expect("traces are internally consistent");
         assert_eq!(t.meta.unmatched_messages, 0);
+        assert_eq!(Schedule::from_trace(t).id(), *id);
     }
     // 3. Measurement (stats).
     let m = NdMeasurement::from_campaign("race", &result);
     assert!(m.mean() > 0.0);
     assert_eq!(m.distances.len(), 45);
-    // 4. Root cause (core::root_cause) — the racy aggregation path tops
-    //    the ranking.
-    let ranking = analyze(&result, &RootCauseConfig::default());
+    // 4. Root cause — the racy aggregation path tops the ranking.
     let top = ranking.top().expect("nonempty ranking");
     assert!(
         top.stack.contains("aggregate_results"),
@@ -31,8 +40,8 @@ fn full_pipeline_race_to_root_cause() {
     let violin = m.violin().expect("nonempty violin");
     assert!(!ascii::violins(std::slice::from_ref(&violin), 40).is_empty());
     assert!(svg::violin_svg(&[violin], "t", "d").contains("<polygon"));
-    let g = &result.graphs[0];
-    assert!(svg::event_graph_svg(g, "t").contains("<circle"));
+    let g = EventGraph::from_trace(&traces[0]);
+    assert!(svg::event_graph_svg(&g, "t").contains("<circle"));
 }
 
 #[test]
@@ -40,9 +49,8 @@ fn deterministic_network_collapses_everything() {
     let cfg = CampaignConfig::new(Pattern::Amg2013, 6)
         .nd_percent(0.0)
         .runs(6);
-    let result = run_campaign(&cfg).expect("campaign completes");
+    let (result, ranking) = analyzed(&cfg);
     assert_eq!(result.mean_distance(), 0.0);
-    let ranking = analyze(&result, &RootCauseConfig::default());
     assert!(ranking.slice_divergence.iter().all(|&d| d == 0.0));
 }
 
@@ -66,11 +74,10 @@ fn replay_suppresses_nondeterminism_end_to_end() {
 #[test]
 fn collectives_app_full_pipeline() {
     let cfg = CampaignConfig::new(Pattern::Collectives, 6).runs(8);
-    let result = run_campaign(&cfg).expect("campaign completes");
+    let (result, ranking) = analyzed(&cfg);
     // The only wildcard is the submission race, so ND is positive but the
     // top-ranked path must be the gather, not the collective traffic.
     assert!(result.mean_distance() > 0.0);
-    let ranking = analyze(&result, &RootCauseConfig::default());
     let top = ranking.top().expect("nonempty");
     assert!(
         top.stack.contains("gather_partials"),
@@ -129,10 +136,9 @@ fn stencil_is_the_negative_control() {
     // Fully specified matching: zero kernel distance at 100% ND, through
     // the complete pipeline.
     let cfg = CampaignConfig::new(Pattern::Stencil2d, 9).runs(6);
-    let result = run_campaign(&cfg).expect("campaign completes");
+    let (result, ranking) = analyzed(&cfg);
     assert_eq!(result.mean_distance(), 0.0);
     // And the root-cause analysis reports no divergence anywhere.
-    let ranking = analyze(&result, &RootCauseConfig::default());
     assert!(ranking.slice_divergence.iter().all(|&d| d == 0.0));
     // Contrast with the mesh (randomised wildcard matching) at identical
     // settings.

@@ -24,6 +24,20 @@ fn tmp_store(tag: &str) -> (PathBuf, ArtifactStore) {
     (dir, store)
 }
 
+/// The wire bytes of every explored schedule's replay, as `store` holds
+/// them under the schedule's explore key, in enumeration order.
+fn stored_replays(store: &ArtifactStore, r: &ExploreCampaignResult) -> Vec<Vec<u8>> {
+    r.report
+        .schedules
+        .iter()
+        .map(|s| {
+            let fp = explore_fingerprint(&r.config, s.id());
+            let t: Trace = store.get(fp).unwrap().expect("replay stored");
+            t.to_wire()
+        })
+        .collect()
+}
+
 /// With 4 senders racing into rank 0's wildcard receives, the schedule
 /// space is exactly the 4! = 24 arrival permutations — and the
 /// partial-order-reduced walk must find the same set brute force does,
@@ -137,20 +151,25 @@ fn scheduled_replay_is_bit_identical_across_repeats() {
 /// the kernel matrix — is invariant under the worker thread count.
 #[test]
 fn explore_campaign_is_thread_invariant() {
-    let base = {
-        let mut c = race_cfg();
-        c.threads = 1;
-        explore_campaign(&c, &ExploreConfig::default(), &RunCtx::default()).unwrap()
-    };
-    for threads in [2usize, 8] {
+    // Each thread count publishes its replays into a store of its own.
+    let explore_on = |threads: usize| {
         let mut c = race_cfg();
         c.threads = threads;
-        let r = explore_campaign(&c, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let (dir, store) = tmp_store(&format!("threads-{threads}"));
+        let ctx = RunCtx {
+            store: Some(&store),
+            ..RunCtx::default()
+        };
+        let r = explore_campaign(&c, &ExploreConfig::default(), &ctx).unwrap();
+        let replays = stored_replays(&store, &r);
+        let _ = std::fs::remove_dir_all(dir);
+        (r, replays)
+    };
+    let (base, base_replays) = explore_on(1);
+    for threads in [2usize, 8] {
+        let (r, replays) = explore_on(threads);
         assert_eq!(r.report.ids(), base.report.ids(), "{threads} threads");
-        assert_eq!(r.traces.len(), base.traces.len());
-        for (a, b) in r.traces.iter().zip(base.traces.iter()) {
-            assert_eq!(a.to_wire(), b.to_wire(), "{threads} threads");
-        }
+        assert_eq!(replays, base_replays, "{threads} threads");
         assert_eq!(r.matrix, base.matrix, "{threads} threads");
     }
 }
@@ -166,15 +185,26 @@ fn explored_traces_round_trip_through_the_store() {
         ..RunCtx::default()
     };
     let cold = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
-    let hits_before = store.activity().hits;
+    let before = store.activity();
     let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
     assert!(
-        store.activity().hits >= hits_before + cold.traces.len() as u64,
+        store.activity().hits >= before.hits + cold.report.schedules.len() as u64,
         "warm exploration did not hit the store for every replay"
     );
-    for (w, c) in warm.traces.iter().zip(cold.traces.iter()) {
-        assert_eq!(w.to_wire(), c.to_wire(), "stored replay not byte-identical");
-    }
+    assert_eq!(store.activity().puts, before.puts, "warm pass republished");
+    // What the warm pass read is byte-identical to a fresh replay.
+    let sc = cfg.sim_config(0);
+    let fresh: Vec<Vec<u8>> = cold
+        .report
+        .schedules
+        .iter()
+        .map(|s| simulate_scheduled(&cold.program, &sc, s).unwrap().to_wire())
+        .collect();
+    assert_eq!(
+        stored_replays(&store, &warm),
+        fresh,
+        "stored replay not byte-identical"
+    );
     assert_eq!(warm.matrix, cold.matrix);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -55,7 +55,15 @@ fn resumed_campaign_seeds_pipeline_and_matches_uninterrupted_result() {
     run_campaign_with(&prefix, &ctx).expect("interrupted prefix campaign");
     let resumed = run_campaign_with(&full, &ctx).expect("resumed campaign");
     let uninterrupted = run_campaign(&full).expect("uninterrupted campaign");
-    assert_eq!(resumed.traces, uninterrupted.traces);
+    // Every trace the resumed campaign read or published is the one a
+    // store-free pipeline simulates.
+    let program = full.pattern.build(&full.app);
+    for run in 0..full.runs {
+        let stored = store.get::<Trace>(run_fingerprint(&full, run)).unwrap();
+        let fresh = simulate(&program, &full.sim_config(run)).expect("run simulates");
+        assert_eq!(stored, Some(fresh), "run {run}");
+    }
+    assert_eq!(resumed.schedules, uninterrupted.schedules);
     assert_eq!(bits(&resumed.matrix), bits(&uninterrupted.matrix));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,8 +7,10 @@
 //! result, recomputing exactly what was damaged.
 
 use anacin_core::prelude::*;
-use anacin_event_graph::LabelPolicy;
+use anacin_event_graph::{EventGraph, LabelPolicy};
 use anacin_miniapps::Pattern;
+use anacin_mpisim::engine::simulate;
+use anacin_mpisim::trace::Trace;
 use anacin_obs::{MetricsRegistry, MetricsReport};
 use anacin_store::{ActivitySnapshot, ArtifactKind, ArtifactStore};
 use rand::rngs::SmallRng;
@@ -38,6 +40,24 @@ fn bits(m: &anacin_kernels::prelude::KernelMatrix) -> Vec<u64> {
     m.values().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every run's stored trace and graph equal the ones a store-free
+/// pipeline computes (each run is a pure function of its seed).
+fn assert_stored_runs_are_fresh(cfg: &CampaignConfig, store: &ArtifactStore, label: &str) {
+    let program = cfg.pattern.build(&cfg.app);
+    for run in 0..cfg.runs {
+        let fp = run_fingerprint(cfg, run);
+        let fresh = simulate(&program, &cfg.sim_config(run)).expect("run simulates");
+        let trace = store.get::<Trace>(fp).unwrap().expect("stored trace");
+        let graph = store.get::<EventGraph>(fp).unwrap().expect("stored graph");
+        assert_eq!(
+            graph,
+            EventGraph::from_trace(&fresh),
+            "{label} run {run} graph"
+        );
+        assert_eq!(trace, fresh, "{label} run {run} trace");
+    }
+}
+
 #[test]
 fn cold_and_warm_campaigns_are_bit_identical_to_the_plain_pipeline() {
     let cfg = CampaignConfig::new(Pattern::Amg2013, 6)
@@ -58,10 +78,12 @@ fn cold_and_warm_campaigns_are_bit_identical_to_the_plain_pipeline() {
     assert_eq!(a.misses, 0, "warm run must hit on every artifact");
     assert_eq!(a.puts, 0, "warm run must publish nothing");
 
-    // Bit-identical across all three paths: traces, graphs, Gram matrix.
+    // Bit-identical across all three paths: traces and graphs (the cold
+    // pass published them, the warm pass read them), schedules, Gram
+    // matrix.
+    assert_stored_runs_are_fresh(&cfg, &store, "stored");
     for (label, r) in [("cold", &cold), ("warm", &warm)] {
-        assert_eq!(r.traces, plain.traces, "{label} traces differ");
-        assert_eq!(r.graphs, plain.graphs, "{label} graphs differ");
+        assert_eq!(r.schedules, plain.schedules, "{label} schedules differ");
         assert_eq!(bits(&r.matrix), bits(&plain.matrix), "{label} gram bits");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -90,8 +112,8 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_result() {
     );
 
     let uninterrupted = run_campaign(&full).expect("plain campaign");
-    assert_eq!(resumed.traces, uninterrupted.traces);
-    assert_eq!(resumed.graphs, uninterrupted.graphs);
+    assert_stored_runs_are_fresh(&full, &store, "resumed");
+    assert_eq!(resumed.schedules, uninterrupted.schedules);
     assert_eq!(bits(&resumed.matrix), bits(&uninterrupted.matrix));
     std::fs::remove_dir_all(&dir).ok();
 }

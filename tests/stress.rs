@@ -9,12 +9,13 @@ fn moderate_scale_end_to_end() {
     // 48 processes, ~4.5k messages/run — comfortably past the paper's
     // largest setting, still sub-second in debug builds.
     let cfg = CampaignConfig::new(Pattern::UnstructuredMesh, 48).runs(4);
-    let result = run_campaign(&cfg).expect("campaign completes");
+    let (result, ranking) =
+        analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).expect("campaign completes");
     assert!(result.mean_distance() > 0.0);
-    for t in &result.traces {
+    for run in 0..cfg.runs {
+        let t = simulate(&result.program, &cfg.sim_config(run)).expect("run simulates");
         assert_eq!(t.meta.unmatched_messages, 0);
     }
-    let ranking = analyze(&result, &RootCauseConfig::default());
     assert!(!ranking.entries.is_empty());
 }
 
@@ -47,17 +48,12 @@ fn large_scale_campaign_and_kernels() {
     assert!(result.mean_distance() > 0.0);
     assert_eq!(result.matrix.len(), 10);
     // Replay still pins everything at this scale.
-    let record = MatchRecord::from_trace(&result.traces[0]);
-    let replayed = simulate_replay(
-        &Pattern::UnstructuredMesh.build(&cfg.app),
-        &cfg.sim_config(99),
-        &record,
-    )
-    .expect("replay completes");
+    let run0 = simulate(&result.program, &cfg.sim_config(0)).expect("run 0 simulates");
+    assert_eq!(Schedule::from_trace(&run0).id(), result.schedules[0]);
+    let record = MatchRecord::from_trace(&run0);
+    let replayed =
+        simulate_replay(&result.program, &cfg.sim_config(99), &record).expect("replay completes");
     for r in 0..64 {
-        assert_eq!(
-            replayed.match_order(Rank(r)),
-            result.traces[0].match_order(Rank(r))
-        );
+        assert_eq!(replayed.match_order(Rank(r)), run0.match_order(Rank(r)));
     }
 }

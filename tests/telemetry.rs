@@ -25,17 +25,17 @@ fn canonical_lines(doc: &str) -> Vec<String> {
     lines
 }
 
-/// A streaming campaign recording into `metrics` and, optionally, `tracer`.
+/// A campaign recording into `metrics` and, optionally, `tracer`.
 fn streamed(cfg: &CampaignConfig, metrics: &MetricsRegistry, tracer: Option<&Tracer>) {
     let ctx = RunCtx {
         metrics: Some(metrics),
         tracer,
         ..RunCtx::default()
     };
-    run_campaign_streaming_with(cfg, &ctx).expect("campaign");
+    run_campaign_with(cfg, &ctx).expect("campaign");
 }
 
-/// Run one streaming campaign with a Chrome sink attached; return the
+/// Run one campaign with a Chrome sink attached; return the
 /// streamed document and the tracer (whose ring still holds every
 /// record — draining never removes, so the snapshot export remains the
 /// independent reference).

@@ -6,10 +6,17 @@
 //! that foundation.
 
 use anacin_obs::{MetricsRegistry, SimEventKind, Tracer};
+use anacin_store::ArtifactStore;
 use anacin_x::prelude::*;
 
 fn campaign(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
     CampaignConfig::new(pattern, procs).runs(runs)
+}
+
+/// Run `run` of `cfg`, simulated afresh: every run is a pure function of
+/// its seed, so this is the trace the campaign's worker saw.
+fn fresh_trace(cfg: &CampaignConfig, run: u32) -> Trace {
+    simulate(&cfg.pattern.build(&cfg.app), &cfg.sim_config(run)).expect("run simulates")
 }
 
 /// A campaign with a tracer and, optionally, a metrics registry.
@@ -47,14 +54,36 @@ fn traced_campaign_is_bit_identical_to_untraced() {
         let reg = MetricsRegistry::new();
         let tracer = Tracer::new();
         reg.attach_tracer(&tracer);
-        let traced = traced_campaign(&cfg, Some(&reg), &tracer);
+        // The traced campaign publishes every trace it simulated.
+        let dir = std::env::temp_dir().join(format!(
+            "anacin_ws_tracing_{}_{pattern}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ArtifactStore::open(&dir).expect("open temp store");
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            tracer: Some(&tracer),
+            store: Some(&store),
+            ..RunCtx::default()
+        };
+        let traced = run_campaign_with(&cfg, &ctx).expect("traced campaign");
         // Bit-identical artifacts: every trace byte-for-byte, every kernel
         // distance exactly equal.
+        let stored: Vec<Trace> = (0..cfg.runs)
+            .map(|run| {
+                let fp = run_fingerprint(&cfg, run);
+                store.get::<Trace>(fp).unwrap().expect("stored trace")
+            })
+            .collect();
+        let fresh: Vec<Trace> = (0..cfg.runs).map(|run| fresh_trace(&cfg, run)).collect();
         assert_eq!(
-            trace_bytes(&plain.traces),
-            trace_bytes(&traced.traces),
+            trace_bytes(&fresh),
+            trace_bytes(&stored),
             "{pattern}: traces must not change under tracing"
         );
+        assert_eq!(plain.schedules, traced.schedules, "{pattern}");
+        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             plain.distance_sample(),
             traced.distance_sample(),
@@ -96,19 +125,23 @@ fn traced_event_counts_match_event_graph_node_counts() {
         let tracer = Tracer::new();
         let result = traced_campaign(&cfg, None, &tracer);
         let per_run = tracer.snapshot().sim_events_per_run();
-        assert_eq!(per_run.len(), result.graphs.len(), "{pattern}");
+        assert_eq!(per_run.len(), cfg.runs as usize, "{pattern}");
+        let mut nodes = 0;
         for (run, count) in per_run {
-            let graph_nodes = result.graphs[run as usize].node_count();
+            let trace = fresh_trace(&cfg, run);
+            let graph_nodes = EventGraph::from_trace(&trace).node_count();
+            nodes += graph_nodes as u64;
             assert_eq!(
                 count, graph_nodes,
                 "{pattern} run {run}: traced events vs graph nodes"
             );
             assert_eq!(
                 count,
-                result.traces[run as usize].total_events(),
+                trace.total_events(),
                 "{pattern} run {run}: traced events vs trace events"
             );
         }
+        assert_eq!(result.total_nodes, nodes, "{pattern}");
     }
 }
 
@@ -159,7 +192,7 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
 fn matched_messages_share_flow_ids_between_send_and_recv() {
     let cfg = campaign(Pattern::MessageRace, 6, 2);
     let tracer = Tracer::new();
-    let result = traced_campaign(&cfg, None, &tracer);
+    traced_campaign(&cfg, None, &tracer);
     let snap = tracer.snapshot();
     for run in 0..2u32 {
         let mut sends: Vec<u64> = snap
@@ -187,7 +220,7 @@ fn matched_messages_share_flow_ids_between_send_and_recv() {
         assert_eq!(sends, recvs, "run {run}");
         assert_eq!(
             sends.len() as u64,
-            result.traces[run as usize].meta.messages,
+            fresh_trace(&cfg, run).meta.messages,
             "run {run}"
         );
     }
