@@ -3,8 +3,9 @@
 //! extensions), read from the campaign's own span timers rather than a
 //! separate harness: the per-run worker spans (`run/simulate`,
 //! `run/graph`, `run/features`) and the `campaign/gram` and `campaign`
-//! spans. A tracer-attached pass gives `trace_overhead_pct`, and a
-//! cold/warm artifact-store pass the store columns.
+//! spans. A traced pass ([`time_traced_campaign`]) gives
+//! `trace_overhead_pct`, and a cold/warm artifact-store pass the store
+//! columns.
 //! `anacin bench baseline` writes the report as `BENCH_baseline.json`; CI
 //! uploads it so perf regressions across the simulate/graph/features/gram
 //! stages are visible per commit.
@@ -14,9 +15,11 @@ use anacin_event_graph::EventGraph;
 use anacin_kernels::prelude::*;
 use anacin_miniapps::Pattern;
 use anacin_mpisim::engine::simulate;
-use anacin_obs::{MetricsRegistry, Tracer};
+use anacin_obs::{ChromeJsonSink, CountingWriter, MetricsRegistry, Tracer};
 use anacin_store::ArtifactStore;
 use serde::Serialize;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Untraced campaigns faster than this are noise-dominated at
@@ -76,12 +79,14 @@ pub struct StageTimings {
     pub gram_ms: f64,
     /// Mean end-to-end campaign wall-time (`campaign`).
     pub total_ms: f64,
-    /// Relative cost of running the same campaigns with a tracer
-    /// attached: `(median traced − median untraced) / median untraced ×
-    /// 100` over at least [`MIN_OVERHEAD_SAMPLES`] timings. `None`
-    /// (serialised `null`) when the untraced median is under
-    /// [`TRACE_OVERHEAD_FLOOR_MS`] — percentages of a noise-dominated
-    /// baseline are meaningless.
+    /// Relative wall-time cost of tracing the campaign as `--trace` does,
+    /// timed by [`time_traced_campaign`]: a Chrome sink formats every
+    /// record into a counting writer, and the clock stops when `finish()`
+    /// has written the last one. `(median traced − median untraced) /
+    /// median untraced × 100` over at least [`MIN_OVERHEAD_SAMPLES`]
+    /// timings of each. `None` (serialised `null`) when the untraced
+    /// median is under [`TRACE_OVERHEAD_FLOOR_MS`] — percentages of a
+    /// noise-dominated baseline are meaningless.
     pub trace_overhead_pct: Option<f64>,
     /// Simulator events executed across all samples.
     pub events: u64,
@@ -333,6 +338,34 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
     }
 }
 
+/// Wall time (ms) of one campaign traced as `--trace` traces it, minus the
+/// disk: spans and simulated events stream into a Chrome sink that
+/// formats every record into a [`CountingWriter`], and the clock stops
+/// once `finish()` has written the last one. Panics unless the sink got
+/// at least the campaign's `total_events` records.
+pub fn time_traced_campaign(cfg: &CampaignConfig) -> f64 {
+    let sink = ChromeJsonSink::new(CountingWriter::new(Arc::new(AtomicU64::new(0))), true)
+        .expect("counting sink");
+    let tracer = Tracer::new(sink);
+    let reg = MetricsRegistry::new();
+    reg.attach_tracer(&tracer);
+    let ctx = RunCtx {
+        metrics: Some(&reg),
+        tracer: Some(&tracer),
+        ..RunCtx::default()
+    };
+    let t = Instant::now();
+    let result = run_campaign_with(cfg, &ctx).expect("traced campaign");
+    let written = tracer.finish().expect("trace into a counting writer");
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    assert!(
+        written >= result.total_events,
+        "trace wrote {written} record(s) for {} simulated event(s)",
+        result.total_events
+    );
+    ms
+}
+
 /// Run `samples` campaigns per paper pattern and report the mean per-stage
 /// times from the metrics registry's span timers.
 pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
@@ -350,29 +383,24 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
             run_campaign_with(&ccfg, &ctx).expect("baseline campaign");
         }
         let report = reg.report();
-        // Overhead pass: untraced vs traced end-to-end medians over at
-        // least MIN_OVERHEAD_SAMPLES timings each (fresh registry per
-        // timing so one campaign = one span observation).
+        // Overhead pass: untraced vs traced end-to-end wall-time medians
+        // over at least MIN_OVERHEAD_SAMPLES timings each, both with a
+        // metrics registry attached.
         let ov_samples = cfg.samples.max(MIN_OVERHEAD_SAMPLES);
-        let campaign_total_ms = |observed: bool| -> f64 {
+        let untraced_ms = || {
             let r = MetricsRegistry::new();
-            let tracer = Tracer::new();
-            if observed {
-                r.attach_tracer(&tracer);
-            }
             let ctx = RunCtx {
                 metrics: Some(&r),
-                tracer: observed.then_some(&tracer),
                 ..RunCtx::default()
             };
+            let t = Instant::now();
             run_campaign_with(&ccfg, &ctx).expect("overhead baseline campaign");
-            r.report()
-                .span("campaign")
-                .map(|s| s.total_ns as f64 / 1e6)
-                .unwrap_or(0.0)
+            t.elapsed().as_secs_f64() * 1e3
         };
-        let untraced: Vec<f64> = (0..ov_samples).map(|_| campaign_total_ms(false)).collect();
-        let traced: Vec<f64> = (0..ov_samples).map(|_| campaign_total_ms(true)).collect();
+        let untraced: Vec<f64> = (0..ov_samples).map(|_| untraced_ms()).collect();
+        let traced: Vec<f64> = (0..ov_samples)
+            .map(|_| time_traced_campaign(&ccfg))
+            .collect();
         let untraced_median = median(untraced);
         let traced_median = median(traced);
         let trace_overhead_pct = if untraced_median >= TRACE_OVERHEAD_FLOOR_MS {

@@ -2,9 +2,10 @@
 //!
 //! The benchmark and reproduction harness: [`figures`] regenerates every
 //! table and figure of the paper (with shape checks), and the `benches/`
-//! directory holds the Criterion performance benchmarks. Binaries under
-//! `src/bin/` print one artifact each (`fig1_event_graph`, …,
-//! `fig8_callstacks`, `tables_course`).
+//! directory holds the Criterion performance benchmarks. The CLI prints
+//! one artifact with `anacin figure <id> --out-dir figures` (ids in
+//! [`ALL_IDS`]), writing its SVG there and exiting non-zero when a shape
+//! check fails.
 
 #![warn(missing_docs)]
 

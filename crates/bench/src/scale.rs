@@ -91,9 +91,12 @@ pub struct LargeStageTimings {
     /// Peak RSS (MiB) observed across the campaign, watermark-
     /// reset beforehand where the platform allows; `None` off Linux.
     pub peak_rss_mib: Option<f64>,
-    /// Relative wall-time cost of streaming a full Chrome trace during
-    /// the campaign, percent over the untraced run. `None`
-    /// when the untraced run was too fast to compare meaningfully.
+    /// Relative wall-time cost of tracing the campaign as `--trace` does,
+    /// timed by [`crate::baseline::time_traced_campaign`]: a Chrome sink
+    /// formats every record into a counting writer, the clock stops when
+    /// `finish()` has written the last one, and the run fails unless it
+    /// wrote every simulated event. Percent over `campaign_ms`, one
+    /// sample each; `None` when the untraced run took under 1 s.
     pub trace_overhead_pct: Option<f64>,
 }
 
@@ -200,34 +203,14 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             .span("campaign/gram")
             .map(|s| s.total_ns as f64 / 1e6)
             .unwrap_or(0.0);
-        // Traced pass: the same campaign with a Chrome sink
-        // attached, draining through the full formatter into a counting
-        // writer (all the serialisation cost, none of the disk noise).
-        let trace_overhead_pct = {
-            let tracer = anacin_obs::Tracer::with_capacity(anacin_obs::DEFAULT_CAPACITY);
-            let bytes = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let sink = anacin_obs::ChromeJsonSink::new(
-                anacin_obs::CountingWriter::new(std::sync::Arc::clone(&bytes)),
-                true,
-            )
-            .expect("counting sink");
-            tracer.attach_sink(Box::new(sink));
-            let reg2 = MetricsRegistry::new();
-            reg2.attach_tracer(&tracer);
-            let ctx = RunCtx {
-                metrics: Some(&reg2),
-                tracer: Some(&tracer),
-                ..RunCtx::default()
-            };
-            let t = Instant::now();
-            run_campaign_with(&ccfg, &ctx).expect("large baseline traced campaign");
-            tracer.finish_sink().expect("drain traced campaign");
-            let traced_ms = t.elapsed().as_secs_f64() * 1e3;
-            // The large tier measures each pass once; a ratio of two
-            // single samples is only meaningful when the campaign is
-            // long enough to dominate warmup/scheduling noise.
-            (campaign_ms > 1_000.0).then(|| (traced_ms / campaign_ms - 1.0) * 100.0)
-        };
+        // Traced pass: the same campaign as `--trace` runs it, into a
+        // counting writer (all the formatting cost, none of the disk
+        // noise). The large tier measures each pass once; a ratio of two
+        // single samples is only meaningful when the campaign is long
+        // enough to dominate warmup/scheduling noise.
+        let traced_ms = crate::baseline::time_traced_campaign(&ccfg);
+        let trace_overhead_pct =
+            (campaign_ms > 1_000.0).then(|| (traced_ms / campaign_ms - 1.0) * 100.0);
         rows.push(LargeStageTimings {
             pattern: p.to_string(),
             simulate_ms,

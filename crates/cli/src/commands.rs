@@ -40,11 +40,9 @@ COMMANDS
                                 print a per-stage summary table to stderr
               [--trace FILE[.json|.folded]]  record an execution trace:
                                 Chrome Trace Event JSON (Perfetto) or
-                                folded flamegraph stacks (inferno);
-                                written incrementally as the ring
-                                drains, so tracing adds O(1) memory at
-                                any scale
-              [--trace-capacity N]  trace ring size in events (default 262144)
+                                folded flamegraph stacks (inferno) with
+                                every simulated event; written while the
+                                campaign runs, in bounded memory
               [--progress]  live one-line status on stderr (runs done,
                             events simulated, hottest stage, ETA)
               [--store DIR]  run incrementally against a content-addressed
@@ -71,7 +69,8 @@ COMMANDS
               --kind nd|procs|iterations  --pattern … --procs N --runs N
               [--metrics FILE]  per-point metrics breakdown + merged
                                 aggregate (JSON {aggregate, points})
-              [--trace FILE[.json|.folded]] [--trace-capacity N]
+              [--trace FILE[.json|.folded]]  execution trace of every
+                                point's runs (see run)
               [--store DIR]  run every sweep point incrementally (see run)
   serve       campaign service daemon: accept jobs from many clients over
               a socket, run them on one worker pool against one shared
@@ -224,63 +223,29 @@ fn metrics_of(args: &Args) -> Option<(String, MetricsRegistry)> {
         .map(|p| (p.to_string(), MetricsRegistry::new()))
 }
 
-/// When `--trace FILE` was given: a fresh tracer (ring capacity from
-/// `--trace-capacity`, default 262144 events) plus its target path.
+/// When `--trace FILE` was given: a tracer streaming into FILE, plus its
+/// path. `.folded` paths get flamegraph folded stacks, everything else
+/// Chrome Trace Event JSON (Perfetto-loadable).
 fn tracer_of(args: &Args) -> Result<Option<(String, Tracer)>, String> {
-    match args.get("trace") {
-        Some(path) => {
-            let capacity: usize =
-                args.get_parsed("trace-capacity", anacin_obs::DEFAULT_CAPACITY)?;
-            Ok(Some((path.to_string(), Tracer::with_capacity(capacity))))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Export a tracer's snapshot: `.folded` paths get flamegraph folded
-/// stacks, everything else Chrome Trace Event JSON (Perfetto-loadable).
-fn write_trace(path: &str, tracer: &Tracer) -> Result<(), String> {
-    let snap = tracer.snapshot();
-    let content = if path.ends_with(".folded") {
-        snap.folded_stacks()
-    } else {
-        snap.chrome_trace(true)
+    let Some(path) = args.get("trace") else {
+        return Ok(None);
     };
-    std::fs::write(path, content).map_err(|e| e.to_string())?;
-    eprintln!(
-        "trace written to {path} ({} events recorded, {} dropped)",
-        snap.recorded, snap.dropped
-    );
-    Ok(())
-}
-
-/// Attach an incremental file sink to `tracer`: `.folded` paths stream
-/// flamegraph stacks, everything else Chrome Trace Event JSON. Records
-/// are drained to disk as the ring is pumped, so memory stays bounded
-/// by one drain chunk however long the campaign runs.
-fn attach_file_sink(path: &str, tracer: &Tracer) -> Result<(), String> {
-    if path.ends_with(".folded") {
-        let sink = anacin_obs::FoldedSink::create(path)
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
-        tracer.attach_sink(Box::new(sink));
+    let tracer = if path.ends_with(".folded") {
+        anacin_obs::FoldedSink::create(path).map(Tracer::new)
     } else {
-        let sink = anacin_obs::ChromeJsonSink::create(path)
-            .map_err(|e| format!("cannot create {path}: {e}"))?;
-        tracer.attach_sink(Box::new(sink));
+        anacin_obs::ChromeJsonSink::create(path).map(Tracer::new)
     }
-    Ok(())
+    .map_err(|e| format!("cannot create {path}: {e}"))?;
+    Ok(Some((path.to_string(), tracer)))
 }
 
-/// Drain whatever the pump has not yet delivered, close the sink's
-/// document, and report the drain accounting.
-fn finish_file_sink(path: &str, tracer: &Tracer) -> Result<(), String> {
-    let stats = tracer
-        .finish_sink()
-        .map_err(|e| format!("streaming trace to {path} failed: {e}"))?;
-    eprintln!(
-        "trace streamed to {path} ({} event(s) written, {} lost to ring overflow)",
-        stats.drained, stats.lost
-    );
+/// Close a `--trace` file: wait until every record is written, finish
+/// the document and report how many records it holds.
+fn finish_trace(path: &str, tracer: &Tracer) -> Result<(), String> {
+    let written = tracer
+        .finish()
+        .map_err(|e| format!("writing trace {path} failed: {e}"))?;
+    eprintln!("trace written to {path} ({written} record(s))");
     Ok(())
 }
 
@@ -407,16 +372,10 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
 
 /// `anacin run`. Every campaign frees each run's trace and graph inside
 /// its worker, so memory stays one in-flight run per worker at any rank
-/// count (`--stream` is accepted and changes nothing). `--trace` writes
-/// its file incrementally as the simulator pumps records into it, so the
-/// exporter holds one drain chunk and records reach the file before the
-/// ring can overwrite them.
+/// count (`--stream` is accepted and changes nothing).
 fn cmd_run(args: &Args) -> Result<(), String> {
     let cfg = campaign_of(args)?;
     let obs = Observers::of(args)?;
-    if let Some((path, t)) = &obs.tracer {
-        attach_file_sink(path, t)?;
-    }
     // `--append-to DIR` is `--store DIR` plus the append schedule: the
     // largest stored Gram prefix of this run set is grown row-by-row
     // (R+1 dots per added run) instead of recomputed from scratch.
@@ -461,7 +420,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         write_metrics(path, reg)?;
     }
     if let Some((path, t)) = &obs.tracer {
-        finish_file_sink(path, t)?;
+        finish_trace(path, t)?;
     }
     let result = result.ok_or_else(interrupted_err)?;
     let m = NdMeasurement::from_campaign(campaign_label(&cfg), &result);
@@ -696,7 +655,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         );
     }
     if let Some((path, t)) = &obs.tracer {
-        write_trace(path, t)?;
+        finish_trace(path, t)?;
     }
     let sweep = sweep.ok_or_else(interrupted_err)?;
     print!("{}", sweep_text(&sweep));
@@ -1074,6 +1033,7 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
     } else {
         vec![id]
     };
+    let mut failed = Vec::new();
     for id in ids {
         let fig = by_id(id, &scale).ok_or_else(|| format!("unknown figure id '{id}'"))?;
         println!("=== {} ===", fig.title);
@@ -1088,8 +1048,15 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
             println!("wrote {path}");
         }
         println!();
+        if !fig.passed() {
+            failed.push(fig.id);
+        }
     }
-    Ok(())
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("shape checks failed: {}", failed.join(", ")))
+    }
 }
 
 fn cmd_course(args: &Args) -> Result<(), String> {

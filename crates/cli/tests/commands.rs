@@ -406,8 +406,6 @@ fn run_with_folded_trace_writes_flamegraph_stacks() {
         "3",
         "--trace",
         path.to_str().unwrap(),
-        "--trace-capacity",
-        "4096",
     ])
     .unwrap();
     let folded = std::fs::read_to_string(&path).unwrap();
@@ -597,10 +595,34 @@ fn report_rejects_zero_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The aggregate `sim/events` counter of a sweep's `--metrics` report.
+fn sweep_sim_events(metrics: &std::path::Path) -> usize {
+    let doc = serde_json::from_str_value(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+    let aggregate = serde::map_get(doc.as_object().unwrap(), "aggregate");
+    let counters = serde::map_get(aggregate.as_object().unwrap(), "counters");
+    let events = counters
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|c| c.as_object().unwrap())
+        .find(|c| serde::map_get(c, "name").as_str() == Some("sim/events"))
+        .and_then(|c| serde::map_get(c, "value").as_int())
+        .expect("sim/events counter");
+    events as usize
+}
+
+/// The `"cat":"sim"` lines of a Chrome trace file: one per simulated event.
+fn sim_lines(trace: &std::path::Path) -> usize {
+    std::fs::read_to_string(trace)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"cat\":\"sim\""))
+        .count()
+}
+
 #[test]
 fn run_trace_writes_every_simulated_event() {
-    // 20 runs x 992 events overflow an 8192-record ring several times
-    // over; the file is written as the ring drains, so nothing is lost.
+    // 20 runs x 992 events: the trace holds every one of them.
     let dir = std::env::temp_dir().join("anacin_cli_trace_all_events");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.json");
@@ -614,18 +636,40 @@ fn run_trace_writes_every_simulated_event() {
         "20",
         "--trace",
         path.to_str().unwrap(),
-        "--trace-capacity",
-        "8192",
         "--json",
     ]);
     assert_eq!(code, Some(0), "{stderr}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    let sim = json
-        .lines()
-        .filter(|l| l.contains("\"cat\":\"sim\""))
-        .count();
-    assert_eq!(sim, 20 * 992, "{stderr}");
-    assert!(stderr.contains(" 0 lost to ring overflow"), "{stderr}");
+    assert_eq!(sim_lines(&path), 20 * 992, "{stderr}");
+    let line = format!("trace written to {} (", path.display());
+    assert!(stderr.contains(&line), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sweep_trace_writes_every_simulated_event() {
+    let dir = std::env::temp_dir().join(format!("anacin_cli_sweep_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, metrics) = (dir.join("t.json"), dir.join("m.json"));
+    let (code, _, stderr) = anacin(&[
+        "sweep",
+        "--kind",
+        "procs",
+        "--pattern",
+        "amg2013",
+        "--procs",
+        "64",
+        "--runs",
+        "4",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let events = sweep_sim_events(&metrics);
+    assert_eq!(events, 342_272, "{stderr}");
+    assert_eq!(sim_lines(&trace), events, "{stderr}");
+    assert!(stderr.contains("trace written to "), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

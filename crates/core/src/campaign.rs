@@ -34,7 +34,10 @@ pub struct RunCtx<'a> {
     pub metrics: Option<&'a MetricsRegistry>,
     /// Receives every run's simulated-time events, tagged with its run
     /// index, once the run's trace exists (simulated or read from the
-    /// store). Wall-clock spans reach it only when it is also attached to
+    /// store). The worker hands them over in batches and waits while the
+    /// tracer's channel is full, so the tracer's sink gets every event;
+    /// it is complete once the caller's [`Tracer::finish`] returns.
+    /// Wall-clock spans reach it only when it is also attached to
     /// `metrics` via [`MetricsRegistry::attach_tracer`].
     pub tracer: Option<&'a Tracer>,
     /// Cooperative cancellation: once it fires, workers stop claiming

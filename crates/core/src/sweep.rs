@@ -242,7 +242,7 @@ pub fn sweep(
 mod tests {
     use super::*;
     use anacin_miniapps::Pattern;
-    use anacin_obs::{MetricsRegistry, Tracer};
+    use anacin_obs::{MemorySink, MetricsRegistry, Tracer};
 
     fn small_base(pattern: Pattern, procs: u32, runs: u32) -> CampaignConfig {
         CampaignConfig::new(pattern, procs).runs(runs)
@@ -327,7 +327,8 @@ mod tests {
         let base = small_base(Pattern::MessageRace, 6, 5);
         let percents = [0.0, 50.0, 100.0];
         let plain = plain(SweepAxis::NdPercent, &base, &percents);
-        let tracer = Tracer::with_capacity(1 << 16);
+        let sink = MemorySink::new();
+        let tracer = Tracer::new(sink.clone());
         let reg = MetricsRegistry::new();
         reg.attach_tracer(&tracer);
         let ctx = RunCtx {
@@ -352,7 +353,8 @@ mod tests {
         assert_eq!(metrics.aggregate.counter("campaign/runs"), Some(15));
         // The shared tracer saw every run exactly once, with unique ids
         // offset per point.
-        let runs: Vec<u32> = tracer
+        tracer.finish().unwrap();
+        let runs: Vec<u32> = sink
             .snapshot()
             .sim_events_per_run()
             .iter()

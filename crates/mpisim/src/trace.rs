@@ -8,6 +8,7 @@
 
 use crate::stack::{CallStackId, CallStackTable};
 use crate::types::{ChannelSeq, Rank, SimTime, Tag};
+use anacin_obs::tracer::RECORD_BATCH;
 use anacin_obs::{message_id, SimEvent, SimEventKind, TraceRecord, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -270,17 +271,13 @@ impl Trace {
     /// seq)`, computable independently on either side, so exporters can
     /// draw inter-rank message arrows.
     ///
-    /// This reads a *finished* trace — it runs after the simulation has
+    /// Events go to the tracer in batches of [`RECORD_BATCH`]; while the
+    /// tracer's channel is full this waits, so no event is dropped. It
+    /// reads a *finished* trace — it runs after the simulation has
     /// completed, so tracing cannot perturb simulated time or the
     /// injection RNG by construction.
     pub fn record_into(&self, tracer: &Tracer, run: u32) {
-        // When a streaming sink is attached, pump the ring every few
-        // thousand records so the drain cursor keeps pace with recording
-        // and a bounded ring never overflows mid-run. Recording happens
-        // after the simulation finished, so pumping cannot perturb
-        // simulated time.
-        const PUMP_EVERY: usize = 4096;
-        let mut since_pump = 0usize;
+        let mut batch = Vec::with_capacity(RECORD_BATCH.min(self.total_events()));
         for (id, e) in self.iter() {
             let kind = match e.kind {
                 EventKind::Init => SimEventKind::Init,
@@ -295,7 +292,7 @@ impl Trace {
                     wildcard,
                 },
             };
-            tracer.record(TraceRecord::Sim(SimEvent {
+            batch.push(TraceRecord::Sim(SimEvent {
                 run,
                 seed: self.meta.seed,
                 rank: id.rank.0,
@@ -303,13 +300,14 @@ impl Trace {
                 kind,
                 t_ns: e.time.nanos(),
             }));
-            since_pump += 1;
-            if since_pump >= PUMP_EVERY {
-                since_pump = 0;
-                tracer.pump();
+            if batch.len() == RECORD_BATCH {
+                tracer.record_batch(std::mem::replace(
+                    &mut batch,
+                    Vec::with_capacity(RECORD_BATCH),
+                ));
             }
         }
-        tracer.pump();
+        tracer.record_batch(batch);
     }
 
     /// Check internal consistency: every receive's `send_event` must point
@@ -470,11 +468,12 @@ mod tests {
     #[test]
     fn record_into_emits_every_event_with_shared_message_ids() {
         let t = tiny_trace();
-        let tracer = Tracer::with_capacity(64);
+        let sink = anacin_obs::MemorySink::new();
+        let tracer = Tracer::new(sink.clone());
         t.record_into(&tracer, 3);
-        let snap = tracer.snapshot();
+        assert_eq!(tracer.finish().unwrap(), t.total_events() as u64);
+        let snap = sink.snapshot();
         assert_eq!(snap.sim.len(), t.total_events());
-        assert_eq!(snap.dropped, 0);
         assert!(snap.sim.iter().all(|e| e.run == 3 && e.seed == t.meta.seed));
         let send_id = snap
             .sim

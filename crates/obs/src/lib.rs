@@ -28,6 +28,13 @@
 //! observability-only: no instrument feeds back into the pipeline, so
 //! enabling metrics can never change a measurement.
 //!
+//! Alongside the totals, a [`Tracer`] records individual events on a
+//! timeline — simulated MPI events and, once attached to a registry
+//! ([`MetricsRegistry::attach_tracer`]), the begin/end of every span. It
+//! streams every record to one [`TraceSink`] (Chrome JSON, folded
+//! stacks, or [`MemorySink`] in tests) through a bounded channel and a
+//! writer thread; see [`tracer`] and [`sink`].
+//!
 //! ```
 //! use anacin_obs::MetricsRegistry;
 //!
@@ -53,10 +60,10 @@ pub mod tracer;
 pub use hist::{HistBucket, LatencyHistogram};
 pub use progress::ProgressReporter;
 pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_requested, CancelToken};
-pub use sink::{ChromeJsonSink, CountingWriter, FoldedSink, SharedBuffer, TraceSink};
+pub use sink::{ChromeJsonSink, CountingWriter, FoldedSink, MemorySink, SharedBuffer, TraceSink};
 pub use tracer::{
-    current_thread_id, message_id, DrainStats, MatchedSpan, SimEvent, SimEventKind, SpanMark,
-    TraceRecord, TraceSnapshot, Tracer, DEFAULT_CAPACITY,
+    current_thread_id, message_id, MatchedSpan, SimEvent, SimEventKind, SpanMark, TraceRecord,
+    TraceSnapshot, Tracer,
 };
 
 use serde::{Deserialize, Serialize};
@@ -644,13 +651,15 @@ mod tests {
     #[test]
     fn attached_tracer_receives_balanced_span_marks() {
         let m = MetricsRegistry::new();
-        let t = Tracer::with_capacity(64);
+        let sink = MemorySink::new();
+        let t = Tracer::new(sink.clone());
         m.attach_tracer(&t);
         {
             let _outer = m.span("campaign");
             let _inner = m.span("simulate");
         }
-        let spans = t.snapshot().matched_spans();
+        t.finish().unwrap();
+        let spans = sink.snapshot().matched_spans();
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().any(|s| s.path == "campaign"));
         assert!(spans.iter().any(|s| s.path == "campaign/simulate"));

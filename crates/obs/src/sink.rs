@@ -1,47 +1,90 @@
-//! Streaming trace sinks: incremental, bounded-memory export of the
-//! tracer ring.
+//! Trace sinks: where a [`crate::Tracer`]'s writer thread puts records.
 //!
-//! A [`TraceSink`] consumes [`TraceRecord`]s as the chunked drain
-//! ([`crate::Tracer::pump`]) hands them over, so a campaign's trace goes
-//! to disk *during* the run instead of accumulating for one end-of-run
-//! snapshot — the difference between tracing working and not working at
-//! 1024 ranks / tens of millions of events.
+//! A [`TraceSink`] consumes [`TraceRecord`]s one at a time, in the order
+//! the writer thread receives them, so a campaign's trace goes to disk
+//! *during* the run instead of accumulating in memory — the difference
+//! between tracing working and not working at 1024 ranks / tens of
+//! millions of events.
 //!
-//! Two file formats, matching the snapshot exporters byte-for-byte:
+//! Two file formats, matching the in-memory exporters of
+//! [`crate::TraceSnapshot`]:
 //!
 //! * [`ChromeJsonSink`] — Chrome Trace Event JSON. Simulated events are
-//!   written the moment they drain (memory stays O(runs × ranks) for the
+//!   written the moment they arrive (memory stays O(runs × ranks) for the
 //!   track-metadata dedup sets); wall-clock span marks are buffered
 //!   (O(runs × stages), tiny) because begin/end balancing needs the
 //!   whole sequence. Every event line is produced by the same formatting
 //!   helpers as [`crate::TraceSnapshot::chrome_trace`], so the streamed
-//!   file equals the snapshot export after a canonical line sort.
+//!   file equals the in-memory export after a canonical line sort.
 //! * [`FoldedSink`] — folded flamegraph stacks, byte-identical to
 //!   [`crate::TraceSnapshot::folded_stacks`] (derived wholly from the
 //!   buffered span marks).
 //!
-//! [`CountingWriter`] backs overhead benchmarks: full formatting work,
-//! bytes counted and discarded.
+//! [`MemorySink`] keeps every record for tests, and [`CountingWriter`]
+//! backs overhead benchmarks: full formatting work, bytes counted and
+//! discarded.
 
 use crate::tracer::{
     chrome_rank_meta, chrome_run_meta, chrome_sim_flow, chrome_sim_slice, chrome_wall_events,
-    folded_from_spans, DrainStats, SpanMark, TraceRecord, CHROME_FOOTER, CHROME_HEADER,
+    folded_from_spans, SpanMark, TraceRecord, TraceSnapshot, CHROME_FOOTER, CHROME_HEADER,
 };
 use std::collections::HashSet;
+use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// A consumer of drained trace records (see [`crate::Tracer::attach_sink`]).
+/// A consumer of trace records, owned by a [`crate::Tracer`]'s writer
+/// thread.
 ///
-/// `accept` is called once per record in claim order; `finish` exactly
-/// once after the final drain, with the drain accounting. Implementations
-/// must tolerate `accept` never being called (empty trace).
+/// `accept` is called once per record in arrival order; `finish` exactly
+/// once, after the last record. Implementations must tolerate `accept`
+/// never being called (empty trace).
 pub trait TraceSink: Send {
     /// Consume one record.
     fn accept(&mut self, record: &TraceRecord) -> io::Result<()>;
     /// Finalise the output (write trailers, flush).
-    fn finish(&mut self, stats: &DrainStats) -> io::Result<()>;
+    fn finish(&mut self) -> io::Result<()>;
+}
+
+/// A sink keeping every record in memory. Clones share one store: hand
+/// one clone to [`crate::Tracer::new`] and read [`MemorySink::snapshot`]
+/// from another once the tracer's `finish()` has returned.
+#[derive(Clone, Default)]
+pub struct MemorySink {
+    records: Arc<Mutex<TraceSnapshot>>,
+}
+
+impl MemorySink {
+    /// An empty memory sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Everything received so far, simulated events sorted by
+    /// `(run, rank, idx)` so exports do not depend on which worker
+    /// simulated which run.
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let mut snap = self.records.lock().expect("memory sink poisoned").clone();
+        snap.sim.sort_by_key(|e| (e.run, e.rank, e.idx));
+        snap
+    }
+}
+
+impl TraceSink for MemorySink {
+    fn accept(&mut self, record: &TraceRecord) -> io::Result<()> {
+        let mut snap = self.records.lock().expect("memory sink poisoned");
+        match record {
+            TraceRecord::Sim(e) => snap.sim.push(e.clone()),
+            TraceRecord::SpanBegin(m) => snap.spans.push((false, m.clone())),
+            TraceRecord::SpanEnd(m) => snap.spans.push((true, m.clone())),
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Incremental Chrome Trace Event JSON writer.
@@ -55,8 +98,8 @@ pub struct ChromeJsonSink<W: Write + Send> {
 }
 
 impl ChromeJsonSink<BufWriter<std::fs::File>> {
-    /// Create `path` and stream a Chrome JSON trace into it (wall-clock
-    /// span section included, matching the CLI snapshot export).
+    /// Create `path` and stream a Chrome JSON trace into it, wall-clock
+    /// span section included.
     pub fn create(path: &str) -> io::Result<Self> {
         Self::new(BufWriter::new(std::fs::File::create(path)?), true)
     }
@@ -78,12 +121,12 @@ impl<W: Write + Send> ChromeJsonSink<W> {
         })
     }
 
-    fn write_event(&mut self, event: &str) -> io::Result<()> {
+    fn write_event(&mut self, event: impl fmt::Display) -> io::Result<()> {
         if self.wrote_event {
             self.w.write_all(b",\n")?;
         }
         self.wrote_event = true;
-        self.w.write_all(event.as_bytes())
+        write!(self.w, "{event}")
     }
 }
 
@@ -92,17 +135,14 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
         match record {
             TraceRecord::Sim(e) => {
                 if self.seen_runs.insert(e.run) {
-                    let meta = chrome_run_meta(e.run, e.seed);
-                    self.write_event(&meta)?;
+                    self.write_event(chrome_run_meta(e.run, e.seed))?;
                 }
                 if self.seen_tracks.insert((e.run, e.rank)) {
-                    let meta = chrome_rank_meta(e.run, e.rank);
-                    self.write_event(&meta)?;
+                    self.write_event(chrome_rank_meta(e.run, e.rank))?;
                 }
-                let slice = chrome_sim_slice(e);
-                self.write_event(&slice)?;
+                self.write_event(chrome_sim_slice(e))?;
                 if let Some(flow) = chrome_sim_flow(e) {
-                    self.write_event(&flow)?;
+                    self.write_event(flow)?;
                 }
             }
             TraceRecord::SpanBegin(m) => {
@@ -119,10 +159,10 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
         Ok(())
     }
 
-    fn finish(&mut self, _stats: &DrainStats) -> io::Result<()> {
+    fn finish(&mut self) -> io::Result<()> {
         if self.include_wall {
             for event in chrome_wall_events(&self.spans) {
-                self.write_event(&event)?;
+                self.write_event(event)?;
             }
         }
         self.w.write_all(CHROME_FOOTER.as_bytes())?;
@@ -166,7 +206,7 @@ impl<W: Write + Send> TraceSink for FoldedSink<W> {
         Ok(())
     }
 
-    fn finish(&mut self, _stats: &DrainStats) -> io::Result<()> {
+    fn finish(&mut self) -> io::Result<()> {
         self.w
             .write_all(folded_from_spans(&self.spans).as_bytes())?;
         self.w.flush()
@@ -200,7 +240,7 @@ impl Write for CountingWriter {
 }
 
 /// A `Write` into a shared in-memory buffer, retrievable after the sink
-/// is consumed (tests compare streamed output against snapshots).
+/// is consumed (tests compare streamed output against in-memory exports).
 #[derive(Clone, Default)]
 pub struct SharedBuffer {
     buf: Arc<std::sync::Mutex<Vec<u8>>>,
@@ -248,8 +288,31 @@ mod tests {
         })
     }
 
+    /// Hands every record to both sinks, so one recording yields a
+    /// streamed export and its in-memory reference.
+    struct Tee<A, B>(A, B);
+
+    impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
+        fn accept(&mut self, record: &TraceRecord) -> io::Result<()> {
+            self.0.accept(record)?;
+            self.1.accept(record)
+        }
+
+        fn finish(&mut self) -> io::Result<()> {
+            self.0.finish()?;
+            self.1.finish()
+        }
+    }
+
+    /// A tracer teeing into `sink` and a memory sink, plus that memory
+    /// sink.
+    fn teed(sink: impl TraceSink + 'static) -> (Tracer, MemorySink) {
+        let memory = MemorySink::new();
+        (Tracer::new(Tee(sink, memory.clone())), memory)
+    }
+
     /// Strip trailing commas and sort: the canonical form under which a
-    /// streamed export equals the snapshot export.
+    /// streamed export equals the in-memory export.
     fn canonical_lines(s: &str) -> Vec<String> {
         let mut v: Vec<String> = s
             .lines()
@@ -261,9 +324,8 @@ mod tests {
 
     #[test]
     fn streamed_chrome_equals_snapshot_after_sort() {
-        let t = Tracer::with_capacity(256);
         let buf = SharedBuffer::new();
-        t.attach_sink(Box::new(ChromeJsonSink::new(buf.clone(), true).unwrap()));
+        let (t, memory) = teed(ChromeJsonSink::new(buf.clone(), true).unwrap());
         t.span_begin("campaign");
         for run in 0..2 {
             for rank in 0..3 {
@@ -271,60 +333,45 @@ mod tests {
                     t.record(sim(run, rank, idx));
                 }
             }
-            t.pump();
         }
         t.span_end("campaign");
-        let stats = t.finish_sink().unwrap();
-        assert_eq!(stats.lost, 0);
-        assert_eq!(stats.pending, 0);
-        let snap = t.snapshot().chrome_trace(true);
+        assert_eq!(t.finish().unwrap(), 2 * 3 * 4 + 2);
+        let snap = memory.snapshot().chrome_trace(true);
         assert_eq!(canonical_lines(&buf.contents()), canonical_lines(&snap));
     }
 
     #[test]
     fn streamed_folded_is_byte_identical_to_snapshot() {
-        let t = Tracer::with_capacity(64);
         let buf = SharedBuffer::new();
-        t.attach_sink(Box::new(FoldedSink::new(buf.clone())));
+        let (t, memory) = teed(FoldedSink::new(buf.clone()));
         t.span_begin("campaign");
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: crate::current_thread_id(),
-            t_ns: t.now_ns(),
-        }));
+        t.span_begin("campaign/simulate");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: crate::current_thread_id(),
-            t_ns: t.now_ns(),
-        }));
+        t.span_end("campaign/simulate");
         t.span_end("campaign");
-        t.finish_sink().unwrap();
-        assert_eq!(buf.contents(), t.snapshot().folded_stacks());
+        t.finish().unwrap();
+        assert_eq!(buf.contents(), memory.snapshot().folded_stacks());
         assert!(buf.contents().contains("campaign;simulate "));
     }
 
     #[test]
     fn empty_stream_is_a_valid_document() {
-        let t = Tracer::with_capacity(16);
         let buf = SharedBuffer::new();
-        t.attach_sink(Box::new(ChromeJsonSink::new(buf.clone(), true).unwrap()));
-        t.finish_sink().unwrap();
-        assert_eq!(buf.contents(), t.snapshot().chrome_trace(true));
+        let (t, memory) = teed(ChromeJsonSink::new(buf.clone(), true).unwrap());
+        assert_eq!(t.finish().unwrap(), 0);
+        assert_eq!(buf.contents(), memory.snapshot().chrome_trace(true));
     }
 
     #[test]
     fn counting_writer_counts_formatted_bytes() {
         let bytes = Arc::new(AtomicU64::new(0));
-        let t = Tracer::with_capacity(64);
-        t.attach_sink(Box::new(
-            ChromeJsonSink::new(CountingWriter::new(Arc::clone(&bytes)), false).unwrap(),
-        ));
+        let (t, memory) =
+            teed(ChromeJsonSink::new(CountingWriter::new(Arc::clone(&bytes)), false).unwrap());
         for idx in 0..8 {
             t.record(sim(0, 0, idx));
         }
-        t.finish_sink().unwrap();
-        let expected = t.snapshot().chrome_trace(false).len() as u64;
+        t.finish().unwrap();
+        let expected = memory.snapshot().chrome_trace(false).len() as u64;
         assert_eq!(bytes.load(Ordering::Relaxed), expected);
     }
 
@@ -335,20 +382,25 @@ mod tests {
             fn accept(&mut self, _r: &TraceRecord) -> io::Result<()> {
                 Err(io::Error::other("disk full"))
             }
-            fn finish(&mut self, _s: &DrainStats) -> io::Result<()> {
+            fn finish(&mut self) -> io::Result<()> {
                 Ok(())
             }
         }
-        let t = Tracer::with_capacity(16);
-        t.attach_sink(Box::new(Failing));
-        t.record(sim(0, 0, 0));
-        let err = t.finish_sink().unwrap_err();
-        assert!(err.contains("disk full"), "{err}");
+        let t = Tracer::new(Failing);
+        // More batches than the channel holds: once the writer has
+        // stopped, recording must discard instead of waiting forever.
+        for idx in 0..2 * crate::tracer::CHANNEL_BATCHES as u32 {
+            t.record(sim(0, 0, idx));
+        }
+        let err = t.finish().unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
+    /// The first finish takes the sink away; finishing again is an error.
     #[test]
     fn finish_without_sink_is_an_error() {
-        let t = Tracer::with_capacity(16);
-        assert!(t.finish_sink().is_err());
+        let t = Tracer::new(MemorySink::new());
+        t.finish().unwrap();
+        assert!(t.finish().is_err());
     }
 }

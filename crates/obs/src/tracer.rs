@@ -1,5 +1,5 @@
-//! Structured execution tracing: a bounded, non-blocking event ring plus
-//! Chrome-trace and flamegraph exporters.
+//! Structured execution tracing: a tracer that streams every record to
+//! one sink, plus the Chrome-trace and flamegraph line formatters.
 //!
 //! The metrics registry ([`crate::MetricsRegistry`]) answers *how much* —
 //! totals and span statistics. This module answers *when* and *where*:
@@ -17,12 +17,15 @@
 //!   nesting the thread-local span stack resolved (`campaign/simulate`),
 //!   so the trace preserves the full stage tree.
 //!
-//! The ring is **bounded**: a fixed number of slots, claimed with one
-//! atomic `fetch_add` and published with one uncontended `try_lock` per
-//! record. Writers never block and never allocate beyond the record
-//! itself; when the ring wraps, the *oldest* records are overwritten and
-//! counted in [`Tracer::dropped`] — memory use is capped no matter how
-//! long a campaign runs.
+//! A [`Tracer`] is a handle on exactly one [`TraceSink`]. [`Tracer::new`]
+//! starts a writer thread that owns the sink and receives record batches
+//! over a bounded channel of [`CHANNEL_BATCHES`] batches. Recording
+//! threads only move records into the channel; the writer thread formats
+//! them. When the channel is full a recording thread waits for the
+//! writer instead of dropping records, so every record reaches the sink
+//! and memory stays bounded by the channel depth however long a campaign
+//! runs. [`Tracer::finish`] closes the channel, lets the writer drain it,
+//! finishes the sink and returns how many records it wrote.
 //!
 //! Tracing is observability-only, like the rest of this crate: recording
 //! reads finished state (the simulator emits its events *after* a run
@@ -33,17 +36,22 @@
 use crate::sink::TraceSink;
 use crate::MetricsReport;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::io;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Default ring capacity (records). At roughly 100 bytes per record this
-/// bounds a tracer at ~25 MB.
-pub const DEFAULT_CAPACITY: usize = 1 << 18;
+/// Records per batch of a bulk producer ([`Tracer::record_batch`]): large
+/// enough to amortise the channel hand-off, small enough to bound what
+/// one batch holds.
+pub const RECORD_BATCH: usize = 4096;
 
-/// Records per [`Tracer::pump`] drain batch: large enough to amortise the
-/// drain lock, small enough to bound the copied chunk.
-const DRAIN_BATCH: usize = 4096;
+/// Depth of the writer's channel, in batches. At [`RECORD_BATCH`] records
+/// a batch, at most 262,144 records wait for the writer.
+pub const CHANNEL_BATCHES: usize = 64;
 
 static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
 
@@ -143,7 +151,7 @@ pub struct SpanMark {
     pub t_ns: u64,
 }
 
-/// One record in the ring.
+/// One traced record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
     /// A simulated-time MPI event.
@@ -154,122 +162,57 @@ pub enum TraceRecord {
     SpanEnd(SpanMark),
 }
 
-/// A ring slot: the claim index plus the record written under it.
-type Slot = Mutex<Option<(u64, TraceRecord)>>;
-
-/// The chunked-drain consumer's position. The cursor is the next claim
-/// index to hand out; `drained + lost == cursor` is the asserted
-/// invariant — every index below the cursor was accounted exactly once.
-#[derive(Debug, Default)]
-struct DrainState {
-    cursor: u64,
-    drained: u64,
-    lost: u64,
-}
-
-/// Accounting of the chunked drain consumer ([`Tracer::drain_stats`]).
-///
-/// `recorded == drained + lost + pending` always holds (the ISSUE-form
-/// `recorded − dropped == drained + len` with `dropped = lost` and
-/// `len = pending`): every record ever claimed is either delivered to
-/// the consumer, lost (overwritten by wrap or never published), or still
-/// ahead of the cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainStats {
-    /// Records delivered to the consumer so far.
-    pub drained: u64,
-    /// Records the consumer will never see: overwritten by wrap before
-    /// the cursor reached them, or written off as unpublished by
-    /// [`Tracer::drain_remaining`].
-    pub lost: u64,
-    /// Records still ahead of the cursor at stat time.
-    pub pending: u64,
-}
-
 struct TracerInner {
     epoch: Instant,
-    capacity: u64,
-    /// Total records ever claimed (monotone; `head % capacity` is the
-    /// next slot).
-    head: AtomicU64,
-    /// Records discarded because their slot was mid-write (wrap
-    /// collision). Overwritten-by-wrap drops are `head - capacity`.
-    collisions: AtomicU64,
-    /// Each slot holds `(claim index, record)`; `try_lock` keeps the
-    /// write path non-blocking (a contended slot drops the record
-    /// instead of waiting).
-    slots: Box<[Slot]>,
-    /// Chunked-drain consumer position (one consumer; sinks and manual
-    /// drains share it).
-    drain: Mutex<DrainState>,
-    /// The attached streaming sink, if any.
-    sink: Mutex<Option<Box<dyn TraceSink>>>,
-    /// Fast-path flag mirroring `sink.is_some()`, so `pump()` costs one
-    /// relaxed load when no sink is attached.
-    has_sink: AtomicBool,
-    /// First sink I/O error, if any; reported by [`Tracer::finish_sink`].
-    sink_error: Mutex<Option<String>>,
+    /// The writer's channel; `None` once [`Tracer::finish`] closed it.
+    tx: Mutex<Option<SyncSender<Vec<TraceRecord>>>>,
+    /// The writer thread, until the first [`Tracer::finish`] joins it.
+    writer: Mutex<Option<JoinHandle<io::Result<u64>>>>,
 }
 
-/// A bounded, thread-safe execution tracer. Cloning yields another handle
-/// onto the same ring.
+impl Drop for TracerInner {
+    /// The last handle went without `finish`: still close the channel and
+    /// let the writer finish the sink, so the thread is never detached.
+    /// Its result has no caller to go to.
+    fn drop(&mut self) {
+        // Each slot only ever holds a whole value, so a poisoned one is
+        // still valid.
+        drop(self.tx.get_mut().unwrap_or_else(|e| e.into_inner()).take());
+        let writer = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some(writer) = writer.take() {
+            let _ = writer.join();
+        }
+    }
+}
+
+/// A thread-safe execution tracer streaming into one [`TraceSink`].
+/// Cloning yields another handle onto the same sink.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Tracer {
-    /// A tracer with the default capacity ([`DEFAULT_CAPACITY`] records).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A tracer holding at most `capacity` records (clamped to ≥ 16).
-    /// When more are recorded, the oldest are overwritten and counted as
-    /// dropped.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(16);
-        let slots = (0..capacity)
-            .map(|_| Mutex::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    /// A tracer writing every record it receives to `sink`, on a writer
+    /// thread that owns the sink until [`Tracer::finish`].
+    pub fn new(sink: impl TraceSink + 'static) -> Self {
+        let (tx, rx) = mpsc::sync_channel(CHANNEL_BATCHES);
+        let writer = std::thread::Builder::new()
+            .name("trace-writer".to_string())
+            .spawn(move || write_all(sink, rx))
+            .expect("spawn trace writer thread");
         Tracer {
             inner: Arc::new(TracerInner {
                 epoch: Instant::now(),
-                capacity: capacity as u64,
-                head: AtomicU64::new(0),
-                collisions: AtomicU64::new(0),
-                slots,
-                drain: Mutex::new(DrainState::default()),
-                sink: Mutex::new(None),
-                has_sink: AtomicBool::new(false),
-                sink_error: Mutex::new(None),
+                tx: Mutex::new(Some(tx)),
+                writer: Mutex::new(Some(writer)),
             }),
         }
     }
 
-    /// Ring capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity as usize
-    }
-
-    /// Total records ever offered to the ring (recorded + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.inner.head.load(Ordering::Relaxed)
-    }
-
-    /// Records no longer retrievable: overwritten by wrap-around
-    /// (oldest-first) plus wrap collisions. [`TraceSnapshot::dropped`]
-    /// is the exact count at snapshot time.
-    pub fn dropped(&self) -> u64 {
-        let head = self.inner.head.load(Ordering::Relaxed);
-        head.saturating_sub(self.inner.capacity) + self.inner.collisions.load(Ordering::Relaxed)
+    /// The writer's channel; `None` once finished.
+    fn channel(&self) -> MutexGuard<'_, Option<SyncSender<Vec<TraceRecord>>>> {
+        self.inner.tx.lock().expect("tracer channel poisoned")
     }
 
     /// Wall time in nanoseconds since this tracer was created (the epoch
@@ -278,18 +221,23 @@ impl Tracer {
         u64::try_from(self.inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Record one event. Never blocks: the slot is claimed with one
-    /// atomic add, and if the slot is still being written by a lapped
-    /// writer the record is dropped (counted) instead of waiting.
+    /// Record one event.
     pub fn record(&self, record: TraceRecord) {
-        let inner = &*self.inner;
-        let idx = inner.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &inner.slots[(idx % inner.capacity) as usize];
-        match slot.try_lock() {
-            Ok(mut guard) => *guard = Some((idx, record)),
-            Err(_) => {
-                inner.collisions.fetch_add(1, Ordering::Relaxed);
-            }
+        self.record_batch(vec![record]);
+    }
+
+    /// Record a batch of events, in order. Waits while the writer's
+    /// channel is full. After [`Tracer::finish`], or once the sink has
+    /// failed, the batch is discarded.
+    pub fn record_batch(&self, batch: Vec<TraceRecord>) {
+        if batch.is_empty() {
+            return;
+        }
+        let tx = self.channel().clone();
+        if let Some(tx) = tx {
+            // A send fails only when the writer stopped on a sink error,
+            // which `finish` reports.
+            let _ = tx.send(batch);
         }
     }
 
@@ -313,226 +261,38 @@ impl Tracer {
         }));
     }
 
-    /// Snapshot the ring into export-ready, deterministically ordered
-    /// data. Intended to be called after the traced work has finished;
-    /// records written concurrently with the snapshot may be counted as
-    /// dropped.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        let inner = &*self.inner;
-        let head = inner.head.load(Ordering::Acquire);
-        let start = head.saturating_sub(inner.capacity);
-        let mut sim = Vec::new();
-        let mut spans = Vec::new();
-        let mut valid = 0u64;
-        for idx in start..head {
-            let slot = &inner.slots[(idx % inner.capacity) as usize];
-            let rec = match slot.try_lock() {
-                Ok(guard) => match &*guard {
-                    Some((i, rec)) if *i == idx => Some(rec.clone()),
-                    _ => None,
-                },
-                Err(_) => None,
-            };
-            if let Some(rec) = rec {
-                valid += 1;
-                match rec {
-                    TraceRecord::Sim(e) => sim.push(e),
-                    TraceRecord::SpanBegin(m) => spans.push((false, m)),
-                    TraceRecord::SpanEnd(m) => spans.push((true, m)),
-                }
-            }
-        }
-        // Simulated events sort by (run, rank, idx): independent of which
-        // worker thread simulated which run, so exports are reproducible.
-        sim.sort_by_key(|e| (e.run, e.rank, e.idx));
-        TraceSnapshot {
-            sim,
-            spans,
-            recorded: head,
-            dropped: head - valid,
-        }
-    }
-
-    /// Drain up to `max` published records past the consumer cursor, in
-    /// claim order. Stops early at the first slot still being written
-    /// (concurrent drain is safe: the next call resumes there). Records
-    /// the cursor was lapped past are counted as lost and skipped, so a
-    /// slow consumer falls behind but never stalls the ring.
-    ///
-    /// Draining does not remove records from the ring — a later
-    /// [`Tracer::snapshot`] still sees everything the ring retains.
-    pub fn drain(&self, max: usize) -> Vec<TraceRecord> {
-        self.drain_chunk(max, false)
-    }
-
-    /// Like [`Tracer::drain`], but treats unpublished slots as lost
-    /// instead of stopping: a writer that collided on its slot never
-    /// publishes it, which would stall a prefix-only drain forever. Call
-    /// only once writers have quiesced (end of run).
-    pub fn drain_remaining(&self, max: usize) -> Vec<TraceRecord> {
-        self.drain_chunk(max, true)
-    }
-
-    fn drain_chunk(&self, max: usize, to_end: bool) -> Vec<TraceRecord> {
-        let inner = &*self.inner;
-        let mut st = inner.drain.lock().expect("drain state poisoned");
-        let head = inner.head.load(Ordering::Acquire);
-        let floor = head.saturating_sub(inner.capacity);
-        let mut out = Vec::new();
-        while st.cursor < head && out.len() < max {
-            let i = st.cursor;
-            if i < floor {
-                // Lapped before the consumer got here: the slot now holds
-                // (or will hold) a newer record.
-                st.lost += 1;
-                st.cursor += 1;
-                continue;
-            }
-            let advanced = match inner.slots[(i % inner.capacity) as usize].try_lock() {
-                Ok(guard) => match &*guard {
-                    Some((ci, rec)) if *ci == i => {
-                        out.push(rec.clone());
-                        st.drained += 1;
-                        true
-                    }
-                    Some((ci, _)) if *ci > i => {
-                        // Overwritten between our head load and now.
-                        st.lost += 1;
-                        true
-                    }
-                    // Claimed but not yet published (writer between its
-                    // fetch_add and its slot write, or a collision victim
-                    // whose record will never arrive).
-                    _ => {
-                        if to_end {
-                            st.lost += 1;
-                        }
-                        to_end
-                    }
-                },
-                Err(_) => {
-                    // Writer holds the slot lock right now.
-                    if to_end {
-                        st.lost += 1;
-                    }
-                    to_end
-                }
-            };
-            if !advanced {
-                break;
-            }
-            st.cursor += 1;
-        }
-        debug_assert_eq!(st.drained + st.lost, st.cursor, "drain cursor accounting");
-        out
-    }
-
-    /// The chunked-drain consumer's accounting. The invariant
-    /// `recorded == drained + lost + pending` holds at any quiescent
-    /// point (and is what the drain property tests assert).
-    pub fn drain_stats(&self) -> DrainStats {
-        let st = self.inner.drain.lock().expect("drain state poisoned");
-        let head = self.inner.head.load(Ordering::Acquire);
-        DrainStats {
-            drained: st.drained,
-            lost: st.lost,
-            pending: head - st.cursor,
-        }
-    }
-
-    /// Attach a streaming sink: subsequent [`Tracer::pump`] calls drain
-    /// the ring into it incrementally, and [`Tracer::finish_sink`] flushes
-    /// the tail and finalises the output. One sink at a time; attaching
-    /// replaces any previous one.
-    pub fn attach_sink(&self, sink: Box<dyn TraceSink>) {
-        *self.inner.sink.lock().expect("sink slot poisoned") = Some(sink);
-        self.inner.has_sink.store(true, Ordering::Release);
-    }
-
-    /// Whether a sink is attached and healthy (one relaxed load — cheap
-    /// enough for producers to call per record batch).
-    pub fn has_sink(&self) -> bool {
-        self.inner.has_sink.load(Ordering::Relaxed)
-    }
-
-    /// Drain every published record into the attached sink. Non-blocking
-    /// for producers: with no sink it is one atomic load, and when
-    /// another thread is already pumping it returns immediately (that
-    /// thread will pick up the new records). Returns the records
-    /// delivered by *this* call. Sink I/O errors disable further pumping
-    /// and surface from [`Tracer::finish_sink`].
-    pub fn pump(&self) -> u64 {
-        if !self.has_sink() {
-            return 0;
-        }
-        let Ok(mut guard) = self.inner.sink.try_lock() else {
-            return 0;
-        };
-        let Some(sink) = guard.as_mut() else {
-            return 0;
-        };
-        let mut delivered = 0u64;
-        loop {
-            let chunk = self.drain_chunk(DRAIN_BATCH, false);
-            if chunk.is_empty() {
-                break;
-            }
-            for rec in &chunk {
-                if let Err(e) = sink.accept(rec) {
-                    self.note_sink_error(&e);
-                    return delivered;
-                }
-                delivered += 1;
-            }
-        }
-        delivered
-    }
-
-    /// Drain the tail (including unpublished slots, written off as lost),
-    /// finalise the sink, and detach it. Call once, after the traced work
-    /// has finished. Returns the final drain accounting, or the first
-    /// sink I/O error encountered anywhere in the stream.
-    pub fn finish_sink(&self) -> Result<DrainStats, String> {
-        let mut guard = self.inner.sink.lock().expect("sink slot poisoned");
-        let Some(mut sink) = guard.take() else {
-            return Err("no sink attached".to_string());
-        };
-        self.inner.has_sink.store(false, Ordering::Release);
-        drop(guard);
-        let failed =
-            |e: &Mutex<Option<String>>| e.lock().expect("sink error slot poisoned").clone();
-        loop {
-            if let Some(e) = failed(&self.inner.sink_error) {
-                return Err(e);
-            }
-            let chunk = self.drain_remaining(DRAIN_BATCH);
-            if chunk.is_empty() {
-                break;
-            }
-            for rec in &chunk {
-                if let Err(e) = sink.accept(rec) {
-                    return Err(format!("trace sink: {e}"));
-                }
-            }
-        }
-        let stats = self.drain_stats();
-        sink.finish(&stats)
-            .map_err(|e| format!("trace sink: {e}"))?;
-        Ok(stats)
-    }
-
-    fn note_sink_error(&self, e: &std::io::Error) {
-        let mut slot = self
+    /// Close the channel, wait until the writer has handed every record
+    /// recorded so far to the sink, and finish the sink. Returns how many
+    /// records the sink wrote, or the sink's first I/O error. Only the
+    /// first call finishes; later ones are errors.
+    pub fn finish(&self) -> io::Result<u64> {
+        drop(self.channel().take());
+        let writer = self
             .inner
-            .sink_error
+            .writer
             .lock()
-            .expect("sink error slot poisoned");
-        if slot.is_none() {
-            *slot = Some(format!("trace sink: {e}"));
-        }
-        // Stop producers from pumping into a broken sink.
-        self.inner.has_sink.store(false, Ordering::Release);
+            .expect("tracer writer poisoned")
+            .take();
+        writer
+            .ok_or_else(|| io::Error::other("trace already finished"))?
+            .join()
+            .map_err(|_| io::Error::other("trace writer panicked"))?
     }
+}
+
+/// The writer thread: hand every batch to `sink` in arrival order until
+/// the channel closes, then finish it. Returning early on an error drops
+/// the receiver, so later sends fail instead of waiting.
+fn write_all(mut sink: impl TraceSink, rx: Receiver<Vec<TraceRecord>>) -> io::Result<u64> {
+    let mut written = 0u64;
+    for batch in rx {
+        for record in &batch {
+            sink.accept(record)?;
+        }
+        written += batch.len() as u64;
+    }
+    sink.finish()?;
+    Ok(written)
 }
 
 /// A matched wall-clock span instance reconstructed from begin/end marks.
@@ -550,27 +310,25 @@ pub struct MatchedSpan {
     pub self_ns: u64,
 }
 
-/// An export-ready snapshot of a [`Tracer`]'s ring.
-#[derive(Debug, Clone)]
+/// Every record of a traced execution in export order: what a
+/// [`crate::MemorySink`] holds once its tracer has finished. The exports
+/// here are the in-memory reference the streaming sinks are tested
+/// against.
+#[derive(Debug, Clone, Default)]
 pub struct TraceSnapshot {
     /// Simulated MPI events, sorted by `(run, rank, idx)` — a
     /// deterministic order for a given program and seed set, independent
     /// of worker-thread scheduling.
     pub sim: Vec<SimEvent>,
-    /// Span marks `(is_end, mark)` in ring (i.e. chronological-per-thread)
-    /// order.
+    /// Span marks `(is_end, mark)` in arrival order, which keeps each
+    /// thread's marks in the order that thread recorded them.
     pub spans: Vec<(bool, SpanMark)>,
-    /// Total records offered to the ring.
-    pub recorded: u64,
-    /// Records lost to wrap-around or write collisions (oldest first).
-    pub dropped: u64,
 }
 
 impl TraceSnapshot {
     /// Reconstruct well-nested span instances per thread. Begin marks
-    /// without a matching end (or vice versa — e.g. the counterpart was
-    /// overwritten in the ring) are discarded, so the result is always
-    /// balanced.
+    /// without a matching end (or vice versa) are discarded, so the
+    /// result is always balanced.
     pub fn matched_spans(&self) -> Vec<MatchedSpan> {
         matched_spans_of(&self.spans)
     }
@@ -611,9 +369,9 @@ impl TraceSnapshot {
         // Simulated events: near-zero-duration slices (so flows can bind
         // to them) plus flow start/finish events for matched messages.
         for e in &self.sim {
-            events.push(chrome_sim_slice(e));
+            events.push(chrome_sim_slice(e).to_string());
             if let Some(flow) = chrome_sim_flow(e) {
-                events.push(flow);
+                events.push(flow.to_string());
             }
         }
         if include_wall {
@@ -631,21 +389,6 @@ impl TraceSnapshot {
     /// flamegraph does not double-count.
     pub fn folded_stacks(&self) -> String {
         folded_from_spans(&self.spans)
-    }
-
-    /// Merge the spans into per-path totals (used by overhead accounting
-    /// and the ASCII summary).
-    pub fn span_totals(&self) -> Vec<(String, u64)> {
-        let mut totals: Vec<(String, u64)> = Vec::new();
-        for s in self.matched_spans() {
-            let dur = s.end_ns - s.begin_ns;
-            match totals.iter_mut().find(|(k, _)| *k == s.path) {
-                Some((_, v)) => *v += dur,
-                None => totals.push((s.path.clone(), dur)),
-            }
-        }
-        totals.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        totals
     }
 
     /// Sanity cross-check used by tests: per-run simulated event counts.
@@ -691,53 +434,70 @@ pub fn chrome_rank_meta(run: u32, rank: u32) -> String {
 }
 
 /// The near-zero-duration slice of one simulated MPI event (flows bind
-/// to these).
-pub fn chrome_sim_slice(e: &SimEvent) -> String {
-    let pid = 1000 + e.run;
-    let ts = micros(e.t_ns);
-    let name = e.kind.mnemonic();
-    let args = match e.kind {
-        SimEventKind::Send { msg_id } => format!("{{\"msg\":{msg_id}}}"),
-        SimEventKind::Recv { msg_id, wildcard } => {
-            format!("{{\"msg\":{msg_id},\"wildcard\":{wildcard}}}")
-        }
-        _ => "{}".to_string(),
-    };
-    format!(
-        "{{\"name\":\"{name}\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":{pid},\
-         \"tid\":{},\"ts\":{ts},\"dur\":0.001,\"args\":{args}}}",
-        e.rank
-    )
+/// to these), formatted where it is displayed.
+pub fn chrome_sim_slice(e: &SimEvent) -> impl fmt::Display + '_ {
+    SimLine { e, flow: false }
 }
 
 /// The flow event of a matched message (`ph: "s"` at the send, `"f"` at
 /// the receive); `None` for events that carry no message.
-pub fn chrome_sim_flow(e: &SimEvent) -> Option<String> {
-    let pid = 1000 + e.run;
-    let ts = micros(e.t_ns);
-    match e.kind {
-        SimEventKind::Send { msg_id } => Some(format!(
-            "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{msg_id},\
-             \"pid\":{pid},\"tid\":{},\"ts\":{ts}}}",
-            e.rank
-        )),
-        SimEventKind::Recv { msg_id, .. } => Some(format!(
-            "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\
-             \"id\":{msg_id},\"pid\":{pid},\"tid\":{},\"ts\":{ts}}}",
-            e.rank
-        )),
-        _ => None,
+pub fn chrome_sim_flow(e: &SimEvent) -> Option<impl fmt::Display + '_> {
+    matches!(
+        e.kind,
+        SimEventKind::Send { .. } | SimEventKind::Recv { .. }
+    )
+    .then_some(SimLine { e, flow: true })
+}
+
+/// One Chrome line of a simulated event: its slice, or its flow event.
+/// Formatting straight into the destination keeps the writer thread from
+/// allocating per line.
+struct SimLine<'a> {
+    e: &'a SimEvent,
+    flow: bool,
+}
+
+impl fmt::Display for SimLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (pid, rank, ts) = (1000 + self.e.run, self.e.rank, Micros(self.e.t_ns));
+        if !self.flow {
+            write!(
+                f,
+                "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"X\",\"pid\":{pid},\
+                 \"tid\":{rank},\"ts\":{ts},\"dur\":0.001,\"args\":",
+                self.e.kind.mnemonic()
+            )?;
+        }
+        // Slice arms close the `args` object and then the slice.
+        match (self.flow, self.e.kind) {
+            (false, SimEventKind::Send { msg_id }) => write!(f, "{{\"msg\":{msg_id}}}}}"),
+            (false, SimEventKind::Recv { msg_id, wildcard }) => {
+                write!(f, "{{\"msg\":{msg_id},\"wildcard\":{wildcard}}}}}")
+            }
+            (false, _) => f.write_str("{}}"),
+            (true, SimEventKind::Send { msg_id }) => write!(
+                f,
+                "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{msg_id},\
+                 \"pid\":{pid},\"tid\":{rank},\"ts\":{ts}}}"
+            ),
+            (true, SimEventKind::Recv { msg_id, .. }) => write!(
+                f,
+                "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\
+                 \"id\":{msg_id},\"pid\":{pid},\"tid\":{rank},\"ts\":{ts}}}"
+            ),
+            (true, _) => Ok(()),
+        }
     }
 }
 
-/// Reconstruct well-nested span instances per thread from raw begin/end
-/// marks in ring order. Begin marks without a matching end (or vice
-/// versa — e.g. the counterpart was overwritten in the ring) are
-/// discarded, so the result is always balanced.
-pub fn matched_spans_of(spans: &[(bool, SpanMark)]) -> Vec<MatchedSpan> {
-    // Per-thread stacks of (index into spans, begin time, child time).
-    type OpenSpan = (usize, u64, u64);
-    let mut stacks: Vec<(u32, Vec<OpenSpan>)> = Vec::new();
+/// The one span matcher: pair begin/end marks per thread, LIFO. An end
+/// mark closes the innermost open span of its thread when the paths
+/// agree; any other mark stays unpaired and is discarded by every
+/// export. Yields `(begin index, end index, self time)`, self time being
+/// the span's duration minus its nested child spans.
+fn pair_marks(spans: &[(bool, SpanMark)]) -> Vec<(usize, usize, u64)> {
+    // Per-thread stacks of (begin index, child time).
+    let mut stacks: Vec<(u32, Vec<(usize, u64)>)> = Vec::new();
     let mut out = Vec::new();
     for (i, (is_end, m)) in spans.iter().enumerate() {
         let stack = match stacks.iter_mut().find(|(t, _)| *t == m.thread) {
@@ -748,64 +508,52 @@ pub fn matched_spans_of(spans: &[(bool, SpanMark)]) -> Vec<MatchedSpan> {
             }
         };
         if !*is_end {
-            stack.push((i, m.t_ns, 0));
-        } else if let Some(&(bi, begin_ns, child_ns)) = stack.last() {
-            // Only a LIFO match closes a span; anything else means the
-            // counterpart mark was lost, so the end mark is discarded.
-            if let (false, bm) = &spans[bi] {
-                if bm.path == m.path {
-                    stack.pop();
-                    let dur = m.t_ns.saturating_sub(begin_ns);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 += dur;
-                    }
-                    out.push(MatchedSpan {
-                        path: m.path.clone(),
-                        thread: m.thread,
-                        begin_ns,
-                        end_ns: m.t_ns,
-                        self_ns: dur.saturating_sub(child_ns),
-                    });
+            stack.push((i, 0));
+        } else if let Some(&(bi, child_ns)) = stack.last() {
+            let begin = &spans[bi].1;
+            if begin.path == m.path {
+                stack.pop();
+                let dur = m.t_ns.saturating_sub(begin.t_ns);
+                if let Some(parent) = stack.last_mut() {
+                    parent.1 += dur;
                 }
+                out.push((bi, i, dur.saturating_sub(child_ns)));
             }
         }
     }
     out
 }
 
-/// Which marks belong to a matched begin/end pair (the same LIFO
-/// matching as [`matched_spans_of`]), so exporters emit balanced B/E.
-fn span_keep_mask(spans: &[(bool, SpanMark)]) -> Vec<bool> {
-    let mut keep = vec![false; spans.len()];
-    let mut stacks: Vec<(u32, Vec<usize>)> = Vec::new();
-    for (i, (is_end, m)) in spans.iter().enumerate() {
-        let stack = match stacks.iter_mut().find(|(t, _)| *t == m.thread) {
-            Some((_, s)) => s,
-            None => {
-                stacks.push((m.thread, Vec::new()));
-                &mut stacks.last_mut().expect("just pushed").1
+/// Matched span instances of raw begin/end marks ([`pair_marks`]).
+fn matched_spans_of(spans: &[(bool, SpanMark)]) -> Vec<MatchedSpan> {
+    pair_marks(spans)
+        .into_iter()
+        .map(|(bi, ei, self_ns)| {
+            let (begin, end) = (&spans[bi].1, &spans[ei].1);
+            MatchedSpan {
+                path: end.path.clone(),
+                thread: end.thread,
+                begin_ns: begin.t_ns,
+                end_ns: end.t_ns,
+                self_ns,
             }
-        };
-        if !*is_end {
-            stack.push(i);
-        } else if let Some(&bi) = stack.last() {
-            if spans[bi].1.path == m.path {
-                stack.pop();
-                keep[bi] = true;
-                keep[i] = true;
-            }
-        }
-    }
-    keep
+        })
+        .collect()
 }
 
 /// The wall-clock section of a Chrome export: process/thread metadata
-/// for every thread that completed a span, then balanced `B`/`E` marks
-/// in ring order. Shared by the snapshot exporter and the streaming
-/// sink, so both emit byte-identical event lines.
+/// for every thread that completed a span, then the marks of every
+/// matched span (the one matcher behind
+/// [`TraceSnapshot::matched_spans`]) in arrival order, so `B`/`E` balance.
+/// Shared by the in-memory exporter and the streaming sink, so both emit
+/// byte-identical event lines.
 pub fn chrome_wall_events(spans: &[(bool, SpanMark)]) -> Vec<String> {
     let mut events = Vec::new();
-    let keep = span_keep_mask(spans);
+    let mut keep = vec![false; spans.len()];
+    for (bi, ei, _) in pair_marks(spans) {
+        keep[bi] = true;
+        keep[ei] = true;
+    }
     let mut threads: Vec<u32> = spans
         .iter()
         .enumerate()
@@ -837,7 +585,7 @@ pub fn chrome_wall_events(spans: &[(bool, SpanMark)]) -> Vec<String> {
              \"tid\":{},\"ts\":{}}}",
             escape(&m.path),
             m.thread,
-            micros(m.t_ns)
+            Micros(m.t_ns)
         ));
     }
     events
@@ -924,17 +672,20 @@ pub(crate) fn merge_reports(into: &mut MetricsReport, other: &MetricsReport) {
 
 /// Nanoseconds → Chrome-trace microsecond timestamp (printed as an exact
 /// short decimal, so equal inputs always print identically).
-fn micros(ns: u64) -> String {
-    let whole = ns / 1_000;
-    let frac = ns % 1_000;
-    if frac == 0 {
-        format!("{whole}.0")
-    } else {
-        let mut s = format!("{whole}.{frac:03}");
-        while s.ends_with('0') {
-            s.pop();
+struct Micros(u64);
+
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (whole, frac) = (self.0 / 1_000, self.0 % 1_000);
+        if frac == 0 {
+            write!(f, "{whole}.0")
+        } else if frac % 100 == 0 {
+            write!(f, "{whole}.{}", frac / 100)
+        } else if frac % 10 == 0 {
+            write!(f, "{whole}.{:02}", frac / 10)
+        } else {
+            write!(f, "{whole}.{frac:03}")
         }
-        s
     }
 }
 
@@ -954,6 +705,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::MemorySink;
 
     fn sim(run: u32, rank: u32, idx: u32, t_ns: u64) -> TraceRecord {
         TraceRecord::Sim(SimEvent {
@@ -966,25 +718,29 @@ mod tests {
         })
     }
 
-    #[test]
-    fn ring_keeps_newest_and_counts_drops_oldest_first() {
-        let t = Tracer::with_capacity(16);
-        for i in 0..40 {
-            t.record(sim(0, 0, i, i as u64));
+    fn mark(path: &str, t_ns: u64) -> SpanMark {
+        SpanMark {
+            path: path.into(),
+            thread: 0,
+            t_ns,
         }
-        let snap = t.snapshot();
-        assert_eq!(snap.recorded, 40);
-        assert_eq!(snap.dropped, 24);
-        assert_eq!(t.dropped(), 24);
-        assert_eq!(snap.sim.len(), 16);
-        // Oldest records (idx 0..24) were overwritten; the newest survive.
-        let idxs: Vec<u32> = snap.sim.iter().map(|e| e.idx).collect();
-        assert_eq!(idxs, (24..40).collect::<Vec<u32>>());
+    }
+
+    /// What a memory sink holds after `records` went through a tracer.
+    fn traced(records: impl IntoIterator<Item = TraceRecord>) -> TraceSnapshot {
+        let sink = MemorySink::new();
+        let t = Tracer::new(sink.clone());
+        for r in records {
+            t.record(r);
+        }
+        t.finish().unwrap();
+        sink.snapshot()
     }
 
     #[test]
     fn concurrent_recording_never_panics_and_accounts_every_record() {
-        let t = Tracer::with_capacity(64);
+        let sink = MemorySink::new();
+        let t = Tracer::new(sink.clone());
         std::thread::scope(|s| {
             for th in 0..4u32 {
                 let t = t.clone();
@@ -995,15 +751,37 @@ mod tests {
                 });
             }
         });
-        let snap = t.snapshot();
-        assert_eq!(snap.recorded, 20_000);
-        assert_eq!(snap.sim.len() as u64 + snap.dropped, 20_000);
-        assert!(snap.sim.len() <= 64);
+        assert_eq!(t.finish().unwrap(), 20_000);
+        let snap = sink.snapshot();
+        assert_eq!(snap.sim.len(), 20_000);
+        assert_eq!(
+            snap.sim_events_per_run(),
+            [(0, 5_000), (1, 5_000), (2, 5_000), (3, 5_000)]
+        );
     }
 
     #[test]
-    fn capacity_is_clamped() {
-        assert_eq!(Tracer::with_capacity(0).capacity(), 16);
+    fn records_sent_after_finish_are_discarded() {
+        let sink = MemorySink::new();
+        let t = Tracer::new(sink.clone());
+        t.record(sim(0, 0, 0, 0));
+        assert_eq!(t.finish().unwrap(), 1);
+        t.record(sim(0, 0, 1, 1));
+        t.record_batch(vec![sim(0, 0, 2, 2), sim(0, 0, 3, 3)]);
+        t.span_begin("late");
+        assert_eq!(sink.snapshot().sim.len(), 1);
+        assert!(sink.snapshot().spans.is_empty());
+    }
+
+    #[test]
+    fn dropping_the_last_handle_finishes_the_sink() {
+        let buf = crate::sink::SharedBuffer::new();
+        let t = Tracer::new(crate::sink::ChromeJsonSink::new(buf.clone(), true).unwrap());
+        t.clone().record(sim(0, 0, 0, 0));
+        drop(t);
+        let doc = buf.contents();
+        assert!(doc.contains("\"cat\":\"sim\""), "{doc}");
+        assert!(doc.ends_with(CHROME_FOOTER), "{doc}");
     }
 
     #[test]
@@ -1024,28 +802,12 @@ mod tests {
 
     #[test]
     fn matched_spans_reconstruct_nesting_and_self_time() {
-        let t = Tracer::with_capacity(64);
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "campaign".into(),
-            thread: 0,
-            t_ns: 0,
-        }));
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: 0,
-            t_ns: 10,
-        }));
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: 0,
-            t_ns: 40,
-        }));
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "campaign".into(),
-            thread: 0,
-            t_ns: 100,
-        }));
-        let snap = t.snapshot();
+        let snap = traced([
+            TraceRecord::SpanBegin(mark("campaign", 0)),
+            TraceRecord::SpanBegin(mark("campaign/simulate", 10)),
+            TraceRecord::SpanEnd(mark("campaign/simulate", 40)),
+            TraceRecord::SpanEnd(mark("campaign", 100)),
+        ]);
         let spans = snap.matched_spans();
         assert_eq!(spans.len(), 2);
         let inner = spans
@@ -1060,34 +822,19 @@ mod tests {
 
     #[test]
     fn unbalanced_marks_are_discarded() {
-        let t = Tracer::with_capacity(64);
-        // An end without a begin (begin lost to wrap), then a clean pair.
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "orphan".into(),
-            thread: 0,
-            t_ns: 5,
-        }));
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "ok".into(),
-            thread: 0,
-            t_ns: 10,
-        }));
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "ok".into(),
-            thread: 0,
-            t_ns: 20,
-        }));
-        // A begin that never ends.
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "dangling".into(),
-            thread: 0,
-            t_ns: 30,
-        }));
-        let spans = t.snapshot().matched_spans();
+        let snap = traced([
+            // An end without a begin, then a clean pair.
+            TraceRecord::SpanEnd(mark("orphan", 5)),
+            TraceRecord::SpanBegin(mark("ok", 10)),
+            TraceRecord::SpanEnd(mark("ok", 20)),
+            // A begin that never ends.
+            TraceRecord::SpanBegin(mark("dangling", 30)),
+        ]);
+        let spans = snap.matched_spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].path, "ok");
         // The chrome export stays balanced too.
-        let json = t.snapshot().chrome_trace(true);
+        let json = snap.chrome_trace(true);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);
         assert!(!json.contains("orphan"));
@@ -1096,34 +843,36 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_one_track_per_rank_and_flows() {
-        let t = Tracer::with_capacity(256);
         let msg = message_id(0, 1, 0, 0);
-        for (rank, idx, kind, t_ns) in [
-            (0u32, 0u32, SimEventKind::Init, 0u64),
-            (1, 0, SimEventKind::Init, 0),
-            (1, 1, SimEventKind::Send { msg_id: msg }, 100),
-            (
-                0,
-                1,
-                SimEventKind::Recv {
-                    msg_id: msg,
-                    wildcard: true,
-                },
-                250,
-            ),
-            (0, 2, SimEventKind::Finalize, 300),
-            (1, 2, SimEventKind::Finalize, 300),
-        ] {
-            t.record(TraceRecord::Sim(SimEvent {
-                run: 0,
-                seed: 7,
-                rank,
-                idx,
-                kind,
-                t_ns,
-            }));
-        }
-        let json = t.snapshot().chrome_trace(false);
+        let snap = traced(
+            [
+                (0u32, 0u32, SimEventKind::Init, 0u64),
+                (1, 0, SimEventKind::Init, 0),
+                (1, 1, SimEventKind::Send { msg_id: msg }, 100),
+                (
+                    0,
+                    1,
+                    SimEventKind::Recv {
+                        msg_id: msg,
+                        wildcard: true,
+                    },
+                    250,
+                ),
+                (0, 2, SimEventKind::Finalize, 300),
+                (1, 2, SimEventKind::Finalize, 300),
+            ]
+            .map(|(rank, idx, kind, t_ns)| {
+                TraceRecord::Sim(SimEvent {
+                    run: 0,
+                    seed: 7,
+                    rank,
+                    idx,
+                    kind,
+                    t_ns,
+                })
+            }),
+        );
+        let json = snap.chrome_trace(false);
         assert!(json.contains("\"name\":\"rank 0\""));
         assert!(json.contains("\"name\":\"rank 1\""));
         assert!(json.contains("\"name\":\"sim run 0 (seed 7)\""));
@@ -1136,8 +885,6 @@ mod tests {
 
     #[test]
     fn chrome_export_is_deterministic_across_record_order() {
-        let a = Tracer::with_capacity(64);
-        let b = Tracer::with_capacity(64);
         let e0 = SimEvent {
             run: 0,
             seed: 1,
@@ -1154,57 +901,39 @@ mod tests {
             kind: SimEventKind::Init,
             t_ns: 0,
         };
-        a.record(TraceRecord::Sim(e0.clone()));
-        a.record(TraceRecord::Sim(e1.clone()));
-        b.record(TraceRecord::Sim(e1));
-        b.record(TraceRecord::Sim(e0));
-        assert_eq!(
-            a.snapshot().chrome_trace(false),
-            b.snapshot().chrome_trace(false)
-        );
+        let a = traced([TraceRecord::Sim(e0.clone()), TraceRecord::Sim(e1.clone())]);
+        let b = traced([TraceRecord::Sim(e1), TraceRecord::Sim(e0)]);
+        assert_eq!(a.chrome_trace(false), b.chrome_trace(false));
     }
 
     #[test]
     fn folded_stacks_use_self_time() {
-        let t = Tracer::with_capacity(64);
+        let sink = MemorySink::new();
+        let t = Tracer::new(sink.clone());
         t.span_begin("campaign");
-        t.record(TraceRecord::SpanBegin(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: current_thread_id(),
-            t_ns: t.now_ns(),
-        }));
+        t.span_begin("campaign/simulate");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        t.record(TraceRecord::SpanEnd(SpanMark {
-            path: "campaign/simulate".into(),
-            thread: current_thread_id(),
-            t_ns: t.now_ns(),
-        }));
+        t.span_end("campaign/simulate");
         t.span_end("campaign");
-        let folded = t.snapshot().folded_stacks();
+        t.finish().unwrap();
+        let folded = sink.snapshot().folded_stacks();
         assert!(folded.contains("campaign;simulate "), "{folded}");
         for line in folded.lines() {
-            let (_, n) = line.rsplit_split_once_compat();
+            let (_, n) = line.rsplit_once(' ').expect("space-separated folded line");
             assert!(n.parse::<u64>().is_ok(), "{line}");
-        }
-    }
-
-    trait RSplit {
-        fn rsplit_split_once_compat(&self) -> (&str, &str);
-    }
-    impl RSplit for &str {
-        fn rsplit_split_once_compat(&self) -> (&str, &str) {
-            self.rsplit_once(' ').expect("space-separated folded line")
         }
     }
 
     #[test]
     fn micros_prints_exact_short_decimals() {
+        let micros = |ns| Micros(ns).to_string();
         assert_eq!(micros(0), "0.0");
         assert_eq!(micros(1), "0.001");
         assert_eq!(micros(1_000), "1.0");
         assert_eq!(micros(1_500), "1.5");
         assert_eq!(micros(123_456), "123.456");
         assert_eq!(micros(120_000), "120.0");
+        assert_eq!(micros(120_010), "120.01");
     }
 
     #[test]

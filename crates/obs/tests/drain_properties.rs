@@ -1,152 +1,159 @@
-//! Property tests for the tracer ring's chunked-drain consumer.
+//! Property tests of the tracer's delivery contract.
 //!
-//! Arbitrary interleavings of record batches and drain calls must keep
-//! the conservation invariant `recorded == drained + lost + pending`,
-//! and the concatenation of drained chunks must reproduce the recorded
-//! sequence: exactly when the ring never overflows, and as an
-//! order-preserving subsequence when it does.
+//! Whatever mix of single records and batches one to four threads record,
+//! the sink receives every record exactly once, each thread's records in
+//! the order that thread recorded them, and `finish()` returns the total.
+//! A full channel makes recording threads wait; it never drops a record.
 
-use anacin_obs::tracer::{SimEvent, SimEventKind, TraceRecord, Tracer};
+use anacin_obs::tracer::{SimEvent, SimEventKind, TraceRecord, Tracer, CHANNEL_BATCHES};
+use anacin_obs::TraceSink;
 use proptest::prelude::*;
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// A record whose `t_ns` encodes its global sequence number, so drained
-/// output can be checked for order and identity.
-fn seq_record(seq: u64) -> TraceRecord {
+/// A record tagged with its recording thread (`run`) and that thread's
+/// sequence number (`idx`), so arrivals can be checked for identity and
+/// per-thread order.
+fn seq_record(thread: u32, seq: u32) -> TraceRecord {
     TraceRecord::Sim(SimEvent {
-        run: 0,
+        run: thread,
         seed: 1,
-        rank: (seq % 7) as u32,
-        idx: seq as u32,
+        rank: seq % 7,
+        idx: seq,
         kind: SimEventKind::Init,
-        t_ns: seq,
+        t_ns: seq as u64,
     })
 }
 
-fn seq_of(r: &TraceRecord) -> u64 {
-    match r {
-        TraceRecord::Sim(e) => e.t_ns,
-        _ => panic!("property test only records Sim events"),
+/// A sink logging each record's `(thread, seq)` in arrival order.
+#[derive(Clone, Default)]
+struct Arrivals(Arc<Mutex<Vec<(u32, u32)>>>);
+
+impl Arrivals {
+    fn seqs_of(&self, thread: u32) -> Vec<u32> {
+        let log = self.0.lock().unwrap();
+        log.iter()
+            .filter(|(t, _)| *t == thread)
+            .map(|&(_, s)| s)
+            .collect()
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().unwrap().len()
     }
 }
 
-/// One step of the single-threaded interleaving: record a burst, then
-/// drain up to `drain_max` records (0 = skip the drain).
-fn op_strategy() -> impl Strategy<Value = (usize, usize)> {
-    (0usize..40, 0usize..48)
+impl TraceSink for Arrivals {
+    fn accept(&mut self, record: &TraceRecord) -> io::Result<()> {
+        if let TraceRecord::Sim(e) = record {
+            self.0.lock().unwrap().push((e.run, e.idx));
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Record `bursts` from one thread: a burst of 0 is one single record, a
+/// burst of n > 0 one batch of n records. Returns how many were recorded.
+fn record_bursts(tracer: &Tracer, thread: u32, bursts: &[usize]) -> u32 {
+    let mut next = 0u32;
+    for &n in bursts {
+        if n == 0 {
+            tracer.record(seq_record(thread, next));
+            next += 1;
+        } else {
+            let end = next + n as u32;
+            tracer.record_batch((next..end).map(|s| seq_record(thread, s)).collect());
+            next = end;
+        }
+    }
+    next
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// With capacity far above the total volume nothing is ever lost:
-    /// the drained chunks concatenate to exactly the recorded sequence.
+    /// One recording thread: the sink receives exactly the recorded
+    /// sequence, and `finish()` counts it.
     #[test]
-    fn lossless_ring_drains_every_record_in_order(ops in proptest::collection::vec(op_strategy(), 1..24)) {
-        let tracer = Tracer::with_capacity(4096);
-        let mut next_seq = 0u64;
-        let mut drained: Vec<u64> = Vec::new();
-        for (burst, drain_max) in ops {
-            for _ in 0..burst {
-                tracer.record(seq_record(next_seq));
-                next_seq += 1;
-            }
-            if drain_max > 0 {
-                drained.extend(tracer.drain(drain_max).iter().map(seq_of));
-            }
-        }
-        loop {
-            let chunk = tracer.drain_remaining(64);
-            if chunk.is_empty() {
-                break;
-            }
-            drained.extend(chunk.iter().map(seq_of));
-        }
-
-        prop_assert_eq!(tracer.dropped(), 0);
-        let stats = tracer.drain_stats();
-        prop_assert_eq!(stats.lost, 0);
-        prop_assert_eq!(stats.pending, 0);
-        prop_assert_eq!(stats.drained, next_seq);
-        prop_assert_eq!(drained, (0..next_seq).collect::<Vec<_>>());
+    fn lossless_ring_drains_every_record_in_order(bursts in prop::collection::vec(0usize..40, 1..24)) {
+        let arrivals = Arrivals::default();
+        let tracer = Tracer::new(arrivals.clone());
+        let total = record_bursts(&tracer, 0, &bursts);
+        prop_assert_eq!(tracer.finish().unwrap(), total as u64);
+        prop_assert_eq!(arrivals.seqs_of(0), (0..total).collect::<Vec<_>>());
     }
 
-    /// A tiny ring overflows constantly; drains must still conserve
-    /// every claim (`recorded == drained + lost + pending`) and emit an
-    /// order-preserving subsequence of what was recorded.
+    /// One to four threads recording at once: every record arrives
+    /// exactly once, each thread's in its own order.
     #[test]
-    fn overflowing_ring_conserves_claims_and_order(ops in proptest::collection::vec(op_strategy(), 1..24)) {
-        let tracer = Tracer::with_capacity(16);
-        let mut next_seq = 0u64;
-        let mut drained: Vec<u64> = Vec::new();
-        for (burst, drain_max) in ops {
-            for _ in 0..burst {
-                tracer.record(seq_record(next_seq));
-                next_seq += 1;
-            }
-            if drain_max > 0 {
-                drained.extend(tracer.drain(drain_max).iter().map(seq_of));
-            }
-            let stats = tracer.drain_stats();
-            prop_assert_eq!(
-                stats.drained + stats.lost + stats.pending,
-                tracer.recorded(),
-                "mid-run conservation"
-            );
+    fn every_record_arrives_once_in_per_thread_order(
+        threads in prop::collection::vec(prop::collection::vec(0usize..40, 0..16), 1..5)
+    ) {
+        let arrivals = Arrivals::default();
+        let tracer = Tracer::new(arrivals.clone());
+        let counts: Vec<u32> = std::thread::scope(|s| {
+            let handles: Vec<_> = threads
+                .iter()
+                .enumerate()
+                .map(|(th, bursts)| {
+                    let tracer = tracer.clone();
+                    s.spawn(move || record_bursts(&tracer, th as u32, bursts))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let total: u64 = counts.iter().map(|&n| n as u64).sum();
+        prop_assert_eq!(tracer.finish().unwrap(), total);
+        prop_assert_eq!(arrivals.len() as u64, total);
+        for (th, &n) in counts.iter().enumerate() {
+            prop_assert_eq!(arrivals.seqs_of(th as u32), (0..n).collect::<Vec<_>>(), "thread {}", th);
         }
-        loop {
-            let chunk = tracer.drain_remaining(64);
-            if chunk.is_empty() {
-                break;
-            }
-            drained.extend(chunk.iter().map(seq_of));
-        }
-
-        let stats = tracer.drain_stats();
-        prop_assert_eq!(stats.pending, 0);
-        prop_assert_eq!(stats.drained + stats.lost, next_seq);
-        prop_assert_eq!(stats.drained, drained.len() as u64);
-        // Strictly increasing sequence numbers ⇒ an order-preserving
-        // subsequence of the recorded stream with no duplicates.
-        prop_assert!(drained.windows(2).all(|w| w[0] < w[1]), "{:?}", drained);
-        prop_assert!(drained.iter().all(|&s| s < next_seq));
     }
 }
 
-/// Concurrent writers against one drainer: conservation must hold even
-/// while records are in flight, and after the writers finish a final
-/// `drain_remaining` accounts for every claim.
+/// While the sink is stuck, a recording thread gets exactly the
+/// channel's batches plus the one the writer holds past `record`, then
+/// waits there; once the sink moves again every record arrives.
 #[test]
-fn concurrent_record_and_drain_conserves_claims() {
-    let tracer = std::sync::Arc::new(Tracer::with_capacity(64));
-    let total_per_writer = 2_000u64;
-    std::thread::scope(|s| {
-        for w in 0..3u64 {
-            let t = std::sync::Arc::clone(&tracer);
-            s.spawn(move || {
-                for i in 0..total_per_writer {
-                    t.record(seq_record(w * total_per_writer + i));
-                }
-            });
+fn full_channel_makes_recorders_wait_instead_of_dropping() {
+    struct Gated(Arc<Mutex<()>>, Arrivals);
+    impl TraceSink for Gated {
+        fn accept(&mut self, record: &TraceRecord) -> io::Result<()> {
+            drop(self.0.lock().unwrap());
+            self.1.accept(record)
         }
-        let t = std::sync::Arc::clone(&tracer);
-        s.spawn(move || {
-            for _ in 0..200 {
-                t.drain(32);
-                std::thread::yield_now();
+        fn finish(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let gate = Arc::new(Mutex::new(()));
+    let arrivals = Arrivals::default();
+    let tracer = Tracer::new(Gated(Arc::clone(&gate), arrivals.clone()));
+    let total = CHANNEL_BATCHES + 8;
+    let sent = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let closed = gate.lock().unwrap();
+        s.spawn(|| {
+            for seq in 0..total as u32 {
+                tracer.record(seq_record(0, seq));
+                sent.fetch_add(1, Ordering::SeqCst);
             }
         });
-    });
-    let mut drained = tracer.drain_stats().drained;
-    loop {
-        let chunk = tracer.drain_remaining(256);
-        if chunk.is_empty() {
-            break;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sent.load(Ordering::SeqCst) < CHANNEL_BATCHES + 1 && Instant::now() < deadline {
+            std::thread::yield_now();
         }
-        drained += chunk.len() as u64;
-    }
-    let stats = tracer.drain_stats();
-    assert_eq!(stats.pending, 0);
-    assert_eq!(stats.drained, drained);
-    assert_eq!(stats.drained + stats.lost, tracer.recorded());
-    assert_eq!(tracer.recorded(), 3 * total_per_writer);
+        // Give a recorder that wrongly kept going time to show it.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(sent.load(Ordering::SeqCst), CHANNEL_BATCHES + 1);
+        drop(closed);
+    });
+    assert_eq!(tracer.finish().unwrap(), total as u64);
+    assert_eq!(arrivals.seqs_of(0), (0..total as u32).collect::<Vec<_>>());
 }

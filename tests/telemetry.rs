@@ -1,19 +1,23 @@
 //! Tier-1 integration tests of the streaming-telemetry layer (PR 8).
 //!
-//! Two load-bearing properties. First, the incremental trace sink is a
-//! faithful exporter: a streamed Chrome/folded file and the snapshot
-//! export of the same campaign must contain exactly the same event
-//! lines (streaming may only reorder metadata, never change or lose an
-//! event). Second, the latency histograms behind every span timer are
-//! self-consistent: quantiles are ordered, bounded by the observed
-//! maximum, and conserve the span count exactly.
+//! Two load-bearing properties. First, the streaming trace sinks are
+//! faithful exporters: a streamed Chrome/folded file and the in-memory
+//! export of the same campaign's records must contain exactly the same
+//! event lines (streaming may only reorder metadata, never change or
+//! lose an event). Second, the latency histograms behind every span
+//! timer are self-consistent: quantiles are ordered, bounded by the
+//! observed maximum, and conserve the span count exactly.
 
-use anacin_obs::{hist, ChromeJsonSink, FoldedSink, MetricsRegistry, SharedBuffer, Tracer};
+use anacin_obs::{
+    hist, ChromeJsonSink, FoldedSink, MemorySink, MetricsRegistry, SharedBuffer, TraceRecord,
+    TraceSink, TraceSnapshot, Tracer,
+};
 use anacin_x::prelude::*;
+use std::io;
 
 /// A canonical multiset of a Chrome export's lines: trailing commas
 /// stripped (position in the array is formatting, not content), then
-/// sorted. Streamed and snapshot exports emit metadata at different
+/// sorted. Streamed and in-memory exports emit metadata at different
 /// points, so only this order-free form is comparable.
 fn canonical_lines(doc: &str) -> Vec<String> {
     let mut lines: Vec<String> = doc
@@ -35,30 +39,50 @@ fn streamed(cfg: &CampaignConfig, metrics: &MetricsRegistry, tracer: Option<&Tra
     run_campaign_with(cfg, &ctx).expect("campaign");
 }
 
-/// Run one campaign with a Chrome sink attached; return the
-/// streamed document and the tracer (whose ring still holds every
-/// record — draining never removes, so the snapshot export remains the
-/// independent reference).
-fn streamed_campaign(pattern: Pattern, procs: u32, runs: u32) -> (String, Tracer) {
-    let cfg = CampaignConfig::new(pattern, procs).runs(runs);
-    let tracer = Tracer::with_capacity(1 << 16);
+/// Hands every record to both sinks, so one campaign yields a streamed
+/// export and its in-memory reference.
+struct Tee<A, B>(A, B);
+
+impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
+    fn accept(&mut self, record: &TraceRecord) -> io::Result<()> {
+        self.0.accept(record)?;
+        self.1.accept(record)
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.0.finish()?;
+        self.1.finish()
+    }
+}
+
+/// Trace one campaign, spans included, into `sink` and a memory sink at
+/// once; return what the memory sink held once the tracer finished.
+fn teed_campaign(cfg: &CampaignConfig, sink: impl TraceSink + 'static) -> TraceSnapshot {
+    let memory = MemorySink::new();
+    let tracer = Tracer::new(Tee(sink, memory.clone()));
     let reg = MetricsRegistry::new();
     reg.attach_tracer(&tracer);
+    streamed(cfg, &reg, Some(&tracer));
+    let written = tracer.finish().expect("finish trace");
+    let snap = memory.snapshot();
+    assert_eq!(written, (snap.sim.len() + snap.spans.len()) as u64);
+    snap
+}
+
+/// One campaign's streamed Chrome document and its in-memory reference.
+fn streamed_campaign(pattern: Pattern, procs: u32, runs: u32) -> (String, TraceSnapshot) {
+    let cfg = CampaignConfig::new(pattern, procs).runs(runs);
     let buf = SharedBuffer::new();
     let sink = ChromeJsonSink::new(buf.clone(), true).expect("sink header");
-    tracer.attach_sink(Box::new(sink));
-    streamed(&cfg, &reg, Some(&tracer));
-    let stats = tracer.finish_sink().expect("finish sink");
-    assert_eq!(stats.lost, 0, "{pattern}: ring overflowed during test");
-    assert_eq!(stats.pending, 0, "{pattern}: finish left records behind");
-    (buf.contents(), tracer)
+    let snap = teed_campaign(&cfg, sink);
+    (buf.contents(), snap)
 }
 
 #[test]
 fn streamed_chrome_export_matches_snapshot_on_every_tier1_pattern() {
     for pattern in Pattern::ALL {
-        let (streamed, tracer) = streamed_campaign(pattern, 8, 4);
-        let snapshot = tracer.snapshot().chrome_trace(true);
+        let (streamed, snap) = streamed_campaign(pattern, 8, 4);
+        let snapshot = snap.chrome_trace(true);
         assert_eq!(
             canonical_lines(&streamed),
             canonical_lines(&snapshot),
@@ -70,29 +94,23 @@ fn streamed_chrome_export_matches_snapshot_on_every_tier1_pattern() {
 #[test]
 fn streamed_folded_export_is_byte_identical_to_snapshot() {
     let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
-    let tracer = Tracer::with_capacity(1 << 16);
-    let reg = MetricsRegistry::new();
-    reg.attach_tracer(&tracer);
     let buf = SharedBuffer::new();
-    tracer.attach_sink(Box::new(FoldedSink::new(buf.clone())));
-    streamed(&cfg, &reg, Some(&tracer));
-    tracer.finish_sink().expect("finish sink");
+    let snap = teed_campaign(&cfg, FoldedSink::new(buf.clone()));
     // Folded output is derived entirely from span marks at finish time,
     // so it is byte-identical, not merely canonically equal.
-    assert_eq!(buf.contents(), tracer.snapshot().folded_stacks());
+    assert_eq!(buf.contents(), snap.folded_stacks());
 }
 
 #[test]
 fn streamed_export_conserves_sim_event_count() {
-    let (streamed, tracer) = streamed_campaign(Pattern::Amg2013, 8, 3);
-    let snap = tracer.snapshot();
+    let (streamed, snap) = streamed_campaign(Pattern::Amg2013, 8, 3);
     let streamed_sim = streamed
         .lines()
         .filter(|l| l.contains("\"cat\":\"sim\""))
         .count();
-    assert_eq!(snap.dropped, 0);
     assert_eq!(streamed_sim, snap.sim.len());
-    assert_eq!(snap.recorded, (snap.sim.len() + snap.spans.len()) as u64);
+    let plain = run_campaign(&CampaignConfig::new(Pattern::Amg2013, 8).runs(3)).expect("campaign");
+    assert_eq!(snap.sim.len() as u64, plain.total_events);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //!
 //! The load-bearing property is the observability invariant: attaching a
 //! tracer must never change what is measured. Everything else — export
-//! determinism, ring-buffer bounds, event-count cross-checks — builds on
+//! determinism, complete delivery, event-count cross-checks — builds on
 //! that foundation.
 
-use anacin_obs::{MetricsRegistry, SimEventKind, Tracer};
+use anacin_obs::tracer::RECORD_BATCH;
+use anacin_obs::{MemorySink, MetricsRegistry, SimEventKind, TraceSnapshot, Tracer};
 use anacin_store::ArtifactStore;
 use anacin_x::prelude::*;
 
@@ -19,18 +20,26 @@ fn fresh_trace(cfg: &CampaignConfig, run: u32) -> Trace {
     simulate(&cfg.pattern.build(&cfg.app), &cfg.sim_config(run)).expect("run simulates")
 }
 
-/// A campaign with a tracer and, optionally, a metrics registry.
+/// A campaign traced into a memory sink (wall-clock spans too, when a
+/// metrics registry is given): its result and everything the sink held
+/// once the tracer finished.
 fn traced_campaign(
     cfg: &CampaignConfig,
     metrics: Option<&MetricsRegistry>,
-    tracer: &Tracer,
-) -> CampaignResult {
+) -> (CampaignResult, TraceSnapshot) {
+    let sink = MemorySink::new();
+    let tracer = Tracer::new(sink.clone());
+    if let Some(m) = metrics {
+        m.attach_tracer(&tracer);
+    }
     let ctx = RunCtx {
         metrics,
-        tracer: Some(tracer),
+        tracer: Some(&tracer),
         ..RunCtx::default()
     };
-    run_campaign_with(cfg, &ctx).expect("traced campaign")
+    let result = run_campaign_with(cfg, &ctx).expect("traced campaign");
+    tracer.finish().expect("trace finishes");
+    (result, sink.snapshot())
 }
 
 /// Serialise traces for bit-identity comparison (Trace has no PartialEq;
@@ -52,7 +61,8 @@ fn traced_campaign_is_bit_identical_to_untraced() {
         let cfg = campaign(pattern, 8, 6);
         let plain = run_campaign(&cfg).expect("plain campaign");
         let reg = MetricsRegistry::new();
-        let tracer = Tracer::new();
+        let sink = MemorySink::new();
+        let tracer = Tracer::new(sink.clone());
         reg.attach_tracer(&tracer);
         // The traced campaign publishes every trace it simulated.
         let dir = std::env::temp_dir().join(format!(
@@ -90,8 +100,12 @@ fn traced_campaign_is_bit_identical_to_untraced() {
             "{pattern}: kernel distances must not change under tracing"
         );
         // And the tracer did actually observe the campaign.
-        let snap = tracer.snapshot();
-        assert!(!snap.sim.is_empty(), "{pattern}: tracer saw no events");
+        tracer.finish().expect("trace finishes");
+        assert_eq!(
+            sink.snapshot().sim.len() as u64,
+            traced.total_events,
+            "{pattern}: tracer missed events"
+        );
     }
 }
 
@@ -101,11 +115,10 @@ fn sim_trace_export_is_byte_identical_across_worker_thread_counts() {
     let mut exports = Vec::new();
     for threads in [1usize, 2, 8] {
         cfg.threads = threads;
-        let tracer = Tracer::new();
-        traced_campaign(&cfg, None, &tracer);
+        let (_, snap) = traced_campaign(&cfg, None);
         // Wall-clock spans depend on real time; the simulated-time export
         // must not.
-        exports.push(tracer.snapshot().chrome_trace(false));
+        exports.push(snap.chrome_trace(false));
     }
     assert_eq!(exports[0], exports[1], "1 vs 2 worker threads");
     assert_eq!(exports[0], exports[2], "1 vs 8 worker threads");
@@ -122,9 +135,8 @@ fn traced_event_counts_match_event_graph_node_counts() {
         Pattern::UnstructuredMesh,
     ] {
         let cfg = campaign(pattern, 6, 5);
-        let tracer = Tracer::new();
-        let result = traced_campaign(&cfg, None, &tracer);
-        let per_run = tracer.snapshot().sim_events_per_run();
+        let (result, snap) = traced_campaign(&cfg, None);
+        let per_run = snap.sim_events_per_run();
         assert_eq!(per_run.len(), cfg.runs as usize, "{pattern}");
         let mut nodes = 0;
         for (run, count) in per_run {
@@ -149,9 +161,7 @@ fn traced_event_counts_match_event_graph_node_counts() {
 fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
     let procs = 6u32;
     let cfg = campaign(Pattern::MessageRace, procs, 3);
-    let tracer = Tracer::new();
-    traced_campaign(&cfg, None, &tracer);
-    let snap = tracer.snapshot();
+    let (_, snap) = traced_campaign(&cfg, None);
     for run in 0..3u32 {
         let mut ranks: Vec<u32> = snap
             .sim
@@ -191,9 +201,7 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
 #[test]
 fn matched_messages_share_flow_ids_between_send_and_recv() {
     let cfg = campaign(Pattern::MessageRace, 6, 2);
-    let tracer = Tracer::new();
-    traced_campaign(&cfg, None, &tracer);
-    let snap = tracer.snapshot();
+    let (_, snap) = traced_campaign(&cfg, None);
     for run in 0..2u32 {
         let mut sends: Vec<u64> = snap
             .sim
@@ -227,33 +235,27 @@ fn matched_messages_share_flow_ids_between_send_and_recv() {
 }
 
 #[test]
-fn ring_overflow_on_a_real_campaign_keeps_newest_and_counts_drops() {
-    // One worker simulates the runs in order, so the newest records are
-    // the last run's; with two workers run 2 can finish after run 3.
-    let mut cfg = campaign(Pattern::Amg2013, 8, 4);
-    cfg.threads = 1;
-    let tracer = Tracer::with_capacity(64);
-    traced_campaign(&cfg, None, &tracer);
-    let snap = tracer.snapshot();
-    assert!(snap.recorded > 64, "campaign must overflow the tiny ring");
-    assert!(snap.dropped > 0);
-    assert_eq!(snap.recorded - snap.dropped, snap.sim.len() as u64);
-    assert!(snap.sim.len() <= 64);
-    // Oldest-first: the surviving records are from the end of the stream,
-    // so the earliest runs' earliest events are gone while the final run's
-    // final events survive.
-    let last_run = snap.sim.iter().map(|e| e.run).max().expect("non-empty");
-    assert_eq!(last_run, 3, "newest run survives the wrap");
+fn memory_sink_holds_every_event_of_a_two_worker_campaign() {
+    // Each 64-rank amg2013 run records several full batches, and two
+    // workers record into the one tracer at once.
+    let mut cfg = campaign(Pattern::Amg2013, 64, 4);
+    cfg.threads = 2;
+    let (result, snap) = traced_campaign(&cfg, None);
+    assert_eq!(snap.sim.len() as u64, result.total_events);
+    let per_run = snap.sim_events_per_run();
+    assert_eq!(per_run.len(), 4);
+    for (run, count) in per_run {
+        assert!(count > 2 * RECORD_BATCH, "run {run}: {count} events");
+        assert_eq!(count, fresh_trace(&cfg, run).total_events(), "run {run}");
+    }
 }
 
 #[test]
 fn folded_stacks_cover_the_pipeline_stages() {
     let cfg = campaign(Pattern::MessageRace, 6, 4);
     let reg = MetricsRegistry::new();
-    let tracer = Tracer::new();
-    reg.attach_tracer(&tracer);
-    traced_campaign(&cfg, Some(&reg), &tracer);
-    let folded = tracer.snapshot().folded_stacks();
+    let (_, snap) = traced_campaign(&cfg, Some(&reg));
+    let folded = snap.folded_stacks();
     assert!(folded.contains("campaign"), "{folded}");
     for line in folded.lines() {
         let (stack, weight) = line.rsplit_once(' ').expect("folded line shape");
