@@ -1,21 +1,21 @@
-//! Pipeline baseline: mean-of-N per-stage times for every mini-app
-//! pattern (the paper's three plus the collectives and stencil2d
-//! extensions), read from the campaign's own span timers rather than a
-//! separate harness: the per-run worker spans (`run/simulate`,
-//! `run/graph`, `run/features`) and the `campaign/gram` and `campaign`
-//! spans. A traced pass ([`time_traced_campaign`]) gives
+//! Pipeline baseline: per-stage times for every mini-app pattern (the
+//! paper's three plus the collectives and stencil2d extensions), the mean
+//! over [`SAMPLES`] campaigns, read from the campaign's own span timers
+//! rather than a separate harness: the per-run worker spans
+//! (`run/simulate`, `run/graph`, `run/features`) and the `campaign/gram`
+//! and `campaign` spans. A traced pass ([`time_traced_campaign`]) gives
 //! `trace_overhead_pct`, and a cold/warm artifact-store pass the store
 //! columns.
-//! `anacin bench baseline` writes the report as `BENCH_baseline.json`; CI
-//! uploads it so perf regressions across the simulate/graph/features/gram
-//! stages are visible per commit.
+//! `anacin bench baseline` writes the report as `BENCH_baseline.json`;
+//! `anacin bench compare` judges ten such reports of two builds.
 
 use anacin_core::prelude::*;
 use anacin_event_graph::EventGraph;
 use anacin_kernels::prelude::*;
 use anacin_miniapps::Pattern;
 use anacin_mpisim::engine::simulate;
-use anacin_obs::{ChromeJsonSink, CountingWriter, MetricsRegistry, Tracer};
+use anacin_obs::{ChromeJsonSink, CountingWriter, MetricsRegistry, MetricsReport, Tracer};
+use anacin_stats::quantile::quantile;
 use anacin_store::ArtifactStore;
 use serde::Serialize;
 use std::sync::atomic::AtomicU64;
@@ -27,19 +27,24 @@ use std::time::Instant;
 /// `null` rather than as a meaningless (often negative) percentage.
 pub const TRACE_OVERHEAD_FLOOR_MS: f64 = 5.0;
 
-/// Overhead percentages come from at least this many timing samples
+/// Overhead percentages come from this many timing samples
 /// (medians, not means — a single scheduler hiccup must not skew them).
 pub const MIN_OVERHEAD_SAMPLES: u32 = 5;
 
-/// What to measure: campaign shape and repetition count.
+/// Campaigns per pattern in one process; reported times are the mean
+/// over these. A process's first campaign pays first-touch costs (page
+/// faults, buffers growing to size): on a 2-core VM, ten processes of one
+/// campaign each read 0–22 % above six processes of three on the
+/// end-to-end columns.
+pub const SAMPLES: u32 = 3;
+
+/// What to measure: the campaign shape.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Simulated process count (the paper's evaluation uses 32).
     pub procs: u32,
     /// Runs per campaign (one campaign = one sample).
     pub runs: u32,
-    /// Campaigns per pattern; reported times are the mean over these.
-    pub samples: u32,
     /// Seed of the first run in every campaign.
     pub base_seed: u64,
     /// Run counts the gram-at-scale tier measures the dot schedules at
@@ -52,7 +57,6 @@ impl Default for BaselineConfig {
         BaselineConfig {
             procs: 32,
             runs: 10,
-            samples: 3,
             base_seed: 1,
             gram_scale_runs: vec![64, 256],
         }
@@ -64,8 +68,6 @@ impl Default for BaselineConfig {
 pub struct StageTimings {
     /// The mini-app pattern measured.
     pub pattern: String,
-    /// Campaigns averaged over.
-    pub samples: u32,
     /// Simulation time per campaign, summed over the worker threads
     /// (`run/simulate`).
     pub simulate_ms: f64,
@@ -167,8 +169,6 @@ pub struct BaselineReport {
     pub procs: u32,
     /// Runs per campaign.
     pub runs: u32,
-    /// Campaigns per pattern.
-    pub samples: u32,
     /// Per-pattern stage timings.
     pub patterns: Vec<StageTimings>,
     /// Service-path latency (filled by the CLI, absent in library runs).
@@ -181,11 +181,10 @@ impl BaselineReport {
     /// Human-readable stage table.
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "baseline: procs={} runs={} samples={}\n\
+            "baseline: procs={} runs={} (mean of {SAMPLES} campaigns)\n\
              {:<16} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}\n",
             self.procs,
             self.runs,
-            self.samples,
             "pattern",
             "simulate_ms",
             "graph_ms",
@@ -245,20 +244,6 @@ impl BaselineReport {
     }
 }
 
-/// Median of wall-time samples (NaN-free by construction).
-fn median(mut xs: Vec<f64>) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
 /// Median wall-time of `reps` invocations of `f`, in milliseconds.
 fn time_median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut ts = Vec::with_capacity(reps);
@@ -267,7 +252,17 @@ fn time_median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         f();
         ts.push(t.elapsed().as_nanos() as f64 / 1e6);
     }
-    median(ts)
+    quantile(&ts, 0.5)
+}
+
+/// Milliseconds per campaign under span `path`, over `campaigns`
+/// campaigns: per-run worker spans add up over the runs (and so over the
+/// worker threads), stage spans count once.
+pub(crate) fn span_ms(report: &MetricsReport, path: &str, campaigns: u32) -> f64 {
+    report
+        .span(path)
+        .map(|s| s.total_ns as f64 / campaigns as f64 / 1e6)
+        .unwrap_or(0.0)
 }
 
 /// The gram-at-scale tier: extract WL features from one real amg2013
@@ -366,8 +361,8 @@ pub fn time_traced_campaign(cfg: &CampaignConfig) -> f64 {
     ms
 }
 
-/// Run `samples` campaigns per paper pattern and report the mean per-stage
-/// times from the metrics registry's span timers.
+/// Run [`SAMPLES`] campaigns per paper pattern and report the mean
+/// per-stage times from the metrics registry's span timers.
 pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
     let mut rows = Vec::with_capacity(Pattern::ALL.len());
     for p in Pattern::ALL {
@@ -379,14 +374,13 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
             metrics: Some(&reg),
             ..RunCtx::default()
         };
-        for _ in 0..cfg.samples {
+        for _ in 0..SAMPLES {
             run_campaign_with(&ccfg, &ctx).expect("baseline campaign");
         }
         let report = reg.report();
         // Overhead pass: untraced vs traced end-to-end wall-time medians
-        // over at least MIN_OVERHEAD_SAMPLES timings each, both with a
-        // metrics registry attached.
-        let ov_samples = cfg.samples.max(MIN_OVERHEAD_SAMPLES);
+        // over MIN_OVERHEAD_SAMPLES timings each, both with a metrics
+        // registry attached.
         let untraced_ms = || {
             let r = MetricsRegistry::new();
             let ctx = RunCtx {
@@ -397,12 +391,12 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
             run_campaign_with(&ccfg, &ctx).expect("overhead baseline campaign");
             t.elapsed().as_secs_f64() * 1e3
         };
-        let untraced: Vec<f64> = (0..ov_samples).map(|_| untraced_ms()).collect();
-        let traced: Vec<f64> = (0..ov_samples)
+        let untraced: Vec<f64> = (0..MIN_OVERHEAD_SAMPLES).map(|_| untraced_ms()).collect();
+        let traced: Vec<f64> = (0..MIN_OVERHEAD_SAMPLES)
             .map(|_| time_traced_campaign(&ccfg))
             .collect();
-        let untraced_median = median(untraced);
-        let traced_median = median(traced);
+        let untraced_median = quantile(&untraced, 0.5);
+        let traced_median = quantile(&traced, 0.5);
         let trace_overhead_pct = if untraced_median >= TRACE_OVERHEAD_FLOOR_MS {
             Some((traced_median - untraced_median) / untraced_median * 100.0)
         } else {
@@ -414,7 +408,7 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
         // the speedup a resumed/incremental campaign gets from the store.
         let mut cold_ns = 0u128;
         let mut warm_ns = 0u128;
-        for s in 0..cfg.samples {
+        for s in 0..SAMPLES {
             let dir = std::env::temp_dir().join(format!(
                 "anacin_bench_store_{}_{}_{}",
                 std::process::id(),
@@ -435,24 +429,16 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
             warm_ns += t.elapsed().as_nanos();
             std::fs::remove_dir_all(&dir).ok();
         }
-        let store_cold_ms = cold_ns as f64 / cfg.samples.max(1) as f64 / 1e6;
-        let store_warm_ms = warm_ns as f64 / cfg.samples.max(1) as f64 / 1e6;
+        let store_cold_ms = cold_ns as f64 / SAMPLES as f64 / 1e6;
+        let store_warm_ms = warm_ns as f64 / SAMPLES as f64 / 1e6;
         let store_speedup = if store_warm_ms > 0.0 {
             store_cold_ms / store_warm_ms
         } else {
             0.0
         };
-        // Time per campaign: per-run worker spans add up over the runs
-        // (and so over the worker threads), stage spans count once.
-        let per_campaign_ms = |path: &str| {
-            report
-                .span(path)
-                .map(|s| s.total_ns as f64 / cfg.samples.max(1) as f64 / 1e6)
-                .unwrap_or(0.0)
-        };
+        let per_campaign_ms = |path: &str| span_ms(&report, path, SAMPLES);
         rows.push(StageTimings {
             pattern: p.to_string(),
-            samples: cfg.samples,
             simulate_ms: per_campaign_ms("run/simulate"),
             graph_ms: per_campaign_ms("run/graph"),
             features_ms: per_campaign_ms("run/features"),
@@ -469,7 +455,6 @@ pub fn run_baseline(cfg: &BaselineConfig) -> BaselineReport {
     BaselineReport {
         procs: cfg.procs,
         runs: cfg.runs,
-        samples: cfg.samples,
         patterns: rows,
         serve: None,
         gram_scale: Some(run_gram_scale(cfg)),
@@ -481,19 +466,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_of_samples() {
-        assert_eq!(median(vec![]), 0.0);
-        assert_eq!(median(vec![3.0]), 3.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0]), 3.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
     fn tiny_baseline_covers_every_pattern() {
         let cfg = BaselineConfig {
             procs: 4,
             runs: 2,
-            samples: 1,
             base_seed: 1,
             gram_scale_runs: vec![8, 16],
         };
@@ -508,7 +484,7 @@ mod tests {
             );
             assert!(row.simulate_ms >= 0.0);
             assert!(row.events > 0);
-            assert_eq!(row.dot_products, 2 * 3 / 2);
+            assert_eq!(row.dot_products, u64::from(SAMPLES) * 2 * 3 / 2);
             assert!(row.graph_ms > 0.0, "{}", row.pattern);
             assert!(row.features_ms > 0.0, "{}", row.pattern);
             assert!(row.gram_ms > 0.0, "{}", row.pattern);

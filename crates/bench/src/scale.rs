@@ -4,17 +4,16 @@
 //! every pattern, both kernel schedules, store passes), this tier answers
 //! a different question: does one campaign at 1024 ranks and tens of
 //! millions of events complete end-to-end, in what time per stage, and
-//! within what peak memory? It therefore runs the campaign, which frees
-//! each run inside its worker, plus one isolated run for the per-stage
-//! simulate/graph/features split, and reads the process peak RSS from
-//! `/proc/self/status` (`VmHWM`) on platforms that have it.
+//! within what peak memory? It runs the campaign once, which frees each
+//! run inside its worker, reads the stage split from the campaign's own
+//! spans, and reads the process peak RSS from `/proc/self/status`
+//! (`VmHWM`) on platforms that have it.
 //!
-//! `anacin bench baseline --scale large` writes the report as
-//! `BENCH_large.json`; the nightly CI job uploads it so scaling
-//! regressions are visible per commit.
+//! `anacin bench large` writes the report as `BENCH_large.json`; the
+//! nightly CI job uploads it.
 
+use crate::baseline::span_ms;
 use anacin_core::prelude::*;
-use anacin_event_graph::EventGraph;
 use anacin_miniapps::Pattern;
 use anacin_obs::MetricsRegistry;
 use serde::Serialize;
@@ -72,11 +71,14 @@ impl Default for LargeScaleConfig {
 pub struct LargeStageTimings {
     /// The mini-app pattern measured.
     pub pattern: String,
-    /// Wall-time of one run's simulation (run 0, measured in isolation).
+    /// Simulation time of the campaign, summed over the worker threads
+    /// (`run/simulate`).
     pub simulate_ms: f64,
-    /// Wall-time of one run's event-graph construction (streaming CSR).
+    /// Event-graph construction time of the campaign, summed over the
+    /// worker threads (`run/graph`).
     pub graph_ms: f64,
-    /// Wall-time of one run's WL feature extraction (sharded relabelling).
+    /// WL feature-extraction time of the campaign, summed over the worker
+    /// threads (`run/features`).
     pub features_ms: f64,
     /// Wall-time of the Gram stage over the full campaign's features.
     pub gram_ms: f64,
@@ -88,8 +90,10 @@ pub struct LargeStageTimings {
     pub nodes: u64,
     /// Kernel dot products of the campaign's Gram stage.
     pub dot_products: u64,
-    /// Peak RSS (MiB) observed across the campaign, watermark-
-    /// reset beforehand where the platform allows; `None` off Linux.
+    /// Peak RSS (MiB) observed across the campaign. `None` off Linux and
+    /// wherever the watermark could not be reset beforehand, since the
+    /// figure would then include everything that ran earlier in the
+    /// process.
     pub peak_rss_mib: Option<f64>,
     /// Relative wall-time cost of tracing the campaign as `--trace` does,
     /// timed by [`crate::baseline::time_traced_campaign`]: a Chrome sink
@@ -169,26 +173,7 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             .runs(cfg.runs)
             .iterations(cfg.iterations)
             .base_seed(cfg.base_seed);
-        // Stage split, measured on run 0 in isolation: the campaign
-        // interleaves stages across workers, so clean per-stage numbers
-        // come from one pass over a single run.
-        let program = ccfg.pattern.build(&ccfg.app);
-        let kernel = ccfg.kernel.instantiate();
-        let t = Instant::now();
-        let trace = anacin_mpisim::engine::simulate(&program, &ccfg.sim_config(0))
-            .expect("large baseline run");
-        let simulate_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let graph = EventGraph::from_trace(&trace);
-        let graph_ms = t.elapsed().as_secs_f64() * 1e3;
-        drop(trace);
-        let t = Instant::now();
-        let _features = kernel.features(&graph);
-        let features_ms = t.elapsed().as_secs_f64() * 1e3;
-        drop(graph);
-        drop(_features);
-        // Full campaign under a fresh watermark.
-        reset_peak_rss();
+        let watermark_reset = reset_peak_rss();
         let reg = MetricsRegistry::new();
         let ctx = RunCtx {
             metrics: Some(&reg),
@@ -197,12 +182,8 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
         let t = Instant::now();
         let result = run_campaign_with(&ccfg, &ctx).expect("large baseline campaign");
         let campaign_ms = t.elapsed().as_secs_f64() * 1e3;
-        let peak = peak_rss_mib();
+        let peak = peak_rss_mib().filter(|_| watermark_reset);
         let report = reg.report();
-        let gram_ms = report
-            .span("campaign/gram")
-            .map(|s| s.total_ns as f64 / 1e6)
-            .unwrap_or(0.0);
         // Traced pass: the same campaign as `--trace` runs it, into a
         // counting writer (all the formatting cost, none of the disk
         // noise). The large tier measures each pass once; a ratio of two
@@ -213,10 +194,10 @@ pub fn run_large_baseline(cfg: &LargeScaleConfig) -> LargeBaselineReport {
             (campaign_ms > 1_000.0).then(|| (traced_ms / campaign_ms - 1.0) * 100.0);
         rows.push(LargeStageTimings {
             pattern: p.to_string(),
-            simulate_ms,
-            graph_ms,
-            features_ms,
-            gram_ms,
+            simulate_ms: span_ms(&report, "run/simulate", 1),
+            graph_ms: span_ms(&report, "run/graph", 1),
+            features_ms: span_ms(&report, "run/features", 1),
+            gram_ms: span_ms(&report, "campaign/gram", 1),
             campaign_ms,
             events: result.total_events,
             nodes: result.total_nodes,
@@ -258,7 +239,16 @@ mod tests {
         assert_eq!(r.patterns.len(), 2);
         for row in &r.patterns {
             assert!(row.campaign_ms > 0.0, "{}", row.pattern);
-            assert!(row.simulate_ms >= 0.0);
+            assert!(row.simulate_ms > 0.0, "{}", row.pattern);
+            // Span totals of the campaign itself: the workers cannot be
+            // busy for longer than they ran.
+            let stages = row.simulate_ms + row.graph_ms + row.features_ms;
+            assert!(
+                stages <= default_threads() as f64 * row.campaign_ms,
+                "{}: stages {stages} ms in a {} ms campaign",
+                row.pattern,
+                row.campaign_ms
+            );
             assert!(row.events > 0);
             assert!(row.nodes > 0);
             assert!(row.dot_products >= 1);

@@ -2,6 +2,21 @@
 
 use std::collections::HashMap;
 
+/// The options that take no value, each read by [`Args::flag`]. A switch
+/// never takes the next token, so `explore --brute-force stats` keeps
+/// `stats` as the action and `figure --paper-scale 7` the figure id.
+const SWITCHES: &[&str] = &[
+    "json",
+    "progress",
+    "explore",
+    "brute-force",
+    "paper-scale",
+    "answers",
+    "agenda",
+    "related-work",
+    "solve",
+];
+
 /// Parsed arguments: a subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -19,10 +34,9 @@ impl Args {
         let mut it = args.into_iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().unwrap(),
-                    _ => "true".to_string(),
-                };
+                let value = it
+                    .next_if(|v| !SWITCHES.contains(&key) && !v.starts_with("--"))
+                    .unwrap_or_else(|| "true".to_string());
                 out.options.insert(key.to_string(), value);
             } else if out.command.is_none() {
                 out.command = Some(a);
@@ -53,9 +67,10 @@ impl Args {
         }
     }
 
-    /// A boolean flag (present without value, or `--key true`).
+    /// A value-less switch such as `--json`: true when present.
     pub fn flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
+        debug_assert!(SWITCHES.contains(&key), "--{key} is not in SWITCHES");
+        self.options.contains_key(key)
     }
 }
 
@@ -69,12 +84,12 @@ mod tests {
 
     #[test]
     fn command_and_options() {
-        let a = parse(&["run", "--pattern", "amg2013", "--procs", "8", "--verbose"]);
+        let a = parse(&["run", "--pattern", "amg2013", "--procs", "8", "--json"]);
         assert_eq!(a.command.as_deref(), Some("run"));
         assert_eq!(a.get("pattern"), Some("amg2013"));
         assert_eq!(a.get_parsed("procs", 0u32).unwrap(), 8);
-        assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        assert!(a.flag("json"));
+        assert!(!a.flag("progress"));
     }
 
     #[test]
@@ -82,6 +97,18 @@ mod tests {
         let a = parse(&["figure", "7", "--runs", "5"]);
         assert_eq!(a.command.as_deref(), Some("figure"));
         assert_eq!(a.positional, vec!["7"]);
+    }
+
+    #[test]
+    fn a_switch_never_takes_the_next_token() {
+        let a = parse(&["explore", "--brute-force", "stats", "--procs", "3"]);
+        assert_eq!(a.command.as_deref(), Some("explore"));
+        assert_eq!(a.positional, vec!["stats"]);
+        assert!(a.flag("brute-force"));
+        assert_eq!(a.get("procs"), Some("3"));
+        let a = parse(&["figure", "--paper-scale", "7"]);
+        assert_eq!(a.positional, vec!["7"]);
+        assert!(a.flag("paper-scale"));
     }
 
     #[test]

@@ -101,17 +101,18 @@ COMMANDS
               anacin store stats  --store DIR   size/count per artifact kind
               anacin store verify --store DIR   checksum every artifact
               anacin store gc     --store DIR --budget BYTES  evict oldest
-  bench       performance baselines
-              anacin bench baseline [--procs N] [--runs N] [--samples N]
-              [--out FILE]  (default BENCH_baseline.json)
-              anacin bench baseline --scale large  1024-rank tier:
-              per-stage timings + peak RSS + trace overhead
-              → BENCH_large.json
-              [--procs N] [--runs N] [--iterations N] [--out FILE]
-              anacin bench trend DIR  regression gate over per-commit
-              BENCH*.json reports: newest vs trailing median per stage,
-              non-zero exit when flagged
-              [--threshold PCT] [--window N] [--json]
+  bench       performance baselines and the perf gate
+              anacin bench baseline [--procs N] [--runs N] [--seed S]
+              [--out FILE]  every pattern, per-stage timings, store and
+              serve round trips, Gram at scale (default BENCH_baseline.json)
+              anacin bench large [--procs N] [--runs N] [--iterations N]
+              [--seed S] [--out FILE]  1024-rank tier: per-stage timings
+              + peak RSS + trace overhead (default BENCH_large.json)
+              anacin bench compare PARENT_DIR CHANGE_DIR [--json]  pair
+              same-named reports of two builds (at least 10, run
+              alternately); non-zero exit naming every end-to-end column
+              slower in 9/10 of the pairs, >25% by median, with disjoint
+              interquartile ranges
   root-cause  callstack ranking for a campaign
               --pattern … --procs N --runs N  [--slices K] [--top FRAC]
   replay      record/replay demonstration (ReMPI-style)
@@ -863,37 +864,15 @@ fn cmd_store(args: &Args) -> Result<(), String> {
 fn cmd_bench(args: &Args) -> Result<(), String> {
     match args.positional.first().map(String::as_str) {
         Some("baseline") => {
-            if let Some(scale) = args.get("scale") {
-                if scale != "large" {
-                    return Err(format!(
-                        "unknown bench scale '{scale}' (expected 'large'; omit --scale for the paper tier)"
-                    ));
-                }
-                let cfg = anacin_bench::LargeScaleConfig {
-                    procs: args.get_parsed("procs", 1024u32)?,
-                    runs: args.get_parsed("runs", 3u32)?,
-                    iterations: args.get_parsed("iterations", 1u32)?,
-                    base_seed: args.get_parsed("seed", 1u64)?,
-                };
-                let report = anacin_bench::run_large_baseline(&cfg);
-                print!("{}", report.render_table());
-                let path = args.get_or("out", "BENCH_large.json");
-                let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(&path, json).map_err(|e| e.to_string())?;
-                println!("wrote {path}");
-                return Ok(());
-            }
             let cfg = anacin_bench::BaselineConfig {
                 procs: args.get_parsed("procs", 32u32)?,
                 runs: args.get_parsed("runs", 10u32)?,
-                samples: args.get_parsed("samples", 3u32)?,
                 base_seed: args.get_parsed("seed", 1u64)?,
                 ..Default::default()
             };
             let mut report = anacin_bench::run_baseline(&cfg);
             // Service-path row: the same campaign submitted twice over a
-            // scratch daemon's socket — cold, then warm — so bench trend
-            // watches serve latency alongside the per-stage timings.
+            // scratch daemon's socket — cold, then warm.
             let pattern = Pattern::Amg2013;
             match anacin_serve::bench::measure_serve_latency(pattern, cfg.procs, cfg.runs) {
                 Ok(l) => {
@@ -917,34 +896,38 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             println!("wrote {path}");
             Ok(())
         }
-        Some("trend") => {
-            let dir = args
-                .positional
-                .get(1)
-                .map(String::as_str)
-                .unwrap_or(".")
-                .to_string();
-            let cfg = anacin_bench::TrendConfig {
-                threshold_pct: args.get_parsed("threshold", 30.0f64)?,
-                window: args.get_parsed("window", 5usize)?,
+        Some("large") => {
+            let cfg = anacin_bench::LargeScaleConfig {
+                procs: args.get_parsed("procs", 1024u32)?,
+                runs: args.get_parsed("runs", 3u32)?,
+                iterations: args.get_parsed("iterations", 1u32)?,
+                base_seed: args.get_parsed("seed", 1u64)?,
             };
-            let report = anacin_bench::analyze_dir(&dir, &cfg)?;
-            if args.flag("json") {
-                let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                println!("{json}");
-            } else {
-                print!("{}", anacin_bench::render_trend_table(&report));
-            }
-            if report.regressions > 0 {
-                // Non-zero exit so a CI step fails on a flagged series.
-                return Err(format!(
-                    "{} performance regression(s) flagged (threshold {}%, window {})",
-                    report.regressions, cfg.threshold_pct, cfg.window
-                ));
-            }
+            let report = anacin_bench::run_large_baseline(&cfg);
+            print!("{}", report.render_table());
+            let path = args.get_or("out", "BENCH_large.json");
+            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+            std::fs::write(&path, json).map_err(|e| e.to_string())?;
+            println!("wrote {path}");
             Ok(())
         }
-        _ => Err("bench requires an action: 'baseline' or 'trend'".to_string()),
+        Some("compare") => {
+            let [_, parent, change] = args.positional.as_slice() else {
+                return Err("bench compare requires two directories: PARENT_DIR CHANGE_DIR".into());
+            };
+            let cmp = anacin_bench::compare_dirs(parent, change)?;
+            if args.flag("json") {
+                let json = serde_json::to_string_pretty(&cmp).map_err(|e| e.to_string())?;
+                println!("{json}");
+            } else {
+                print!("{}", cmp.render_table());
+            }
+            match cmp.flagged().as_slice() {
+                [] => Ok(()),
+                flagged => Err(format!("regression flagged: {}", flagged.join(", "))),
+            }
+        }
+        _ => Err("bench requires an action: 'baseline', 'large' or 'compare'".to_string()),
     }
 }
 

@@ -84,8 +84,6 @@ fn bench_baseline_writes_report() {
         "4",
         "--runs",
         "2",
-        "--samples",
-        "1",
         "--out",
         path.to_str().unwrap(),
     ])
@@ -101,7 +99,55 @@ fn bench_baseline_writes_report() {
         assert!(json.contains(field), "missing {field} in {json}");
     }
     std::fs::remove_file(path).ok();
-    assert!(run(&["bench"]).unwrap_err().contains("action"));
+    let err = run(&["bench"]).unwrap_err();
+    for action in ["baseline", "large", "compare"] {
+        assert!(err.contains(action), "{err}");
+    }
+}
+
+/// Ten reports per side in `dir/{parent,change}`; pair `i` has
+/// `total_ms` of `parent(i)` and `change(i)`.
+fn bench_pairs(
+    dir: &std::path::Path,
+    parent: impl Fn(usize) -> f64,
+    change: impl Fn(usize) -> f64,
+) -> [String; 2] {
+    let sides = [
+        ("parent", &parent as &dyn Fn(usize) -> f64),
+        ("change", &change),
+    ];
+    sides.map(|(side, total_ms)| {
+        let d = dir.join(side);
+        std::fs::create_dir_all(&d).unwrap();
+        for i in 0..10 {
+            let report = format!(
+                r#"{{"patterns":[{{"pattern":"amg2013","total_ms":{},"simulate_ms":28.0}}]}}"#,
+                total_ms(i)
+            );
+            std::fs::write(d.join(format!("BENCH_{i:02}.json")), report).unwrap();
+        }
+        d.to_str().unwrap().to_string()
+    })
+}
+
+#[test]
+fn bench_compare_fails_on_a_step_and_passes_identical_sets() {
+    let dir = std::env::temp_dir().join("anacin_cli_bench_compare");
+    std::fs::remove_dir_all(&dir).ok();
+    let noise = |i: usize| 45.0 + (i % 3) as f64;
+    let [p, c] = bench_pairs(&dir.join("same"), noise, noise);
+    run(&["bench", "compare", &p, &c]).unwrap();
+    // A switch before the two directories must not swallow the first.
+    run(&["bench", "compare", "--json", &p, &c]).unwrap();
+    let [p, c] = bench_pairs(&dir.join("step"), noise, |i| 1.5 * noise(i));
+    let err = run(&["bench", "compare", &p, &c]).unwrap_err();
+    assert_eq!(err, "regression flagged: amg2013/total_ms");
+    let (code, _, stderr) = anacin(&["bench", "compare", &p, &c]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(run(&["bench", "compare", &p])
+        .unwrap_err()
+        .contains("two directories"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! Spins up an in-process daemon on a scratch Unix socket with a fresh
 //! store, runs the same campaign twice over the wire, and reports both
 //! times: the first submit is cold (every artifact computed and
-//! published), the second is warm (every artifact read back). The
-//! cold/warm ratio through the *socket* is the service-path speedup the
-//! bench-trend gate watches.
+//! published), the second is warm (every artifact read back). Both
+//! times are end-to-end columns of `anacin bench compare`, the paired
+//! perf gate.
 
 use crate::client::{Client, Outcome};
 use crate::proto::JobSpec;
