@@ -35,7 +35,6 @@ fn ablation(c: &mut Criterion) {
             Box::new(WlKernel {
                 iterations: 3,
                 policy: LabelPolicy::EventType,
-                edge_sensitive: false,
             }),
         ),
         (

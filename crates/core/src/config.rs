@@ -49,11 +49,7 @@ impl KernelChoice {
     /// Materialise the kernel object.
     pub fn instantiate(&self) -> Box<dyn GraphKernel> {
         match *self {
-            KernelChoice::Wl { iterations, policy } => Box::new(WlKernel {
-                iterations,
-                policy,
-                edge_sensitive: false,
-            }),
+            KernelChoice::Wl { iterations, policy } => Box::new(WlKernel { iterations, policy }),
             KernelChoice::VertexHistogram { policy } => Box::new(VertexHistogramKernel { policy }),
             KernelChoice::EdgeHistogram { policy } => Box::new(EdgeHistogramKernel { policy }),
             KernelChoice::ShortestPath {

@@ -13,25 +13,30 @@
 //! Direction is respected (in- and out-neighbourhoods hashed separately),
 //! matching the directed nature of event graphs.
 //!
-//! # Label interning
+//! # Relabelling from the labels, counting by sorting
 //!
-//! Feature extraction runs through a [`LabelInterner`]: after each round
-//! the raw 64-bit labels are compressed to dense `u32` ids (the classic
-//! label-compression step of Shervashidze et al.), and all per-round
-//! scratch — neighbour-contribution buffers, the sort buffer, the round's
-//! label table — lives in one arena owned by the extraction call and is
-//! reused across all `iterations` rounds. Dense ids are assigned in sorted
-//! `u64` order, so `table[dense[v]]` recovers each node's canonical label
-//! and dense-id comparisons agree with raw-label comparisons. The emitted
-//! [`SparseFeatures`] are byte-identical to the historical
-//! one-`Vec`-per-node implementation (kept under `#[cfg(test)]` as the
-//! differential oracle), so store fingerprints and artifact bytes are
-//! unchanged.
+//! Feature extraction keeps two `u64` label buffers, the previous round's
+//! and the one being built, and swaps them after each round. With the
+//! gather buffers they are the whole per-graph arena, allocated once per
+//! extraction call and reused across all `iterations` rounds. A round
+//! reads each neighbour's previous raw label directly, one load per
+//! neighbour, and hashes the word stream `[own, MAX, sorted in, MAX−1,
+//! sorted out]`. [`WlKernel::features`] then counts a round's labels by
+//! sorting a copy and emitting one `(key, count)` pair per run of equal
+//! labels, in ascending label order.
+//!
+//! Both steps are exact. Every round's labels are the raw `u64` labels the
+//! historical one-`Vec`-per-node implementation computes (kept under
+//! `#[cfg(test)]` as the differential oracle), and a run of `c` equal
+//! labels adds the integer `c` once where that implementation added 1.0
+//! `c` times, which is the same `f64` below 2^53. The emitted
+//! [`SparseFeatures`] are therefore byte-identical to it, so store
+//! fingerprints and artifact bytes are unchanged.
 
 use crate::feature::SparseFeatures;
 use crate::kernel::GraphKernel;
 use anacin_event_graph::label::{fnv1a_words, initial_labels, LabelPolicy};
-use anacin_event_graph::{EdgeKind, EventGraph};
+use anacin_event_graph::{EventGraph, NodeId};
 
 /// Weisfeiler–Lehman subtree kernel configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +46,6 @@ pub struct WlKernel {
     pub iterations: u32,
     /// Initial node-label policy.
     pub policy: LabelPolicy,
-    /// When true, a neighbour's contribution to the relabelling hash is
-    /// paired with the connecting edge's kind, so a program-order
-    /// neighbour and a message neighbour with the same label are
-    /// distinguished. Slightly more discriminating, slightly costlier.
-    pub edge_sensitive: bool,
 }
 
 impl Default for WlKernel {
@@ -53,7 +53,6 @@ impl Default for WlKernel {
         WlKernel {
             iterations: 3,
             policy: LabelPolicy::default(),
-            edge_sensitive: false,
         }
     }
 }
@@ -145,72 +144,40 @@ impl WordHasher {
     }
 }
 
-/// Per-graph arena for WL refinement: the current round's dense labels,
-/// the dense→`u64` label table, per-kind contribution tables, and every
-/// scratch buffer a relabelling round needs. One allocation set serves all
-/// `iterations` rounds of one extraction call.
-struct LabelInterner {
-    /// Dense label id per node for the current round.
-    dense: Vec<u32>,
-    /// Canonical `u64` label per dense id, ascending — so dense-id order
-    /// equals raw-label order and lookups are a binary search away.
-    table: Vec<u64>,
-    /// Contribution of each dense id through a Program edge (edge-sensitive
-    /// mode only; computed once per round instead of once per edge).
-    contrib_program: Vec<u64>,
-    /// Contribution of each dense id through a Message edge.
-    contrib_message: Vec<u64>,
-    /// Raw `u64` labels of the round being built.
-    raw: Vec<u64>,
-    /// Flattened word streams for the round: every node's hash input
+/// Per-graph arena for WL refinement: the last completed round's labels,
+/// the round being built, and the gather buffers of a relabelling round.
+/// One allocation set serves all `iterations` rounds of one extraction
+/// call.
+struct Arena {
+    /// Raw `u64` label per node after the last completed round.
+    labels: Vec<u64>,
+    /// Raw `u64` labels of the round being built; swapped with `labels`
+    /// when the round completes.
+    next: Vec<u64>,
+    /// Flattened word streams for one shard: every node's hash input
     /// `[own, MAX, sorted in, MAX−1, sorted out]` back to back.
     words: Vec<u64>,
     /// Exclusive end offset of each node's word range in `words`.
     word_ends: Vec<u32>,
-    /// Argsort buffer for interning: `(label, node)` pairs.
-    sort_buf: Vec<(u64, u32)>,
 }
 
-impl LabelInterner {
-    fn new(nodes: usize) -> Self {
-        LabelInterner {
-            dense: vec![0; nodes],
-            table: Vec::new(),
-            contrib_program: Vec::new(),
-            contrib_message: Vec::new(),
-            raw: Vec::new(),
+impl Arena {
+    fn new(initial: Vec<u64>) -> Self {
+        Arena {
+            next: vec![0; initial.len()],
+            labels: initial,
             words: Vec::new(),
             word_ends: Vec::new(),
-            sort_buf: Vec::new(),
         }
     }
 
-    /// Compress `self.raw` into dense ids: the table is the sorted,
-    /// deduplicated label set and each node's dense id is its label's rank
-    /// within it. One argsort of `(label, node)` pairs yields table and
-    /// per-node ranks in a single pass — no per-node binary search.
-    fn intern(&mut self) {
-        self.sort_buf.clear();
-        self.sort_buf
-            .extend(self.raw.iter().enumerate().map(|(i, &l)| (l, i as u32)));
-        self.sort_buf.sort_unstable();
-        self.table.clear();
-        let mut last: Option<u64> = None;
-        for &(l, i) in &self.sort_buf {
-            if last != Some(l) {
-                self.table.push(l);
-                last = Some(l);
-            }
-            self.dense[i as usize] = (self.table.len() - 1) as u32;
-        }
-    }
-
-    /// One relabelling round over dense labels, writing the next round's
-    /// raw labels into `self.raw`, processed `shard` nodes at a time with
-    /// [`LANES`] interleaved hash chains. The hashed word sequence per node
-    /// is exactly the historical `[own, MAX, sorted in, MAX−1, sorted
-    /// out]`, so the output labels are bit-identical to the uninterned
-    /// path at any shard size.
+    /// One relabelling round: hash every node's word stream over
+    /// `self.labels` into `self.next`, `shard` nodes at a time with
+    /// [`LANES`] interleaved hash chains, then swap the buffers so
+    /// `self.labels` holds the new round. The hashed word sequence per
+    /// node is exactly the historical `[own, MAX, sorted in, MAX−1, sorted
+    /// out]`, so the output labels are bit-identical to the oracle's at
+    /// any shard size.
     ///
     /// Each shard runs two phases: flatten the shard's word streams into
     /// the arena buffer, then hash several nodes' streams as independent
@@ -223,61 +190,43 @@ impl LabelInterner {
     /// at multi-million-node scale — and cannot change any label: every
     /// node's word stream is byte-identical regardless of which shard
     /// gathers it.
-    fn relabel_sharded(&mut self, g: &EventGraph, edge_sensitive: bool, shard: usize) {
+    fn relabel_sharded(&mut self, g: &EventGraph, shard: usize) {
         assert!(
             shard > 0 && shard.is_multiple_of(LANES),
             "shard must be a multiple of the lane width"
         );
-        self.contrib_program.clear();
-        self.contrib_message.clear();
-        if edge_sensitive {
-            for &l in &self.table {
-                self.contrib_program.push(fnv1a_words(&[l, 1]));
-                self.contrib_message.push(fnv1a_words(&[l, 2]));
-            }
-        }
-        let words = &mut self.words;
-        let word_ends = &mut self.word_ends;
-        let dense = &self.dense;
-        let table = &self.table;
-        let (cp, cm) = (&self.contrib_program, &self.contrib_message);
-        let contrib = |n: anacin_event_graph::NodeId, k: EdgeKind| {
-            let d = dense[n.index()] as usize;
-            if edge_sensitive {
-                match k {
-                    EdgeKind::Program => cp[d],
-                    EdgeKind::Message => cm[d],
-                }
-            } else {
-                table[d]
-            }
-        };
+        let Arena {
+            labels,
+            next,
+            words,
+            word_ends,
+        } = self;
         let total = g.node_count();
         let mut shard_start = 0usize;
         while shard_start < total {
             let shard_end = (shard_start + shard).min(total);
-            // Phase 1: gather this shard. Neighbour contributions are
-            // pushed straight into the flat buffer and each in-/out-range
-            // sorted in place. `word_ends[i]` is node `shard_start + i`'s
+            // Phase 1: gather this shard. Neighbour labels are pushed
+            // straight into the flat buffer and each in-/out-range sorted
+            // in place. `word_ends[i]` is node `shard_start + i`'s
             // exclusive end within the shard-local `words`.
             words.clear();
             word_ends.clear();
             for idx in shard_start..shard_end {
-                let id = anacin_event_graph::NodeId(idx as u32);
-                words.push(table[dense[idx] as usize]);
+                let id = NodeId(idx as u32);
+                words.push(labels[idx]);
                 words.push(u64::MAX); // separator
                 let s = words.len();
-                words.extend(g.in_edges(id).iter().map(|&(n, k)| contrib(n, k)));
+                words.extend(g.in_edges(id).iter().map(|&(n, _)| labels[n.index()]));
                 words[s..].sort_unstable();
                 words.push(u64::MAX - 1); // separator
                 let s = words.len();
-                words.extend(g.out_edges(id).iter().map(|&(n, k)| contrib(n, k)));
+                words.extend(g.out_edges(id).iter().map(|&(n, _)| labels[n.index()]));
                 words[s..].sort_unstable();
                 word_ends.push(words.len() as u32);
             }
             // Phase 2: hash LANES nodes at a time, then the tail serially.
             let n = word_ends.len();
-            let out = &mut self.raw[shard_start..shard_start + n];
+            let out = &mut next[shard_start..shard_start + n];
             let mut node = hash_interleaved(words, word_ends, out);
             while node < n {
                 let s = if node == 0 {
@@ -295,6 +244,7 @@ impl LabelInterner {
             }
             shard_start = shard_end;
         }
+        std::mem::swap(labels, next);
     }
 }
 
@@ -307,60 +257,49 @@ impl WlKernel {
         }
     }
 
-    /// Drive the interned refinement, invoking `visit(round, table, dense)`
-    /// once per round (round 0 = initial labels). `table[dense[v]]` is node
-    /// `v`'s canonical `u64` label for that round.
-    fn for_each_round(&self, g: &EventGraph, mut visit: impl FnMut(usize, &[u64], &[u32])) {
-        let mut arena = LabelInterner::new(g.node_count());
-        arena.raw = initial_labels(g, self.policy);
-        arena.intern();
-        visit(0, &arena.table, &arena.dense);
+    /// Drive the refinement, invoking `visit(round, labels)` once per
+    /// round (round 0 = initial labels). `labels[v]` is node `v`'s raw
+    /// `u64` label for that round.
+    fn for_each_round(&self, g: &EventGraph, mut visit: impl FnMut(usize, &[u64])) {
+        let mut arena = Arena::new(initial_labels(g, self.policy));
+        visit(0, &arena.labels);
         for round in 1..=self.iterations {
-            arena.relabel_sharded(g, self.edge_sensitive, SHARD_NODES);
-            arena.intern();
-            visit(round as usize, &arena.table, &arena.dense);
+            arena.relabel_sharded(g, SHARD_NODES);
+            visit(round as usize, &arena.labels);
         }
     }
 
-    /// The label sequence over all rounds (round 0 = initial labels).
-    /// Exposed for tests and for the root-cause machinery, which needs
-    /// per-node WL labels rather than aggregated counts.
+    /// Every round's raw `u64` label per node: `label_rounds(g)[r][v]` is
+    /// node `v`'s label after `r` rounds, round 0 being the initial
+    /// labels. These are the labels [`GraphKernel::features`] counts. Only
+    /// tests call it: the pipeline reference test compares it with an
+    /// independent relabelling.
     pub fn label_rounds(&self, g: &EventGraph) -> Vec<Vec<u64>> {
         let mut rounds = Vec::with_capacity(self.iterations as usize + 1);
-        self.for_each_round(g, |_, table, dense| {
-            rounds.push(dense.iter().map(|&d| table[d as usize]).collect());
-        });
+        self.for_each_round(g, |_, labels| rounds.push(labels.to_vec()));
         rounds
     }
 }
 
 impl GraphKernel for WlKernel {
     fn name(&self) -> String {
-        format!(
-            "wl(h={},{:?}{})",
-            self.iterations,
-            self.policy,
-            if self.edge_sensitive { ",edges" } else { "" }
-        )
+        format!("wl(h={},{:?})", self.iterations, self.policy)
     }
 
     fn features(&self, g: &EventGraph) -> SparseFeatures {
         let mut pairs: Vec<(u64, f64)> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
-        self.for_each_round(g, |round, table, dense| {
-            // One histogram entry per *distinct* label, not per node: adding
-            // the count `c` once equals adding 1.0 `c` times exactly
-            // (integer f64 arithmetic below 2^53), and the canonical `u64`
-            // feature key is expanded from the table only here.
-            counts.clear();
-            counts.resize(table.len(), 0);
-            for &d in dense {
-                counts[d as usize] += 1;
-            }
-            for (d, &c) in counts.iter().enumerate() {
+        let mut sorted: Vec<u64> = Vec::with_capacity(g.node_count());
+        self.for_each_round(g, |round, labels| {
+            // One histogram entry per *distinct* label, not per node:
+            // adding a run's length `c` once equals adding 1.0 `c` times
+            // exactly (integer f64 arithmetic below 2^53).
+            sorted.clear();
+            sorted.extend_from_slice(labels);
+            sorted.sort_unstable();
+            for run in sorted.chunk_by(|a, b| a == b) {
                 // Salt the label with the round index so the same hash at
                 // different rounds is a different feature (standard WL).
-                pairs.push((fnv1a_words(&[round as u64, table[d]]), c as f64));
+                pairs.push((fnv1a_words(&[round as u64, run[0]]), run.len() as f64));
             }
         });
         // Bulk build: one sort over all rounds' (key, count) pairs instead
@@ -379,36 +318,17 @@ mod tests {
     use anacin_event_graph::EventGraph;
     use anacin_mpisim::prelude::*;
 
-    /// The pre-interner relabelling round, verbatim: the differential
-    /// oracle for the arena/interner implementation above.
-    fn relabel_legacy(g: &EventGraph, labels: &[u64], edge_sensitive: bool) -> Vec<u64> {
-        let contrib = |label: u64, kind: EdgeKind| -> u64 {
-            if edge_sensitive {
-                let k = match kind {
-                    EdgeKind::Program => 1u64,
-                    EdgeKind::Message => 2u64,
-                };
-                fnv1a_words(&[label, k])
-            } else {
-                label
-            }
-        };
+    /// The one-`Vec`-per-node relabelling round, verbatim: the
+    /// differential oracle for the arena implementation above.
+    fn relabel_legacy(g: &EventGraph, labels: &[u64]) -> Vec<u64> {
         let mut next = Vec::with_capacity(labels.len());
         let mut scratch_in: Vec<u64> = Vec::new();
         let mut scratch_out: Vec<u64> = Vec::new();
         for id in g.node_ids() {
             scratch_in.clear();
             scratch_out.clear();
-            scratch_in.extend(
-                g.in_edges(id)
-                    .iter()
-                    .map(|&(n, k)| contrib(labels[n.index()], k)),
-            );
-            scratch_out.extend(
-                g.out_edges(id)
-                    .iter()
-                    .map(|&(n, k)| contrib(labels[n.index()], k)),
-            );
+            scratch_in.extend(g.in_edges(id).iter().map(|&(n, _)| labels[n.index()]));
+            scratch_out.extend(g.out_edges(id).iter().map(|&(n, _)| labels[n.index()]));
             scratch_in.sort_unstable();
             scratch_out.sort_unstable();
             let mut words = Vec::with_capacity(scratch_in.len() + scratch_out.len() + 3);
@@ -426,7 +346,7 @@ mod tests {
         let mut rounds = Vec::with_capacity(k.iterations as usize + 1);
         rounds.push(initial_labels(g, k.policy));
         for _ in 0..k.iterations {
-            let next = relabel_legacy(g, rounds.last().expect("nonempty"), k.edge_sensitive);
+            let next = relabel_legacy(g, rounds.last().expect("nonempty"));
             rounds.push(next);
         }
         rounds
@@ -459,23 +379,19 @@ mod tests {
         // A 40-rank race graph has 158 nodes: several full shards plus a
         // partial tail at the small shard sizes below. Every shard size —
         // including the production one, which covers the graph in a single
-        // shard here — must agree with the legacy oracle on every round.
+        // shard here — must agree with the legacy oracle on every round,
+        // through both halves of the two-buffer swap.
         let g = race_graph(40, 100.0, 9);
         assert!(g.node_count() > 64, "graph must span multiple small shards");
-        for edge_sensitive in [false, true] {
-            let init = initial_labels(&g, LabelPolicy::TypeAndPeer);
-            let legacy1 = relabel_legacy(&g, &init, edge_sensitive);
-            let legacy2 = relabel_legacy(&g, &legacy1, edge_sensitive);
-            for shard in [8, 16, 64, SHARD_NODES] {
-                let mut arena = LabelInterner::new(g.node_count());
-                arena.raw = init.clone();
-                arena.intern();
-                arena.relabel_sharded(&g, edge_sensitive, shard);
-                assert_eq!(arena.raw, legacy1, "round 1, shard={shard}");
-                arena.intern();
-                arena.relabel_sharded(&g, edge_sensitive, shard);
-                assert_eq!(arena.raw, legacy2, "round 2, shard={shard}");
-            }
+        let init = initial_labels(&g, LabelPolicy::TypeAndPeer);
+        let legacy1 = relabel_legacy(&g, &init);
+        let legacy2 = relabel_legacy(&g, &legacy1);
+        for shard in [8, 16, 64, SHARD_NODES] {
+            let mut arena = Arena::new(init.clone());
+            arena.relabel_sharded(&g, shard);
+            assert_eq!(arena.labels, legacy1, "round 1, shard={shard}");
+            arena.relabel_sharded(&g, shard);
+            assert_eq!(arena.labels, legacy2, "round 2, shard={shard}");
         }
     }
 
@@ -486,14 +402,11 @@ mod tests {
         // are exercised.
         for seed in 0..4 {
             let g = race_graph(7, 100.0, seed);
-            for edge_sensitive in [false, true] {
-                let k = WlKernel {
-                    iterations: 3,
-                    policy: LabelPolicy::TypeAndPeer,
-                    edge_sensitive,
-                };
-                assert_eq!(k.features(&g), features_legacy(&k, &g));
-            }
+            let k = WlKernel {
+                iterations: 3,
+                policy: LabelPolicy::TypeAndPeer,
+            };
+            assert_eq!(k.features(&g), features_legacy(&k, &g));
         }
     }
 
@@ -514,9 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn interned_features_match_legacy_oracle() {
-        // The full configuration sweep: every label policy, both edge
-        // modes, several iteration depths, deterministic and racy graphs.
+    fn features_match_legacy_oracle() {
+        // The full configuration sweep: every label policy, several
+        // iteration depths, deterministic and racy graphs.
         let policies = [
             LabelPolicy::EventType,
             LabelPolicy::TypeAndPeer,
@@ -527,36 +440,27 @@ mod tests {
         for seed in 0..4 {
             let g = race_graph(5, 100.0, seed);
             for policy in policies {
-                for edge_sensitive in [false, true] {
-                    for iterations in [0, 1, 3, 5] {
-                        let k = WlKernel {
-                            iterations,
-                            policy,
-                            edge_sensitive,
-                        };
-                        assert_eq!(
-                            k.features(&g),
-                            features_legacy(&k, &g),
-                            "policy={policy:?} edges={edge_sensitive} h={iterations}"
-                        );
-                    }
+                for iterations in [0, 1, 3, 5] {
+                    let k = WlKernel { iterations, policy };
+                    assert_eq!(
+                        k.features(&g),
+                        features_legacy(&k, &g),
+                        "policy={policy:?} h={iterations}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn interned_label_rounds_match_legacy_oracle() {
+    fn label_rounds_match_legacy_oracle() {
         for seed in 0..4 {
             let g = race_graph(6, 100.0, seed);
-            for edge_sensitive in [false, true] {
-                let k = WlKernel {
-                    iterations: 4,
-                    policy: LabelPolicy::TypeAndPeer,
-                    edge_sensitive,
-                };
-                assert_eq!(k.label_rounds(&g), label_rounds_legacy(&k, &g));
-            }
+            let k = WlKernel {
+                iterations: 4,
+                policy: LabelPolicy::TypeAndPeer,
+            };
+            assert_eq!(k.label_rounds(&g), label_rounds_legacy(&k, &g));
         }
     }
 
@@ -566,7 +470,6 @@ mod tests {
         let k = WlKernel {
             iterations: 0,
             policy: LabelPolicy::EventType,
-            edge_sensitive: false,
         };
         let f = k.features(&g);
         let total: f64 = f.iter().map(|(_, w)| w).sum();
@@ -608,7 +511,6 @@ mod tests {
         let k = WlKernel {
             iterations: 2,
             policy: LabelPolicy::TypeAndPeer,
-            edge_sensitive: false,
         };
         let d = kernel_distance(
             k.value(&base, &base),
@@ -638,7 +540,6 @@ mod tests {
         let k = WlKernel {
             iterations: 3,
             policy: LabelPolicy::EventType,
-            edge_sensitive: false,
         };
         let d = kernel_distance(
             k.value(&base, &base),
@@ -724,10 +625,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// The sharded, interned WL path is bit-identical to the
+            /// The sharded two-buffer WL path is bit-identical to the
             /// legacy one-`Vec`-per-node oracle on randomly generated
-            /// programs, across every label policy, both edge modes, and
-            /// several refinement depths.
+            /// programs, across every label policy and several
+            /// refinement depths.
             #[test]
             fn bounded_memory_wl_matches_legacy_on_generated_programs(
                 msgs in prop::collection::vec(
@@ -737,15 +638,12 @@ mod tests {
                 nd in 0.0f64..=100.0,
                 seed in 0u64..200,
                 policy_idx in 0usize..5,
-                edge_mode in 0u8..2,
                 iterations in 0u32..4,
             ) {
-                let edge_sensitive = edge_mode == 1;
                 let g = message_graph(&msgs, nd, seed);
                 let k = WlKernel {
                     iterations,
                     policy: POLICIES[policy_idx],
-                    edge_sensitive,
                 };
                 prop_assert_eq!(k.features(&g), features_legacy(&k, &g));
                 prop_assert_eq!(k.label_rounds(&g), label_rounds_legacy(&k, &g));

@@ -27,7 +27,6 @@ fn kernel_by_index(i: usize) -> Box<dyn GraphKernel> {
         1 => Box::new(WlKernel {
             iterations: 1,
             policy: LabelPolicy::RankTypePeer,
-            edge_sensitive: true,
         }),
         2 => Box::new(VertexHistogramKernel::default()),
         3 => Box::new(EdgeHistogramKernel::default()),

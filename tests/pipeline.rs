@@ -1,12 +1,11 @@
 //! Differential tests for the per-run pipeline: a resumed store-backed
 //! campaign must land on the uninterrupted result bit-for-bit, and the
-//! interned WL relabelling must reproduce the pre-interner label stream
-//! exactly.
+//! WL relabelling must reproduce an independent reimplementation's label
+//! stream exactly.
 
 use anacin_store::ArtifactStore;
 use anacin_testkit::prelude::{generate, GenConfig};
 use anacin_x::event_graph::label::{fnv1a_words, initial_labels};
-use anacin_x::event_graph::EdgeKind;
 use anacin_x::prelude::*;
 use std::path::PathBuf;
 
@@ -69,34 +68,23 @@ fn resumed_campaign_seeds_pipeline_and_matches_uninterrupted_result() {
 }
 
 // ---------------------------------------------------------------------------
-// WL interner oracle: the pre-interner relabelling, reimplemented from the
-// published definition (initial labels per policy; each round hashes
-// [label, MAX, sorted in-contribs, MAX-1, sorted out-contribs]; features
-// count (round, label) pairs), checked against the arena/interner path.
+// WL oracle: the relabelling reimplemented from the published definition
+// (initial labels per policy; each round hashes [label, MAX, sorted
+// in-neighbour labels, MAX-1, sorted out-neighbour labels]; features count
+// (round, label) pairs), checked against the kernel's two-buffer arena.
 
-fn relabel_reference(g: &EventGraph, labels: &[u64], edge_sensitive: bool) -> Vec<u64> {
-    let contrib = |label: u64, kind: EdgeKind| -> u64 {
-        if edge_sensitive {
-            let k = match kind {
-                EdgeKind::Program => 1u64,
-                EdgeKind::Message => 2u64,
-            };
-            fnv1a_words(&[label, k])
-        } else {
-            label
-        }
-    };
+fn relabel_reference(g: &EventGraph, labels: &[u64]) -> Vec<u64> {
     let mut next = Vec::with_capacity(labels.len());
     for id in g.node_ids() {
         let mut ins: Vec<u64> = g
             .in_edges(id)
             .iter()
-            .map(|&(n, k)| contrib(labels[n.index()], k))
+            .map(|&(n, _)| labels[n.index()])
             .collect();
         let mut outs: Vec<u64> = g
             .out_edges(id)
             .iter()
-            .map(|&(n, k)| contrib(labels[n.index()], k))
+            .map(|&(n, _)| labels[n.index()])
             .collect();
         ins.sort_unstable();
         outs.sort_unstable();
@@ -114,7 +102,7 @@ fn relabel_reference(g: &EventGraph, labels: &[u64], edge_sensitive: bool) -> Ve
 fn features_reference(k: &WlKernel, g: &EventGraph) -> SparseFeatures {
     let mut rounds = vec![initial_labels(g, k.policy)];
     for _ in 0..k.iterations {
-        let next = relabel_reference(g, rounds.last().expect("nonempty"), k.edge_sensitive);
+        let next = relabel_reference(g, rounds.last().expect("nonempty"));
         rounds.push(next);
     }
     let mut f = SparseFeatures::new();
@@ -126,11 +114,11 @@ fn features_reference(k: &WlKernel, g: &EventGraph) -> SparseFeatures {
     f
 }
 
-/// The interned WL implementation (dense ids + reused arena) emits feature
-/// maps and label streams identical to the direct u64 relabelling it
-/// replaced, across policies, edge sensitivity, and depths.
+/// The WL implementation (raw labels in a reused two-buffer arena,
+/// counted by sorting) emits feature maps and label streams identical to
+/// the direct one-`Vec`-per-node relabelling, across policies and depths.
 #[test]
-fn interned_wl_features_match_reference_relabelling() {
+fn wl_features_match_reference_relabelling() {
     let graphs = generated_graphs();
     let policies = [
         LabelPolicy::EventType,
@@ -139,29 +127,19 @@ fn interned_wl_features_match_reference_relabelling() {
     ];
     for g in &graphs {
         for policy in policies {
-            for edge_sensitive in [false, true] {
-                for iterations in [0u32, 2, 4] {
-                    let k = WlKernel {
-                        iterations,
-                        policy,
-                        edge_sensitive,
-                    };
-                    assert_eq!(
-                        k.features(g),
-                        features_reference(&k, g),
-                        "policy={policy:?} edges={edge_sensitive} h={iterations}"
-                    );
-                    let rounds = k.label_rounds(g);
-                    let mut expect = vec![initial_labels(g, policy)];
-                    for _ in 0..iterations {
-                        expect.push(relabel_reference(
-                            g,
-                            expect.last().expect("nonempty"),
-                            edge_sensitive,
-                        ));
-                    }
-                    assert_eq!(rounds, expect, "label rounds diverge");
+            for iterations in [0u32, 2, 4] {
+                let k = WlKernel { iterations, policy };
+                assert_eq!(
+                    k.features(g),
+                    features_reference(&k, g),
+                    "policy={policy:?} h={iterations}"
+                );
+                let rounds = k.label_rounds(g);
+                let mut expect = vec![initial_labels(g, policy)];
+                for _ in 0..iterations {
+                    expect.push(relabel_reference(g, expect.last().expect("nonempty")));
                 }
+                assert_eq!(rounds, expect, "label rounds diverge");
             }
         }
     }
