@@ -65,11 +65,22 @@ impl Program {
     /// be waited on exactly once, and waits may only reference created
     /// slots. Catches the classic student bugs (forgotten `MPI_Wait`,
     /// double wait) before a run produces a confusing trace.
+    ///
+    /// Per rank, the first defect found is reported in this order: the
+    /// first wait on an unknown slot (in wait order), then the smallest
+    /// double-waited slot, then the first never-waited slot (in creation
+    /// order). Membership is a binary search in a sorted copy, so the
+    /// check is `O(n log n)` in a rank's ops.
     pub fn check_requests(&self) -> Result<(), RequestError> {
+        let mut created: Vec<ReqSlot> = Vec::new();
+        let mut created_sorted: Vec<ReqSlot> = Vec::new();
+        let mut waited: Vec<ReqSlot> = Vec::new();
+        let has =
+            |sorted: &[ReqSlot], s: ReqSlot| sorted.binary_search_by_key(&s.0, |x| x.0).is_ok();
         for (r, ops) in self.rank_ops.iter().enumerate() {
             let rank = Rank(r as u32);
-            let mut created: Vec<ReqSlot> = Vec::new();
-            let mut waited: Vec<ReqSlot> = Vec::new();
+            created.clear();
+            waited.clear();
             for op in ops {
                 match op {
                     Op::Isend { req, .. } | Op::Irecv { req, .. } => created.push(*req),
@@ -78,22 +89,19 @@ impl Program {
                     _ => {}
                 }
             }
-            for &w in &waited {
-                if !created.contains(&w) {
-                    return Err(RequestError::WaitOnUnknown { rank, req: w });
-                }
+            created_sorted.clear();
+            created_sorted.extend_from_slice(&created);
+            created_sorted.sort_unstable_by_key(|s| s.0);
+            if let Some(&w) = waited.iter().find(|&&w| !has(&created_sorted, w)) {
+                return Err(RequestError::WaitOnUnknown { rank, req: w });
             }
-            let mut sorted = waited.clone();
-            sorted.sort_by_key(|s| s.0);
-            for pair in sorted.windows(2) {
-                if pair[0] == pair[1] {
-                    return Err(RequestError::DoubleWait { rank, req: pair[0] });
-                }
+            // Wait order is no longer needed: sort in place.
+            waited.sort_unstable_by_key(|s| s.0);
+            if let Some(pair) = waited.windows(2).find(|p| p[0] == p[1]) {
+                return Err(RequestError::DoubleWait { rank, req: pair[0] });
             }
-            for &c in &created {
-                if !waited.contains(&c) {
-                    return Err(RequestError::NeverWaited { rank, req: c });
-                }
+            if let Some(&c) = created.iter().find(|&&c| !has(&waited, c)) {
+                return Err(RequestError::NeverWaited { rank, req: c });
             }
         }
         Ok(())
@@ -227,6 +235,9 @@ pub struct ProgramBuilder {
     stacks: CallStackTable,
     req_counters: Vec<u32>,
     contexts: Vec<Vec<String>>,
+    /// Per rank, the stack id already interned for each leaf under the
+    /// rank's current context; cleared whenever that context changes.
+    leaf_ids: Vec<Vec<(&'static str, CallStackId)>>,
 }
 
 impl ProgramBuilder {
@@ -242,6 +253,7 @@ impl ProgramBuilder {
             stacks: CallStackTable::new(),
             req_counters: vec![0; world_size as usize],
             contexts: vec![Vec::new(); world_size as usize],
+            leaf_ids: vec![Vec::new(); world_size as usize],
         }
     }
 
@@ -277,12 +289,28 @@ impl ProgramBuilder {
         }
     }
 
-    fn intern_with_leaf(&mut self, rank: Rank, leaf: &str) -> CallStackId {
+    /// The id of `rank`'s current context plus `leaf`. The table never
+    /// drops a path and numbers each on its first intern, so a memo hit
+    /// returns exactly the id interning would; only a miss builds the
+    /// path.
+    fn intern_with_leaf(&mut self, rank: Rank, leaf: &'static str) -> CallStackId {
+        let memo = &mut self.leaf_ids[rank.index()];
+        if let Some(&(_, id)) = memo.iter().find(|&&(l, _)| l == leaf) {
+            return id;
+        }
         let ctx = &self.contexts[rank.index()];
         let mut frames: Vec<String> = Vec::with_capacity(ctx.len() + 1);
         frames.extend(ctx.iter().cloned());
         frames.push(leaf.to_string());
-        self.stacks.intern(crate::stack::CallStack::new(frames))
+        let id = self.stacks.intern(crate::stack::CallStack::new(frames));
+        memo.push((leaf, id));
+        id
+    }
+
+    /// `rank`'s context, for a mutator: forgets the rank's memoised ids.
+    fn context_mut(&mut self, rank: Rank) -> &mut Vec<String> {
+        self.leaf_ids[rank.index()].clear();
+        &mut self.contexts[rank.index()]
     }
 }
 
@@ -305,13 +333,13 @@ impl<'a> RankBuilder<'a> {
 
     /// Push a context frame (e.g. a function name) for subsequent ops.
     pub fn push_frame(&mut self, frame: impl Into<String>) -> &mut Self {
-        self.builder.contexts[self.rank.index()].push(frame.into());
+        self.builder.context_mut(self.rank).push(frame.into());
         self
     }
 
     /// Pop the innermost context frame.
     pub fn pop_frame(&mut self) -> &mut Self {
-        self.builder.contexts[self.rank.index()].pop();
+        self.builder.context_mut(self.rank).pop();
         self
     }
 
@@ -321,7 +349,7 @@ impl<'a> RankBuilder<'a> {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.builder.contexts[self.rank.index()] = frames.into_iter().map(Into::into).collect();
+        *self.builder.context_mut(self.rank) = frames.into_iter().map(Into::into).collect();
         self
     }
 
@@ -524,6 +552,148 @@ mod tests {
         assert_eq!(send_stack.frames(), ["main", "exchange_halo", "MPI_Send"]);
         let recv_stack = p.stacks().resolve(ops[1].stack().unwrap());
         assert_eq!(recv_stack.frames(), ["main", "MPI_Recv"]);
+    }
+
+    /// The leaf memo must forget a rank's ids whenever any mutator changes
+    /// its context, and must never lend one rank's ids to another: every
+    /// op resolves to exactly its own path, and equal paths share an id.
+    #[test]
+    fn leaf_memo_follows_every_context_change() {
+        let mut b = ProgramBuilder::new(2);
+        {
+            let mut rb = b.rank(Rank(0));
+            rb.send(Rank(1), Tag(0), 1);
+            rb.push_frame("outer");
+            rb.send(Rank(1), Tag(0), 1);
+            rb.recv(Rank(1), Tag(0).into());
+            rb.pop_frame();
+            rb.send(Rank(1), Tag(0), 1);
+            rb.set_context(["main", "solve"]);
+            rb.send(Rank(1), Tag(0), 1);
+            rb.scoped("inner", |rb| {
+                rb.send(Rank(1), Tag(0), 1);
+            });
+            rb.send(Rank(1), Tag(0), 1);
+        }
+        // Another rank in another context, between rank 0's ops.
+        b.rank(Rank(1))
+            .set_context(["elsewhere"])
+            .send(Rank(0), Tag(0), 1);
+        b.rank(Rank(0))
+            .send(Rank(1), Tag(0), 1)
+            .set_context(Vec::<String>::new())
+            .send(Rank(1), Tag(0), 1);
+        let p = b.build();
+        let path = |r: u32, i: usize| -> Vec<String> {
+            let id = p.ops(Rank(r))[i].stack().unwrap();
+            p.stacks().resolve(id).frames().to_vec()
+        };
+        let expected: [&[&str]; 9] = [
+            &["MPI_Send"],
+            &["outer", "MPI_Send"],
+            &["outer", "MPI_Recv"],
+            &["MPI_Send"],
+            &["main", "solve", "MPI_Send"],
+            &["main", "solve", "inner", "MPI_Send"],
+            &["main", "solve", "MPI_Send"],
+            &["main", "solve", "MPI_Send"],
+            &["MPI_Send"],
+        ];
+        for (i, frames) in expected.iter().enumerate() {
+            assert_eq!(path(0, i), *frames, "rank 0 op {i}");
+        }
+        assert_eq!(path(1, 0), ["elsewhere", "MPI_Send"]);
+        // Equal paths share one id, and the table holds each path once.
+        let ids: Vec<CallStackId> = p
+            .ops(Rank(0))
+            .iter()
+            .map(|op| op.stack().unwrap())
+            .collect();
+        for i in 0..ids.len() {
+            for j in 0..ids.len() {
+                assert_eq!(ids[i] == ids[j], expected[i] == expected[j], "ops {i}, {j}");
+            }
+        }
+        assert_eq!(p.stacks().len(), 1 + 6);
+    }
+
+    /// A program straight from op lists, as serde or a generator may
+    /// deliver it: slot numbers need be neither dense nor increasing.
+    fn raw_program(rank_ops: Vec<Vec<Op>>) -> Program {
+        Program {
+            world_size: rank_ops.len() as u32,
+            rank_ops,
+            stacks: CallStackTable::new(),
+        }
+    }
+
+    fn isend(req: u32) -> Op {
+        Op::Isend {
+            dst: Rank(0),
+            tag: Tag(0),
+            bytes: 1,
+            stack: CallStackId::UNKNOWN,
+            req: ReqSlot(req),
+        }
+    }
+
+    fn wait(req: u32) -> Op {
+        Op::Wait {
+            req: ReqSlot(req),
+            stack: CallStackId::UNKNOWN,
+        }
+    }
+
+    /// With several defects on one rank, the first unknown wait (in wait
+    /// order) wins, then the smallest double-waited slot, then the first
+    /// never-waited slot (in creation order); an earlier rank wins over a
+    /// later one.
+    #[test]
+    fn check_requests_reports_defects_in_precedence_order() {
+        let err = |ops: Vec<Vec<Op>>| raw_program(ops).check_requests().unwrap_err();
+        let unknown = |r: u32, s: u32| RequestError::WaitOnUnknown {
+            rank: Rank(r),
+            req: ReqSlot(s),
+        };
+        // Unknown waits on 9 then 7, a double wait and a never-waited 4.
+        assert_eq!(
+            err(vec![vec![
+                isend(4),
+                isend(1),
+                wait(1),
+                wait(9),
+                wait(1),
+                wait(7)
+            ]]),
+            unknown(0, 9)
+        );
+        // Double waits on 5 and 2, and slots 3 and 4 never waited.
+        let ops = [0, 1, 2, 3, 4, 5].map(isend).into_iter();
+        let waits = [5, 5, 2, 0, 2, 1].map(wait).into_iter();
+        assert_eq!(
+            err(vec![ops.chain(waits).collect()]),
+            RequestError::DoubleWait {
+                rank: Rank(0),
+                req: ReqSlot(2),
+            }
+        );
+        // Slots 8 and 3 never waited: the first created wins.
+        assert_eq!(
+            err(vec![vec![isend(6), isend(8), isend(3), wait(6)]]),
+            RequestError::NeverWaited {
+                rank: Rank(0),
+                req: ReqSlot(8),
+            }
+        );
+        // Rank 0's never-waited slot precedes rank 1's unknown wait.
+        assert_eq!(
+            err(vec![vec![isend(0)], vec![wait(0)]]),
+            RequestError::NeverWaited {
+                rank: Rank(0),
+                req: ReqSlot(0),
+            }
+        );
+        assert_eq!(err(vec![vec![], vec![wait(3)]]), unknown(1, 3));
     }
 
     #[test]
