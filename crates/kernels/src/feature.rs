@@ -128,20 +128,16 @@ impl SparseFeatures {
         Self { map }
     }
 
-    /// Bulk constructor for *order-independent* weights (exact integers,
-    /// or any set where duplicate-id sums are associative bit-for-bit):
-    /// sorts unstably, so duplicates may sum in any order. Faster than
-    /// [`SparseFeatures::from_pairs`]; callers must guarantee the weights
-    /// make that reordering unobservable.
-    pub(crate) fn from_commutative_pairs(mut pairs: Vec<(u64, f64)>) -> Self {
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        let mut map: Vec<(u64, f64)> = Vec::with_capacity(pairs.len());
-        for (id, w) in pairs {
-            match map.last_mut() {
-                Some(last) if last.0 == id => last.1 += w,
-                _ => map.push((id, w)),
-            }
-        }
+    /// Bulk constructor for counts: one feature per distinct id in
+    /// `keys`, weighted by how often it occurs — exactly a
+    /// [`SparseFeatures::bump`] per key, since a count below 2^53 is the
+    /// same `f64` however it is summed. Sorts once, then allocates the
+    /// vector at its exact length: callers keep many of these.
+    pub(crate) fn from_keys(mut keys: Vec<u64>) -> Self {
+        keys.sort_unstable();
+        let runs = keys.chunk_by(|a, b| a == b);
+        let mut map: Vec<(u64, f64)> = Vec::with_capacity(runs.clone().count());
+        map.extend(runs.map(|run| (run[0], run.len() as f64)));
         Self { map }
     }
 
@@ -420,6 +416,7 @@ mod tests {
 
     /// `from_pairs` is exactly an `add` loop: duplicates sum in their
     /// original relative order (the sort is stable), new ids land sorted.
+    /// `from_keys` is exactly a `bump` loop, and holds no spare capacity.
     #[test]
     fn from_pairs_matches_add_loop() {
         let pairs = vec![(9, 1.0), (3, 0.25), (9, 2.0), (1, 4.0), (3, 0.5)];
@@ -431,6 +428,22 @@ mod tests {
         assert_eq!(bulk, loop_built);
         let ids: Vec<u64> = bulk.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3, 9]);
+
+        let key_lists: [&[u64]; 4] = [
+            &[9, 3, u64::MAX, 9, 1, 3, 9, 0, u64::MAX],
+            &[5, 5, 5],
+            &[42],
+            &[],
+        ];
+        for keys in key_lists {
+            let counted = SparseFeatures::from_keys(keys.to_vec());
+            let mut bumped = SparseFeatures::new();
+            for &k in keys {
+                bumped.bump(k);
+            }
+            assert_eq!(counted, bumped, "{keys:?}");
+            assert_eq!(counted.map.capacity(), counted.map.len(), "{keys:?}");
+        }
     }
 
     /// Deterministic pseudo-random vector shapes for the blocked-dot

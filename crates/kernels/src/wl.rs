@@ -13,7 +13,7 @@
 //! Direction is respected (in- and out-neighbourhoods hashed separately),
 //! matching the directed nature of event graphs.
 //!
-//! # Relabelling from the labels, counting by sorting
+//! # Relabelling from the labels, counting with one sort
 //!
 //! Feature extraction keeps two `u64` label buffers, the previous round's
 //! and the one being built, and swaps them after each round. With the
@@ -21,21 +21,22 @@
 //! extraction call and reused across all `iterations` rounds. A round
 //! reads each neighbour's previous raw label directly, one load per
 //! neighbour, and hashes the word stream `[own, MAX, sorted in, MAX−1,
-//! sorted out]`. [`WlKernel::features`] then counts a round's labels by
-//! sorting a copy and emitting one `(key, count)` pair per run of equal
-//! labels, in ascending label order.
+//! sorted out]`. [`WlKernel::features`] salts every node's label with its
+//! round into a feature key, all rounds into one buffer, then sorts the
+//! buffer once and weights each distinct key by the length of its run.
 //!
 //! Both steps are exact. Every round's labels are the raw `u64` labels the
 //! historical one-`Vec`-per-node implementation computes (kept under
-//! `#[cfg(test)]` as the differential oracle), and a run of `c` equal
-//! labels adds the integer `c` once where that implementation added 1.0
-//! `c` times, which is the same `f64` below 2^53. The emitted
-//! [`SparseFeatures`] are therefore byte-identical to it, so store
-//! fingerprints and artifact bytes are unchanged.
+//! `#[cfg(test)]` as the differential oracle). A key's weight is the
+//! number of (round, node) pairs that salt to it, where that
+//! implementation added 1.0 once per pair: the same `f64` below 2^53,
+//! even for a key two rounds share. The emitted [`SparseFeatures`] are
+//! therefore byte-identical to it, so store fingerprints and artifact
+//! bytes are unchanged.
 
 use crate::feature::SparseFeatures;
 use crate::kernel::GraphKernel;
-use anacin_event_graph::label::{fnv1a_words, initial_labels, LabelPolicy};
+use anacin_event_graph::label::{initial_labels, LabelPolicy};
 use anacin_event_graph::{EventGraph, NodeId};
 
 /// Weisfeiler–Lehman subtree kernel configuration.
@@ -75,8 +76,9 @@ const LANES: usize = 8;
 const SHARD_NODES: usize = 4096;
 
 /// One FNV-1a step: fold a `u64` word into state `h`, byte by byte —
-/// exactly what [`fnv1a_words`] does per word, so folding a node's word
-/// sequence through this reproduces its digest bit-for-bit.
+/// exactly what [`fnv1a_words`](anacin_event_graph::label::fnv1a_words)
+/// does per word, so folding a node's word sequence through this
+/// reproduces its digest bit-for-bit.
 #[inline]
 fn absorb_word(mut h: u64, w: u64) -> u64 {
     for b in w.to_le_bytes() {
@@ -125,8 +127,10 @@ fn hash_interleaved(words: &[u64], word_ends: &[u32], out: &mut [u64]) -> usize 
 }
 
 /// Streaming FNV-1a over `u64` words. `absorb` word-by-word produces
-/// exactly the digest [`fnv1a_words`] yields over the concatenated slice,
-/// so relabelling never materialises a per-node word `Vec`.
+/// exactly the digest
+/// [`fnv1a_words`](anacin_event_graph::label::fnv1a_words) yields over
+/// the concatenated slice, so relabelling never materialises a per-node
+/// word `Vec`.
 struct WordHasher(u64);
 
 impl WordHasher {
@@ -287,27 +291,16 @@ impl GraphKernel for WlKernel {
     }
 
     fn features(&self, g: &EventGraph) -> SparseFeatures {
-        let mut pairs: Vec<(u64, f64)> = Vec::new();
-        let mut sorted: Vec<u64> = Vec::with_capacity(g.node_count());
+        let rounds = self.iterations as usize + 1;
+        let mut keys: Vec<u64> = Vec::with_capacity(g.node_count() * rounds);
         self.for_each_round(g, |round, labels| {
-            // One histogram entry per *distinct* label, not per node:
-            // adding a run's length `c` once equals adding 1.0 `c` times
-            // exactly (integer f64 arithmetic below 2^53).
-            sorted.clear();
-            sorted.extend_from_slice(labels);
-            sorted.sort_unstable();
-            for run in sorted.chunk_by(|a, b| a == b) {
-                // Salt the label with the round index so the same hash at
-                // different rounds is a different feature (standard WL).
-                pairs.push((fnv1a_words(&[round as u64, run[0]]), run.len() as f64));
-            }
+            // Salt the label with the round index so the same hash at
+            // different rounds is a different feature (standard WL):
+            // `absorb_word(salt, label)` is `fnv1a_words(&[round, label])`.
+            let salt = absorb_word(FNV_OFFSET, round as u64);
+            keys.extend(labels.iter().map(|&label| absorb_word(salt, label)));
         });
-        // Bulk build: one sort over all rounds' (key, count) pairs instead
-        // of a map insert per key — the keys are hashes, so insertion order
-        // is random and per-key inserts would miss cache on nearly all of
-        // them. Counts are exact integers, so duplicate keys (cross-round
-        // hash collisions) may sum in any order without changing a bit.
-        SparseFeatures::from_commutative_pairs(pairs)
+        SparseFeatures::from_keys(keys)
     }
 }
 
@@ -315,6 +308,7 @@ impl GraphKernel for WlKernel {
 mod tests {
     use super::*;
     use crate::distance::kernel_distance;
+    use anacin_event_graph::label::fnv1a_words;
     use anacin_event_graph::EventGraph;
     use anacin_mpisim::prelude::*;
 
