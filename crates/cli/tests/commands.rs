@@ -53,6 +53,7 @@ fn campaign_alias_with_metrics_report() {
     let json = std::fs::read_to_string(&path).unwrap();
     // Every pipeline stage appears with a recorded wall-time.
     for stage in [
+        "\"build\"",
         "\"campaign\"",
         "campaign/gram",
         "run/simulate",

@@ -28,9 +28,9 @@ use std::fmt;
 /// measurement.
 #[derive(Clone, Copy, Default)]
 pub struct RunCtx<'a> {
-    /// Stage spans (`campaign`, `campaign/gram`, and the per-run worker
-    /// spans `run/simulate`, `run/graph`, `run/features`) plus simulator,
-    /// graph, kernel and campaign counters.
+    /// Stage spans (`build`, `campaign`, `campaign/gram`, and the per-run
+    /// worker spans `run/simulate`, `run/graph`, `run/features`) plus
+    /// simulator, graph, kernel and campaign counters.
     pub metrics: Option<&'a MetricsRegistry>,
     /// Receives every run's simulated-time events, tagged with its run
     /// index, once the run's trace exists (simulated or read from the
@@ -190,7 +190,7 @@ pub(crate) fn seeded_campaign<S: Send>(
     append: bool,
     per_run: &(dyn Fn(&Trace, &EventGraph) -> S + Sync),
 ) -> Result<(CampaignResult, Vec<S>), CampaignError> {
-    let program = config.pattern.build(&config.app);
+    let program = engine::build_program(config, ctx);
     let plan = Plan {
         source: Source::Seeded,
         append,
@@ -380,6 +380,7 @@ pub(crate) mod tests {
             // Wall-times are present (non-negative by construction: the
             // report stores unsigned nanoseconds) for every stage.
             for (stage, count) in [
+                ("build", 1),
                 ("campaign", 1),
                 ("campaign/gram", 1),
                 ("run/simulate", 5),

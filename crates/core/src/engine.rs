@@ -72,6 +72,14 @@ struct RunOut<S> {
     nodes: u64,
 }
 
+/// Build `config`'s program under a `build` span. Every campaign, sweep
+/// point and exploration builds its program on the calling thread before
+/// any worker starts, so this is time the workers wait.
+pub(crate) fn build_program(config: &CampaignConfig, ctx: &RunCtx) -> Program {
+    let _s = ctx.metrics.map(|m| m.span("build"));
+    config.pattern.build(&config.app)
+}
+
 /// Run `plan` over `program`, calling `per_run` on each run's trace and
 /// graph inside its worker. Records the `campaign` span (with
 /// `campaign/gram` under it) on the calling thread and the per-run

@@ -161,18 +161,19 @@ impl ExploreCampaignResult {
 /// replays. Schedule pins matching and seed pins delays, so each replay is
 /// bit-deterministic: with a store in `ctx`, replayed traces are keyed by
 /// [`explore_fingerprint`] and a repeated exploration is warm and
-/// byte-identical. Records `explore` and `explore/enumerate` spans around
-/// the engine's own, plus the standard explore counters. The matrix is
-/// always exact: the worst case over the schedule space is only a bound
-/// when every pairwise product is computed. A simulator error met during
-/// the enumeration is [`CampaignError::Explore`].
+/// byte-identical. Records `explore`, `explore/build` and
+/// `explore/enumerate` spans around the engine's own, plus the standard
+/// explore counters. The matrix is always exact: the worst case over the
+/// schedule space is only a bound when every pairwise product is
+/// computed. A simulator error met during the enumeration is
+/// [`CampaignError::Explore`].
 pub fn explore_campaign(
     config: &CampaignConfig,
     xcfg: &ExploreConfig,
     ctx: &RunCtx,
 ) -> Result<ExploreCampaignResult, CampaignError> {
     let _outer = ctx.metrics.map(|m| m.span("explore"));
-    let program = config.pattern.build(&config.app);
+    let program = engine::build_program(config, ctx);
     let report = {
         let _s = ctx.metrics.map(|m| m.span("enumerate"));
         let r = explore(&program, xcfg).map_err(CampaignError::Explore)?;
@@ -351,6 +352,7 @@ mod tests {
         let rep = m.report();
         for stage in [
             "explore",
+            "explore/build",
             "explore/enumerate",
             "explore/campaign",
             "explore/campaign/gram",

@@ -190,7 +190,7 @@ pub fn sweep(
             });
         }
         let (label, config) = axis.point(base, x);
-        let program = config.pattern.build(&config.app);
+        let program = engine::build_program(&config, ctx);
         let plan = Plan {
             source: Source::Seeded,
             append: false,
@@ -346,6 +346,7 @@ mod tests {
             assert_eq!(pm.parameter, "nd_percent");
             assert_eq!(pm.x, p);
             assert_eq!(pm.report.counter("campaign/runs"), Some(5));
+            assert_eq!(pm.report.span("build").map(|s| s.count), Some(1));
             assert_eq!(pm.report.span("campaign").map(|s| s.count), Some(1));
             assert_eq!(pm.report.span("run/simulate").map(|s| s.count), Some(5));
         }
