@@ -1,8 +1,7 @@
 //! # anacin-bench
 //!
 //! The benchmark and reproduction harness: [`figures`] regenerates every
-//! table and figure of the paper (with shape checks), and the `benches/`
-//! directory holds the Criterion performance benchmarks. The CLI prints
+//! table and figure of the paper (with shape checks). The CLI prints
 //! one artifact with `anacin figure <id> --out-dir figures` (ids in
 //! [`ALL_IDS`]), writing its SVG there and exiting non-zero when a shape
 //! check fails.
