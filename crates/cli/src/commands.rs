@@ -407,7 +407,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 tracer: None,
                 ..ctx
             };
-            let xr = explore_campaign(&cfg, &xcfg, &ctx).map_err(|e| e.to_string())?;
+            let xr =
+                explore_campaign(&cfg, &result.program, &xcfg, &ctx).map_err(|e| e.to_string())?;
             let coverage = xr.coverage_of(result);
             Some((xcfg, xr, coverage))
         }

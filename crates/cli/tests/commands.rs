@@ -465,6 +465,42 @@ fn run_with_folded_trace_writes_flamegraph_stacks() {
 }
 
 #[test]
+fn run_explore_builds_its_program_once() {
+    let dir = std::env::temp_dir().join("anacin_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("explore_metrics.json");
+    run(&[
+        "run",
+        "--pattern",
+        "message-race",
+        "--procs",
+        "5",
+        "--runs",
+        "20",
+        "--explore",
+        "--metrics",
+        path.to_str().unwrap(),
+    ])
+    .unwrap();
+    let doc = serde_json::from_str_value(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let spans = serde::map_get(doc.as_object().unwrap(), "spans");
+    let count = |name: &str| {
+        spans
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_object().unwrap())
+            .find(|s| serde::map_get(s, "name").as_str() == Some(name))
+            .and_then(|s| serde::map_get(s, "count").as_int())
+    };
+    // The exploration reuses the sampled campaign's program.
+    assert_eq!(count("build"), Some(1));
+    assert_eq!(count("explore/build"), None);
+    assert_eq!(count("explore"), Some(1));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn sweep_metrics_emit_per_point_breakdown() {
     let dir = std::env::temp_dir().join("anacin_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -14,8 +14,9 @@ use crate::engine::{self, Plan, Source};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::matrix::KernelMatrix;
 use anacin_mpisim::engine::SimError;
-use anacin_mpisim::explore::{Schedule, ScheduleId};
+use anacin_mpisim::explore::ScheduleId;
 use anacin_mpisim::program::Program;
+use anacin_mpisim::replay::MatchRecord;
 use anacin_mpisim::stack::CallStackTable;
 use anacin_mpisim::trace::Trace;
 use anacin_obs::{CancelToken, MetricsRegistry, Tracer};
@@ -118,7 +119,7 @@ pub struct CampaignResult {
     pub program: Program,
     /// The kernel matrix over all runs.
     pub matrix: KernelMatrix,
-    /// The schedule each run realised (`Schedule::from_trace(trace).id()`
+    /// The schedule each run realised (`MatchRecord::from_trace(trace).id()`
     /// of run `i`, seed `base_seed + i`), in run order.
     pub schedules: Vec<ScheduleId>,
     /// Total simulated trace events across all runs.
@@ -197,7 +198,7 @@ pub(crate) fn seeded_campaign<S: Send>(
         run_base: 0,
     };
     let out = engine::run(config, &program, ctx, plan, &|t, g| {
-        (Schedule::from_trace(t).id(), per_run(t, g))
+        (MatchRecord::from_trace(t).id(), per_run(t, g))
     })?;
     let (schedules, reduced) = out.per_run.into_iter().unzip();
     let result = CampaignResult {
@@ -236,7 +237,7 @@ pub(crate) mod tests {
         assert_eq!(r.distance_sample().len(), 8 * 7 / 2);
         for (t, id) in traces.iter().zip(&r.schedules) {
             assert_eq!(t.meta.unmatched_messages, 0);
-            assert_eq!(Schedule::from_trace(t).id(), *id);
+            assert_eq!(MatchRecord::from_trace(t).id(), *id);
         }
         let nodes: usize = traces
             .iter()

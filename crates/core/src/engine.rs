@@ -24,9 +24,9 @@ use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
 use anacin_kernels::matrix::{gram_append, gram_from_features_with_metrics, KernelMatrix};
-use anacin_mpisim::engine::simulate_counted;
-use anacin_mpisim::explore::{simulate_scheduled, Schedule};
+use anacin_mpisim::engine::{simulate_counted, simulate_replay};
 use anacin_mpisim::program::Program;
+use anacin_mpisim::replay::MatchRecord;
 use anacin_mpisim::trace::Trace;
 use anacin_mpisim::SimCounters;
 use anacin_store::{Artifact, ArtifactStore, DistanceSample, Fingerprint, StoreError};
@@ -41,7 +41,7 @@ pub(crate) enum Source<'a> {
     Seeded,
     /// A replay of explored schedule `i` at the base seed. Only its trace
     /// is stored, under its explore key.
-    Schedules(&'a [Schedule]),
+    Schedules(&'a [MatchRecord]),
 }
 
 /// How one engine call differs from a plain campaign.
@@ -278,7 +278,7 @@ impl<S: Send> Engine<'_, S> {
                 if let Some(m) = self.ctx.metrics {
                     m.counter("explore/replays").inc();
                 }
-                simulate_scheduled(self.program, &sc, &s[i])
+                simulate_replay(self.program, &sc, &s[i])
             }
         };
         let trace = simulated.map_err(|source| CampaignError::Run {

@@ -54,8 +54,6 @@ pub fn explore_fingerprint(config: &CampaignConfig, id: ScheduleId) -> Fingerpri
 pub struct ExploreCampaignResult {
     /// The configuration that produced the result.
     pub config: CampaignConfig,
-    /// The program whose schedules were enumerated.
-    pub program: Program,
     /// The enumeration itself: schedules in discovery order + statistics.
     pub report: ExploreReport,
     /// The kernel matrix over the explored schedules (same order).
@@ -156,12 +154,13 @@ impl ExploreCampaignResult {
     }
 }
 
-/// Enumerate the schedule space, replay every distinct schedule through
-/// the campaign engine at the campaign's base seed, and measure the
-/// replays. Schedule pins matching and seed pins delays, so each replay is
-/// bit-deterministic: with a store in `ctx`, replayed traces are keyed by
-/// [`explore_fingerprint`] and a repeated exploration is warm and
-/// byte-identical. Records `explore`, `explore/build` and
+/// Enumerate the schedule space of `program`, the program of `config`'s
+/// setting (a sampled campaign's [`CampaignResult::program`]), replay
+/// every distinct schedule through the campaign engine at the campaign's
+/// base seed, and measure the replays. Schedule pins matching and seed
+/// pins delays, so each replay is bit-deterministic: with a store in
+/// `ctx`, replayed traces are keyed by [`explore_fingerprint`] and a
+/// repeated exploration is warm and byte-identical. Records `explore` and
 /// `explore/enumerate` spans around the engine's own, plus the standard
 /// explore counters. The matrix is always exact: the worst case over the
 /// schedule space is only a bound when every pairwise product is
@@ -169,14 +168,14 @@ impl ExploreCampaignResult {
 /// [`CampaignError::Explore`].
 pub fn explore_campaign(
     config: &CampaignConfig,
+    program: &Program,
     xcfg: &ExploreConfig,
     ctx: &RunCtx,
 ) -> Result<ExploreCampaignResult, CampaignError> {
     let _outer = ctx.metrics.map(|m| m.span("explore"));
-    let program = engine::build_program(config, ctx);
     let report = {
         let _s = ctx.metrics.map(|m| m.span("enumerate"));
-        let r = explore(&program, xcfg).map_err(CampaignError::Explore)?;
+        let r = explore(program, xcfg).map_err(CampaignError::Explore)?;
         if let Some(m) = ctx.metrics {
             flush_explore_metrics(m, &r.stats);
         }
@@ -188,10 +187,9 @@ pub fn explore_campaign(
         run_base: 0,
     };
     let exact = config.clone().approx(GramApprox::Exact);
-    let matrix = engine::run(&exact, &program, ctx, plan, &|_, _| ())?.matrix;
+    let matrix = engine::run(&exact, program, ctx, plan, &|_, _| ())?.matrix;
     Ok(ExploreCampaignResult {
         config: config.clone(),
-        program,
         report,
         matrix,
     })
@@ -202,7 +200,7 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use anacin_miniapps::Pattern;
-    use anacin_mpisim::explore::simulate_scheduled;
+    use anacin_mpisim::engine::simulate_replay;
     use anacin_mpisim::trace::Trace;
     use anacin_obs::MetricsRegistry;
     use anacin_store::{Artifact, ArtifactStore};
@@ -210,6 +208,11 @@ mod tests {
 
     fn small_cfg() -> CampaignConfig {
         CampaignConfig::new(Pattern::MessageRace, 5).runs(20)
+    }
+
+    /// Explore `cfg`'s setting over its freshly built program.
+    fn explored(cfg: &CampaignConfig, xcfg: &ExploreConfig, ctx: &RunCtx) -> ExploreCampaignResult {
+        explore_campaign(cfg, &cfg.pattern.build(&cfg.app), xcfg, ctx).unwrap()
     }
 
     fn tmp_store(tag: &str) -> (PathBuf, ArtifactStore) {
@@ -237,7 +240,7 @@ mod tests {
     fn message_race_explores_completely_and_covers_samples() {
         // 4 senders → 4! = 24 distinct schedules.
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let r = explored(&cfg, &ExploreConfig::default(), &RunCtx::default());
         assert_eq!(r.report.schedules.len(), 24);
         assert!(r.report.is_complete());
         assert_eq!(r.matrix.len(), 24, "one replay per schedule");
@@ -259,7 +262,7 @@ mod tests {
                 store: Some(store),
                 ..RunCtx::default()
             };
-            explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap()
+            explored(&cfg, &ExploreConfig::default(), &ctx)
         };
         let (a, b) = (run(&store_a), run(&store_b));
         assert_eq!(a.report.ids(), b.report.ids());
@@ -276,13 +279,12 @@ mod tests {
         // the schedule, which is what makes explored_max comparable to
         // sampled maxima.
         let cfg = small_cfg();
-        let a = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
-        let b = explore_campaign(
+        let a = explored(&cfg, &ExploreConfig::default(), &RunCtx::default());
+        let b = explored(
             &cfg.clone().base_seed(999),
             &ExploreConfig::default(),
             &RunCtx::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(a.report.ids(), b.report.ids());
         assert_eq!(a.matrix, b.matrix);
         // Self-distances vanish: distinct schedules drive all spread.
@@ -299,9 +301,9 @@ mod tests {
             store: Some(&store),
             ..RunCtx::default()
         };
-        let cold = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
+        let cold = explored(&cfg, &ExploreConfig::default(), &ctx);
         let before = store.activity();
-        let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
+        let warm = explored(&cfg, &ExploreConfig::default(), &ctx);
         let after = store.activity();
         assert!(after.hits >= before.hits + cold.report.schedules.len() as u64);
         // The warm pass read the cold pass's replays and wrote nothing.
@@ -309,6 +311,7 @@ mod tests {
         assert_eq!(warm.matrix, cold.matrix);
         // Every stored replay is byte-identical to the replay a storeless
         // exploration computes, and both paths measure the same matrix.
+        let program = cfg.pattern.build(&cfg.app);
         let sc = cfg.sim_config(0);
         for (s, stored) in cold
             .report
@@ -316,14 +319,14 @@ mod tests {
             .iter()
             .zip(stored_traces(&store, &cold))
         {
-            let fresh = simulate_scheduled(&cold.program, &sc, s).unwrap();
+            let fresh = simulate_replay(&program, &sc, s).unwrap();
             assert_eq!(
                 stored.to_wire(),
                 fresh.to_wire(),
                 "replay not byte-identical"
             );
         }
-        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let plain = explored(&cfg, &ExploreConfig::default(), &RunCtx::default());
         assert_eq!(plain.matrix, cold.matrix);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -332,7 +335,7 @@ mod tests {
     fn truncated_exploration_reports_incomplete_coverage() {
         let cfg = small_cfg();
         let xcfg = ExploreConfig::with_budget(6);
-        let r = explore_campaign(&cfg, &xcfg, &RunCtx::default()).unwrap();
+        let r = explored(&cfg, &xcfg, &RunCtx::default());
         assert_eq!(r.report.schedules.len(), 6);
         assert!(!r.report.is_complete());
         let sampled = run_campaign(&cfg).unwrap();
@@ -348,11 +351,10 @@ mod tests {
             metrics: Some(&m),
             ..RunCtx::default()
         };
-        let r = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
+        let r = explored(&cfg, &ExploreConfig::default(), &ctx);
         let rep = m.report();
         for stage in [
             "explore",
-            "explore/build",
             "explore/enumerate",
             "explore/campaign",
             "explore/campaign/gram",
@@ -362,6 +364,10 @@ mod tests {
         ] {
             assert!(rep.span(stage).is_some(), "missing span {stage}");
         }
+        assert!(
+            rep.span("explore/build").is_none(),
+            "explorations build nothing"
+        );
         assert_eq!(
             rep.counter("explore/schedules"),
             Some(r.report.stats.schedules)
@@ -373,14 +379,14 @@ mod tests {
         assert!(rep.counter("explore/pruned").is_some());
         assert_eq!(rep.counter("explore/replays"), Some(24));
         // Observability never changes the measurement.
-        let plain = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let plain = explored(&cfg, &ExploreConfig::default(), &RunCtx::default());
         assert_eq!(r.matrix, plain.matrix);
     }
 
     #[test]
     fn explore_fingerprints_separate_inputs() {
         let cfg = small_cfg();
-        let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+        let r = explored(&cfg, &ExploreConfig::default(), &RunCtx::default());
         let a = r.report.schedules[0].id();
         let b = r.report.schedules[1].id();
         let base = explore_fingerprint(&cfg, a);

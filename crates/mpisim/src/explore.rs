@@ -56,37 +56,27 @@
 //!
 //! ## Schedules and replay
 //!
-//! A [`Schedule`] is the per-rank, per-posting-ordinal `(src, seq)`
-//! matching decision vector — exactly the content of a
-//! [`MatchRecord`](crate::replay::MatchRecord), read off a finished
-//! state's `Recv` events by the code that reads a trace's. Then
-//! [`simulate_scheduled`] replays one through the timed engine to produce
-//! a full [`Trace`] (bit-identical for a fixed `SimConfig`). [`ScheduleId`]
-//! is a splitmix64 fingerprint of the canonical decision sequence; the id of
-//! an explored schedule equals the id of [`Schedule::from_trace`] of any
-//! sampled trace that resolved its races the same way, which is what
-//! makes set-membership tests and warm artifact-store keys possible.
+//! A schedule is a [`MatchRecord`]: the per-rank, per-posting-ordinal
+//! `(src, seq)` matching decision table, read off a finished state's
+//! `Recv` events by the code that reads a trace's.
+//! [`simulate_replay`](crate::engine::simulate_replay) replays one through
+//! the timed engine to produce a full [`Trace`](crate::trace::Trace)
+//! (bit-identical for a fixed `SimConfig`). [`ScheduleId`]
+//! ([`MatchRecord::id`]) is a splitmix64 fingerprint of the canonical
+//! decision sequence; the id of an explored schedule equals the id of
+//! [`MatchRecord::from_trace`] of any sampled trace that resolved its
+//! races the same way, which is what makes set-membership tests and warm
+//! artifact-store keys possible.
 
-use crate::engine::{simulate_replay, Channels, Engine, SimConfig, SimError};
+use crate::engine::{Channels, Engine, SimConfig, SimError};
 use crate::ops::Op;
 use crate::program::Program;
 use crate::replay::MatchRecord;
-use crate::trace::Trace;
-use crate::types::{ChannelSeq, Rank};
+use crate::types::Rank;
 use anacin_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
-
-/// splitmix64 — the same finalizer the network delay model seeds with;
-/// statistically strong enough for fingerprinting decision sequences.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Canonical fingerprint of one distinct schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -96,69 +86,6 @@ impl fmt::Display for ScheduleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
-}
-
-/// One complete resolution of a program's message races: for every rank
-/// and every receive posting ordinal, the `(source, channel sequence)` of
-/// the matched message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Schedule {
-    decisions: Vec<Vec<Option<(Rank, ChannelSeq)>>>,
-}
-
-impl Schedule {
-    /// The schedule a completed trace realised. Explored schedules and
-    /// sampled traces meet on this: `Schedule::from_trace(t).id()` is a
-    /// member of the explored id set iff the run `t` resolved its races
-    /// in an enumerated way.
-    pub fn from_trace(trace: &Trace) -> Self {
-        Schedule {
-            decisions: MatchRecord::from_trace(trace).into_decisions(),
-        }
-    }
-
-    /// Canonical splitmix64 fingerprint over the rank-major decision
-    /// sequence (presence, source and channel position all mixed in).
-    pub fn id(&self) -> ScheduleId {
-        let mut h: u64 = 0x5EED_5C4E_D01E_0001;
-        for rank_decisions in &self.decisions {
-            h = splitmix64(h ^ 0xA11C_E5ED ^ rank_decisions.len() as u64);
-            for d in rank_decisions {
-                match d {
-                    None => h = splitmix64(h ^ 0x7077),
-                    Some((src, seq)) => {
-                        h = splitmix64(h ^ 0xC0DE ^ (u64::from(src.0) << 1 | 1));
-                        h = splitmix64(h ^ seq.0.rotate_left(17));
-                    }
-                }
-            }
-        }
-        ScheduleId(h)
-    }
-
-    /// The schedule as a replayable [`MatchRecord`].
-    pub fn to_record(&self) -> MatchRecord {
-        MatchRecord::from_decisions(self.decisions.clone())
-    }
-
-    /// Number of recorded matching decisions.
-    pub fn decision_count(&self) -> usize {
-        self.decisions
-            .iter()
-            .map(|v| v.iter().filter(|d| d.is_some()).count())
-            .sum()
-    }
-}
-
-/// Replay an explored [`Schedule`] through the full engine: every receive
-/// is forced to the schedule's decision, so for a fixed `config` the
-/// resulting [`Trace`] is bit-identical call after call.
-pub fn simulate_scheduled(
-    program: &Program,
-    config: &SimConfig,
-    schedule: &Schedule,
-) -> Result<Trace, SimError> {
-    simulate_replay(program, config, &schedule.to_record())
 }
 
 /// Exploration bounds. All three caps degrade gracefully: when any is
@@ -234,7 +161,7 @@ pub struct ExploreStats {
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Distinct complete schedules, in discovery order.
-    pub schedules: Vec<Schedule>,
+    pub schedules: Vec<MatchRecord>,
     /// Walk statistics.
     pub stats: ExploreStats,
 }
@@ -242,7 +169,7 @@ pub struct ExploreReport {
 impl ExploreReport {
     /// Ids of all explored schedules, in discovery order.
     pub fn ids(&self) -> Vec<ScheduleId> {
-        self.schedules.iter().map(Schedule::id).collect()
+        self.schedules.iter().map(MatchRecord::id).collect()
     }
 
     /// Membership test for a (usually sampled) schedule.
@@ -330,7 +257,7 @@ pub fn explore<'p>(
     let shape = Shape::new(program);
     let mut stats = ExploreStats::default();
     let mut seen: HashSet<u64> = HashSet::new();
-    let mut schedules: Vec<Schedule> = Vec::new();
+    let mut schedules: Vec<MatchRecord> = Vec::new();
     let mut stack: Vec<Frame> = Vec::new();
     // Untaken transitions across the whole stack; `- 1` of it is the
     // frontier (one of them is always the path being extended).
@@ -347,9 +274,7 @@ pub fn explore<'p>(
      -> bool {
         if state.finished() {
             stats.terminals += 1;
-            let schedule = Schedule {
-                decisions: state.match_record().into_decisions(),
-            };
+            let schedule = state.match_record();
             if seen.insert(schedule.id().0) {
                 schedules.push(schedule);
                 if schedules.len() >= config.max_schedules {
@@ -484,7 +409,7 @@ pub fn flush_explore_metrics(metrics: &MetricsRegistry, stats: &ExploreStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::engine::{simulate, simulate_replay};
     use crate::program::ProgramBuilder;
     use crate::types::{Tag, TagSpec};
 
@@ -622,8 +547,8 @@ mod tests {
         let p = message_race(5);
         let report = explore(&p, &ExploreConfig::default()).unwrap();
         for s in &report.schedules {
-            let t = simulate_scheduled(&p, &SimConfig::with_nd_percent(100.0, 7), s).unwrap();
-            assert_eq!(Schedule::from_trace(&t).id(), s.id());
+            let t = simulate_replay(&p, &SimConfig::with_nd_percent(100.0, 7), s).unwrap();
+            assert_eq!(MatchRecord::from_trace(&t).id(), s.id());
             t.validate().unwrap();
         }
     }
@@ -636,7 +561,7 @@ mod tests {
         for seed in 0..200u64 {
             let t = simulate(&p, &SimConfig::with_nd_percent(100.0, seed)).unwrap();
             assert!(
-                ids.contains(&Schedule::from_trace(&t).id().0),
+                ids.contains(&MatchRecord::from_trace(&t).id().0),
                 "seed {seed} sampled an unenumerated schedule"
             );
         }
@@ -681,8 +606,8 @@ mod tests {
         assert_eq!(pruned.schedules.len(), 6);
         assert_eq!(id_set(&pruned), id_set(&brute));
         for s in &pruned.schedules {
-            let t = simulate_scheduled(&p, &SimConfig::deterministic(), s).unwrap();
-            assert_eq!(Schedule::from_trace(&t).id(), s.id());
+            let t = simulate_replay(&p, &SimConfig::deterministic(), s).unwrap();
+            assert_eq!(MatchRecord::from_trace(&t).id(), s.id());
         }
     }
 

@@ -10,12 +10,27 @@
 //! A [`MatchRecord`] stores, for each rank and each receive (in program
 //! order), the `(source rank, channel sequence)` of the matched message.
 //! [`crate::engine::simulate_replay`] consults it when posting receives.
+//! The same table is the schedule explorer's unit: each distinct schedule
+//! [`crate::explore::explore`] enumerates is a `MatchRecord`, named by
+//! its [`ScheduleId`].
 
+use crate::explore::ScheduleId;
 use crate::trace::{EventKind, Trace, TraceEvent};
 use crate::types::{ChannelSeq, Rank};
 use serde::{Deserialize, Serialize};
 
-/// Recorded matching decisions of one run.
+/// splitmix64 — the same finalizer the network delay model seeds with;
+/// statistically strong enough for fingerprinting decision sequences.
+#[inline]
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Recorded matching decisions of one run: one complete resolution of a
+/// program's message races.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchRecord {
     /// `decisions[rank][post_ordinal]` is the matched `(src, seq)` of the
@@ -60,15 +75,26 @@ impl MatchRecord {
         MatchRecord { decisions }
     }
 
-    /// Build a record directly from decision vectors (the schedule
-    /// explorer's path from an enumerated schedule back into the engine).
-    pub(crate) fn from_decisions(decisions: Vec<Vec<Option<(Rank, ChannelSeq)>>>) -> Self {
-        MatchRecord { decisions }
-    }
-
-    /// The raw decision vectors (schedule fingerprinting).
-    pub(crate) fn into_decisions(self) -> Vec<Vec<Option<(Rank, ChannelSeq)>>> {
-        self.decisions
+    /// Canonical splitmix64 fingerprint over the rank-major decision
+    /// sequence (presence, source and channel position all mixed in).
+    /// Explored schedules and sampled traces meet on this:
+    /// `MatchRecord::from_trace(t).id()` is a member of the explored id
+    /// set iff the run `t` resolved its races in an enumerated way.
+    pub fn id(&self) -> ScheduleId {
+        let mut h: u64 = 0x5EED_5C4E_D01E_0001;
+        for rank_decisions in &self.decisions {
+            h = splitmix64(h ^ 0xA11C_E5ED ^ rank_decisions.len() as u64);
+            for d in rank_decisions {
+                match d {
+                    None => h = splitmix64(h ^ 0x7077),
+                    Some((src, seq)) => {
+                        h = splitmix64(h ^ 0xC0DE ^ (u64::from(src.0) << 1 | 1));
+                        h = splitmix64(h ^ seq.0.rotate_left(17));
+                    }
+                }
+            }
+        }
+        ScheduleId(h)
     }
 
     /// The decision for the receive posted `ordinal`-th by `rank`, if

@@ -8,7 +8,7 @@
 //! back to its own fingerprint, and sampled runs always land inside a
 //! complete explored set.
 
-use anacin_mpisim::explore::{explore, simulate_scheduled, ExploreConfig, Schedule};
+use anacin_mpisim::explore::{explore, ExploreConfig};
 use anacin_mpisim::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -127,9 +127,9 @@ proptest! {
         let report = explore(&p, &generous()).unwrap();
         prop_assert!(report.is_complete());
         for s in &report.schedules {
-            let t = simulate_scheduled(&p, &SimConfig::with_nd_percent(100.0, nd_seed), s)
+            let t = simulate_replay(&p, &SimConfig::with_nd_percent(100.0, nd_seed), s)
                 .unwrap_or_else(|e| panic!("seed {seed}: replay failed: {e}"));
-            prop_assert_eq!(Schedule::from_trace(&t).id(), s.id());
+            prop_assert_eq!(MatchRecord::from_trace(&t).id(), s.id());
         }
     }
 
@@ -145,7 +145,7 @@ proptest! {
         // oracle only constrains runs that complete.
         if let Ok(t) = simulate(&p, &SimConfig::with_nd_percent(100.0, sim_seed)) {
             prop_assert!(
-                ids.contains(&Schedule::from_trace(&t).id().0),
+                ids.contains(&MatchRecord::from_trace(&t).id().0),
                 "sampled schedule missing from a complete enumeration"
             );
         }

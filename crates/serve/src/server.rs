@@ -615,7 +615,7 @@ fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, Box<dyn std::erro
                 xcfg = xcfg.brute_force();
             }
             let result = run_campaign_with(config, ctx)?;
-            let xr = explore_campaign(config, &xcfg, ctx)?;
+            let xr = explore_campaign(config, &result.program, &xcfg, ctx)?;
             let m = NdMeasurement::from_campaign(campaign_label(config), &result);
             to_json(&RunWithExploreReport {
                 measurement: MeasurementReport::from(&m),

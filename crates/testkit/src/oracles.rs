@@ -183,7 +183,7 @@ pub fn oracle_schedule_exhaustiveness(
         let Ok(t) = simulate(p, &SimConfig::with_nd_percent(100.0, seed)) else {
             continue;
         };
-        let id = Schedule::from_trace(&t).id();
+        let id = MatchRecord::from_trace(&t).id();
         if !ids.contains(&id.0) {
             return Err(format!(
                 "seed {seed} realised schedule {id} missing from a complete \
@@ -196,9 +196,9 @@ pub fn oracle_schedule_exhaustiveness(
     // the real engine back to its own fingerprint.
     if let Some(s) = report.schedules.first() {
         let seed = seeds.first().copied().unwrap_or(1);
-        let t = simulate_scheduled(p, &SimConfig::with_nd_percent(100.0, seed), s)
+        let t = simulate_replay(p, &SimConfig::with_nd_percent(100.0, seed), s)
             .map_err(|e| format!("replaying an explored schedule failed: {e:?}"))?;
-        let rt = Schedule::from_trace(&t).id();
+        let rt = MatchRecord::from_trace(&t).id();
         if rt != s.id() {
             return Err(format!("explored schedule {} replayed to {rt}", s.id()));
         }

@@ -23,7 +23,7 @@ fn full_pipeline_race_to_root_cause() {
     for (t, id) in traces.iter().zip(&result.schedules) {
         t.validate().expect("traces are internally consistent");
         assert_eq!(t.meta.unmatched_messages, 0);
-        assert_eq!(Schedule::from_trace(t).id(), *id);
+        assert_eq!(MatchRecord::from_trace(t).id(), *id);
     }
     // 3. Measurement (stats).
     let m = NdMeasurement::from_campaign("race", &result);

@@ -91,7 +91,14 @@ fn nonblocking_pattern_walks_keep_their_counts() {
 #[test]
 fn explored_worst_case_bounds_a_thousand_samples() {
     let cfg = race_cfg();
-    let r = explore_campaign(&cfg, &ExploreConfig::default(), &RunCtx::default()).unwrap();
+    let program = cfg.pattern.build(&cfg.app);
+    let r = explore_campaign(
+        &cfg,
+        &program,
+        &ExploreConfig::default(),
+        &RunCtx::default(),
+    )
+    .unwrap();
     assert!(r.report.is_complete());
     let explored_ids: HashSet<u64> = r.report.schedules.iter().map(|s| s.id().0).collect();
     let explored_max = r.max_distance();
@@ -99,12 +106,11 @@ fn explored_worst_case_bounds_a_thousand_samples() {
 
     // Sample 1000 seeds; distances depend only on the realised schedule,
     // so one representative graph per distinct schedule suffices.
-    let program = cfg.pattern.build(&cfg.app);
     let mut reps: Vec<EventGraph> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
     for run in 0..1000u32 {
         let t = simulate(&program, &cfg.sim_config(run)).unwrap();
-        let id = Schedule::from_trace(&t).id().0;
+        let id = MatchRecord::from_trace(&t).id().0;
         assert!(
             explored_ids.contains(&id),
             "run {run} realised a schedule outside the complete enumeration"
@@ -126,8 +132,8 @@ fn explored_worst_case_bounds_a_thousand_samples() {
     );
 }
 
-/// `simulate_scheduled` is a pure function of `(program, config,
-/// schedule)`: repeated calls give byte-identical traces.
+/// Replaying an explored schedule is a pure function of `(program,
+/// config, schedule)`: repeated calls give byte-identical traces.
 #[test]
 fn scheduled_replay_is_bit_identical_across_repeats() {
     let cfg = race_cfg();
@@ -135,15 +141,15 @@ fn scheduled_replay_is_bit_identical_across_repeats() {
     let report = explore(&program, &ExploreConfig::default()).unwrap();
     let sc = cfg.sim_config(0);
     for s in report.schedules.iter().take(6) {
-        let a = simulate_scheduled(&program, &sc, s).unwrap();
-        let b = simulate_scheduled(&program, &sc, s).unwrap();
+        let a = simulate_replay(&program, &sc, s).unwrap();
+        let b = simulate_replay(&program, &sc, s).unwrap();
         assert_eq!(
             a.to_wire(),
             b.to_wire(),
             "schedule {} not bit-stable",
             s.id()
         );
-        assert_eq!(Schedule::from_trace(&a).id(), s.id());
+        assert_eq!(MatchRecord::from_trace(&a).id(), s.id());
     }
 }
 
@@ -160,7 +166,8 @@ fn explore_campaign_is_thread_invariant() {
             store: Some(&store),
             ..RunCtx::default()
         };
-        let r = explore_campaign(&c, &ExploreConfig::default(), &ctx).unwrap();
+        let program = c.pattern.build(&c.app);
+        let r = explore_campaign(&c, &program, &ExploreConfig::default(), &ctx).unwrap();
         let replays = stored_replays(&store, &r);
         let _ = std::fs::remove_dir_all(dir);
         (r, replays)
@@ -184,9 +191,10 @@ fn explored_traces_round_trip_through_the_store() {
         store: Some(&store),
         ..RunCtx::default()
     };
-    let cold = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
+    let program = cfg.pattern.build(&cfg.app);
+    let cold = explore_campaign(&cfg, &program, &ExploreConfig::default(), &ctx).unwrap();
     let before = store.activity();
-    let warm = explore_campaign(&cfg, &ExploreConfig::default(), &ctx).unwrap();
+    let warm = explore_campaign(&cfg, &program, &ExploreConfig::default(), &ctx).unwrap();
     assert!(
         store.activity().hits >= before.hits + cold.report.schedules.len() as u64,
         "warm exploration did not hit the store for every replay"
@@ -198,7 +206,7 @@ fn explored_traces_round_trip_through_the_store() {
         .report
         .schedules
         .iter()
-        .map(|s| simulate_scheduled(&cold.program, &sc, s).unwrap().to_wire())
+        .map(|s| simulate_replay(&program, &sc, s).unwrap().to_wire())
         .collect();
     assert_eq!(
         stored_replays(&store, &warm),

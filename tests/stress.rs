@@ -49,7 +49,7 @@ fn large_scale_campaign_and_kernels() {
     assert_eq!(result.matrix.len(), 10);
     // Replay still pins everything at this scale.
     let run0 = simulate(&result.program, &cfg.sim_config(0)).expect("run 0 simulates");
-    assert_eq!(Schedule::from_trace(&run0).id(), result.schedules[0]);
+    assert_eq!(MatchRecord::from_trace(&run0).id(), result.schedules[0]);
     let record = MatchRecord::from_trace(&run0);
     let replayed =
         simulate_replay(&result.program, &cfg.sim_config(99), &record).expect("replay completes");
