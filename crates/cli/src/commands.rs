@@ -199,6 +199,23 @@ fn pattern_of(args: &Args) -> Result<Pattern, String> {
         .map_err(|e| e.to_string())
 }
 
+/// The program of a single-run command: `--pattern`, `--procs` (default
+/// `procs`) and `--iterations` (default 1), built once.
+fn program_of(args: &Args, procs: u32) -> Result<(Pattern, MiniAppConfig, Program), String> {
+    let pattern = pattern_of(args)?;
+    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", procs)?);
+    app.iterations = args.get_parsed("iterations", 1u32)?;
+    let program = pattern.build(&app);
+    Ok((pattern, app, program))
+}
+
+/// One run of `program` at `--nd` (default 0) and `--seed` (default 1).
+fn single_trace(args: &Args, program: &Program) -> Result<Trace, String> {
+    let sim =
+        SimConfig::with_nd_percent(args.get_parsed("nd", 0.0)?, args.get_parsed("seed", 1u64)?);
+    simulate(program, &sim).map_err(|e| e.to_string())
+}
+
 fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
     let pattern = pattern_of(args)?;
     let procs: u32 = args.get_parsed("procs", 8)?;
@@ -518,10 +535,7 @@ struct ExploreStatsReport {
 fn cmd_explore(args: &Args) -> Result<(), String> {
     match args.positional.first().map(String::as_str) {
         Some("stats") => {
-            let pattern = pattern_of(args)?;
-            let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-            app.iterations = args.get_parsed("iterations", 1u32)?;
-            let program = pattern.build(&app);
+            let (pattern, app, program) = program_of(args, 4)?;
             let xcfg = explore_config_of(args)?;
             let metrics = metrics_of(args);
             let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r))
@@ -570,14 +584,8 @@ fn cmd_explore(args: &Args) -> Result<(), String> {
 }
 
 fn single_graph(args: &Args) -> Result<EventGraph, String> {
-    let pattern = pattern_of(args)?;
-    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    app.iterations = args.get_parsed("iterations", 1u32)?;
-    let program = pattern.build(&app);
-    let sim =
-        SimConfig::with_nd_percent(args.get_parsed("nd", 0.0)?, args.get_parsed("seed", 1u64)?);
-    let t = simulate(&program, &sim).map_err(|e| e.to_string())?;
-    Ok(EventGraph::from_trace(&t))
+    let (_, _, program) = program_of(args, 4)?;
+    Ok(EventGraph::from_trace(&single_trace(args, &program)?))
 }
 
 fn write_out(args: &Args, content: &str) -> Result<(), String> {
@@ -609,9 +617,7 @@ fn cmd_graph(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_distance(args: &Args) -> Result<(), String> {
-    let pattern = pattern_of(args)?;
-    let app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    let program = pattern.build(&app);
+    let (_, _, program) = program_of(args, 4)?;
     let nd = args.get_parsed("nd", 100.0)?;
     let seed_a = args.get_parsed("seed-a", 1u64)?;
     let seed_b = args.get_parsed("seed-b", 2u64)?;
@@ -955,9 +961,7 @@ fn cmd_root_cause(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
-    let pattern = pattern_of(args)?;
-    let app = MiniAppConfig::with_procs(args.get_parsed("procs", 6)?);
-    let program = pattern.build(&app);
+    let (_, _, program) = program_of(args, 6)?;
     let seed = args.get_parsed("seed", 1u64)?;
     let recorded =
         simulate(&program, &SimConfig::with_nd_percent(100.0, seed)).map_err(|e| e.to_string())?;
@@ -1131,10 +1135,7 @@ fn cmd_embed(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &Args) -> Result<(), String> {
-    let pattern = pattern_of(args)?;
-    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    app.iterations = args.get_parsed("iterations", 1u32)?;
-    let program = pattern.build(&app);
+    let (_, _, program) = program_of(args, 4)?;
     let nd = args.get_parsed("nd", 100.0)?;
     let seed_a = args.get_parsed("seed-a", 1u64)?;
     let seed_b = args.get_parsed("seed-b", 2u64)?;
@@ -1255,10 +1256,7 @@ fn cmd_exercise(args: &Args) -> Result<(), String> {
 
 fn cmd_inspect(args: &Args) -> Result<(), String> {
     // Static checks first: surface the diagnostics a student would want.
-    let pattern = pattern_of(args)?;
-    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    app.iterations = args.get_parsed("iterations", 1u32)?;
-    let program = pattern.build(&app);
+    let (_, _, program) = program_of(args, 4)?;
     match program.check_balance() {
         Ok(()) => println!("static balance check: ok"),
         Err(e) => println!("static balance check: {e}"),
@@ -1267,7 +1265,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         Ok(()) => println!("static request check: ok"),
         Err(e) => println!("static request check: {e}"),
     }
-    let g = single_graph(args)?;
+    let g = EventGraph::from_trace(&single_trace(args, &program)?);
     let stats = anacin_event_graph::stats::GraphStats::of(&g);
     print!("{}", stats.render());
     if let Some((src, dst, m)) = stats.hottest_channel() {
@@ -1286,13 +1284,8 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_timeline(args: &Args) -> Result<(), String> {
-    let pattern = pattern_of(args)?;
-    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    app.iterations = args.get_parsed("iterations", 1u32)?;
-    let program = pattern.build(&app);
-    let sim =
-        SimConfig::with_nd_percent(args.get_parsed("nd", 0.0)?, args.get_parsed("seed", 1u64)?);
-    let trace = simulate(&program, &sim).map_err(|e| e.to_string())?;
+    let (pattern, _, program) = program_of(args, 4)?;
+    let trace = single_trace(args, &program)?;
     let tl = anacin_mpisim::timeline::Timeline::of(&trace);
     print!("{}", anacin_viz::gantt::gantt_ascii(&tl, 64));
     print!("{}", anacin_viz::gantt::time_breakdown(&tl));
@@ -1319,13 +1312,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         print!("{summary}");
         return Ok(());
     }
-    let pattern = pattern_of(args)?;
-    let mut app = MiniAppConfig::with_procs(args.get_parsed("procs", 4)?);
-    app.iterations = args.get_parsed("iterations", 1u32)?;
-    let program = pattern.build(&app);
-    let sim =
-        SimConfig::with_nd_percent(args.get_parsed("nd", 0.0)?, args.get_parsed("seed", 1u64)?);
-    let trace = simulate(&program, &sim).map_err(|e| e.to_string())?;
+    let (_, _, program) = program_of(args, 4)?;
+    let trace = single_trace(args, &program)?;
     let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
     write_out(args, &json)
 }
@@ -1574,9 +1562,7 @@ fn folded_view_summary(data: &str) -> Result<String, String> {
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {
-    let pattern = pattern_of(args)?;
-    let app = MiniAppConfig::with_procs(args.get_parsed("procs", 6)?);
-    let program = pattern.build(&app);
+    let (_, _, program) = program_of(args, 6)?;
     let seed = args.get_parsed("seed", 1u64)?;
     let nd = args.get_parsed("nd", 100.0)?;
     let trace =

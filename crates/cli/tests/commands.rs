@@ -257,16 +257,18 @@ fn replay_and_record_roundtrip() {
     let dir = std::env::temp_dir().join("anacin_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let rec = dir.join("rec.json");
-    run(&[
-        "record",
-        "--pattern",
-        "race",
-        "--procs",
-        "5",
-        "--out",
-        rec.to_str().unwrap(),
-    ])
-    .unwrap();
+    let record = |extra: &[&str]| {
+        let base = ["record", "--pattern", "race", "--procs", "5"];
+        let out = ["--out", rec.to_str().unwrap()];
+        run(&[&base[..], extra, &out[..]].concat()).unwrap();
+        let data = std::fs::read_to_string(&rec).unwrap();
+        serde_json::from_str::<anacin_mpisim::replay::MatchRecord>(&data)
+            .unwrap()
+            .total()
+    };
+    // `--iterations` reaches the recorded program: twice the receives.
+    let twice = record(&["--iterations", "2"]);
+    assert_eq!(twice, 2 * record(&[]));
     run(&[
         "replay",
         "--pattern",
