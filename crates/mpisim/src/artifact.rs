@@ -3,7 +3,7 @@
 //!
 //! Lives in this crate (not `crates/store`) because trace assembly is
 //! `pub(crate)`: the decoder rebuilds a [`Trace`] through
-//! [`Trace::new`], and the call-stack table through its public interning
+//! `Trace::new`, and the call-stack table through its public interning
 //! API — ids are assigned densely in interning order, so re-interning the
 //! stored paths in table order reproduces every id exactly.
 //!

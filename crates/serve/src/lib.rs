@@ -15,7 +15,7 @@
 //!   store, streaming progress, graceful drain.
 //! - [`client`] — a small synchronous client used by `anacin client`
 //!   and the tests.
-//! - [`bench`] — submit→result latency measurement for
+//! - [`bench`](mod@bench) — submit→result latency measurement for
 //!   `anacin bench baseline`.
 //!
 //! The load-bearing invariant: a job's `Result` payload is

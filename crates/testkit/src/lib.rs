@@ -20,9 +20,9 @@
 //! assert!(summary.validation.messages > 0);
 //! ```
 //!
-//! The property suites drive [`check_seed`] across hundreds of seeds; the
-//! CLI exposes the same entry points as `anacin testkit gen` and
-//! `anacin testkit check`.
+//! The property suites drive [`check_seed`](oracles::check_seed)
+//! across hundreds of seeds; the CLI exposes the same entry points as
+//! `anacin testkit gen` and `anacin testkit check`.
 
 #![warn(missing_docs)]
 
