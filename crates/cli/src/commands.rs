@@ -963,9 +963,10 @@ fn cmd_root_cause(args: &Args) -> Result<(), String> {
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let (_, _, program) = program_of(args, 6)?;
     let seed = args.get_parsed("seed", 1u64)?;
-    let recorded =
-        simulate(&program, &SimConfig::with_nd_percent(100.0, seed)).map_err(|e| e.to_string())?;
-    let record = match args.get("record") {
+    // The reference run: with `--record`, the loaded record replayed at
+    // `--seed` (the seed it was recorded at is unknown); otherwise a free
+    // run at `--seed` and the record read off it.
+    let (recorded, record) = match args.get("record") {
         Some(path) => {
             let data = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             let rec: MatchRecord = serde_json::from_str(&data).map_err(|e| e.to_string())?;
@@ -973,14 +974,42 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
                 "loaded match record from {path} ({} decisions)",
                 rec.total()
             );
-            rec
+            let posts: Vec<usize> = (0..program.world_size())
+                .map(|r| {
+                    program
+                        .ops(Rank(r))
+                        .iter()
+                        .filter(|op| op.is_receive())
+                        .count()
+                })
+                .collect();
+            let shape = rec.shape();
+            if shape != posts {
+                return Err(format!(
+                    "match record {path} does not fit the program: the record has {} rank(s) \
+                     with {shape:?} decision(s), the program {} rank(s) posting {posts:?} \
+                     receive(s)",
+                    shape.len(),
+                    posts.len()
+                ));
+            }
+            let replayed =
+                simulate_replay(&program, &SimConfig::with_nd_percent(100.0, seed), &rec)
+                    .map_err(|e| e.to_string())?;
+            println!("reference run: the record replayed at seed {seed}");
+            (replayed, rec)
         }
-        None => MatchRecord::from_trace(&recorded),
+        None => {
+            let recorded = simulate(&program, &SimConfig::with_nd_percent(100.0, seed))
+                .map_err(|e| e.to_string())?;
+            let rec = MatchRecord::from_trace(&recorded);
+            println!(
+                "recorded run (seed {seed}): {} receive decisions captured",
+                rec.total()
+            );
+            (recorded, rec)
+        }
     };
-    println!(
-        "recorded run (seed {seed}): {} receive decisions captured",
-        record.total()
-    );
     let k = WlKernel::default();
     let g_rec = EventGraph::from_trace(&recorded);
     let mut max_free = 0.0f64;

@@ -279,10 +279,45 @@ fn replay_and_record_roundtrip() {
         rec.to_str().unwrap(),
     ])
     .unwrap();
-    std::fs::remove_file(rec).ok();
+    std::fs::remove_file(&rec).ok();
     assert!(run(&["record", "--pattern", "race"])
         .unwrap_err()
         .contains("--out"));
+
+    // A correct record pins every replay to its own schedule, whatever
+    // `--seed` is: the reference run is the record replayed, not a free
+    // run at `--seed`, and no line claims the seed it was recorded at.
+    let rec6 = dir.join("rec-race6-seed3.json");
+    let rec6 = rec6.to_str().unwrap();
+    let base = ["--pattern", "race", "--procs", "6"];
+    run(&[&["record"], &base[..], &["--seed", "3", "--out", rec6]].concat()).unwrap();
+    for seed in ["1", "3"] {
+        let args = [&["replay"], &base[..], &["--record", rec6, "--seed", seed]].concat();
+        let (code, stdout, stderr) = anacin(&args);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(
+            stdout.contains("max replayed distance 0.0000"),
+            "seed {seed}: {stdout}"
+        );
+        assert!(!stdout.contains("recorded run (seed"), "{stdout}");
+    }
+    std::fs::remove_file(rec6).ok();
+
+    // A 5-rank record does not fit a 6-rank program: an error naming both
+    // shapes, before any run.
+    let rec5 = dir.join("rec-race5.json");
+    let rec5 = rec5.to_str().unwrap();
+    run(&["record", "--pattern", "race", "--procs", "5", "--out", rec5]).unwrap();
+    let (code, stdout, stderr) = anacin(&[&["replay"], &base[..], &["--record", rec5]].concat());
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(
+        stderr.contains("5 rank(s) with [4, 0, 0, 0, 0]")
+            && stderr.contains("6 rank(s) posting [5, 0, 0, 0, 0, 0]"),
+        "{stderr}"
+    );
+    assert!(!stdout.contains("distance"), "{stdout}");
+    std::fs::remove_file(rec5).ok();
 }
 
 #[test]

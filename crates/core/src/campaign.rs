@@ -29,9 +29,10 @@ use std::fmt;
 /// measurement.
 #[derive(Clone, Copy, Default)]
 pub struct RunCtx<'a> {
-    /// Stage spans (`build`, `campaign`, `campaign/gram`, and the per-run
-    /// worker spans `run/simulate`, `run/graph`, `run/features`) plus
-    /// simulator, graph, kernel and campaign counters.
+    /// Stage spans (`build`, `campaign`, `campaign/gram`, `campaign/sync`
+    /// with a store, and the per-run worker spans `run/simulate`,
+    /// `run/graph`, `run/features`) plus simulator, graph, kernel and
+    /// campaign counters.
     pub metrics: Option<&'a MetricsRegistry>,
     /// Receives every run's simulated-time events, tagged with its run
     /// index, once the run's trace exists (simulated or read from the
@@ -48,7 +49,9 @@ pub struct RunCtx<'a> {
     /// Read-through cache for every run's trace, event graph and feature
     /// vector and for the exact Gram matrix: each artifact is looked up
     /// before it is computed and published after, so an interrupted
-    /// campaign resumes warm. See [`crate::incremental`] for the keys.
+    /// campaign resumes warm. Whatever the call published is flushed to
+    /// stable storage, once, before it returns (also when it fails or is
+    /// cancelled). See [`crate::incremental`] for the keys.
     pub store: Option<&'a ArtifactStore>,
 }
 

@@ -82,8 +82,14 @@ pub(crate) fn build_program(config: &CampaignConfig, ctx: &RunCtx) -> Program {
 
 /// Run `plan` over `program`, calling `per_run` on each run's trace and
 /// graph inside its worker. Records the `campaign` span (with
-/// `campaign/gram` under it) on the calling thread and the per-run
-/// `run/simulate`, `run/graph` and `run/features` spans on the workers.
+/// `campaign/gram` and, with a store, `campaign/sync` under it) on the
+/// calling thread and the per-run `run/simulate`, `run/graph` and
+/// `run/features` spans on the workers.
+///
+/// With a store, the campaign ends with its one durability barrier
+/// ([`ArtifactStore::sync`]) on every path: a cancelled or failed
+/// campaign has still published the runs it finished, and a fully warm
+/// one published nothing and flushes nothing.
 pub(crate) fn run<S: Send>(
     config: &CampaignConfig,
     program: &Program,
@@ -101,35 +107,14 @@ pub(crate) fn run<S: Send>(
         plan: &plan,
         per_run,
     };
-    let runs = engine.runs()?;
-    if ctx.cancel.is_some_and(|c| c.is_cancelled()) {
-        return Err(CampaignError::Cancelled {
-            completed_runs: runs.len() as u32,
-        });
-    }
-    let (mut per_run, mut feats) = (Vec::new(), Vec::new());
-    let (mut total_events, mut total_nodes) = (0, 0);
-    for r in runs {
-        total_events += r.events;
-        total_nodes += r.nodes;
-        per_run.push(r.summary);
-        feats.push(r.features);
-    }
-    let matrix = {
-        let _s = ctx.metrics.map(|m| m.span("gram"));
-        engine.gram(&feats)?
-    };
-    if let (Some(m), Source::Seeded) = (ctx.metrics, plan.source) {
-        m.counter("campaign/runs").add(config.runs as u64);
-        let nan = anacin_stats::nan_count(&matrix.pairwise_distances());
-        m.counter("stats/nan_distances").add(nan as u64);
-    }
-    Ok(Output {
-        per_run,
-        matrix,
-        total_events,
-        total_nodes,
-    })
+    let out = engine.output();
+    let synced = ctx.store.map_or(Ok(()), |store| {
+        let _s = ctx.metrics.map(|m| m.span("sync"));
+        store.sync()
+    });
+    let out = out?;
+    synced?;
+    Ok(out)
 }
 
 struct Engine<'a, S> {
@@ -142,6 +127,40 @@ struct Engine<'a, S> {
 }
 
 impl<S: Send> Engine<'_, S> {
+    /// Every run, then the Gram stage.
+    fn output(&self) -> Result<Output<S>, CampaignError> {
+        let (config, metrics) = (self.config, self.ctx.metrics);
+        let runs = self.runs()?;
+        if self.ctx.cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(CampaignError::Cancelled {
+                completed_runs: runs.len() as u32,
+            });
+        }
+        let (mut per_run, mut feats) = (Vec::new(), Vec::new());
+        let (mut total_events, mut total_nodes) = (0, 0);
+        for r in runs {
+            total_events += r.events;
+            total_nodes += r.nodes;
+            per_run.push(r.summary);
+            feats.push(r.features);
+        }
+        let matrix = {
+            let _s = metrics.map(|m| m.span("gram"));
+            self.gram(&feats)?
+        };
+        if let (Some(m), Source::Seeded) = (metrics, self.plan.source) {
+            m.counter("campaign/runs").add(config.runs as u64);
+            let nan = anacin_stats::nan_count(&matrix.pairwise_distances());
+            m.counter("stats/nan_distances").add(nan as u64);
+        }
+        Ok(Output {
+            per_run,
+            matrix,
+            total_events,
+            total_nodes,
+        })
+    }
+
     fn len(&self) -> usize {
         match self.plan.source {
             Source::Seeded => self.config.runs as usize,

@@ -4,8 +4,8 @@
 //! or `(source label, edge kind, target label)` triples (edge histogram).
 //! They serve as the ablation baselines: histograms are multiset-blind to
 //! *where* a label occurs, so they under-report non-determinism that only
-//! reorders communication — the WL kernel's advantage, demonstrated in the
-//! `ablation_kernels` bench.
+//! reorders communication — the WL kernel's advantage, demonstrated by
+//! `anacin ablation` (EXPERIMENTS.md, "Kernel ablation").
 
 use crate::feature::SparseFeatures;
 use crate::kernel::GraphKernel;

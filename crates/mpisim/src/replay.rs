@@ -107,20 +107,18 @@ impl MatchRecord {
             .flatten()
     }
 
-    /// Number of recorded receives on `rank`.
-    pub fn recv_count(&self, rank: Rank) -> usize {
+    /// Recorded receives per rank, in rank order. A record fits a program
+    /// with as many ranks, each posting as many receives.
+    pub fn shape(&self) -> Vec<usize> {
         self.decisions
-            .get(rank.index())
-            .map(|v| v.iter().filter(|d| d.is_some()).count())
-            .unwrap_or(0)
+            .iter()
+            .map(|v| v.iter().flatten().count())
+            .collect()
     }
 
     /// Total recorded receives.
     pub fn total(&self) -> usize {
-        self.decisions
-            .iter()
-            .map(|v| v.iter().filter(|d| d.is_some()).count())
-            .sum()
+        self.shape().iter().sum()
     }
 }
 
@@ -147,7 +145,7 @@ mod tests {
         let p = message_race(5);
         let t = simulate(&p, &SimConfig::with_nd_percent(100.0, 1)).unwrap();
         let rec = MatchRecord::from_trace(&t);
-        assert_eq!(rec.recv_count(Rank(0)), 4);
+        assert_eq!(rec.shape(), [4, 0, 0, 0, 0]);
         assert_eq!(rec.total(), 4);
         assert_eq!(
             rec.matched(Rank(0), 0).unwrap().0,

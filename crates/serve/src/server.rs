@@ -3,8 +3,9 @@
 //!
 //! Thread shape (all plain `std::thread`, no async runtime):
 //!
-//! - one **accept** thread polling the listener (non-blocking, so a
-//!   drain request is noticed within ~25 ms);
+//! - one **accept** thread blocked on the listener, so a client is
+//!   accepted the moment it connects; a drain wakes it by connecting to
+//!   the listener's own address;
 //! - one **reader** thread per connection, decoding frames and admitting
 //!   or cancelling jobs in the job table;
 //! - `workers` **worker** threads claiming jobs from the table and
@@ -37,7 +38,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -160,17 +161,36 @@ enum Listener {
 
 impl Listener {
     fn accept(&self) -> io::Result<Stream> {
-        let stream = match self {
-            Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s))?,
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s))?,
-        };
-        // The listener polls non-blocking; accepted connections must
-        // block (readers park in read_frame between requests).
-        match &stream {
-            Stream::Unix(s) => s.set_nonblocking(false)?,
-            Stream::Tcp(s) => s.set_nonblocking(false)?,
+        match self {
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         }
-        Ok(stream)
+    }
+}
+
+/// Where a connection reaches a daemon's listener.
+enum Address {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl Address {
+    fn tcp(&self) -> Option<SocketAddr> {
+        match self {
+            Address::Tcp(addr) => Some(*addr),
+            Address::Unix(_) => None,
+        }
+    }
+
+    /// Connect and hang up at once: how [`ServerHandle::drain`] wakes the
+    /// accept thread blocked on this address, which then sees the closed
+    /// job table. False when nobody can reach the listener (say, its
+    /// socket file was removed).
+    fn knock(&self) -> bool {
+        match self {
+            Address::Unix(path) => UnixStream::connect(path).is_ok(),
+            Address::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+        }
     }
 }
 
@@ -201,7 +221,7 @@ struct Shared {
 pub struct Server {
     listener: Listener,
     cfg: ServerConfig,
-    addr: Option<SocketAddr>,
+    addr: Address,
 }
 
 impl Server {
@@ -211,11 +231,10 @@ impl Server {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
-            listener: Listener::Unix(listener, path),
+            listener: Listener::Unix(listener, path.clone()),
             cfg,
-            addr: None,
+            addr: Address::Unix(path),
         })
     }
 
@@ -223,18 +242,17 @@ impl Server {
     /// (read it back with [`Server::local_addr`]).
     pub fn bind_tcp(addr: &str, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Server {
             listener: Listener::Tcp(listener),
             cfg,
-            addr: Some(addr),
+            addr: Address::Tcp(addr),
         })
     }
 
     /// The bound TCP address (`None` for Unix sockets).
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.addr
+        self.addr.tcp()
     }
 
     /// Start the accept loop and worker pool.
@@ -289,6 +307,7 @@ impl Server {
             accept: Some(accept),
             workers,
             addr,
+            woken: AtomicBool::new(false),
         }
     }
 }
@@ -299,13 +318,15 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
-    addr: Option<SocketAddr>,
+    addr: Address,
+    /// A drain's wake-up connection reached the listener.
+    woken: AtomicBool,
 }
 
 impl ServerHandle {
     /// The bound TCP address (`None` for Unix sockets).
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.addr
+        self.addr.tcp()
     }
 
     /// A point-in-time snapshot of the server registry (`serve/*`
@@ -314,19 +335,26 @@ impl ServerHandle {
         self.shared.reg.report()
     }
 
-    /// Begin a graceful drain: refuse new submits with `Busy`.
-    /// Everything already queued or running still finishes and delivers
-    /// its `Result`.
+    /// Begin a graceful drain: refuse new submits with `Busy`, and stop
+    /// accepting connections. Everything already queued or running still
+    /// finishes and delivers its `Result`.
     pub fn drain(&self) {
         self.shared.jobs.close();
+        if !self.woken.load(Ordering::SeqCst) {
+            self.woken.fetch_or(self.addr.knock(), Ordering::SeqCst);
+        }
     }
 
     /// Drain and wait for the accept loop and every worker to finish,
-    /// returning the final metrics snapshot.
+    /// returning the final metrics snapshot. An accept thread the drain
+    /// could not reach (its socket file was removed) can accept nobody,
+    /// and is left behind rather than waited for.
     pub fn join(mut self) -> MetricsReport {
         self.drain();
         if let Some(a) = self.accept.take() {
-            let _ = a.join();
+            if self.woken.load(Ordering::SeqCst) {
+                let _ = a.join();
+            }
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -336,8 +364,14 @@ impl ServerHandle {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
-    while !shared.jobs.is_closed() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The first connection after a drain, its own wake-up or a late
+        // client, ends the loop unserved.
+        if shared.jobs.is_closed() {
+            break;
+        }
+        match accepted {
             Ok(stream) => {
                 let client = shared.next_client.fetch_add(1, Ordering::Relaxed);
                 let sh = Arc::clone(shared);
@@ -349,9 +383,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
                     // sees EOF and can retry.
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
+            // A failing accept (say, out of file descriptors) fails again
+            // at once; back off instead of spinning.
             Err(_) => thread::sleep(Duration::from_millis(25)),
         }
     }

@@ -127,9 +127,10 @@ fn single_job_client_is_not_starved_by_a_burst() {
             std::thread::spawn(move || {
                 let mut alice = connect(&dir, "alice");
                 for id in 0..burst {
-                    // Distinct seeds: every burst job is cold work.
+                    // Distinct seeds: every burst job is cold work, long
+                    // enough that the burst outlasts bob's connect and submit.
                     let cfg = CampaignConfig::new(Pattern::UnstructuredMesh, 16)
-                        .runs(6)
+                        .runs(24)
                         .base_seed(100 + id);
                     alice
                         .submit(id, JobSpec::Campaign { config: cfg })
@@ -143,8 +144,10 @@ fn single_job_client_is_not_starved_by_a_burst() {
                 finished
             })
         };
-        // Give alice's burst a head start in the queue, then submit one job.
-        std::thread::sleep(Duration::from_millis(10));
+        // Once alice's whole burst is in the queue, submit one job.
+        while handle.metrics().counter("serve/jobs_admitted").unwrap_or(0) < burst {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut bob = connect(&dir, "bob");
         let cfg = CampaignConfig::new(Pattern::UnstructuredMesh, 16)
             .runs(6)
@@ -398,6 +401,47 @@ fn drain_delivers_admitted_jobs_and_refuses_new_ones() {
         }
         let report = handle.join();
         assert_eq!(report.counter("serve/jobs_completed"), Some(1));
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// The accept thread blocks on the listener; a drain wakes it by
+/// connecting to the socket, so an idle daemon joins at once and leaves
+/// no socket file behind.
+#[test]
+fn idle_unix_daemon_joins() {
+    within(|| {
+        let (dir, handle) = start("idle-unix", |c| c.workers(1));
+        handle.join();
+        assert!(!dir.join("serve.sock").exists(), "socket file left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// Over TCP the drain's wake-up connects to the listener's bound address.
+#[test]
+fn idle_tcp_daemon_joins() {
+    within(|| {
+        let dir = scratch("idle-tcp");
+        let handle = Server::bind_tcp(
+            "127.0.0.1:0",
+            ServerConfig::new(dir.join("store")).workers(1),
+        )
+        .expect("bind tcp")
+        .spawn();
+        handle.join();
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// With its socket file removed nobody can reach the listener, the drain
+/// included; `join` leaves the unreachable accept thread and returns.
+#[test]
+fn daemon_whose_socket_file_was_removed_still_joins() {
+    within(|| {
+        let (dir, handle) = start("unlinked", |c| c.workers(1));
+        std::fs::remove_file(dir.join("serve.sock")).expect("remove socket file");
+        handle.join();
         std::fs::remove_dir_all(&dir).ok();
     });
 }

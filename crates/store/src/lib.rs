@@ -21,9 +21,13 @@
 //! * [`Artifact`] + the wire module — compact, bit-deterministic binary
 //!   codecs that domain crates implement for their own types.
 //! * [`ArtifactStore`] — the sharded on-disk store: atomic publish
-//!   (temp + fsync + rename), checksum footers, schema-version
+//!   (temp file + rename) made durable by one filesystem barrier per
+//!   campaign ([`ArtifactStore::sync`]), checksum footers, schema-version
 //!   invalidation, byte-budget GC, and activity counters that mirror
-//!   into `crates/obs`.
+//!   into `crates/obs`. A killed process leaves whole artifacts or none;
+//!   a power loss mid-campaign can leave empty or torn files, which read
+//!   as misses or corrupt and are recomputed by the next campaign that
+//!   needs them.
 //!
 //! ```
 //! use anacin_store::{ArtifactStore, DistanceSample, Fingerprint};

@@ -29,8 +29,21 @@
 //!
 //! A wrong magic/format/kind or checksum mismatch is **corruption**
 //! ([`StoreError::Corrupt`]); a schema mismatch is a clean **miss**
-//! (old artifacts are invalidated, not errors). Publication is atomic:
-//! write to a temp file in the same directory, fsync, rename.
+//! (old artifacts are invalidated, not errors).
+//!
+//! ## Durability
+//!
+//! Publication is atomic: write to a temp file in the same directory,
+//! then rename it over the artifact's path. Concurrent readers and a
+//! killed process therefore see a whole artifact or none. Durability is
+//! paid once per batch, not per file: [`ArtifactStore::sync`] flushes
+//! everything the handle published since its last call with one
+//! filesystem barrier (`syncfs` on the root), and the campaign engine
+//! calls it once before a campaign returns. A power loss *before* that
+//! barrier can leave a renamed file empty or torn; it reads as a miss or
+//! as [`StoreError::Corrupt`], and the campaign that next needs it
+//! recomputes and republishes it, since every artifact is a pure function
+//! of its key.
 //!
 //! ## Concurrency
 //!
@@ -47,9 +60,9 @@ use anacin_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
@@ -132,6 +145,7 @@ struct Activity {
     corrupt: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
+    syncs: AtomicU64,
 }
 
 /// obs counter handles, created once at [`ArtifactStore::attach_metrics`].
@@ -142,6 +156,7 @@ struct ObsCounters {
     corrupt: Counter,
     bytes_read: Counter,
     bytes_written: Counter,
+    syncs: Counter,
 }
 
 /// A point-in-time snapshot of store activity counters.
@@ -159,6 +174,8 @@ pub struct ActivitySnapshot {
     pub bytes_read: u64,
     /// Frame bytes written to disk.
     pub bytes_written: u64,
+    /// Durability barriers issued by [`ArtifactStore::sync`].
+    pub syncs: u64,
 }
 
 /// On-disk usage summary from [`ArtifactStore::stats`].
@@ -202,6 +219,10 @@ pub struct ArtifactStore {
     root: PathBuf,
     activity: Activity,
     obs: Mutex<Option<ObsCounters>>,
+    /// Set by every publication, cleared by [`ArtifactStore::sync`]. The
+    /// store after a rename (`Release`) pairs with the swap in `sync`
+    /// (`Acquire`): a barrier that sees the flag starts after that rename.
+    unsynced: AtomicBool,
 }
 
 /// Sequence number of the next temp file, shared by every handle in the
@@ -227,6 +248,7 @@ impl ArtifactStore {
             root,
             activity: Activity::default(),
             obs: Mutex::new(None),
+            unsynced: AtomicBool::new(false),
         })
     }
 
@@ -269,6 +291,7 @@ impl ArtifactStore {
             corrupt: m.counter("store/corrupt"),
             bytes_read: m.counter("store/bytes_read"),
             bytes_written: m.counter("store/bytes_written"),
+            syncs: m.counter("store/syncs"),
         };
         let snap = self.activity();
         c.hits.add(snap.hits);
@@ -277,6 +300,7 @@ impl ArtifactStore {
         c.corrupt.add(snap.corrupt);
         c.bytes_read.add(snap.bytes_read);
         c.bytes_written.add(snap.bytes_written);
+        c.syncs.add(snap.syncs);
         *self.obs.lock().expect("obs slot poisoned") = Some(c);
     }
 
@@ -290,6 +314,7 @@ impl ArtifactStore {
             corrupt: a.corrupt.load(Ordering::Relaxed),
             bytes_read: a.bytes_read.load(Ordering::Relaxed),
             bytes_written: a.bytes_written.load(Ordering::Relaxed),
+            syncs: a.syncs.load(Ordering::Relaxed),
         }
     }
 
@@ -304,6 +329,7 @@ impl ArtifactStore {
 
     /// Publish an artifact under `fp`. Atomic: concurrent readers see
     /// either the previous state or the complete new file, never a tear.
+    /// Durable once [`ArtifactStore::sync`] returns.
     pub fn put<A: Artifact>(&self, fp: Fingerprint, value: &A) -> Result<(), StoreError> {
         self.put_bytes(fp, A::KIND, &value.to_wire())
     }
@@ -318,7 +344,8 @@ impl ArtifactStore {
         }
     }
 
-    /// Publish raw payload bytes under `(fp, kind)`.
+    /// Publish raw payload bytes under `(fp, kind)`: temp file, then
+    /// rename. Nothing is flushed here; see [`ArtifactStore::sync`].
     pub fn put_bytes(
         &self,
         fp: Fingerprint,
@@ -340,18 +367,12 @@ impl ArtifactStore {
         // The final rename is atomic and idempotent because
         // content-addressed bytes are identical.
         let tmp = self.temp_path(fp, kind);
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&frame)?;
-        f.sync_all()?;
-        drop(f);
+        fs::write(&tmp, &frame)?;
         if let Err(e) = fs::rename(&tmp, &path) {
             let _ = fs::remove_file(&tmp);
             return Err(e.into());
         }
-        // Best-effort directory durability; not all platforms support it.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        self.unsynced.store(true, Ordering::Release);
 
         self.bump(|a| &a.puts, |c| &c.puts, 1);
         self.bump(
@@ -359,6 +380,24 @@ impl ArtifactStore {
             |c| &c.bytes_written,
             frame.len() as u64,
         );
+        Ok(())
+    }
+
+    /// Make everything this handle published since the last call
+    /// durable, with one filesystem barrier on the store root: it covers
+    /// the file data, the renames and any new shard directories alike
+    /// (and anything else dirty on that filesystem). Does nothing when
+    /// nothing was published. A failed flush is [`StoreError::Io`] and
+    /// is retried by the next call.
+    pub fn sync(&self) -> Result<(), StoreError> {
+        if !self.unsynced.swap(false, Ordering::AcqRel) {
+            return Ok(());
+        }
+        if let Err(e) = barrier::flush(&self.root) {
+            self.unsynced.store(true, Ordering::Release);
+            return Err(e.into());
+        }
+        self.bump(|a| &a.syncs, |c| &c.syncs, 1);
         Ok(())
     }
 
@@ -505,6 +544,62 @@ impl ArtifactStore {
             excess = excess.saturating_sub(len);
         }
         Ok(report)
+    }
+}
+
+/// The filesystem barrier behind [`ArtifactStore::sync`].
+mod barrier {
+    use std::io;
+    use std::path::Path;
+
+    /// `syncfs(2)`: flush every dirty page and metadata update of the
+    /// filesystem holding `root`.
+    #[cfg(target_os = "linux")]
+    pub fn flush(root: &Path) -> io::Result<()> {
+        use std::os::fd::AsRawFd;
+        // std already links libc; declaring the one symbol needed avoids
+        // a dependency on the libc crate.
+        extern "C" {
+            fn syncfs(fd: i32) -> i32;
+        }
+        let dir = std::fs::File::open(root)?;
+        // SAFETY: `dir` stays open for the whole call, so the descriptor
+        // is valid; `syncfs` reads and writes no memory of this process.
+        if unsafe { syncfs(dir.as_raw_fd()) } == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+
+    /// Without `syncfs`, POSIX `sync(2)` flushes every filesystem, this
+    /// one included.
+    #[cfg(all(unix, not(target_os = "linux")))]
+    pub fn flush(_root: &Path) -> io::Result<()> {
+        extern "C" {
+            fn sync();
+        }
+        // SAFETY: `sync` takes no arguments and touches no memory of this
+        // process.
+        unsafe { sync() };
+        Ok(())
+    }
+
+    /// Elsewhere, flush every file under `root`, one at a time.
+    #[cfg(not(unix))]
+    pub fn flush(root: &Path) -> io::Result<()> {
+        for entry in std::fs::read_dir(root)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                flush(&path)?;
+            } else {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)?
+                    .sync_all()?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -844,6 +939,38 @@ mod tests {
         assert_eq!(r.counter("store/puts"), Some(1));
         assert_eq!(r.counter("store/hits"), Some(2));
         assert!(r.counter("store/bytes_written").unwrap() > 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn sync_flushes_once_per_batch_of_publications() {
+        let root = tmp_root("sync");
+        let store = ArtifactStore::open(&root).unwrap();
+        let m = MetricsRegistry::new();
+        store.attach_metrics(&m);
+        store.sync().unwrap();
+        assert_eq!(
+            store.activity().syncs,
+            0,
+            "nothing published, nothing flushed"
+        );
+        for i in 0..3u8 {
+            store
+                .put(Fingerprint::of(&[i]), &DistanceSample(vec![i as f64]))
+                .unwrap();
+        }
+        store.sync().unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.activity().syncs, 1, "one barrier covers every put");
+        let _: Option<DistanceSample> = store.get(Fingerprint::of(&[0])).unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.activity().syncs, 1, "reads publish nothing");
+        store
+            .put(Fingerprint::of(b"late"), &DistanceSample(vec![]))
+            .unwrap();
+        store.sync().unwrap();
+        assert_eq!(store.activity().syncs, 2);
+        assert_eq!(m.report().counter("store/syncs"), Some(2));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -4,18 +4,21 @@
 //! an interrupted campaign must resume to exactly the uninterrupted
 //! result, run-level artifacts must be reused across kernel sweeps, and
 //! a store with truncated, zeroed or deleted files must heal to the same
-//! result, recomputing exactly what was damaged.
+//! result, recomputing exactly what was damaged, and a campaign must
+//! flush what it published once, whichever way it ends.
 
 use anacin_core::prelude::*;
 use anacin_event_graph::{EventGraph, LabelPolicy};
 use anacin_miniapps::Pattern;
 use anacin_mpisim::engine::simulate;
 use anacin_mpisim::trace::Trace;
-use anacin_obs::{MetricsRegistry, MetricsReport};
+use anacin_obs::tracer::{TraceRecord, Tracer, CHANNEL_BATCHES};
+use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport, TraceSink};
 use anacin_store::{ActivitySnapshot, ArtifactKind, ArtifactStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
     let dir = std::env::temp_dir().join(format!("anacin_ws_store_{}_{}", std::process::id(), tag));
@@ -115,6 +118,107 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_result() {
     assert_stored_runs_are_fresh(&full, &store, "resumed");
     assert_eq!(resumed.schedules, uninterrupted.schedules);
     assert_eq!(bits(&resumed.matrix), bits(&uninterrupted.matrix));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cold campaign flushes its publications with one barrier, timed by
+/// the `campaign/sync` span; the same campaign through a new handle
+/// publishes nothing and flushes nothing.
+#[test]
+fn cold_campaign_flushes_once_and_its_warm_rerun_never() {
+    let cfg = CampaignConfig::new(Pattern::Amg2013, 6)
+        .runs(5)
+        .base_seed(13);
+    let (dir, _) = temp_store("sync");
+    let (_, cold, report) = rerun(&cfg, &dir);
+    assert_eq!((cold.puts, cold.syncs), (3 * 5 + 2, 1));
+    assert_eq!(report.span("campaign/sync").map(|s| s.count), Some(1));
+
+    let (_, warm, _) = rerun(&cfg, &dir);
+    assert_eq!((warm.misses, warm.puts, warm.syncs), (0, 0, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Growing a stored campaign by one run publishes that run and the grown
+/// matrix, and flushes them once.
+#[test]
+fn appending_a_run_flushes_once() {
+    let cfg = CampaignConfig::new(Pattern::MessageRace, 6)
+        .runs(6)
+        .base_seed(4);
+    let (dir, store) = temp_store("sync-append");
+    stored_campaign(&cfg.clone().runs(5), &store).expect("5-run campaign");
+
+    let store = ArtifactStore::open(&dir).expect("reopen store");
+    let ctx = RunCtx {
+        store: Some(&store),
+        ..RunCtx::default()
+    };
+    let grown = run_campaign_append(&cfg, &ctx).expect("append campaign");
+    assert_eq!(
+        bits(&grown.matrix),
+        bits(&run_campaign(&cfg).unwrap().matrix)
+    );
+    let a = store.activity();
+    assert_eq!((a.puts, a.syncs), (3 + 2, 1));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sink that takes each record only while its gate is open.
+struct Gated(Arc<Mutex<()>>);
+
+impl TraceSink for Gated {
+    fn accept(&mut self, _: &TraceRecord) -> std::io::Result<()> {
+        drop(self.0.lock().unwrap());
+        Ok(())
+    }
+    fn finish(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A cancelled campaign has still published its finished runs, and
+/// flushes them once before it returns. The tracer's writer is held
+/// with its channel full, so the single worker waits inside run 0 right
+/// after publishing its trace; the token fires there, and run 0 is the
+/// only run that completes.
+#[test]
+fn cancelled_campaign_flushes_its_finished_runs_once() {
+    let mut cfg = CampaignConfig::new(Pattern::MessageRace, 4)
+        .runs(8)
+        .base_seed(9);
+    cfg.threads = 1;
+    let (dir, store) = temp_store("sync-cancel");
+    let gate = Arc::new(Mutex::new(()));
+    let tracer = Tracer::new(Gated(Arc::clone(&gate)));
+    let token = CancelToken::new();
+    let closed = gate.lock().unwrap();
+    // The writer holds the first record; the rest fill its channel.
+    for _ in 0..=CHANNEL_BATCHES {
+        tracer.span_begin("fill");
+    }
+    let ctx = RunCtx {
+        tracer: Some(&tracer),
+        cancel: Some(&token),
+        store: Some(&store),
+        ..RunCtx::default()
+    };
+    let result = std::thread::scope(|s| {
+        let campaign = s.spawn(|| run_campaign_with(&cfg, &ctx));
+        while store.activity().puts == 0 {
+            std::thread::yield_now();
+        }
+        token.cancel();
+        drop(closed);
+        campaign.join().expect("campaign thread")
+    });
+    tracer.finish().expect("tracer");
+    match result {
+        Err(CampaignError::Cancelled { completed_runs }) => assert_eq!(completed_runs, 1),
+        other => panic!("expected a cancelled campaign, got {:?}", other.map(|_| ())),
+    }
+    let a = store.activity();
+    assert_eq!((a.puts, a.syncs), (3, 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
