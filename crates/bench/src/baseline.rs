@@ -127,8 +127,7 @@ pub struct ServeRow {
 /// the same synthetic amg2013 feature set pushed through every dot
 /// schedule, single-threaded so the ratios measure the schedules, not
 /// the thread pool. `exact_ms` is the reference full recompute;
-/// `append_ms` is its bit-identical incremental alternative,
-/// `landmark_ms` the opt-in approximation.
+/// `append_ms` is its bit-identical incremental alternative.
 #[derive(Debug, Clone, Serialize)]
 pub struct GramScaleRow {
     /// Feature vectors (runs) in the Gram matrix.
@@ -139,12 +138,6 @@ pub struct GramScaleRow {
     /// One `gram_append` step: growing the stored `runs−1` matrix by
     /// one run (`runs` new dots instead of `runs·(runs−1)/2`).
     pub append_ms: f64,
-    /// Nyström landmark approximation with `landmark_k` landmarks.
-    pub landmark_ms: f64,
-    /// Landmarks used by the approximation (⌈√runs⌉).
-    pub landmark_k: usize,
-    /// Frobenius error bound the approximation reported.
-    pub landmark_error_bound: f64,
     /// `exact_ms / append_ms`.
     pub append_speedup: f64,
 }
@@ -228,15 +221,8 @@ impl BaselineReport {
             ));
             for r in &g.rows {
                 out.push_str(&format!(
-                    "  R={:<4} exact={:.3} ms  append={:.3} ms ({:.1}x)  \
-                     landmark(k={})={:.3} ms bound={:.3}\n",
-                    r.runs,
-                    r.exact_ms,
-                    r.append_ms,
-                    r.append_speedup,
-                    r.landmark_k,
-                    r.landmark_ms,
-                    r.landmark_error_bound
+                    "  R={:<4} exact={:.3} ms  append={:.3} ms ({:.1}x)\n",
+                    r.runs, r.exact_ms, r.append_ms, r.append_speedup
                 ));
             }
         }
@@ -304,20 +290,10 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
             let append_ms = time_median_ms(3, || {
                 std::hint::black_box(gram_append(&prev, slice, 1, DotKind::Scalar, None));
             });
-            let k = (r as f64).sqrt().round() as usize;
-            let mut bound = 0.0;
-            let landmark_ms = time_median_ms(3, || {
-                let a = landmark_gram("wl", slice, k, 1, DotKind::Scalar, None);
-                bound = a.error_bound;
-                std::hint::black_box(a);
-            });
             GramScaleRow {
                 runs: r,
                 exact_ms,
                 append_ms,
-                landmark_ms,
-                landmark_k: k,
-                landmark_error_bound: bound,
                 append_speedup: if append_ms > 0.0 {
                     exact_ms / append_ms
                 } else {
@@ -513,14 +489,7 @@ mod tests {
         for (row, want) in g.rows.iter().zip([8usize, 16]) {
             assert_eq!(row.runs, want);
             assert!(row.exact_ms > 0.0, "R={}", row.runs);
-            assert!(row.append_ms > 0.0 && row.landmark_ms > 0.0);
-            assert_eq!(row.landmark_k, (row.runs as f64).sqrt().round() as usize);
-            assert!(
-                row.landmark_error_bound.is_finite() && row.landmark_error_bound >= 0.0,
-                "R={}: bound {}",
-                row.runs,
-                row.landmark_error_bound
-            );
+            assert!(row.append_ms > 0.0);
             assert!(row.append_speedup > 0.0);
         }
         assert!(table.contains("gram_scale"), "{table}");
@@ -535,6 +504,5 @@ mod tests {
         assert!(json.contains("\"gram_scale\""));
         assert!(!json.contains("wl_lanes"), "{json}");
         assert!(json.contains("\"append_speedup\""));
-        assert!(json.contains("\"landmark_error_bound\""));
     }
 }

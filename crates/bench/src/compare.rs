@@ -311,7 +311,7 @@ mod tests {
               "serve":{{"pattern":"amg2013","serve_cold_ms":85.0,"serve_warm_ms":13.0,
                         "serve_speedup":6.5}},
               "gram_scale":{{"pattern":"amg2013","source_runs":10,
-                "rows":[{{"runs":256,"exact_ms":160.0,"landmark_k":16}}]}}}}"#
+                "rows":[{{"runs":256,"exact_ms":160.0,"append_speedup":20.0}}]}}}}"#
         )
     }
 

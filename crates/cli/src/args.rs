@@ -5,6 +5,8 @@ use std::collections::HashMap;
 /// The options that take no value, each read by [`Args::flag`]. A switch
 /// never takes the next token, so `explore --brute-force stats` keeps
 /// `stats` as the action and `figure --paper-scale 7` the figure id.
+/// `--stream` alone is read by nothing: it is accepted for old scripts
+/// and does nothing.
 const SWITCHES: &[&str] = &[
     "json",
     "progress",
@@ -15,6 +17,55 @@ const SWITCHES: &[&str] = &[
     "agenda",
     "related-work",
     "solve",
+    "stream",
+    "help",
+];
+
+/// The options that take a value, each read by [`Args::get`]. Any option
+/// in neither table is an error, never silently ignored.
+const OPTIONS: &[&str] = &[
+    "append-to",
+    "budget",
+    "bytes",
+    "connect",
+    "count",
+    "dot",
+    "format",
+    "from",
+    "iterations",
+    "job",
+    "job-timeout",
+    "kind",
+    "lesson",
+    "level",
+    "listen",
+    "metrics",
+    "nd",
+    "nodes",
+    "out",
+    "out-dir",
+    "pattern",
+    "peer",
+    "procs",
+    "progress-interval",
+    "queue-capacity",
+    "range",
+    "record",
+    "retries",
+    "rounds",
+    "runs",
+    "schedule-budget",
+    "seed",
+    "seed-a",
+    "seed-b",
+    "slices",
+    "socket",
+    "stats",
+    "store",
+    "to",
+    "top",
+    "trace",
+    "workers",
 ];
 
 /// Parsed arguments: a subcommand plus `--key value` options.
@@ -34,6 +85,9 @@ impl Args {
         let mut it = args.into_iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !SWITCHES.contains(&key) && !OPTIONS.contains(&key) {
+                    return Err(format!("unknown option --{key}; try 'anacin help'"));
+                }
                 let value = it
                     .next_if(|v| !SWITCHES.contains(&key) && !v.starts_with("--"))
                     .unwrap_or_else(|| "true".to_string());
@@ -49,6 +103,7 @@ impl Args {
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(OPTIONS.contains(&key), "--{key} is not in OPTIONS");
         self.options.get(key).map(String::as_str)
     }
 
@@ -118,5 +173,9 @@ mod tests {
         assert_eq!(a.get_parsed("procs", 4u32).unwrap(), 4);
         let bad = parse(&["run", "--procs", "eight"]);
         assert!(bad.get_parsed("procs", 4u32).is_err());
+        let err = Args::parse(["run", "--bogus-option", "7"].map(String::from)).unwrap_err();
+        assert_eq!(err, "unknown option --bogus-option; try 'anacin help'");
+        let a = parse(&["run", "--stream", "--help"]);
+        assert_eq!(a.command.as_deref(), Some("run"));
     }
 }

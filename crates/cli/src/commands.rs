@@ -24,13 +24,8 @@ COMMANDS
               --pattern race|amg2013|mesh|collectives  --procs N  --nd P
               --runs N  --iterations N  --nodes N  --seed S  [--json]
               [--dot scalar|blocked]  sparse-dot inner loop of --append-to
-                                and --gram-approx only (default scalar;
-                                results bit-identical)
-              [--gram-approx exact|landmarks=K]  opt-in Nystrom approximation
-                                of the Gram matrix from K landmark runs
-                                (R*K dots instead of R^2/2); reports a
-                                Frobenius error bound and never publishes
-                                approximate matrices to the store
+                                only (default scalar; results
+                                bit-identical)
               [--append-to DIR]  grow a stored campaign: reuse the largest
                                  stored Gram prefix of this run set and
                                  compute only the new rows/columns (R+1
@@ -153,12 +148,17 @@ COMMANDS
   testkit     random-program test harness
               testkit gen --seed S [--procs N --rounds R] [--out FILE]
               testkit check --seed S [--count N]
-  help        this message
+  help        this message (also --help after any command)
 ";
 
 /// Dispatch a parsed command line.
 pub fn dispatch(args: &Args) -> Result<(), String> {
-    match args.command.as_deref() {
+    let command = if args.flag("help") {
+        None
+    } else {
+        args.command.as_deref()
+    };
+    match command {
         None | Some("help") => {
             println!("{HELP}");
             Ok(())
@@ -227,9 +227,6 @@ fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
         .base_seed(args.get_parsed("seed", 1u64)?);
     if let Some(s) = args.get("dot") {
         cfg = cfg.dot(s.parse()?);
-    }
-    if let Some(s) = args.get("gram-approx") {
-        cfg = cfg.approx(s.parse()?);
     }
     cfg.app.message_bytes = args.get_parsed("bytes", 1u64)?;
     Ok(cfg)

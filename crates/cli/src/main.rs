@@ -11,6 +11,15 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Commands that write to sockets keep SIGPIPE ignored, so a peer
+    // that goes away stays an error: the daemon, its client, and `bench`,
+    // whose serve row runs an in-process daemon.
+    if !matches!(
+        parsed.command.as_deref(),
+        Some("serve" | "client" | "bench")
+    ) {
+        anacin_obs::shutdown::restore_default_sigpipe();
+    }
     let code = match anacin_cli::commands::dispatch(&parsed) {
         Ok(()) => 0,
         Err(e) => {

@@ -692,6 +692,65 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 }
 
 #[test]
+fn unknown_options_are_usage_errors() {
+    for (args, option) in [
+        (
+            &["run", "--gram-approx", "landmarks=8"][..],
+            "--gram-approx",
+        ),
+        (
+            &[
+                "run",
+                "--pattern",
+                "message-race",
+                "--procs",
+                "4",
+                "--runs",
+                "3",
+                "--bogus-option",
+                "7",
+            ][..],
+            "--bogus-option",
+        ),
+        (&["run", "--threads", "9"][..], "--threads"),
+        (&["run", "--trace-capacity", "5"][..], "--trace-capacity"),
+    ] {
+        assert_usage_error(args, option);
+    }
+    for args in [&["--help"][..], &["run", "--help"]] {
+        let (code, stdout, stderr) = anacin(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stdout.starts_with("anacin — "), "{args:?}: {stdout}");
+    }
+}
+
+/// A command whose stdout closes early ends as other Unix tools do: the
+/// next write kills it with SIGPIPE, and nothing panics.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    use std::io::BufRead;
+    use std::os::unix::process::ExitStatusExt;
+    // About 1 MB of trace JSON: more than a pipe holds, so the command
+    // still writes after the reader has gone.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_anacin"))
+        .args(["trace", "--pattern", "amg2013", "--procs", "32"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn anacin");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    let out = child.wait_with_output().expect("wait for anacin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(first, "{\n");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.signal(), Some(13), "{stderr}");
+}
+
+#[test]
 fn root_cause_rejects_zero_slices() {
     assert_usage_error(
         &["root-cause", "--procs", "4", "--runs", "3", "--slices", "0"],

@@ -425,39 +425,4 @@ pub(crate) mod tests {
         assert_eq!(a.total_events, b.total_events);
         assert_eq!(a.total_nodes, b.total_nodes);
     }
-
-    #[test]
-    fn landmark_campaign_is_opt_in_and_reports_its_error_bound() {
-        use crate::config::GramApprox;
-        assert_eq!(CampaignConfig::default().approx, GramApprox::Exact);
-        let cfg = CampaignConfig::new(Pattern::MessageRace, 6).runs(8);
-        let exact = run_campaign(&cfg).unwrap();
-        // K = runs: the landmark set spans everything, so the
-        // approximation reconstructs the exact matrix up to eigen-solver
-        // noise.
-        let full = run_campaign(&cfg.clone().approx(GramApprox::Landmarks(8))).unwrap();
-        let scale = exact
-            .matrix
-            .values()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(1.0);
-        for (a, b) in full.matrix.values().iter().zip(exact.matrix.values()) {
-            assert!((a - b).abs() <= 1e-6 * scale, "{a} vs {b}");
-        }
-        // A genuinely rank-deficient landmark set still reports a finite,
-        // non-negative Frobenius error bound.
-        let reg = MetricsRegistry::new();
-        let ctx = RunCtx {
-            metrics: Some(&reg),
-            ..RunCtx::default()
-        };
-        let r = run_campaign_with(&cfg.clone().approx(GramApprox::Landmarks(3)), &ctx).unwrap();
-        assert_eq!(r.matrix.len(), 8);
-        let bound = reg
-            .report()
-            .gauge("kernel/approx_error_bound")
-            .expect("approx campaigns report their bound");
-        assert!(bound.is_finite() && bound >= 0.0, "bound={bound}");
-    }
 }

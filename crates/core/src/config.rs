@@ -63,80 +63,14 @@ impl KernelChoice {
     }
 }
 
-/// Whether the kernel stage computes the Gram matrix exactly or through
-/// the landmark (Nyström) approximation.
-///
-/// `Exact` is the default and the only mode whose matrices are published
-/// to the incremental store. `Landmarks(k)` computes only `runs × k` dot
-/// products — for campaigns with thousands of runs where the full
-/// O(runs²) schedule is unaffordable — and reports a rigorous Frobenius
-/// error bound (`kernel/approx_error_bound`). It is strictly opt-in and
-/// never silently replaces the exact path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GramApprox {
-    /// Full exact Gram matrix (every pairwise dot product).
-    #[default]
-    Exact,
-    /// Landmark/Nyström approximation with this many landmark runs.
-    Landmarks(usize),
-}
-
-impl std::fmt::Display for GramApprox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GramApprox::Exact => f.write_str("exact"),
-            GramApprox::Landmarks(k) => write!(f, "landmarks={k}"),
-        }
-    }
-}
-
-impl std::str::FromStr for GramApprox {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "exact" {
-            return Ok(GramApprox::Exact);
-        }
-        if let Some(k) = s.strip_prefix("landmarks=") {
-            let k: usize = k
-                .parse()
-                .map_err(|_| format!("bad landmark count in '{s}'"))?;
-            if k == 0 {
-                return Err("landmark count must be at least 1".to_string());
-            }
-            return Ok(GramApprox::Landmarks(k));
-        }
-        Err(format!(
-            "unknown gram approximation '{s}' (expected 'exact' or 'landmarks=K')"
-        ))
-    }
-}
-
-// Manual serde impls: a missing field deserialises as `Null`, which maps
-// to the default, so configs serialised before the knob existed keep
-// loading.
-impl serde::Serialize for GramApprox {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.to_string())
-    }
-}
-
-impl serde::Deserialize for GramApprox {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if v.is_null() {
-            return Ok(GramApprox::default());
-        }
-        match v.as_str() {
-            Some(s) => s.parse().map_err(serde::Error::custom),
-            None => Err(serde::Error::custom("gram approximation must be a string")),
-        }
-    }
-}
-
 /// One measurement campaign: run a pattern many times at a setting and
 /// measure the kernel-distance sample — the unit of every figure in the
 /// paper's evaluation.
+///
+/// Deserializing refuses a key that names no field, so a config that asks
+/// for a knob this build lacks fails instead of running without it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CampaignConfig {
     /// Which mini-application to run.
     pub pattern: Pattern,
@@ -158,16 +92,13 @@ pub struct CampaignConfig {
     /// tuned so reorder depth grows gradually with ND%, matching the
     /// paper's Figure-7 shape rather than saturating instantly).
     pub delay: DelayDistribution,
-    /// Dot-product implementation of `gram_append` (append jobs) and
-    /// `landmark_gram` only; the cold exact Gram ignores it. Bit-identical
-    /// results either way (the blocked merge-join skips only non-matching
-    /// keys). Like `threads`, excluded from store fingerprints. Kept only
-    /// because the benchmark passes it to `gram_append`; it goes with the
-    /// next change to the benchmark.
+    /// Dot-product implementation of `gram_append` (append jobs) only;
+    /// the cold exact Gram ignores it. Bit-identical results either way
+    /// (the blocked merge-join skips only non-matching keys). Like
+    /// `threads`, excluded from store fingerprints. Kept only because the
+    /// benchmark passes it to `gram_append`; it goes with the next change
+    /// to the benchmark.
     pub dot: DotKind,
-    /// Exact vs landmark-approximate Gram computation. Approximate
-    /// matrices are never published to the store.
-    pub approx: GramApprox,
 }
 
 impl Default for CampaignConfig {
@@ -183,7 +114,6 @@ impl Default for CampaignConfig {
             kernel: KernelChoice::default(),
             delay: DelayDistribution::Exponential { mean_ns: 100.0 },
             dot: DotKind::default(),
-            approx: GramApprox::default(),
         }
     }
 }
@@ -255,12 +185,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Builder-style: set the Gram approximation mode.
-    pub fn approx(mut self, approx: GramApprox) -> Self {
-        self.approx = approx;
-        self
-    }
-
     /// The simulator configuration of run `i`.
     pub fn sim_config(&self, run: u32) -> SimConfig {
         let network = NetworkConfig::with_nd_percent(self.nd_percent)
@@ -320,41 +244,30 @@ mod tests {
     }
 
     #[test]
-    fn gram_approx_parses_and_round_trips() {
-        assert_eq!("exact".parse(), Ok(GramApprox::Exact));
-        assert_eq!("landmarks=16".parse(), Ok(GramApprox::Landmarks(16)));
-        assert!("landmarks=0".parse::<GramApprox>().is_err());
-        assert!("landmarks=".parse::<GramApprox>().is_err());
-        assert!("nystrom".parse::<GramApprox>().is_err());
-        for a in [GramApprox::Exact, GramApprox::Landmarks(32)] {
-            let v = serde::Serialize::to_value(&a);
-            assert_eq!(serde::Deserialize::from_value(&v), Ok(a));
-            assert_eq!(a.to_string().parse(), Ok(a));
-        }
-    }
-
-    #[test]
     fn configs_without_dot_or_approx_fields_still_deserialize() {
-        // Configs serialised before the blocked-dot / approximation knobs
-        // existed must load with the exact scalar defaults.
+        // Configs serialised before the blocked-dot knob existed must load
+        // with the scalar default.
         let text = serde_json::to_string(&CampaignConfig::default()).unwrap();
         let mut v = serde_json::from_str_value(&text).unwrap();
         if let serde::Value::Object(map) = &mut v {
-            map.retain(|(k, _)| k != "dot" && k != "approx");
+            map.retain(|(k, _)| k != "dot");
         }
         let cfg = <CampaignConfig as serde::Deserialize>::from_value(&v).unwrap();
         assert_eq!(cfg.dot, DotKind::Scalar);
-        assert_eq!(cfg.approx, GramApprox::Exact);
     }
 
     #[test]
     fn dot_and_approx_round_trip_through_config_json() {
-        let c = CampaignConfig::default()
-            .dot(DotKind::Blocked)
-            .approx(GramApprox::Landmarks(8));
+        let c = CampaignConfig::default().dot(DotKind::Blocked);
         let text = serde_json::to_string(&c).unwrap();
-        let v = serde_json::from_str_value(&text).unwrap();
+        let mut v = serde_json::from_str_value(&text).unwrap();
         let back = <CampaignConfig as serde::Deserialize>::from_value(&v).unwrap();
         assert_eq!(back, c);
+        // A field `CampaignConfig` lacks is refused, never ignored.
+        if let serde::Value::Object(map) = &mut v {
+            map.push(("approx".into(), serde::Value::String("exact".into())));
+        }
+        let err = <CampaignConfig as serde::Deserialize>::from_value(&v).unwrap_err();
+        assert!(err.to_string().contains("`approx`"), "{err}");
     }
 }

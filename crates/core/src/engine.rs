@@ -5,7 +5,7 @@
 //! (when the [`RunCtx`] has one) as a read-through cache at every stage:
 //! an artifact is looked up before it is computed and published after.
 //! One Gram stage then reads a stored matrix, grows a stored prefix
-//! (append), or computes the matrix exactly or by landmarks.
+//! (append), or computes the matrix.
 //!
 //! Callers vary only two things ([`Plan`]): where runs come from (seeded
 //! runs or replays of explored schedules) and whether the Gram stage may
@@ -14,13 +14,12 @@
 //! passes a per-run function, which the worker calls while both exist.
 
 use crate::campaign::{CampaignError, RunCtx};
-use crate::config::{CampaignConfig, GramApprox};
+use crate::config::CampaignConfig;
 use crate::explore::explore_fingerprint;
 use crate::incremental::{
     campaign_fingerprint, features_fingerprint, get_or_heal, run_fingerprint,
 };
 use anacin_event_graph::EventGraph;
-use anacin_kernels::approx::landmark_gram;
 use anacin_kernels::feature::SparseFeatures;
 use anacin_kernels::kernel::GraphKernel;
 use anacin_kernels::matrix::{gram_append, gram_from_features_with_metrics, KernelMatrix};
@@ -338,15 +337,10 @@ impl<S: Send> Engine<'_, S> {
         Ok(f)
     }
 
-    /// The Gram stage. Approximate matrices are never read from or
-    /// published to the store: campaign keys name exact artifacts only,
-    /// so an approximate run can never poison a warm exact one.
+    /// The Gram stage.
     fn gram(&self, feats: &[SparseFeatures]) -> Result<KernelMatrix, CampaignError> {
         let (config, metrics) = (self.config, self.ctx.metrics);
         let name = self.kernel.name();
-        if let GramApprox::Landmarks(k) = config.approx {
-            return Ok(landmark_gram(&name, feats, k, config.threads, config.dot, metrics).matrix);
-        }
         let compute = || gram_from_features_with_metrics(&name, feats, config.threads, metrics);
         let store = match (self.ctx.store, self.plan.source) {
             (Some(store), Source::Seeded) => store,

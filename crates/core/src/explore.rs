@@ -21,7 +21,7 @@
 //! warm: the enumeration re-runs (it is fast and pure), but replays hit.
 
 use crate::campaign::{CampaignError, CampaignResult, RunCtx};
-use crate::config::{CampaignConfig, GramApprox};
+use crate::config::CampaignConfig;
 use crate::engine::{self, Plan, Source};
 use crate::incremental::absorb_setting;
 use anacin_kernels::matrix::KernelMatrix;
@@ -186,8 +186,7 @@ pub fn explore_campaign(
         append: false,
         run_base: 0,
     };
-    let exact = config.clone().approx(GramApprox::Exact);
-    let matrix = engine::run(&exact, program, ctx, plan, &|_, _| ())?.matrix;
+    let matrix = engine::run(config, program, ctx, plan, &|_, _| ())?.matrix;
     Ok(ExploreCampaignResult {
         config: config.clone(),
         report,

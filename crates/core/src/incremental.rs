@@ -118,7 +118,6 @@ mod tests {
     use super::*;
     use crate::campaign::tests::fresh_traces;
     use crate::campaign::{run_campaign, run_campaign_append, run_campaign_with, RunCtx};
-    use crate::config::GramApprox;
     use anacin_event_graph::EventGraph;
     use anacin_kernels::matrix::KernelMatrix;
     use anacin_miniapps::Pattern;
@@ -285,15 +284,12 @@ mod tests {
             campaign_fingerprint(&cfg),
             campaign_fingerprint(&other_kernel)
         );
-        // Neither thread count, nor the dot-product implementation
-        // (bit-identical results), nor the approximation mode (approximate
-        // matrices are never stored, so the key may only ever name exact
-        // artifacts) is key material.
+        // Neither thread count nor the dot-product implementation
+        // (bit-identical results) is key material.
         let mut threaded = cfg.clone();
         threaded.threads = 1;
         let blocked = cfg.clone().dot(anacin_kernels::feature::DotKind::Blocked);
-        let approx = cfg.clone().approx(GramApprox::Landmarks(4));
-        for other in [&threaded, &blocked, &approx] {
+        for other in [&threaded, &blocked] {
             assert_eq!(base, run_fingerprint(other, 0));
             assert_eq!(
                 features_fingerprint(&cfg, 0),
@@ -358,30 +354,6 @@ mod tests {
         let warm = run_campaign_append(&cfg, &ctx).unwrap();
         assert_eq!(warm.matrix, plain.matrix);
         assert_eq!(reg.report().counter("kernel/dot_products"), None);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn approximate_campaigns_never_touch_campaign_level_store_entries() {
-        let cfg = small_cfg().approx(GramApprox::Landmarks(3));
-        let (dir, store) = tmp_store("approx-store");
-        let r = run_campaign_with(&cfg, &stored(&store)).unwrap();
-        assert_eq!(r.matrix.len(), cfg.runs as usize);
-        // Per-run artifacts were published; the campaign-level matrix and
-        // distance sample were not (the key names exact artifacts only).
-        let exact = cfg.clone().approx(GramApprox::Exact);
-        assert!(store
-            .get::<KernelMatrix>(campaign_fingerprint(&exact))
-            .unwrap()
-            .is_none());
-        assert!(store
-            .get::<Trace>(run_fingerprint(&exact, 0))
-            .unwrap()
-            .is_some());
-        // A later exact run warm-hits those per-run artifacts and computes
-        // the exact matrix untainted.
-        let e = run_campaign_with(&exact, &stored(&store)).unwrap();
-        assert_eq!(e.matrix, run_campaign(&exact).unwrap().matrix);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::campaign::{
         run_campaign, run_campaign_append, run_campaign_with, CampaignError, CampaignResult, RunCtx,
     };
-    pub use crate::config::{default_threads, CampaignConfig, GramApprox, KernelChoice};
+    pub use crate::config::{default_threads, CampaignConfig, KernelChoice};
     pub use crate::explore::{
         explore_campaign, explore_fingerprint, ExploreCampaignResult, ExploreCoverage,
     };
@@ -64,5 +64,5 @@ pub mod prelude {
 }
 
 pub use campaign::{run_campaign, run_campaign_with, CampaignError, CampaignResult, RunCtx};
-pub use config::{CampaignConfig, GramApprox, KernelChoice};
+pub use config::{CampaignConfig, KernelChoice};
 pub use measure::NdMeasurement;

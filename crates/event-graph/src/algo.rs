@@ -1,9 +1,9 @@
 //! Graph algorithms over event graphs.
 //!
 //! Event graphs are DAGs by construction (program order and message edges
-//! both point forward in causal time); these helpers provide the standard
-//! toolbox the analysis layers build on: topological order, reachability
-//! (happens-before), critical path, and degree statistics.
+//! both point forward in causal time). Lamport clocks ([`crate::lamport`])
+//! walk the topological order; the edge-kind count is a structural
+//! fingerprint for tests and sanity checks.
 
 use crate::graph::{EdgeKind, EventGraph, NodeId};
 
@@ -36,102 +36,6 @@ pub fn topo_sort(g: &EventGraph) -> Option<Vec<NodeId>> {
 /// True when the graph is acyclic (every valid event graph is).
 pub fn is_dag(g: &EventGraph) -> bool {
     topo_sort(g).is_some()
-}
-
-/// The set of nodes reachable from `from` (inclusive): the events that
-/// causally depend on `from` ("happens-before" cone).
-pub fn reachable_from(g: &EventGraph, from: NodeId) -> Vec<bool> {
-    let mut seen = vec![false; g.node_count()];
-    let mut stack = vec![from];
-    seen[from.index()] = true;
-    while let Some(id) = stack.pop() {
-        for &(to, _) in g.out_edges(id) {
-            if !seen[to.index()] {
-                seen[to.index()] = true;
-                stack.push(to);
-            }
-        }
-    }
-    seen
-}
-
-/// Does `a` happen-before `b` (is there a causal path a → b)?
-pub fn happens_before(g: &EventGraph, a: NodeId, b: NodeId) -> bool {
-    if a == b {
-        return false;
-    }
-    reachable_from(g, a)[b.index()]
-}
-
-/// The critical path: the longest chain of events weighted by the time
-/// deltas along edges, returned as the node sequence from a source to the
-/// final event. This is the classic "which dependence chain bounds the
-/// makespan" analysis.
-pub fn critical_path(g: &EventGraph) -> Vec<NodeId> {
-    let order = match topo_sort(g) {
-        Some(o) => o,
-        None => return Vec::new(),
-    };
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    // dist[v] = max over predecessors of dist[u] + weight(u,v); weight is
-    // the receiver-side time delta (>= 0 in a valid trace).
-    let mut dist = vec![0u64; n];
-    let mut pred: Vec<Option<NodeId>> = vec![None; n];
-    for &u in &order {
-        for &(v, _) in g.out_edges(u) {
-            let tu = g.node(u).time.nanos();
-            let tv = g.node(v).time.nanos();
-            let w = tv.saturating_sub(tu);
-            if dist[u.index()] + w >= dist[v.index()] {
-                dist[v.index()] = dist[u.index()] + w;
-                pred[v.index()] = Some(u);
-            }
-        }
-    }
-    let end = (0..n)
-        .max_by_key(|&i| dist[i])
-        .map(|i| NodeId(i as u32))
-        .expect("nonempty graph");
-    let mut path = vec![end];
-    while let Some(p) = pred[path.last().unwrap().index()] {
-        path.push(p);
-    }
-    path.reverse();
-    path
-}
-
-/// Degree statistics of the graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Maximum out-degree.
-    pub max_out: usize,
-    /// Maximum in-degree.
-    pub max_in: usize,
-    /// Mean total degree.
-    pub mean_degree: f64,
-}
-
-/// Compute [`DegreeStats`].
-pub fn degree_stats(g: &EventGraph) -> DegreeStats {
-    let n = g.node_count().max(1);
-    let mut max_out = 0;
-    let mut max_in = 0;
-    let mut total = 0usize;
-    for id in g.node_ids() {
-        let o = g.out_edges(id).len();
-        let i = g.in_edges(id).len();
-        max_out = max_out.max(o);
-        max_in = max_in.max(i);
-        total += o + i;
-    }
-    DegreeStats {
-        max_out,
-        max_in,
-        mean_degree: total as f64 / n as f64,
-    }
 }
 
 /// Count nodes per edge kind — a cheap structural fingerprint used by
@@ -181,62 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn happens_before_via_message() {
-        let g = pingpong_graph();
-        // rank0 send (idx 1) happens-before rank1 recv (idx 1).
-        let s = g.id_at(Rank(0), 1);
-        let r = g.id_at(Rank(1), 1);
-        assert!(happens_before(&g, s, r));
-        assert!(!happens_before(&g, r, s));
-        assert!(!happens_before(&g, s, s));
-        // rank0 init happens-before every event on rank 0 …
-        let init0 = g.id_at(Rank(0), 0);
-        for id in g.rank_nodes(Rank(0)).skip(1) {
-            assert!(happens_before(&g, init0, id));
-        }
-        // … and, via the message, before rank1's finalize. But rank1's
-        // init is causally independent of rank0's init.
-        assert!(happens_before(&g, init0, g.id_at(Rank(1), 3)));
-        assert!(!happens_before(&g, init0, g.id_at(Rank(1), 0)));
-    }
-
-    #[test]
-    fn critical_path_spans_the_makespan() {
-        let g = pingpong_graph();
-        let path = critical_path(&g);
-        assert!(path.len() >= 2);
-        // Path is causal and monotone in time.
-        for w in path.windows(2) {
-            assert!(g.node(w[0]).time <= g.node(w[1]).time);
-        }
-        // Ends at the globally latest event.
-        let last = *path.last().unwrap();
-        let max_t = g.nodes().iter().map(|n| n.time).max().unwrap();
-        assert_eq!(g.node(last).time, max_t);
-    }
-
-    #[test]
-    fn reachable_from_init_covers_dependents() {
-        let g = pingpong_graph();
-        let seen = reachable_from(&g, g.id_at(Rank(0), 0));
-        // rank 0's whole chain is reachable.
-        for id in g.rank_nodes(Rank(0)) {
-            assert!(seen[id.index()]);
-        }
-        // rank 1's recv (which matched rank 0's send) is reachable.
-        assert!(seen[g.id_at(Rank(1), 1).index()]);
-    }
-
-    #[test]
-    fn degree_stats_sane() {
-        let g = pingpong_graph();
-        let d = degree_stats(&g);
-        assert!(d.max_out >= 1);
-        assert!(d.max_in >= 1);
-        assert!(d.mean_degree > 0.0);
-    }
-
-    #[test]
     fn edge_kind_counts_add_up() {
         let g = pingpong_graph();
         let (p, m) = edge_kind_counts(&g);
@@ -254,7 +102,6 @@ mod tests {
         let g = EventGraph::from_trace(&t);
         assert_eq!(g.node_count(), 2); // init, finalize
         assert!(is_dag(&g));
-        assert_eq!(critical_path(&g).len(), 2);
         assert_eq!(edge_kind_counts(&g), (1, 0));
     }
 }

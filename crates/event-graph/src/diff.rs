@@ -47,14 +47,6 @@ impl RunDiff {
             self.differing.len() as f64 / self.total_receives as f64
         }
     }
-
-    /// Ranks that observed at least one divergent receive.
-    pub fn affected_ranks(&self) -> Vec<Rank> {
-        let mut ranks: Vec<Rank> = self.differing.iter().map(|d| d.rank).collect();
-        ranks.sort();
-        ranks.dedup();
-        ranks
-    }
 }
 
 impl fmt::Display for RunDiff {
@@ -167,7 +159,6 @@ mod tests {
         assert!(d.identical());
         assert_eq!(d.divergence_fraction(), 0.0);
         assert_eq!(d.total_receives, 4);
-        assert!(d.affected_ranks().is_empty());
     }
 
     #[test]
@@ -185,7 +176,7 @@ mod tests {
         let d = diff(&a, &b).unwrap();
         assert!(!d.identical());
         // All divergent receives are on the racing root.
-        assert_eq!(d.affected_ranks(), vec![Rank(0)]);
+        assert!(d.differing.iter().all(|x| x.rank == Rank(0)));
         // A permutation differs in at least two positions.
         assert!(d.differing.len() >= 2);
         assert!(d.divergence_fraction() > 0.0);

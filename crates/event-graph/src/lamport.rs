@@ -23,11 +23,6 @@ pub fn lamport_times(g: &EventGraph) -> Vec<u64> {
     ts
 }
 
-/// The maximum Lamport timestamp (the logical makespan).
-pub fn logical_makespan(g: &EventGraph) -> u64 {
-    lamport_times(g).into_iter().max().unwrap_or(0)
-}
-
 /// Check the defining Lamport property: every edge strictly increases the
 /// timestamp. Returns the number of edges checked.
 pub fn verify_lamport(g: &EventGraph, ts: &[u64]) -> Result<usize, (NodeId, NodeId)> {
@@ -87,17 +82,6 @@ mod tests {
                 assert!(ts[a.index()] < ts[b.index()]);
             }
         }
-    }
-
-    #[test]
-    fn logical_makespan_reflects_chain_length() {
-        // Rank 0's chain is init + (n-1) recvs + finalize, and each recv
-        // depends on a send with timestamp >= 1, so the makespan is at
-        // least the chain length.
-        let n = 5;
-        let g = race(n, 0.0, 0);
-        let m = logical_makespan(&g);
-        assert!(m >= n as u64, "makespan {m} too small");
     }
 
     #[test]

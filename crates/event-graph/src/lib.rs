@@ -12,7 +12,7 @@
 //! * [`lamport`] — logical clocks, `slice` — logical-time windows used by
 //!   root-cause analysis;
 //! * [`label`] — node-label policies consumed by `anacin-kernels`;
-//! * [`algo`] — topological order, happens-before, critical path;
+//! * [`algo`] — topological order, edge-kind counts;
 //! * [`export`] — DOT / GraphML / JSON.
 //!
 //! ```

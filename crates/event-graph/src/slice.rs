@@ -34,34 +34,6 @@ impl Slice {
     }
 }
 
-/// Partition a graph into `k`-wide logical-time slices.
-///
-/// Every node appears in exactly one slice; slice boundaries depend only
-/// on Lamport times, so the same program position lands in the same slice
-/// across runs — which is what makes per-slice comparison meaningful.
-///
-/// # Panics
-/// Panics when `width == 0`.
-pub fn slice_by_lamport(g: &EventGraph, width: u64) -> Vec<Slice> {
-    assert!(width > 0, "slice width must be positive");
-    let ts = lamport_times(g);
-    let max = ts.iter().copied().max().unwrap_or(0);
-    let n_slices = (max / width + 1) as usize;
-    let mut slices: Vec<Slice> = (0..n_slices)
-        .map(|i| Slice {
-            index: i,
-            start: i as u64 * width,
-            end: (i as u64 + 1) * width,
-            nodes: Vec::new(),
-        })
-        .collect();
-    for id in g.node_ids() {
-        let s = (ts[id.index()] / width) as usize;
-        slices[s].nodes.push(id);
-    }
-    slices
-}
-
 /// Partition a graph into exactly `count` slices of equal logical width
 /// (the last absorbs any remainder).
 ///
@@ -148,10 +120,10 @@ mod tests {
     #[test]
     fn slices_partition_all_nodes() {
         let g = chain_graph(10);
-        for width in [1, 2, 5, 100] {
-            let slices = slice_by_lamport(&g, width);
+        for count in [1, 2, 5, 100] {
+            let slices = slice_into(&g, count);
             let total: usize = slices.iter().map(Slice::len).sum();
-            assert_eq!(total, g.node_count(), "width {width}");
+            assert_eq!(total, g.node_count(), "count {count}");
             // Nodes appear exactly once.
             let mut seen = vec![false; g.node_count()];
             for s in &slices {
@@ -167,7 +139,7 @@ mod tests {
     fn slice_bounds_respected() {
         let g = chain_graph(8);
         let ts = crate::lamport::lamport_times(&g);
-        for s in slice_by_lamport(&g, 3) {
+        for s in slice_into(&g, 3) {
             for id in &s.nodes {
                 let t = ts[id.index()];
                 assert!(t >= s.start && t < s.end);
@@ -184,37 +156,6 @@ mod tests {
             let total: usize = slices.iter().map(Slice::len).sum();
             assert_eq!(total, g.node_count());
         }
-    }
-
-    #[test]
-    fn more_iterations_mean_more_nonempty_slices() {
-        let short = chain_graph(2);
-        let long = chain_graph(20);
-        let ne = |g: &EventGraph| {
-            slice_by_lamport(g, 4)
-                .iter()
-                .filter(|s| !s.is_empty())
-                .count()
-        };
-        assert!(ne(&long) > ne(&short));
-    }
-
-    #[test]
-    fn width_one_slices_group_by_exact_lamport_time() {
-        let g = chain_graph(3);
-        let ts = crate::lamport::lamport_times(&g);
-        for s in slice_by_lamport(&g, 1) {
-            for id in &s.nodes {
-                assert_eq!(ts[id.index()], s.start);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_width_panics() {
-        let g = chain_graph(1);
-        slice_by_lamport(&g, 0);
     }
 
     #[test]

@@ -158,23 +158,4 @@ proptest! {
         }
         prop_assert_eq!(d.differing.len(), expected);
     }
-
-    /// The critical path is causal and ends at the latest event.
-    #[test]
-    fn critical_path_properties(
-        msgs in msgs_strategy(5),
-        seed in 0u64..100,
-    ) {
-        let p = build_program(5, &msgs);
-        let g = EventGraph::from_trace(
-            &simulate(&p, &SimConfig::with_nd_percent(100.0, seed)).unwrap());
-        let path = algo::critical_path(&g);
-        prop_assert!(!path.is_empty());
-        for w in path.windows(2) {
-            // Consecutive path nodes are connected by an edge.
-            prop_assert!(g.out_edges(w[0]).iter().any(|&(to, _)| to == w[1]));
-        }
-        let max_t = g.nodes().iter().map(|n| n.time).max().unwrap();
-        prop_assert_eq!(g.node(*path.last().unwrap()).time, max_t);
-    }
 }

@@ -38,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod artifact;
 pub mod distance;
 pub mod embed;
@@ -52,7 +51,6 @@ pub mod wl;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::approx::{landmark_gram, landmark_indices, ApproxGram};
     pub use crate::distance::{distance, kernel_distance, normalized_kernel};
     pub use crate::embed::{embedded_distance, mds, mds_from_distances, Embedding};
     pub use crate::feature::{DotKind, SparseFeatures};

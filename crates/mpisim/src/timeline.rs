@@ -105,14 +105,6 @@ impl Timeline {
         }
         s
     }
-
-    /// The rank spending the most time progressing receives — the first
-    /// place to look when a run is slow.
-    pub fn most_blocked_rank(&self) -> Option<(Rank, u64)> {
-        (0..self.segments.len())
-            .map(|r| (Rank(r as u32), self.totals(Rank(r as u32)).1))
-            .max_by_key(|&(_, t)| t)
-    }
 }
 
 #[cfg(test)]
@@ -152,11 +144,6 @@ mod tests {
         // Rank 1 waits for rank 0's compute(1000) + latency before its recv.
         let (_, recv_ns, _) = tl.totals(Rank(1));
         assert!(recv_ns >= 1000, "recv time {recv_ns}");
-        let (rank, t) = tl.most_blocked_rank().unwrap();
-        // Rank 0 waits for the round trip, rank 1 for the one-way
-        // delivery; either way the time must be positive.
-        assert!(t > 0);
-        let _ = rank;
     }
 
     #[test]

@@ -83,12 +83,16 @@ mod sys {
     use std::sync::atomic::Ordering;
 
     pub const SIGINT: i32 = 2;
+    pub const SIGPIPE: i32 = 13;
     pub const SIGTERM: i32 = 15;
+    /// `SIG_DFL`: the signal's default action.
+    const SIG_DFL: usize = 0;
 
     // std already links libc; declaring the two symbols we need avoids
     // a dependency on a libc crate the offline container doesn't have.
+    // `handler` is a `sighandler_t`: a function pointer or `SIG_DFL`.
     extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn signal(signum: i32, handler: usize) -> usize;
         fn _exit(status: i32) -> !;
     }
 
@@ -103,9 +107,19 @@ mod sys {
     }
 
     pub fn install() {
+        let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `signal` is given valid signal numbers and a handler
+        // with the C signature that does only async-signal-safe work.
         unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+    }
+
+    pub fn default_sigpipe() {
+        // SAFETY: `SIG_DFL` is a valid `sighandler_t` for any signal.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }
@@ -118,6 +132,17 @@ pub fn install_signal_handlers() -> CancelToken {
     #[cfg(unix)]
     sys::install();
     CancelToken::for_shutdown()
+}
+
+/// Give SIGPIPE back its default action, which Rust's runtime replaces
+/// with "ignore". A process whose stdout is a pipe that the reader closed
+/// (`anacin --help | head -1`) then ends on its next write, as other Unix
+/// tools do, instead of panicking in `println!`. Only for processes that
+/// write to no socket: there, a peer that goes away must stay an
+/// `io::Error`. Does nothing on non-unix targets.
+pub fn restore_default_sigpipe() {
+    #[cfg(unix)]
+    sys::default_sigpipe();
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! sockets: payload byte-identity with the local CLI path, cross-client
 //! warm sharing, fairness under a single worker, backpressure at
 //! capacity, cancellation, per-job timeouts, graceful drain, the Hello
-//! handshake, and the protocol contract under random client sessions.
+//! handshake, refusal of unknown config fields, and the protocol contract
+//! under random client sessions.
 
 use anacin_core::prelude::*;
 use anacin_miniapps::Pattern;
@@ -515,6 +516,54 @@ fn hello_negotiates_the_minimum_schema() {
             other => panic!("expected Error for missing Hello, got {other:?}"),
         }
         handle.join();
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// A Submit whose config carries a field `CampaignConfig` lacks (here
+/// `approx`, which older clients still send) is a protocol error, never
+/// a job run without that field.
+#[test]
+fn submit_with_an_unknown_config_field_is_refused() {
+    within(|| {
+        use std::io::Write;
+        let (dir, handle) = start("unknown-field", |c| c.workers(1));
+        let mut stream = UnixStream::connect(dir.join("serve.sock")).expect("connect");
+        let hello = Frame::Hello {
+            schema: PROTOCOL_SCHEMA,
+            peer: "old-client".into(),
+        };
+        write_frame(&mut stream, &hello).expect("send hello");
+        match read_frame(&mut stream).expect("read hello") {
+            Some(Frame::Hello { .. }) => {}
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        let submit = Frame::Submit {
+            id: 1,
+            job: JobSpec::Campaign {
+                config: CampaignConfig::new(Pattern::MessageRace, 4).runs(3),
+            },
+        };
+        let json = serde_json::to_string(&submit).expect("encode").replacen(
+            "\"config\":{",
+            "\"config\":{\"approx\":\"exact\",",
+            1,
+        );
+        assert!(json.contains("\"approx\""), "{json}");
+        stream
+            .write_all(&(json.len() as u32).to_be_bytes())
+            .expect("send header");
+        stream.write_all(json.as_bytes()).expect("send payload");
+        match read_frame(&mut stream).expect("read error") {
+            Some(Frame::Error { message, .. }) => {
+                assert!(message.starts_with("protocol error:"), "{message}");
+                assert!(message.contains("approx"), "{message}");
+            }
+            other => panic!("expected Error for the unknown field, got {other:?}"),
+        }
+        drop(stream);
+        let report = handle.join();
+        assert_eq!(report.counter("serve/jobs_admitted").unwrap_or(0), 0);
         std::fs::remove_dir_all(&dir).ok();
     });
 }

@@ -34,10 +34,9 @@ pub mod validate;
 pub mod prelude {
     pub use crate::generator::{generate, GenConfig, GeneratedProgram, RoundKind};
     pub use crate::oracles::{
-        check_generated, check_seed, oracle_append_invariance, oracle_approx_bound,
-        oracle_bit_reproducibility, oracle_kernel_axioms, oracle_nd0_seed_invariance,
-        oracle_replay_zero_distance, oracle_schedule_exhaustiveness, oracle_thread_invariance,
-        OracleSummary,
+        check_generated, check_seed, oracle_append_invariance, oracle_bit_reproducibility,
+        oracle_kernel_axioms, oracle_nd0_seed_invariance, oracle_replay_zero_distance,
+        oracle_schedule_exhaustiveness, oracle_thread_invariance, OracleSummary,
     };
     pub use crate::validate::{validate_replay_alignment, validate_trace, ValidationReport};
 }
