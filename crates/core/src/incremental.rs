@@ -28,7 +28,9 @@
 //! encodings are stable). `threads` and `dot` are deliberately excluded:
 //! neither changes a result, so warm hits survive re-running on a
 //! different machine shape. Changing pipeline semantics requires bumping
-//! [`KEY_SCHEMA`], which cleanly invalidates every old key.
+//! [`KEY_SCHEMA`], which cleanly invalidates every old key. A change of
+//! feature ids alone bumps [`FEATURE_ID_SCHEMA`] instead, which
+//! invalidates only the stored feature vectors.
 
 use crate::config::CampaignConfig;
 use anacin_store::{Artifact, ArtifactStore, Fingerprint, FingerprintHasher, StoreError};
@@ -37,6 +39,15 @@ use anacin_store::{Artifact, ArtifactStore, Fingerprint, FingerprintHasher, Stor
 /// pipeline's semantics change in a way that should invalidate previously
 /// stored artifacts (every old key then misses cleanly).
 pub const KEY_SCHEMA: u32 = 1;
+
+/// Version of the feature ids the kernels emit, absorbed by
+/// [`features_fingerprint`] only. Bump it when a kernel's feature ids
+/// change but its values do not (a new WL label hash, say): stored
+/// feature vectors then miss and are recomputed, while traces, graphs,
+/// Gram matrices and distance samples, whose bytes stay the same, stay
+/// warm. Version 2 is the WL fold of `crates/kernels/src/wl.rs`; version
+/// 1 (absorbed as nothing) hashed WL labels with FNV-1a.
+pub const FEATURE_ID_SCHEMA: u32 = 2;
 
 /// Absorb a labelled field as canonical JSON. The config types' serde
 /// encodings are deterministic (plain structs and enums, no maps), which
@@ -76,6 +87,7 @@ pub fn run_fingerprint(config: &CampaignConfig, run: u32) -> Fingerprint {
 pub fn features_fingerprint(config: &CampaignConfig, run: u32) -> Fingerprint {
     let mut h = FingerprintHasher::new();
     h.write_str("anacin/features");
+    h.write_u32(FEATURE_ID_SCHEMA);
     absorb_setting(&mut h, config);
     h.write_str("seed");
     h.write_u64(config.base_seed + run as u64);
@@ -297,6 +309,27 @@ mod tests {
             );
             assert_eq!(campaign_fingerprint(&cfg), campaign_fingerprint(other));
         }
+    }
+
+    #[test]
+    fn store_keys_are_pinned() {
+        // Run and campaign keys name traces, graphs, Gram matrices and
+        // distance samples, whose bytes a change of feature ids leaves
+        // alone, so they keep the values of FEATURE_ID_SCHEMA 1. The
+        // feature key moved with version 2.
+        let cfg = CampaignConfig::new(Pattern::Amg2013, 32).runs(10);
+        let hex = |fp: Fingerprint| fp.to_string();
+        assert_eq!(
+            hex(run_fingerprint(&cfg, 3)),
+            "b19276e3e6a42a003754377ece2df106"
+        );
+        assert_eq!(
+            hex(campaign_fingerprint(&cfg)),
+            "a4ab4c3a5567b85c92e8005f11840e49"
+        );
+        let features = hex(features_fingerprint(&cfg, 3));
+        assert_ne!(features, "87a7231e2a67ed0ebd99ce6d8ff44328", "version 1");
+        assert_eq!(features, "bc74a7ddc7647578a3748fe15e02f5d6");
     }
 
     #[test]
