@@ -1,24 +1,19 @@
-//! Logical-time slicing of event graphs.
+//! Program-position slicing of event graphs.
 //!
 //! Root-cause analysis (paper §III-C2) compares *regions* of executions:
-//! the event graph is cut into windows of logical time, each window of two
-//! runs is compared, and the call paths active in the most-divergent
-//! windows are ranked as likely root sources of non-determinism. This
-//! module produces those windows.
+//! the event graph is cut into windows, each window of two runs is
+//! compared, and the call paths active in the most-divergent windows are
+//! ranked as likely root sources of non-determinism. This module produces
+//! those windows.
 
 use crate::graph::{EventGraph, NodeId};
-use crate::lamport::lamport_times;
 
-/// One logical-time window of an event graph.
+/// One window of an event graph.
 #[derive(Debug, Clone)]
 pub struct Slice {
-    /// Index of the slice along logical time.
+    /// Index of the window.
     pub index: usize,
-    /// Inclusive lower Lamport bound.
-    pub start: u64,
-    /// Exclusive upper Lamport bound.
-    pub end: u64,
-    /// Nodes whose Lamport timestamp falls in `[start, end)`.
+    /// The nodes in the window.
     pub nodes: Vec<NodeId>,
 }
 
@@ -34,54 +29,23 @@ impl Slice {
     }
 }
 
-/// Partition a graph into exactly `count` slices of equal logical width
-/// (the last absorbs any remainder).
-///
-/// # Panics
-/// Panics when `count == 0`.
-pub fn slice_into(g: &EventGraph, count: usize) -> Vec<Slice> {
-    assert!(count > 0, "slice count must be positive");
-    let ts = lamport_times(g);
-    let max = ts.iter().copied().max().unwrap_or(0);
-    let width = (max / count as u64 + 1).max(1);
-    let mut slices: Vec<Slice> = (0..count)
-        .map(|i| Slice {
-            index: i,
-            start: i as u64 * width,
-            end: if i + 1 == count {
-                u64::MAX
-            } else {
-                (i as u64 + 1) * width
-            },
-            nodes: Vec::new(),
-        })
-        .collect();
-    for id in g.node_ids() {
-        let s = ((ts[id.index()] / width) as usize).min(count - 1);
-        slices[s].nodes.push(id);
-    }
-    slices
-}
-
 /// Partition a graph into exactly `count` windows by *relative program
 /// position*: rank `r`'s `i`-th event lands in window
 /// `⌊i · count / len(r)⌋`.
 ///
-/// Unlike [`slice_into`], window membership depends only on the program,
-/// not on message timing, so two runs of the same program put every node
-/// in the same window. Root-cause analysis uses this: per-window
-/// differences between runs are then exactly the label differences
-/// (which receive matched which sender), with no boundary-jitter noise.
+/// Window membership depends only on the program, not on message timing,
+/// so two runs of the same program put every node in the same window.
+/// Root-cause analysis uses this: per-window differences between runs
+/// are then exactly the label differences (which receive matched which
+/// sender), with no boundary-jitter noise.
 ///
 /// # Panics
 /// Panics when `count == 0`.
 pub fn slice_by_position(g: &EventGraph, count: usize) -> Vec<Slice> {
     assert!(count > 0, "slice count must be positive");
     let mut slices: Vec<Slice> = (0..count)
-        .map(|i| Slice {
-            index: i,
-            start: i as u64,
-            end: i as u64 + 1,
+        .map(|index| Slice {
+            index,
             nodes: Vec::new(),
         })
         .collect();
@@ -121,7 +85,8 @@ mod tests {
     fn slices_partition_all_nodes() {
         let g = chain_graph(10);
         for count in [1, 2, 5, 100] {
-            let slices = slice_into(&g, count);
+            let slices = slice_by_position(&g, count);
+            assert_eq!(slices.len(), count);
             let total: usize = slices.iter().map(Slice::len).sum();
             assert_eq!(total, g.node_count(), "count {count}");
             // Nodes appear exactly once.
@@ -132,29 +97,6 @@ mod tests {
                     seen[id.index()] = true;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn slice_bounds_respected() {
-        let g = chain_graph(8);
-        let ts = crate::lamport::lamport_times(&g);
-        for s in slice_into(&g, 3) {
-            for id in &s.nodes {
-                let t = ts[id.index()];
-                assert!(t >= s.start && t < s.end);
-            }
-        }
-    }
-
-    #[test]
-    fn slice_into_gives_requested_count() {
-        let g = chain_graph(12);
-        for count in [1, 2, 4, 7] {
-            let slices = slice_into(&g, count);
-            assert_eq!(slices.len(), count);
-            let total: usize = slices.iter().map(Slice::len).sum();
-            assert_eq!(total, g.node_count());
         }
     }
 
