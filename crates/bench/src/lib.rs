@@ -13,6 +13,8 @@
 //! reports of two builds, run in alternating pairs, column by column.
 
 #![warn(missing_docs)]
+// Reads clocks to time work, which clippy.toml otherwise disallows.
+#![allow(clippy::disallowed_methods)]
 
 pub mod baseline;
 pub mod compare;

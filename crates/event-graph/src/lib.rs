@@ -29,6 +29,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Outputs are a pure function of their inputs: see the workspace's clippy.toml.
+#![deny(clippy::disallowed_methods)]
 
 pub mod algo;
 pub mod artifact;

@@ -48,6 +48,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Outputs are a pure function of their inputs: see the workspace's clippy.toml.
+#![deny(clippy::disallowed_methods)]
 
 pub mod artifact;
 pub mod collectives;

@@ -50,6 +50,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Reads clocks to time work, which clippy.toml otherwise disallows.
+#![allow(clippy::disallowed_methods)]
 
 pub mod hist;
 pub mod progress;

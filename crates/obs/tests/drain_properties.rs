@@ -5,6 +5,9 @@
 //! the order that thread recorded them, and `finish()` returns the total.
 //! A full channel makes recording threads wait; it never drops a record.
 
+// Deadlines and timings read the clock (see clippy.toml).
+#![allow(clippy::disallowed_methods)]
+
 use anacin_obs::tracer::{SimEvent, SimEventKind, TraceRecord, Tracer, CHANNEL_BATCHES};
 use anacin_obs::TraceSink;
 use proptest::prelude::*;

@@ -25,6 +25,8 @@
 //! scheduling and sharing, never a second output format.
 
 #![warn(missing_docs)]
+// Reads clocks to time work, which clippy.toml otherwise disallows.
+#![allow(clippy::disallowed_methods)]
 
 pub mod bench;
 pub mod client;

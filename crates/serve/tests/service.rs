@@ -5,6 +5,9 @@
 //! handshake, refusal of unknown config fields, and the protocol contract
 //! under random client sessions.
 
+// Deadlines and timings read the clock (see clippy.toml).
+#![allow(clippy::disallowed_methods)]
+
 use anacin_core::prelude::*;
 use anacin_miniapps::Pattern;
 use anacin_serve::client::{Client, Outcome};
