@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::Args;
+use crate::args::{Args, Command};
 use anacin_bench::{by_id, Scale, ALL_IDS};
 use anacin_core::prelude::*;
 use anacin_course::prelude::*;
@@ -14,183 +14,174 @@ use anacin_viz::{ascii, svg};
 use serde::Serialize;
 use std::io::Write as _;
 
-const HELP: &str = "\
-anacin — analysis of non-determinism in message-passing applications
+/// The command table: one entry per command, or per action of a command
+/// whose actions read different options. [`Args::parse`], [`dispatch`]
+/// and `anacin help` all read it.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command { name: "run", run: cmd_run, about: "run a measurement campaign (alias: campaign)",
+        args: "campaign observers --dot --append-to --store --progress --explore bounds --json \
+               --stream" },
+    Command { name: "explore stats", run: cmd_explore_stats, about: "schedule-space statistics",
+        args: "program bounds --metrics --json" },
+    Command { name: "graph", run: cmd_graph, args: "program one-run --format --out",
+        about: "render one run's event graph" },
+    Command { name: "distance", run: cmd_distance, args: "program --nd --seed-a --seed-b",
+        about: "kernel distance between two runs" },
+    Command { name: "sweep", run: cmd_sweep, args: "campaign --kind observers --store",
+        about: "a campaign at every point of a parameter sweep" },
+    Command { name: "serve", run: cmd_serve, about: "campaign service daemon; SIGINT/SIGTERM drain",
+        args: "--socket --listen --store --workers --queue-capacity --job-timeout \
+               --progress-interval --metrics" },
+    Command { name: "client", run: cmd_client, about: "submit a job to a daemon, print its result",
+        args: "campaign --dot --job --kind --explore bounds --socket --connect --retries --peer \
+               --stats" },
+    Command { name: "store stats", run: cmd_store_stats, args: "--store",
+        about: "size and count per artifact kind" },
+    Command { name: "store verify", run: cmd_store_verify, args: "--store",
+        about: "checksum every artifact" },
+    Command { name: "store gc", run: cmd_store_gc, args: "--store --budget",
+        about: "evict the oldest artifacts" },
+    Command { name: "bench baseline", run: cmd_bench_baseline, args: "--procs --runs --seed --out",
+        about: "per-stage timings of every pattern (BENCH_baseline.json)" },
+    Command { name: "bench large", run: cmd_bench_large,
+        args: "--procs --runs --iterations --seed --out",
+        about: "the 1024-rank tier (BENCH_large.json)" },
+    Command { name: "bench compare", run: cmd_bench_compare, args: "PARENT_DIR CHANGE_DIR --json",
+        about: "the perf gate over reports of two builds" },
+    Command { name: "root-cause", run: cmd_root_cause, args: "campaign --slices --top",
+        about: "callstack ranking for a campaign" },
+    Command { name: "replay", run: cmd_replay, args: "program --seed --record",
+        about: "record/replay demonstration (ReMPI-style)" },
+    Command { name: "figure", run: cmd_figure, args: "[ID] --paper-scale --out-dir",
+        about: "regenerate a paper artifact: tables, 1..8 or all (default)" },
+    Command { name: "embed", run: cmd_embed, args: "campaign --out",
+        about: "2-D MDS embedding of a run sample in kernel space" },
+    Command { name: "diff", run: cmd_diff, args: "program --nd --seed-a --seed-b",
+        about: "which receives matched differently in two runs" },
+    Command { name: "heatmap", run: cmd_heatmap, args: "campaign --out",
+        about: "pairwise kernel-distance heatmap over a run sample" },
+    Command { name: "reduction", run: cmd_reduction, args: "--procs --nd --runs --seed --range",
+        about: "numerical reproducibility of arrival-order reductions" },
+    Command { name: "ablation", run: cmd_ablation, args: "campaign",
+        about: "compare kernels' ability to measure ND on one sample" },
+    Command { name: "report", run: cmd_report, args: "campaign --out",
+        about: "one-file HTML report of a campaign" },
+    Command { name: "explain", run: cmd_explain, args: "program one-run --from --to",
+        about: "shortest happens-before chain between two events" },
+    Command { name: "exercise", run: cmd_exercise, args: "[ID] --solve",
+        about: "list exercises, or grade one's reference solution" },
+    Command { name: "inspect", run: cmd_inspect, args: "program one-run",
+        about: "structural profile of one run: traffic, wildcard exposure" },
+    Command { name: "timeline", run: cmd_timeline, args: "program one-run --out",
+        about: "per-rank Gantt view of one run" },
+    Command { name: "trace", run: cmd_trace, args: "program one-run --out",
+        about: "export one run's trace as JSON" },
+    Command { name: "trace view", run: cmd_trace_view, args: "FILE",
+        about: "summarise a Chrome JSON or .folded trace file" },
+    Command { name: "record", run: cmd_record, args: "program one-run --out",
+        about: "save a run's matching decisions for replay --record" },
+    Command { name: "course", run: cmd_course,
+        args: "--lesson --level --paper-scale --answers --agenda --related-work",
+        about: "print the course module, or run a lesson" },
+    Command { name: "testkit gen", run: cmd_testkit_gen, args: "--seed --procs --rounds --out",
+        about: "print a random generated program" },
+    Command { name: "testkit check", run: cmd_testkit_check, args: "--seed --count",
+        about: "the oracle battery on generated programs" },
+    Command { name: "help", run: cmd_help, args: "", about: "print this help (or --help)" },
+];
 
-USAGE: anacin <command> [options]
+/// Options that several commands read together, named in [`COMMANDS`].
+pub(crate) const GROUPS: &[(&str, &str)] = &[
+    ("program", "--pattern --procs --iterations"),
+    ("one-run", "--nd --seed"),
+    ("campaign", "program --nd --runs --nodes --seed --bytes"),
+    ("observers", "--metrics --trace"),
+    ("bounds", "--schedule-budget --brute-force"),
+];
 
-COMMANDS
-  run         run a measurement campaign ('campaign' is an alias)
-              --pattern race|amg2013|mesh|collectives  --procs N  --nd P
-              --runs N  --iterations N  --nodes N  --seed S  [--json]
-              [--dot scalar|blocked]  sparse-dot inner loop of --append-to
-                                only (default scalar; results
-                                bit-identical)
-              [--append-to DIR]  grow a stored campaign: reuse the largest
-                                 stored Gram prefix of this run set and
-                                 compute only the new rows/columns (R+1
-                                 dots per added run); byte-identical to a
-                                 cold --store run of the same config
-              [--metrics FILE]  write a pipeline metrics report (JSON) and
-                                print a per-stage summary table to stderr
-              [--trace FILE[.json|.folded]]  record an execution trace:
-                                Chrome Trace Event JSON (Perfetto) or
-                                folded flamegraph stacks (inferno) with
-                                every simulated event; written while the
-                                campaign runs, in bounded memory
-              [--progress]  live one-line status on stderr (runs done,
-                            events simulated, hottest stage, ETA)
-              [--store DIR]  run incrementally against a content-addressed
-                             artifact store: reuse every stored trace/graph/
-                             feature vector, publish what was recomputed
-              [--stream]  accepted for old scripts; does nothing (every
-                          campaign frees each run's trace and graph once
-                          its features exist, so memory is bounded at
-                          1024-rank scale)
-              [--explore]  also enumerate the schedule space (partial-order
-                           reduced DFS), replay every distinct schedule and
-                           report the true worst-case distance + how much
-                           of the space the sample covered
-              [--schedule-budget N]  explored-schedule cap (default 4096)
-  explore     schedule-space enumeration statistics
-              anacin explore stats --pattern … --procs N [--iterations N]
-              [--schedule-budget N] [--brute-force] [--json] [--metrics FILE]
-  graph       render one run's event graph
-              --pattern … --procs N --nd P --seed S
-              --format ascii|dot|graphml|json|svg  [--out FILE]
-  distance    kernel distance between two runs
-              --pattern … --procs N --nd P --seed-a A --seed-b B
-  sweep       parameter sweep
-              --kind nd|procs|iterations  --pattern … --procs N --runs N
-              [--metrics FILE]  per-point metrics breakdown + merged
-                                aggregate (JSON {aggregate, points})
-              [--trace FILE[.json|.folded]]  execution trace of every
-                                point's runs (see run)
-              [--store DIR]  run every sweep point incrementally (see run)
-  serve       campaign service daemon: accept jobs from many clients over
-              a socket, run them on one worker pool against one shared
-              warm store (client B warm-hits client A's runs)
-              [--socket PATH]  Unix socket to listen on (default anacin.sock)
-              [--listen ADDR]  listen on TCP host:port instead
-              [--store DIR]    shared artifact store (default anacin-serve-store)
-              [--workers N]    worker pool size (default: cores, max 4)
-              [--queue-capacity N]  admission queue bound (default 64)
-              [--job-timeout MS]    cancel jobs running longer than MS
-              [--metrics FILE]      write serve counters (JSON) on shutdown
-              SIGINT/SIGTERM drain: admitted jobs finish, new ones refused
-  client      submit one job to a running daemon and print its result
-              (stdout is byte-identical to the local command)
-              --socket PATH | --connect ADDR   where the daemon listens
-              [--job campaign|sweep|explore|append]  job kind (default
-                               campaign; append grows the server's stored
-                               prefix of the run set)
-              plus the matching run/sweep options (--pattern --procs --nd
-              --runs --kind --schedule-budget --brute-force …)
-              [--retries N]    resubmit up to N times when the server answers
-                               Busy, sleeping its suggested backoff between
-                               attempts (default 3)
-              [--peer NAME]    client name in server logs
-              [--stats FILE]   write store hit/miss/put counts (JSON)
-              progress frames stream to stderr while the job runs
-  store       artifact-store maintenance
-              anacin store stats  --store DIR   size/count per artifact kind
-              anacin store verify --store DIR   checksum every artifact
-              anacin store gc     --store DIR --budget BYTES  evict oldest
-  bench       performance baselines and the perf gate
-              anacin bench baseline [--procs N] [--runs N] [--seed S]
-              [--out FILE]  every pattern, per-stage timings, store and
-              serve round trips, Gram at scale (default BENCH_baseline.json)
-              anacin bench large [--procs N] [--runs N] [--iterations N]
-              [--seed S] [--out FILE]  1024-rank tier: per-stage timings
-              + peak RSS + trace overhead (default BENCH_large.json)
-              anacin bench compare PARENT_DIR CHANGE_DIR [--json]  pair
-              same-named reports of two builds (at least 10, run
-              alternately); non-zero exit naming every end-to-end column
-              slower in 9/10 of the pairs, >25% by median, with disjoint
-              interquartile ranges
-  root-cause  callstack ranking for a campaign
-              --pattern … --procs N --runs N  [--slices K] [--top FRAC]
-  replay      record/replay demonstration (ReMPI-style)
-              --pattern … --procs N --seed S
-  figure      regenerate a paper artifact: tables, 1..8 or all
-              anacin figure 7 [--paper-scale] [--out-dir DIR]
-  embed       2-D MDS embedding of a run sample in kernel space
-              --pattern … --procs N --nd P --runs N  [--out FILE.svg]
-  diff        race report: which receives matched differently in two runs
-              --pattern … --procs N --nd P --seed-a A --seed-b B
-  heatmap     pairwise kernel-distance heatmap over a run sample
-              --pattern … --procs N --runs N  [--out FILE.svg]
-  reduction   numerical reproducibility of arrival-order reductions
-              --procs N --nd P --runs N
-  ablation    compare kernels' ability to measure ND on one sample
-              --pattern … --procs N --runs N
-  report      one-file HTML report of a campaign (violins, heatmap,
-              embedding, root causes) — … --out report.html
-  explain     shortest happens-before chain between two events
-              --pattern … --procs N --nd P --seed S
-              --from RANK.IDX --to RANK.IDX
-  exercise    list exercises, or grade the reference/broken solutions
-              anacin exercise [ID] [--solve]
-  inspect     structural profile of one run: traffic matrix, wildcard
-              exposure — --pattern … --procs N --nd P --seed S
-  timeline    per-rank Gantt view of one run
-              --pattern … --procs N --nd P --seed S  [--out FILE.svg]
-  trace       export one run's trace as JSON — … [--out FILE]
-              anacin trace view FILE  summarise a recorded trace:
-              Chrome JSON (per-rank event counts, busiest rank, longest
-              gap, top spans) or .folded (top stacks by self-time);
-              Chrome files stream line-by-line, so multi-GB traces
-              summarise in constant memory
-  record      save a run's matching decisions — … --out FILE
-              (feed back with: replay --record FILE)
-  course      print the course module; --lesson 1..4 runs a use case
-              [--level a|b|c] [--answers] [--agenda] [--related-work]
-  testkit     random-program test harness
-              testkit gen --seed S [--procs N --rounds R] [--out FILE]
-              testkit check --seed S [--count N]
-  help        this message (also --help after any command)
+/// Every option: `--name`, then `VALUE` if it takes one, then its help.
+pub(crate) const OPTIONS: &str = "\
+--agenda                print the half-day tutorial agenda
+--answers               print each question's answer
+--append-to DIR         grow DIR's stored campaign: compute only the new rows
+--brute-force           explore without partial-order reduction
+--budget BYTES          evict down to BYTES (default 256 MiB)
+--bytes B               message size in bytes (default 1)
+--connect ADDR          reach the daemon at TCP host:port
+--count N               check N seeds from --seed on (default 1)
+--dot KIND              scalar|blocked: an append's dot product (scalar)
+--explore               enumerate every schedule: true worst case, coverage
+--format FORMAT         ascii|dot|graphml|json|svg (default ascii)
+--from EVENT            the chain's first event, RANK.INDEX (default 0.0)
+--iterations N          iterations of the program (default 1)
+--job KIND              campaign|sweep|explore|append (default campaign)
+--job-timeout MS        cancel jobs running longer than MS
+--json                  print the JSON payload
+--kind AXIS             nd|procs|iterations: the swept parameter (nd)
+--lesson N              run use case 1..4 and check its claims
+--level L               a|b|c: only that level's questions
+--listen ADDR           listen on TCP host:port instead of a Unix socket
+--metrics FILE          write a metrics report (JSON); stage table on stderr
+--nd P                  percentage of non-determinism, 0..100
+--nodes N               nodes the processes are spread over (default 1)
+--out FILE              write the output to FILE
+--out-dir DIR           write each figure's SVG into DIR
+--paper-scale           the paper's scale: 32 processes, 20 runs a setting
+--pattern NAME          race, amg2013, mesh, collectives or stencil2d
+--peer NAME             this client's name in server logs
+--procs N               number of MPI processes
+--progress              live status on stderr: runs, events, stage, ETA
+--progress-interval MS  time between a job's progress frames (default 250)
+--queue-capacity N      admission queue bound (default 64)
+--range R               summed magnitudes span 10^-R..10^R (default 6)
+--record FILE           replay this match record (from 'anacin record')
+--related-work          print the comparison with related tools
+--retries N             resubmissions while the server is busy (default 3)
+--rounds N              rounds of the generated program
+--runs N                runs in the sample
+--schedule-budget N     explored-schedule cap (default 4096)
+--seed S                seed of the run, or of a campaign's first run
+--seed-a S              seed of the first run (default 1)
+--seed-b S              seed of the second run (default 2)
+--slices K              logical-time windows (default 16)
+--socket PATH           the daemon's Unix socket (default anacin.sock)
+--solve                 grade the reference solution
+--stats FILE            write the job's store hit/miss/publish counts
+--store DIR             artifact store: reuse what it holds, publish the rest
+--stream                accepted for old scripts; does nothing
+--to EVENT              the chain's last event, RANK.INDEX (default 0.1)
+--top FRAC              fraction of windows ranked high-ND (default 0.25)
+--trace FILE            trace every event: Chrome JSON, or .folded stacks
+--workers N             worker threads (default: cores, at most 4)
 ";
 
-/// Dispatch a parsed command line.
+/// Run a parsed command line's handler.
 pub fn dispatch(args: &Args) -> Result<(), String> {
-    let command = if args.flag("help") {
-        None
-    } else {
-        args.command.as_deref()
-    };
-    match command {
-        None | Some("help") => {
-            println!("{HELP}");
-            Ok(())
+    (args.command.run)(args)
+}
+
+/// `anacin help`: the help text, generated from the command table.
+fn cmd_help(_: &Args) -> Result<(), String> {
+    println!(
+        "anacin — analysis of non-determinism in message-passing applications\n\n\
+         USAGE: anacin <command> [arguments] [options]\n\
+         A command accepts only the arguments and options listed under it.\n\nCOMMANDS"
+    );
+    for c in COMMANDS {
+        println!("  {:<16}{}", c.name, c.about);
+        let mut lines: Vec<String> = Vec::new();
+        for word in c.synopsis() {
+            match lines.last_mut() {
+                Some(line) if line.len() + word.len() < 80 => *line += &format!(" {word}"),
+                _ => lines.push(format!("{:18}{word}", "")),
+            }
         }
-        Some("run") | Some("campaign") => cmd_run(args),
-        Some("explore") => cmd_explore(args),
-        Some("serve") => cmd_serve(args),
-        Some("client") => cmd_client(args),
-        Some("store") => cmd_store(args),
-        Some("bench") => cmd_bench(args),
-        Some("graph") => cmd_graph(args),
-        Some("distance") => cmd_distance(args),
-        Some("sweep") => cmd_sweep(args),
-        Some("root-cause") => cmd_root_cause(args),
-        Some("replay") => cmd_replay(args),
-        Some("figure") => cmd_figure(args),
-        Some("embed") => cmd_embed(args),
-        Some("diff") => cmd_diff(args),
-        Some("heatmap") => cmd_heatmap(args),
-        Some("reduction") => cmd_reduction(args),
-        Some("ablation") => cmd_ablation(args),
-        Some("report") => cmd_report(args),
-        Some("explain") => cmd_explain(args),
-        Some("exercise") => cmd_exercise(args),
-        Some("inspect") => cmd_inspect(args),
-        Some("timeline") => cmd_timeline(args),
-        Some("trace") => cmd_trace(args),
-        Some("record") => cmd_record(args),
-        Some("course") => cmd_course(args),
-        Some("testkit") => cmd_testkit(args),
-        Some(other) => Err(format!("unknown command '{other}'; try 'anacin help'")),
+        lines.iter().for_each(|line| println!("{line}"));
     }
+    println!("\nOPTIONS");
+    OPTIONS.lines().for_each(|line| println!("  {line}"));
+    Ok(())
 }
 
 fn pattern_of(args: &Args) -> Result<Pattern, String> {
@@ -225,9 +216,6 @@ fn campaign_of(args: &Args) -> Result<CampaignConfig, String> {
         .iterations(args.get_parsed("iterations", 1u32)?)
         .nodes(args.get_parsed("nodes", 1u32)?)
         .base_seed(args.get_parsed("seed", 1u64)?);
-    if let Some(s) = args.get("dot") {
-        cfg = cfg.dot(s.parse()?);
-    }
     cfg.app.message_bytes = args.get_parsed("bytes", 1u64)?;
     Ok(cfg)
 }
@@ -304,7 +292,7 @@ fn interrupted_err() -> String {
     "interrupted by signal; partial output flushed".to_string()
 }
 
-/// What `--metrics`, `--trace` and `--progress` ask a command to record.
+/// What `--metrics` and `--trace` ask a command to record.
 struct Observers {
     metrics: Option<(String, MetricsRegistry)>,
     tracer: Option<(String, Tracer)>,
@@ -315,13 +303,14 @@ struct Observers {
 }
 
 impl Observers {
-    fn of(args: &Args) -> Result<Self, String> {
+    /// `progress`: whether the command draws the live `--progress` line.
+    fn of(args: &Args, progress: bool) -> Result<Self, String> {
         let metrics = metrics_of(args);
         let tracer = tracer_of(args)?;
         let reg = match (&metrics, &tracer) {
             (Some((_, reg)), _) => Some(reg.clone()),
             (None, Some(_)) => Some(MetricsRegistry::new()),
-            (None, None) if args.flag("progress") => Some(MetricsRegistry::new()),
+            (None, None) if progress => Some(MetricsRegistry::new()),
             (None, None) => None,
         };
         if let (Some(reg), Some((_, t))) = (&reg, &tracer) {
@@ -332,20 +321,6 @@ impl Observers {
             tracer,
             reg,
         })
-    }
-
-    /// The live `--progress` line over `total_runs` runs, when asked for.
-    fn progress(&self, args: &Args, total_runs: u32) -> Option<anacin_obs::ProgressReporter> {
-        self.reg
-            .as_ref()
-            .filter(|_| args.flag("progress"))
-            .map(|reg| {
-                anacin_obs::ProgressReporter::start(
-                    reg,
-                    total_runs as u64,
-                    std::time::Duration::from_millis(250),
-                )
-            })
     }
 
     /// The `--store`/`--append-to` store, mirroring its activity into the
@@ -389,8 +364,12 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
 /// its worker, so memory stays one in-flight run per worker at any rank
 /// count (`--stream` is accepted and changes nothing).
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let cfg = campaign_of(args)?;
-    let obs = Observers::of(args)?;
+    let mut cfg = campaign_of(args)?;
+    if let Some(dot) = args.get("dot") {
+        cfg = cfg.dot(dot.parse()?);
+    }
+    let progress = args.flag("progress");
+    let obs = Observers::of(args, progress)?;
     // `--append-to DIR` is `--store DIR` plus the append schedule: the
     // largest stored Gram prefix of this run set is grown row-by-row
     // (R+1 dots per added run) instead of recomputed from scratch.
@@ -399,7 +378,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err("--append-to already names the store; drop --store or --append-to".into());
     }
     let store = obs.store(args.get("store").or_else(|| args.get("append-to")))?;
-    let reporter = obs.progress(args, cfg.runs);
+    let reporter = obs.reg.as_ref().filter(|_| progress).map(|reg| {
+        let interval = std::time::Duration::from_millis(250);
+        anacin_obs::ProgressReporter::start(reg, cfg.runs as u64, interval)
+    });
     let token = anacin_obs::install_signal_handlers();
     let ctx = obs.ctx(&token, store.as_ref().map(|(_, s)| s));
     let result = if append {
@@ -529,55 +511,50 @@ struct ExploreStatsReport {
     schedule_ids: Vec<String>,
 }
 
-fn cmd_explore(args: &Args) -> Result<(), String> {
-    match args.positional.first().map(String::as_str) {
-        Some("stats") => {
-            let (pattern, app, program) = program_of(args, 4)?;
-            let xcfg = explore_config_of(args)?;
-            let metrics = metrics_of(args);
-            let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r))
-                .map_err(|e| e.to_string())?;
-            if let Some((path, reg)) = &metrics {
-                write_metrics(path, reg)?;
-            }
-            if args.flag("json") {
-                let rep = ExploreStatsReport {
-                    pattern: pattern.to_string(),
-                    procs: app.procs,
-                    iterations: app.iterations,
-                    config: xcfg,
-                    complete: report.is_complete(),
-                    stats: report.stats,
-                    schedule_ids: report.ids().iter().map(|id| id.to_string()).collect(),
-                };
-                println!(
-                    "{}",
-                    anacin_core::report::to_json(&rep).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            let st = &report.stats;
-            println!(
-                "pattern={} procs={} iterations={} prune={}",
-                pattern, app.procs, app.iterations, xcfg.prune
-            );
-            println!(
-                "schedule space: {} distinct schedule(s) ({})",
-                st.schedules,
-                if report.is_complete() {
-                    "complete enumeration"
-                } else {
-                    "truncated — counts are lower bounds"
-                }
-            );
-            println!(
-                "branches={} pruned={} dropped={} terminals={} deadlocks={}",
-                st.branches, st.pruned, st.dropped, st.terminals, st.deadlocks
-            );
-            Ok(())
-        }
-        _ => Err("explore requires an action: 'stats'".to_string()),
+fn cmd_explore_stats(args: &Args) -> Result<(), String> {
+    let (pattern, app, program) = program_of(args, 4)?;
+    let xcfg = explore_config_of(args)?;
+    let metrics = metrics_of(args);
+    let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r))
+        .map_err(|e| e.to_string())?;
+    if let Some((path, reg)) = &metrics {
+        write_metrics(path, reg)?;
     }
+    if args.flag("json") {
+        let rep = ExploreStatsReport {
+            pattern: pattern.to_string(),
+            procs: app.procs,
+            iterations: app.iterations,
+            config: xcfg,
+            complete: report.is_complete(),
+            stats: report.stats,
+            schedule_ids: report.ids().iter().map(|id| id.to_string()).collect(),
+        };
+        println!(
+            "{}",
+            anacin_core::report::to_json(&rep).map_err(|e| e.to_string())?
+        );
+        return Ok(());
+    }
+    let st = &report.stats;
+    println!(
+        "pattern={} procs={} iterations={} prune={}",
+        pattern, app.procs, app.iterations, xcfg.prune
+    );
+    println!(
+        "schedule space: {} distinct schedule(s) ({})",
+        st.schedules,
+        if report.is_complete() {
+            "complete enumeration"
+        } else {
+            "truncated — counts are lower bounds"
+        }
+    );
+    println!(
+        "branches={} pruned={} dropped={} terminals={} deadlocks={}",
+        st.branches, st.pruned, st.dropped, st.terminals, st.deadlocks
+    );
+    Ok(())
 }
 
 fn single_graph(args: &Args) -> Result<EventGraph, String> {
@@ -636,7 +613,7 @@ fn cmd_distance(args: &Args) -> Result<(), String> {
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let base = campaign_of(args)?;
     let axis: SweepAxis = args.get_or("kind", "nd").parse()?;
-    let obs = Observers::of(args)?;
+    let obs = Observers::of(args, false)?;
     let store = obs.store(args.get("store"))?;
     let token = anacin_obs::install_signal_handlers();
     let ctx = obs.ctx(&token, store.as_ref().map(|(_, s)| s));
@@ -678,16 +655,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .progress_interval(std::time::Duration::from_millis(
             args.get_parsed("progress-interval", 250u64)?,
         ));
-    if let Some(w) = args.get("workers") {
-        let n: usize = w
-            .parse()
-            .map_err(|_| format!("invalid value '{w}' for --workers"))?;
-        cfg = cfg.workers(n);
-    }
-    if let Some(t) = args.get("job-timeout") {
-        let ms: u64 = t
-            .parse()
-            .map_err(|_| format!("invalid value '{t}' for --job-timeout"))?;
+    cfg.workers = args.get_parsed("workers", cfg.workers)?;
+    if args.get("job-timeout").is_some() {
+        let ms = args.get_parsed("job-timeout", 0u64)?;
         cfg = cfg.job_timeout(std::time::Duration::from_millis(ms));
     }
     let handle = match args.get("listen") {
@@ -738,7 +708,10 @@ struct ClientStats {
 fn cmd_client(args: &Args) -> Result<(), String> {
     use anacin_serve::client::Outcome;
     use anacin_serve::{Client, Frame, JobSpec};
-    let config = campaign_of(args)?;
+    let mut config = campaign_of(args)?;
+    if let Some(dot) = args.get("dot") {
+        config = config.dot(dot.parse()?);
+    }
     let job = match args.get_or("job", "campaign").as_str() {
         "campaign" if args.flag("explore") => JobSpec::Explore {
             config,
@@ -817,121 +790,119 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_store(args: &Args) -> Result<(), String> {
-    let dir = args
-        .get("store")
-        .ok_or("store requires --store DIR")?
-        .to_string();
-    let store = ArtifactStore::open(&dir).map_err(|e| e.to_string())?;
-    match args.positional.first().map(String::as_str) {
-        Some("stats") => {
-            let s = store.stats().map_err(|e| e.to_string())?;
-            println!("store {dir}: {} artifact(s), {} byte(s)", s.files, s.bytes);
-            if !s.by_kind.is_empty() {
-                println!("{:>10} {:>8} {:>14}", "kind", "files", "bytes");
-                for (kind, files, bytes) in &s.by_kind {
-                    println!("{:>10} {:>8} {:>14}", kind.ext(), files, bytes);
-                }
-            }
-            Ok(())
+/// The `--store DIR` of a store maintenance action, opened.
+fn store_of(args: &Args) -> Result<(&str, ArtifactStore), String> {
+    let dir = args.get("store").ok_or("store requires --store DIR")?;
+    Ok((dir, ArtifactStore::open(dir).map_err(|e| e.to_string())?))
+}
+
+fn cmd_store_stats(args: &Args) -> Result<(), String> {
+    let (dir, store) = store_of(args)?;
+    let s = store.stats().map_err(|e| e.to_string())?;
+    println!("store {dir}: {} artifact(s), {} byte(s)", s.files, s.bytes);
+    if !s.by_kind.is_empty() {
+        println!("{:>10} {:>8} {:>14}", "kind", "files", "bytes");
+        for (kind, files, bytes) in &s.by_kind {
+            println!("{:>10} {:>8} {:>14}", kind.ext(), files, bytes);
         }
-        Some("verify") => {
-            let r = store.verify().map_err(|e| e.to_string())?;
-            println!(
-                "store {dir}: {} ok, {} stale-schema, {} corrupt",
-                r.ok,
-                r.stale_schema,
-                r.corrupt.len()
-            );
-            for (path, reason) in &r.corrupt {
-                println!("  CORRUPT {}: {reason}", path.display());
-            }
-            if r.corrupt.is_empty() {
-                Ok(())
-            } else {
-                Err(format!("{} corrupt artifact(s) found", r.corrupt.len()))
-            }
-        }
-        Some("gc") => {
-            let budget: u64 = args.get_parsed("budget", 256u64 << 20)?;
-            let r = store.gc(budget).map_err(|e| e.to_string())?;
-            println!(
-                "store {dir}: evicted {} file(s) / {} byte(s); kept {} file(s) / {} byte(s)",
-                r.evicted_files, r.evicted_bytes, r.kept_files, r.kept_bytes,
-            );
-            Ok(())
-        }
-        _ => Err("store requires an action: 'stats', 'verify' or 'gc'".to_string()),
+    }
+    Ok(())
+}
+
+fn cmd_store_verify(args: &Args) -> Result<(), String> {
+    let (dir, store) = store_of(args)?;
+    let r = store.verify().map_err(|e| e.to_string())?;
+    println!(
+        "store {dir}: {} ok, {} stale-schema, {} corrupt",
+        r.ok,
+        r.stale_schema,
+        r.corrupt.len()
+    );
+    for (path, reason) in &r.corrupt {
+        println!("  CORRUPT {}: {reason}", path.display());
+    }
+    if r.corrupt.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{} corrupt artifact(s) found", r.corrupt.len()))
     }
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    match args.positional.first().map(String::as_str) {
-        Some("baseline") => {
-            let cfg = anacin_bench::BaselineConfig {
-                procs: args.get_parsed("procs", 32u32)?,
-                runs: args.get_parsed("runs", 10u32)?,
-                base_seed: args.get_parsed("seed", 1u64)?,
-                ..Default::default()
-            };
-            let mut report = anacin_bench::run_baseline(&cfg);
-            // Service-path row: the same campaign submitted twice over a
-            // scratch daemon's socket — cold, then warm.
-            let pattern = Pattern::Amg2013;
-            match anacin_serve::bench::measure_serve_latency(pattern, cfg.procs, cfg.runs) {
-                Ok(l) => {
-                    report.serve = Some(anacin_bench::ServeRow {
-                        pattern: pattern.to_string(),
-                        serve_cold_ms: l.cold_ms,
-                        serve_warm_ms: l.warm_ms,
-                        serve_speedup: if l.warm_ms > 0.0 {
-                            l.cold_ms / l.warm_ms
-                        } else {
-                            0.0
-                        },
-                    });
-                }
-                Err(e) => eprintln!("serve latency row skipped: {e}"),
-            }
-            print!("{}", report.render_table());
-            let path = args.get_or("out", "BENCH_baseline.json");
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            std::fs::write(&path, json).map_err(|e| e.to_string())?;
-            println!("wrote {path}");
-            Ok(())
+fn cmd_store_gc(args: &Args) -> Result<(), String> {
+    let (dir, store) = store_of(args)?;
+    let budget: u64 = args.get_parsed("budget", 256u64 << 20)?;
+    let r = store.gc(budget).map_err(|e| e.to_string())?;
+    println!(
+        "store {dir}: evicted {} file(s) / {} byte(s); kept {} file(s) / {} byte(s)",
+        r.evicted_files, r.evicted_bytes, r.kept_files, r.kept_bytes,
+    );
+    Ok(())
+}
+
+fn cmd_bench_baseline(args: &Args) -> Result<(), String> {
+    let cfg = anacin_bench::BaselineConfig {
+        procs: args.get_parsed("procs", 32u32)?,
+        runs: args.get_parsed("runs", 10u32)?,
+        base_seed: args.get_parsed("seed", 1u64)?,
+        ..Default::default()
+    };
+    let mut report = anacin_bench::run_baseline(&cfg);
+    // Service-path row: the same campaign submitted twice over a
+    // scratch daemon's socket — cold, then warm.
+    let pattern = Pattern::Amg2013;
+    match anacin_serve::bench::measure_serve_latency(pattern, cfg.procs, cfg.runs) {
+        Ok(l) => {
+            report.serve = Some(anacin_bench::ServeRow {
+                pattern: pattern.to_string(),
+                serve_cold_ms: l.cold_ms,
+                serve_warm_ms: l.warm_ms,
+                serve_speedup: if l.warm_ms > 0.0 {
+                    l.cold_ms / l.warm_ms
+                } else {
+                    0.0
+                },
+            });
         }
-        Some("large") => {
-            let cfg = anacin_bench::LargeScaleConfig {
-                procs: args.get_parsed("procs", 1024u32)?,
-                runs: args.get_parsed("runs", 3u32)?,
-                iterations: args.get_parsed("iterations", 1u32)?,
-                base_seed: args.get_parsed("seed", 1u64)?,
-            };
-            let report = anacin_bench::run_large_baseline(&cfg);
-            print!("{}", report.render_table());
-            let path = args.get_or("out", "BENCH_large.json");
-            let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-            std::fs::write(&path, json).map_err(|e| e.to_string())?;
-            println!("wrote {path}");
-            Ok(())
-        }
-        Some("compare") => {
-            let [_, parent, change] = args.positional.as_slice() else {
-                return Err("bench compare requires two directories: PARENT_DIR CHANGE_DIR".into());
-            };
-            let cmp = anacin_bench::compare_dirs(parent, change)?;
-            if args.flag("json") {
-                let json = serde_json::to_string_pretty(&cmp).map_err(|e| e.to_string())?;
-                println!("{json}");
-            } else {
-                print!("{}", cmp.render_table());
-            }
-            match cmp.flagged().as_slice() {
-                [] => Ok(()),
-                flagged => Err(format!("regression flagged: {}", flagged.join(", "))),
-            }
-        }
-        _ => Err("bench requires an action: 'baseline', 'large' or 'compare'".to_string()),
+        Err(e) => eprintln!("serve latency row skipped: {e}"),
+    }
+    print!("{}", report.render_table());
+    let path = args.get_or("out", "BENCH_baseline.json");
+    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+    std::fs::write(&path, json).map_err(|e| e.to_string())?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+fn cmd_bench_large(args: &Args) -> Result<(), String> {
+    let cfg = anacin_bench::LargeScaleConfig {
+        procs: args.get_parsed("procs", 1024u32)?,
+        runs: args.get_parsed("runs", 3u32)?,
+        iterations: args.get_parsed("iterations", 1u32)?,
+        base_seed: args.get_parsed("seed", 1u64)?,
+    };
+    let report = anacin_bench::run_large_baseline(&cfg);
+    print!("{}", report.render_table());
+    let path = args.get_or("out", "BENCH_large.json");
+    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+    std::fs::write(&path, json).map_err(|e| e.to_string())?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+fn cmd_bench_compare(args: &Args) -> Result<(), String> {
+    let [parent, change] = args.positional.as_slice() else {
+        return Err("bench compare requires two directories: PARENT_DIR CHANGE_DIR".into());
+    };
+    let cmp = anacin_bench::compare_dirs(parent, change)?;
+    if args.flag("json") {
+        let json = serde_json::to_string_pretty(&cmp).map_err(|e| e.to_string())?;
+        println!("{json}");
+    } else {
+        print!("{}", cmp.render_table());
+    }
+    match cmp.flagged().as_slice() {
+        [] => Ok(()),
+        flagged => Err(format!("regression flagged: {}", flagged.join(", "))),
     }
 }
 
@@ -1323,21 +1294,22 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_trace_view(args: &Args) -> Result<(), String> {
+    let path = args
+        .positional
+        .first()
+        .ok_or("trace view requires a FILE argument")?;
+    let summary = if path.ends_with(".folded") {
+        let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        folded_view_summary(&data).map_err(|e| format!("{path}: {e}"))?
+    } else {
+        trace_view_streaming(path).map_err(|e| format!("{path}: {e}"))?
+    };
+    print!("{summary}");
+    Ok(())
+}
+
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    if args.positional.first().map(String::as_str) == Some("view") {
-        let path = args
-            .positional
-            .get(1)
-            .ok_or("trace view requires a FILE argument")?;
-        let summary = if path.ends_with(".folded") {
-            let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            folded_view_summary(&data).map_err(|e| format!("{path}: {e}"))?
-        } else {
-            trace_view_streaming(path).map_err(|e| format!("{path}: {e}"))?
-        };
-        print!("{summary}");
-        return Ok(());
-    }
     let (_, _, program) = program_of(args, 4)?;
     let trace = single_trace(args, &program)?;
     let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
@@ -1747,58 +1719,48 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_testkit(args: &Args) -> Result<(), String> {
+fn cmd_testkit_gen(args: &Args) -> Result<(), String> {
     use anacin_testkit::prelude::*;
     let seed = args.get_parsed("seed", 0u64)?;
-    match args.positional.first().map(String::as_str) {
-        Some("gen") => {
-            let mut cfg = GenConfig::from_seed(seed);
-            if let Some(procs) = args.get("procs") {
-                cfg.world_size = procs
-                    .parse()
-                    .map_err(|_| format!("invalid value '{procs}' for --procs"))?;
-            }
-            if let Some(rounds) = args.get("rounds") {
-                cfg.rounds = rounds
-                    .parse()
-                    .map_err(|_| format!("invalid value '{rounds}' for --rounds"))?;
-            }
-            let gp = generate(&cfg);
-            let mut listing = format!(
-                "# generated program (seed {seed}): {} ranks, {} rounds {:?}, \
-                 {} sends / {} receives, chaotic ranks {:?}\n",
-                gp.program.world_size(),
-                gp.round_kinds.len(),
-                gp.round_kinds,
-                gp.program.total_sends(),
-                gp.program.total_receives(),
-                gp.chaotic_ranks,
-            );
-            for r in 0..gp.program.world_size() {
-                listing.push_str(&format!("rank {r}:\n"));
-                for op in gp.program.ops(Rank(r)) {
-                    listing.push_str(&format!("  {op:?}\n"));
-                }
-            }
-            write_out(args, &listing)
+    let mut cfg = GenConfig::from_seed(seed);
+    cfg.world_size = args.get_parsed("procs", cfg.world_size)?;
+    cfg.rounds = args.get_parsed("rounds", cfg.rounds)?;
+    let gp = generate(&cfg);
+    let mut listing = format!(
+        "# generated program (seed {seed}): {} ranks, {} rounds {:?}, \
+         {} sends / {} receives, chaotic ranks {:?}\n",
+        gp.program.world_size(),
+        gp.round_kinds.len(),
+        gp.round_kinds,
+        gp.program.total_sends(),
+        gp.program.total_receives(),
+        gp.chaotic_ranks,
+    );
+    for r in 0..gp.program.world_size() {
+        listing.push_str(&format!("rank {r}:\n"));
+        for op in gp.program.ops(Rank(r)) {
+            listing.push_str(&format!("  {op:?}\n"));
         }
-        Some("check") => {
-            let count = args.get_parsed("count", 1u64)?;
-            for s in seed..seed + count {
-                let summary = check_seed(s).map_err(|e| format!("seed {s}: {e}"))?;
-                println!(
-                    "seed {s}: ok — {} events, {} messages ({} wildcard recvs), \
-                     {} replayed receives aligned, {} kernel pairs checked",
-                    summary.validation.events,
-                    summary.validation.messages,
-                    summary.validation.wildcard_recvs,
-                    summary.replayed_receives,
-                    summary.kernel_pairs,
-                );
-            }
-            println!("all oracles hold for {count} generated program(s)");
-            Ok(())
-        }
-        _ => Err("testkit requires an action: 'gen' or 'check'".to_string()),
     }
+    write_out(args, &listing)
+}
+
+fn cmd_testkit_check(args: &Args) -> Result<(), String> {
+    let seed = args.get_parsed("seed", 0u64)?;
+    let count = args.get_parsed("count", 1u64)?;
+    for s in seed..seed + count {
+        let summary =
+            anacin_testkit::prelude::check_seed(s).map_err(|e| format!("seed {s}: {e}"))?;
+        println!(
+            "seed {s}: ok — {} events, {} messages ({} wildcard recvs), \
+                     {} replayed receives aligned, {} kernel pairs checked",
+            summary.validation.events,
+            summary.validation.messages,
+            summary.validation.wildcard_recvs,
+            summary.replayed_receives,
+            summary.kernel_pairs,
+        );
+    }
+    println!("all oracles hold for {count} generated program(s)");
+    Ok(())
 }

@@ -15,7 +15,7 @@ fn main() {
     // that goes away stays an error: the daemon, its client, and `bench`,
     // whose serve row runs an in-process daemon.
     if !matches!(
-        parsed.command.as_deref(),
+        parsed.command.name.split(' ').next(),
         Some("serve" | "client" | "bench")
     ) {
         anacin_obs::shutdown::restore_default_sigpipe();

@@ -892,3 +892,142 @@ fn stream_composes_with_the_store_and_the_explorer() {
     assert!(explored.contains("\"coverage\""), "{explored}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Each `anacin <command> …` line of the project's documents, CI and
+/// course text: `\` continuations joined, cut at the end of the command
+/// (a quote, comment or shell operator). The verify skill calls the
+/// binary `$B`. Prose ("the anacin CLI") and synopses, which hold `…`,
+/// `[`, `<` or a shell variable, are left out.
+fn documented_command_lines() -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let top = [
+        "README.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    let mut files: Vec<std::path::PathBuf> = top.iter().map(|f| root.join(f)).collect();
+    for (dir, ext) in [("docs", "md"), ("crates/course/src", "rs")] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == ext) {
+                files.push(path);
+            }
+        }
+    }
+    let mut lines = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap().replace("\\\n", " ");
+        for line in text.lines() {
+            for start in ["anacin ", "anacin-cli -- ", "$B "] {
+                for (at, _) in line.match_indices(start) {
+                    let before = line[..at].chars().next_back();
+                    if before.is_some_and(|c| c.is_alphanumeric() || c == '-' || c == '_') {
+                        continue;
+                    }
+                    let mut command = &line[at + start.len()..];
+                    for end in [" 2>", ">", "|", "&", ";", "#", ")", "`", "\"", "'"] {
+                        command = command.split(end).next().unwrap();
+                    }
+                    let named = command.starts_with(|c: char| c.is_ascii_lowercase());
+                    if !named || command.contains(['…', '[', '<', '$']) {
+                        continue;
+                    }
+                    lines.push((file.display().to_string(), command.trim().to_string()));
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn every_documented_command_line_parses() {
+    let lines = documented_command_lines();
+    assert!(
+        lines.len() > 100,
+        "found only {} command lines",
+        lines.len()
+    );
+    let failures: Vec<String> = lines
+        .iter()
+        .filter_map(|(file, line)| {
+            let err = Args::parse(line.split_whitespace().map(String::from)).err()?;
+            Some(format!("{file}: anacin {line}: {err}"))
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Every entry of the command table refuses each option that another
+/// entry declares and it does not, with exit 2 and an `error:` line.
+#[test]
+fn every_entry_refuses_the_options_it_does_not_read() {
+    use anacin_cli::commands::COMMANDS;
+    let mut specs: Vec<&str> = COMMANDS.iter().flat_map(|c| c.synopsis()).collect();
+    specs.retain(|s| s.starts_with("--"));
+    specs.sort_unstable();
+    specs.dedup();
+    for command in COMMANDS {
+        let own = command.synopsis();
+        let foreign: Vec<&str> = specs.iter().copied().filter(|s| !own.contains(s)).collect();
+        assert!(!foreign.is_empty(), "{} reads every option", command.name);
+        for spec in &foreign {
+            let line: Vec<&str> = command.name.split(' ').chain(spec.split(' ')).collect();
+            let err = Args::parse(line.iter().map(|s| s.to_string())).unwrap_err();
+            let option = spec.split(' ').next().unwrap();
+            assert_eq!(err, format!("unknown option {option}; try 'anacin help'"));
+        }
+        let line: Vec<&str> = command
+            .name
+            .split(' ')
+            .chain(foreign[0].split(' '))
+            .collect();
+        assert_usage_error(&line, "unknown option --");
+    }
+    // Each of these exits 0 at the parent commit, except `run --procs`,
+    // which named a value of 'true' there.
+    for (args, needle) in [
+        (&["graph", "--runs", "5"][..], "unknown option --runs"),
+        (
+            &["store", "stats", "--store", "s", "--pattern", "amg2013"],
+            "unknown option --pattern",
+        ),
+        (&["sweep", "--progress"], "unknown option --progress"),
+        (&["embed", "--dot", "blocked"], "unknown option --dot"),
+        (&["run", "--json", "5"], "unexpected argument '5'"),
+        (&["run", "--procs"], "--procs needs a value"),
+        (&["figure", "7", "--runs", "5"], "unknown option --runs"),
+    ] {
+        assert_usage_error(args, needle);
+    }
+}
+
+/// `anacin help` is generated from the table: under each entry's name
+/// and summary, it names every argument and option the entry declares.
+#[test]
+fn help_names_every_declared_option_of_every_entry() {
+    use anacin_cli::commands::COMMANDS;
+    let (code, help, stderr) = anacin(&["help"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let lines: Vec<&str> = help.lines().collect();
+    for command in COMMANDS {
+        let head = format!("  {:<16}{}", command.name, command.about);
+        let at = lines.iter().position(|l| *l == head).expect(&head);
+        let listed: Vec<&str> = lines[at + 1..]
+            .iter()
+            .take_while(|l| l.starts_with(&" ".repeat(18)))
+            .map(|l| l.trim())
+            .collect();
+        let listed = format!(" {} ", listed.join(" "));
+        for spec in command.synopsis() {
+            assert!(
+                listed.contains(&format!(" {spec} ")),
+                "{}: {spec}",
+                command.name
+            );
+        }
+    }
+    for option in ["--bytes B", "--range R", "--progress-interval MS"] {
+        assert!(help.contains(&format!("\n  {option}  ")), "{option}");
+    }
+}
