@@ -42,6 +42,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Fingerprints, frame checksums and file names are a pure function of
+// their inputs: see the workspace's clippy.toml.
+#![deny(clippy::disallowed_methods)]
 
 pub mod artifact;
 pub mod fingerprint;
