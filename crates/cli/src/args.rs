@@ -163,6 +163,20 @@ impl Args {
         debug_assert!(self.declares(key, false), "undeclared switch --{key}");
         self.options.iter().any(|(k, _)| k == key)
     }
+
+    /// Refuse the options of `keys` (space-separated names) unless `mode`
+    /// holds: the command reads them only in a mode this line is not in,
+    /// described by `needs`.
+    pub(crate) fn only_with(&self, keys: &str, mode: bool, needs: &str) -> Result<(), String> {
+        let given = keys.split(' ').find(|key| {
+            debug_assert!(self.declares(key, true) || self.declares(key, false));
+            self.options.iter().any(|(k, _)| k == key)
+        });
+        match given {
+            Some(key) if !mode => Err(format!("--{key} is read only with {needs}")),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]

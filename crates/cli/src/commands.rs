@@ -1,8 +1,8 @@
 //! Subcommand implementations.
 
 use crate::args::{Args, Command};
-use anacin_bench::{by_id, Scale, ALL_IDS};
 use anacin_core::prelude::*;
+use anacin_course::figures::{by_id, ALL_IDS};
 use anacin_course::prelude::*;
 use anacin_event_graph::{export, EventGraph};
 use anacin_kernels::prelude::*;
@@ -127,7 +127,7 @@ pub(crate) const OPTIONS: &str = "\
 --nodes N               nodes the processes are spread over (default 1)
 --out FILE              write the output to FILE
 --out-dir DIR           write each figure's SVG into DIR
---paper-scale           the paper's scale: 32 processes, 20 runs a setting
+--paper-scale           the paper's scale: 16 and 32 processes, 20 runs a setting
 --pattern NAME          race, amg2013, mesh, collectives or stencil2d
 --peer NAME             this client's name in server logs
 --procs N               number of MPI processes
@@ -364,6 +364,12 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
 /// its worker, so memory stays one in-flight run per worker at any rank
 /// count (`--stream` is accepted and changes nothing).
 fn cmd_run(args: &Args) -> Result<(), String> {
+    args.only_with("dot", args.get("append-to").is_some(), "--append-to")?;
+    args.only_with(
+        "schedule-budget brute-force",
+        args.flag("explore"),
+        "--explore",
+    )?;
     let mut cfg = campaign_of(args)?;
     if let Some(dot) = args.get("dot") {
         cfg = cfg.dot(dot.parse()?);
@@ -708,11 +714,21 @@ struct ClientStats {
 fn cmd_client(args: &Args) -> Result<(), String> {
     use anacin_serve::client::Outcome;
     use anacin_serve::{Client, Frame, JobSpec};
+    let kind = args.get_or("job", "campaign");
+    let explore = kind == "explore" || args.flag("explore");
+    args.only_with("dot", kind == "append", "--job append")?;
+    args.only_with(
+        "schedule-budget brute-force",
+        explore,
+        "--explore or --job explore",
+    )?;
+    args.only_with("kind", kind == "sweep", "--job sweep")?;
+    args.only_with("explore", kind == "campaign", "--job campaign")?;
     let mut config = campaign_of(args)?;
     if let Some(dot) = args.get("dot") {
         config = config.dot(dot.parse()?);
     }
-    let job = match args.get_or("job", "campaign").as_str() {
+    let job = match kind.as_str() {
         "campaign" if args.flag("explore") => JobSpec::Explore {
             config,
             budget: args.get_parsed("schedule-budget", 4096usize)?,
@@ -1006,12 +1022,17 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_figure(args: &Args) -> Result<(), String> {
-    let scale = if args.flag("paper-scale") {
+/// `Scale::paper()` under `--paper-scale`, else `Scale::quick()`.
+fn scale_of(args: &Args) -> Scale {
+    if args.flag("paper-scale") {
         Scale::paper()
     } else {
         Scale::quick()
-    };
+    }
+}
+
+fn cmd_figure(args: &Args) -> Result<(), String> {
+    let scale = scale_of(args);
     let id = args.positional.first().map(String::as_str).unwrap_or("all");
     let ids: Vec<&str> = if id == "all" {
         ALL_IDS.to_vec()
@@ -1021,11 +1042,7 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
     let mut failed = Vec::new();
     for id in ids {
         let fig = by_id(id, &scale).ok_or_else(|| format!("unknown figure id '{id}'"))?;
-        println!("=== {} ===", fig.title);
-        println!("{}", fig.text);
-        for (claim, ok) in &fig.checks {
-            println!("[{}] {claim}", if *ok { "PASS" } else { "FAIL" });
-        }
+        print!("{}", fig.render(None));
         if let (Some(dir), Some(svg)) = (args.get("out-dir"), fig.svg.as_deref()) {
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
             let path = format!("{dir}/{}.svg", fig.id);
@@ -1045,29 +1062,13 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_course(args: &Args) -> Result<(), String> {
-    if let Some(lesson) = args.get("lesson") {
-        let cfg = if args.flag("paper-scale") {
-            LessonConfig::paper_scale()
-        } else {
-            LessonConfig::default()
-        };
-        let report = match lesson {
-            "1" => use_case_1(&cfg),
-            "2" => use_case_2(&cfg),
-            "3" => use_case_3(&cfg),
-            "4" => use_case_4(&cfg),
-            other => return Err(format!("unknown lesson '{other}' (expected 1, 2, 3 or 4)")),
-        };
-        println!("=== {} ===\n", report.title);
-        println!("{}", report.narrative);
-        for c in &report.checks {
-            println!(
-                "[{}] {} — {}",
-                if c.passed { "PASS" } else { "FAIL" },
-                c.name,
-                c.detail
-            );
-        }
+    if let Some(number) = args.get("lesson") {
+        let report = number
+            .parse()
+            .ok()
+            .and_then(|n| lesson(n, &scale_of(args)))
+            .ok_or_else(|| format!("unknown lesson '{number}' (expected 1, 2, 3 or 4)"))?;
+        print!("{}", report.render());
         return if report.passed() {
             Ok(())
         } else {

@@ -1002,6 +1002,114 @@ fn every_entry_refuses_the_options_it_does_not_read() {
     }
 }
 
+/// `run` refuses an option it reads only in another of its modes: `--dot`
+/// reaches only an append, the explore bounds only `--explore`. Each of
+/// these lines exited 0 before, its output byte-identical to the same
+/// run without the option.
+#[test]
+fn run_refuses_options_it_reads_only_in_another_mode() {
+    let campaign = ["run", "--pattern", "race", "--procs", "4", "--runs", "3"];
+    for (extra, needle) in [
+        (
+            &[
+                "--dot",
+                "blocked",
+                "--schedule-budget",
+                "5",
+                "--brute-force",
+                "--json",
+            ][..],
+            "--dot is read only with --append-to",
+        ),
+        (
+            &["--schedule-budget", "5"],
+            "--schedule-budget is read only with --explore",
+        ),
+        (
+            &["--brute-force"],
+            "--brute-force is read only with --explore",
+        ),
+    ] {
+        let line: Vec<&str> = campaign.iter().chain(extra).copied().collect();
+        assert_usage_error(&line, needle);
+    }
+}
+
+/// `client` refuses the options of the jobs it is not submitting, before
+/// it connects: no daemon listens on the socket below, so a line that
+/// got past the check would fail to connect instead.
+#[test]
+fn client_refuses_options_of_other_jobs_before_connecting() {
+    let socket = std::env::temp_dir().join("anacin_cli_no_daemon.sock");
+    let client = ["client", "--socket", socket.to_str().unwrap()];
+    for (extra, needle) in [
+        (
+            &["--dot", "blocked"][..],
+            "--dot is read only with --job append",
+        ),
+        (
+            &["--job", "sweep", "--dot", "blocked"],
+            "--dot is read only with --job append",
+        ),
+        (
+            &["--brute-force"],
+            "--brute-force is read only with --explore or --job explore",
+        ),
+        (
+            &["--job", "append", "--schedule-budget", "5"],
+            "--schedule-budget is read only with --explore or --job explore",
+        ),
+        (&["--kind", "procs"], "--kind is read only with --job sweep"),
+        (
+            &["--job", "explore", "--kind", "procs"],
+            "--kind is read only with --job sweep",
+        ),
+        (
+            &["--job", "append", "--explore"],
+            "--explore is read only with --job campaign",
+        ),
+        (
+            &["--job", "sweep", "--explore"],
+            "--explore is read only with --job campaign",
+        ),
+    ] {
+        let line: Vec<&str> = client.iter().chain(extra).copied().collect();
+        assert_usage_error(&line, needle);
+    }
+}
+
+/// The same options in their own modes pass the check: `run` completes,
+/// and `client` goes on to connect (and fails to, with no daemon).
+#[test]
+fn options_in_their_own_mode_are_read() {
+    run(&[
+        "run",
+        "--pattern",
+        "race",
+        "--procs",
+        "3",
+        "--runs",
+        "2",
+        "--explore",
+        "--schedule-budget",
+        "8",
+        "--brute-force",
+    ])
+    .unwrap();
+    let socket = std::env::temp_dir().join("anacin_cli_no_daemon.sock");
+    let client = ["client", "--socket", socket.to_str().unwrap()];
+    for extra in [
+        &["--job", "append", "--dot", "scalar"][..],
+        &["--explore", "--schedule-budget", "5", "--brute-force"],
+        &["--job", "explore", "--brute-force"],
+        &["--job", "sweep", "--kind", "procs"],
+    ] {
+        let line: Vec<&str> = client.iter().chain(extra).copied().collect();
+        let err = run(&line).unwrap_err();
+        assert!(!err.contains("is read only with"), "{line:?}: {err}");
+    }
+}
+
 /// `anacin help` is generated from the table: under each entry's name
 /// and summary, it names every argument and option the entry declares.
 #[test]

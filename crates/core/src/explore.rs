@@ -103,21 +103,6 @@ impl ExploreCampaignResult {
         self.matrix.pairwise_distances()
     }
 
-    /// Smallest pairwise distance (0.0 with fewer than two schedules).
-    pub fn min_distance(&self) -> f64 {
-        let m = self
-            .matrix
-            .pairwise_distances()
-            .into_iter()
-            .filter(|d| d.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        if m.is_finite() {
-            m
-        } else {
-            0.0
-        }
-    }
-
     /// Largest pairwise distance — the worst case over the schedule space
     /// when the enumeration is complete.
     pub fn max_distance(&self) -> f64 {
@@ -288,7 +273,6 @@ mod tests {
         assert_eq!(a.matrix, b.matrix);
         // Self-distances vanish: distinct schedules drive all spread.
         assert!(a.max_distance() > 0.0);
-        assert!(a.min_distance() >= 0.0);
         assert!(a.mean_distance() > 0.0);
     }
 

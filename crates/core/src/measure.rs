@@ -47,37 +47,6 @@ impl NdMeasurement {
         }
     }
 
-    /// Measure against a *reference run* instead of all pairs: distances
-    /// from run `reference` to every other run. ANACIN-X supports both
-    /// views; the reference view is natural when one run is the blessed
-    /// baseline (e.g. the recorded run in a replay workflow).
-    ///
-    /// # Panics
-    /// Panics when `reference` is out of range.
-    pub fn from_reference(
-        label: impl Into<String>,
-        result: &CampaignResult,
-        reference: usize,
-    ) -> NdMeasurement {
-        assert!(reference < result.matrix.len(), "reference out of range");
-        let distances = result.matrix.distances_from(reference);
-        let summary = Summary::of(&distances).unwrap_or(Summary {
-            n: 0,
-            mean: 0.0,
-            std_dev: 0.0,
-            min: 0.0,
-            q1: 0.0,
-            median: 0.0,
-            q3: 0.0,
-            max: 0.0,
-        });
-        NdMeasurement {
-            label: label.into(),
-            distances,
-            summary,
-        }
-    }
-
     /// The violin summary used by renderers.
     pub fn violin(&self) -> Option<ViolinSummary> {
         ViolinSummary::from_sample(self.label.clone(), &self.distances)
@@ -114,26 +83,6 @@ mod tests {
         assert_eq!(m.summary.n, 28);
         assert!(m.mean() > 0.0);
         assert!(m.violin().is_some());
-    }
-
-    #[test]
-    fn reference_measurement() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 8).runs(8)).unwrap();
-        let m = NdMeasurement::from_reference("vs run 0", &r, 0);
-        assert_eq!(m.distances.len(), 7);
-        assert!(m.mean() > 0.0);
-        // Reference distances are a subset-like view; means differ from
-        // the all-pairs view in general but stay the same order of
-        // magnitude.
-        let all = NdMeasurement::from_campaign("all pairs", &r);
-        assert!(m.mean() < 4.0 * all.mean());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn reference_out_of_range_panics() {
-        let r = run_campaign(&CampaignConfig::new(Pattern::MessageRace, 4).runs(3)).unwrap();
-        NdMeasurement::from_reference("x", &r, 99);
     }
 
     #[test]

@@ -1,310 +1,98 @@
 //! The use cases as *executable lessons* (the paper's three, plus an
 //! extension lesson on consequences and remedies).
 //!
-//! Each lesson runs the real pipeline (simulate → event graph → kernel
-//! distance → visualise) and machine-checks the observation the paper asks
-//! students to make, so an instructor can verify the course material
-//! reproduces on their machine with one command.
+//! The paper builds Use Cases 1–3 on its figures, so a lesson runs the
+//! figures of its use case ([`crate::figures`]) and prints each under the
+//! Table I goal it checks: an instructor can verify the course material
+//! reproduces on their machine with one command. Use Case 4 has no
+//! figure; it checks its claims in the figures' `(claim, holds)` form.
 
-use anacin_core::prelude::*;
+use crate::figures::{by_id, FigureOutput, Scale};
 use anacin_event_graph::EventGraph;
 use anacin_kernels::prelude::{distance, WlKernel};
 use anacin_miniapps::{MiniAppConfig, Pattern};
 use anacin_mpisim::prelude::*;
-use anacin_stats::prelude::*;
-use anacin_viz::ascii;
-use serde::{Deserialize, Serialize};
 
-/// Scale knobs for the lessons.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LessonConfig {
-    /// The "small" process count (paper: 16).
-    pub procs_small: u32,
-    /// The "large" process count (paper: 32).
-    pub procs_large: u32,
-    /// Runs per setting (paper: 20).
-    pub runs: u32,
-    /// Worker threads.
-    pub threads: usize,
+/// One of the paper's use cases: the figures students read in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UseCase {
+    /// Use-case number (1–3).
+    pub number: u8,
+    /// Title of the lesson.
+    pub title: &'static str,
+    /// `(goal, figure id)`: each figure with the Table I goal it checks,
+    /// in the order the lesson shows them.
+    pub figures: &'static [(&'static str, &'static str)],
 }
 
-impl Default for LessonConfig {
-    fn default() -> Self {
-        LessonConfig {
-            procs_small: 8,
-            procs_large: 16,
-            runs: 10,
-            threads: default_threads(),
-        }
-    }
-}
-
-impl LessonConfig {
-    /// The paper's scale: 16/32 processes, 20 runs.
-    pub fn paper_scale() -> Self {
-        LessonConfig {
-            procs_small: 16,
-            procs_large: 32,
-            runs: 20,
-            threads: default_threads(),
-        }
-    }
-}
-
-/// One machine-checked observation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Check {
-    /// What the student is asked to observe.
-    pub name: String,
-    /// Whether the toolkit observed it too.
-    pub passed: bool,
-    /// Supporting detail.
-    pub detail: String,
-}
+/// Use Cases 1–3 and the figures each one shows.
+pub const USE_CASES: [UseCase; 3] = [
+    UseCase {
+        number: 1,
+        title: "Use Case 1: Distributed Computing and Non-determinism",
+        figures: &[("A.1", "fig2"), ("A.1", "fig3"), ("A.2", "fig4")],
+    },
+    UseCase {
+        number: 2,
+        title: "Use Case 2: Factors that Impact Non-determinism",
+        figures: &[("B.1", "fig5"), ("B.2", "fig6")],
+    },
+    UseCase {
+        number: 3,
+        title: "Use Case 3: Root Sources of Non-determinism",
+        figures: &[("C.1", "fig7"), ("C.2", "fig8")],
+    },
+];
 
 /// The output of running a lesson.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LessonReport {
     /// Use-case number (1–4).
     pub use_case: u8,
     /// Title of the lesson.
-    pub title: String,
-    /// Rendered narrative, including ASCII figures.
-    pub narrative: String,
-    /// The machine-checked observations.
-    pub checks: Vec<Check>,
+    pub title: &'static str,
+    /// What the lesson shows, each part with the Table I goal it checks
+    /// (none for Use Case 4's).
+    pub parts: Vec<(Option<&'static str>, FigureOutput)>,
 }
 
 impl LessonReport {
-    /// True when every check passed.
+    /// True when every claim holds.
     pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
+        self.parts.iter().all(|(_, part)| part.passed())
     }
-}
 
-fn check(name: impl Into<String>, passed: bool, detail: impl Into<String>) -> Check {
-    Check {
-        name: name.into(),
-        passed,
-        detail: detail.into(),
-    }
-}
-
-/// Use Case 1 (beginner): distributed computing and non-determinism.
-///
-/// Reproduces Figures 2–4: event graphs of the message race and small AMG
-/// patterns, and two 100%-ND runs of the race with different match orders.
-pub fn use_case_1(cfg: &LessonConfig) -> LessonReport {
-    let mut narrative = String::new();
-    let mut checks = Vec::new();
-
-    // Goal A.1 — Figure 2: message race on 4 processes.
-    let race = Pattern::MessageRace.build(&MiniAppConfig::with_procs(4));
-    let t = simulate(&race, &SimConfig::deterministic()).expect("race completes");
-    let g = EventGraph::from_trace(&t);
-    narrative.push_str("Figure 2 — message race on 4 MPI processes:\n");
-    narrative.push_str(&ascii::event_graph_lanes(&g));
-    checks.push(check(
-        "Goal A.1: three senders target one receiving process",
-        g.match_order(Rank(0)).len() == 3,
-        format!("rank 0 received {} messages", g.match_order(Rank(0)).len()),
-    ));
-
-    // Goal A.1 — Figure 3: AMG 2013 on 2 processes.
-    let amg = Pattern::Amg2013.build(&MiniAppConfig::with_procs(2));
-    let t_amg = simulate(&amg, &SimConfig::deterministic()).expect("amg completes");
-    let g_amg = EventGraph::from_trace(&t_amg);
-    narrative.push_str("\nFigure 3 — AMG 2013 pattern on 2 MPI processes:\n");
-    narrative.push_str(&ascii::event_graph_lanes(&g_amg));
-    checks.push(check(
-        "Goal A.1: each process sends to the other twice (asynchronously)",
-        t_amg.meta.messages == 4,
-        format!("{} messages exchanged", t_amg.meta.messages),
-    ));
-
-    // Goal A.2 — Figure 4: two 100%-ND runs with different match orders.
-    let race8 = Pattern::MessageRace.build(&MiniAppConfig::with_procs(4));
-    let base = simulate(&race8, &SimConfig::with_nd_percent(100.0, 1)).expect("run a");
-    let mut diff_seed = None;
-    for seed in 2..200 {
-        let other = simulate(&race8, &SimConfig::with_nd_percent(100.0, seed)).expect("run b");
-        if other.match_order(Rank(0)) != base.match_order(Rank(0)) {
-            diff_seed = Some((seed, other));
-            break;
+    /// The lesson as `anacin course --lesson N` prints it: its title, then
+    /// each part as [`FigureOutput::render`] prints it, labelled with its
+    /// goal.
+    pub fn render(&self) -> String {
+        let mut out = format!("=== {} ===\n\n", self.title);
+        for (goal, part) in &self.parts {
+            out.push_str(&part.render(goal.map(|g| format!("Goal {g}")).as_deref()));
+            out.push('\n');
         }
-    }
-    match diff_seed {
-        Some((seed, other)) => {
-            narrative.push_str(&format!(
-                "\nFigure 4 — the same code and inputs, two independent runs (seeds 1 and {seed}):\n\
-                 \nrun (a):\n{}\nrun (b):\n{}",
-                ascii::event_graph_lanes(&EventGraph::from_trace(&base)),
-                ascii::event_graph_lanes(&EventGraph::from_trace(&other)),
-            ));
-            checks.push(check(
-                "Goal A.2: the runs' messages arrive in different orders",
-                true,
-                format!(
-                    "match orders {:?} vs {:?}",
-                    base.match_order(Rank(0)),
-                    other.match_order(Rank(0))
-                ),
-            ));
-        }
-        None => checks.push(check(
-            "Goal A.2: the runs' messages arrive in different orders",
-            false,
-            "no differing run found in 200 seeds".to_string(),
-        )),
-    }
-    let _ = cfg;
-    LessonReport {
-        use_case: 1,
-        title: "Use Case 1: Distributed Computing and Non-determinism".to_string(),
-        narrative,
-        checks,
+        out
     }
 }
 
-/// Use Case 2 (intermediate): factors that impact non-determinism.
-///
-/// Reproduces Figures 5 and 6 with the unstructured-mesh pattern at 100%
-/// ND: more processes ⇒ more ND, more iterations ⇒ more ND.
-pub fn use_case_2(cfg: &LessonConfig) -> LessonReport {
-    let mut narrative = String::new();
-    let mut checks = Vec::new();
-
-    // Goal B.1 — Figure 5: process scaling.
-    let base = CampaignConfig::new(Pattern::UnstructuredMesh, cfg.procs_small).runs(cfg.runs);
-    let procs = [cfg.procs_small as f64, cfg.procs_large as f64];
-    let sweep = sweep(SweepAxis::Procs, &base, &procs, &RunCtx::default()).expect("sweep runs");
-    let vs: Vec<ViolinSummary> = sweep
-        .points
-        .iter()
-        .filter_map(|p| p.measurement.violin())
-        .collect();
-    narrative.push_str(&format!(
-        "Figure 5 — kernel distances for {} executions of Unstructured Mesh:\n{}",
-        cfg.runs,
-        ascii::violins(&vs, 40)
-    ));
-    let small = &sweep.points[0].measurement;
-    let large = &sweep.points[1].measurement;
-    checks.push(check(
-        "Goal B.1: more processes => more non-determinism",
-        large.summary.median > small.summary.median
-            && large.significantly_greater_than(small, 0.05),
-        format!(
-            "median {} procs = {:.4}, median {} procs = {:.4}",
-            cfg.procs_large, large.summary.median, cfg.procs_small, small.summary.median
-        ),
-    ));
-
-    // Goal B.2 — Figure 6: iteration scaling on the small process count.
-    let sweep_it = anacin_core::sweep::sweep(
-        SweepAxis::Iterations,
-        &base,
-        &[1.0, 2.0],
-        &RunCtx::default(),
-    )
-    .expect("sweep runs");
-    let vs_it: Vec<ViolinSummary> = sweep_it
-        .points
-        .iter()
-        .filter_map(|p| p.measurement.violin())
-        .collect();
-    narrative.push_str(&format!(
-        "\nFigure 6 — effect of communication-pattern iterations ({} processes):\n{}",
-        cfg.procs_small,
-        ascii::violins(&vs_it, 40)
-    ));
-    let one = &sweep_it.points[0].measurement;
-    let two = &sweep_it.points[1].measurement;
-    checks.push(check(
-        "Goal B.2: more iterations => more accumulated non-determinism",
-        two.summary.median > one.summary.median && two.significantly_greater_than(one, 0.05),
-        format!(
-            "median 2 iters = {:.4}, median 1 iter = {:.4}",
-            two.summary.median, one.summary.median
-        ),
-    ));
-
-    LessonReport {
-        use_case: 2,
-        title: "Use Case 2: Factors that Impact Non-determinism".to_string(),
-        narrative,
-        checks,
+/// Run lesson `number` (1–4) at `scale`: Use Cases 1–3 run their
+/// figures, and Use Case 4 checks reductions and record/replay. `None`
+/// for any other number.
+pub fn lesson(number: u8, scale: &Scale) -> Option<LessonReport> {
+    if number == 4 {
+        return Some(use_case_4(scale));
     }
-}
-
-/// Use Case 3 (advanced): root sources of non-determinism.
-///
-/// Reproduces Figures 7 and 8 with the AMG 2013 pattern: the injected ND
-/// percentage controls the measured kernel distance monotonically, and the
-/// callstack analysis surfaces the wildcard-receive call paths.
-pub fn use_case_3(cfg: &LessonConfig) -> LessonReport {
-    let mut narrative = String::new();
-    let mut checks = Vec::new();
-
-    // Goal C.1 — Figure 7: ND% sweep.
-    let base = CampaignConfig::new(Pattern::Amg2013, cfg.procs_small.min(8)).runs(cfg.runs);
-    let percents = SweepAxis::NdPercent.default_points(&base);
-    let sweep =
-        sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).expect("sweep runs");
-    narrative.push_str(&format!(
-        "Figure 7 — kernel distance vs percentage of non-determinism (AMG 2013):\n{}",
-        ascii::series_table(&sweep.mean_series(), "nd %", "kernel distance")
-    ));
-    // The claim is "the percentage directly controls the amount": zero at
-    // 0%, positive once the knob opens, and rising-then-plateau without
-    // significant dips. (Rank correlation over the saturated plateau is
-    // tie-noise at classroom sample sizes; the paper-scale fig7 binary
-    // also reports Spearman rho = 0.98.)
-    let at_zero = sweep.points[0].measurement.mean();
-    let at_ten = sweep.points[1].measurement.mean();
-    let monotone = sweep.is_monotone_within(0.05);
-    checks.push(check(
-        "Goal C.1: injected ND% directly controls measured non-determinism",
-        at_zero == 0.0 && at_ten > 0.0 && monotone,
-        format!(
-            "distance at 0% = {at_zero:.4}, at 10% = {at_ten:.4}; curve monotone within 5%:              {monotone} (Spearman rho = {:.3})",
-            sweep.spearman_monotonicity()
-        ),
-    ));
-
-    // Goal C.2 — Figure 8: callstack ranking at 100% ND.
-    let cfg = base.clone().nd_percent(100.0);
-    let (_, ranking) =
-        analyze(&cfg, &RootCauseConfig::default(), &RunCtx::default()).expect("campaign runs");
-    let items: Vec<(String, f64)> = ranking
-        .entries
+    let use_case = USE_CASES.iter().find(|u| u.number == number)?;
+    let parts = use_case
+        .figures
         .iter()
-        .take(6)
-        .map(|e| (e.stack.clone(), e.frequency))
+        .map(|&(goal, id)| (Some(goal), by_id(id, scale).expect("a figure id")))
         .collect();
-    narrative.push_str(&format!(
-        "\nFigure 8 — callstacks active in high-non-determinism regions:\n{}",
-        ascii::bar_chart(&items, 40)
-    ));
-    let top_is_wildcard_recv = ranking
-        .top()
-        .map(|t| t.leaf.contains("Recv") || t.leaf.contains("Irecv"))
-        .unwrap_or(false);
-    checks.push(check(
-        "Goal C.2: the top-ranked call paths are the racy receives",
-        top_is_wildcard_recv,
-        ranking
-            .top()
-            .map(|t| format!("top path: {} (freq {:.3})", t.stack, t.frequency))
-            .unwrap_or_else(|| "no callstacks ranked".to_string()),
-    ));
-
-    LessonReport {
-        use_case: 3,
-        title: "Use Case 3: Root Sources of Non-determinism".to_string(),
-        narrative,
-        checks,
-    }
+    Some(LessonReport {
+        use_case: number,
+        title: use_case.title,
+        parts,
+    })
 }
 
 /// Use Case 4 (extension): from non-determinism to irreproducible
@@ -314,47 +102,62 @@ pub fn use_case_3(cfg: &LessonConfig) -> LessonReport {
 /// consequence of match-order non-determinism (the Enzo phenomenon the
 /// paper's introduction motivates with) and (b) its two remedies —
 /// canonical reduction orders and ReMPI-style record/replay.
-pub fn use_case_4(cfg: &LessonConfig) -> LessonReport {
+fn use_case_4(scale: &Scale) -> LessonReport {
     use anacin_numerics::prelude::*;
-    let mut narrative = String::new();
-    let mut checks = Vec::new();
 
     // (a) Irreproducible reductions.
     // Floors: with fewer than ~11 contributors (or few runs) the sequential
     // f32 sums can coincide bitwise across every arrival order, making the
     // irreproducibility demonstration vacuous at reduced lesson scales.
     let exp = ReductionExperiment {
-        procs: cfg.procs_small.max(12),
-        runs: cfg.runs.max(12),
+        procs: scale.procs_small.max(12),
+        runs: scale.runs.max(12),
         ..Default::default()
     };
     let report = anacin_numerics::run(&exp);
-    narrative.push_str(&format!(
-        "Reduction reproducibility over {} runs ({} contributors):\n",
-        exp.runs,
-        exp.procs - 1
-    ));
-    for o in &report.outcomes {
-        narrative.push_str(&format!(
-            "  {:>14}: {} distinct result(s), spread {:.3e}\n",
-            o.algorithm, o.distinct, o.spread
-        ));
-    }
+    let text = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            format!(
+                "  {:>14}: {} distinct result(s), spread {:.3e}\n",
+                o.algorithm, o.distinct, o.spread
+            )
+        })
+        .collect();
     let seq = report.outcome(Reduction::Sequential);
     let sorted = report.outcome(Reduction::Sorted);
-    checks.push(check(
-        "arrival-order reductions are irreproducible across runs",
-        seq.distinct > 1,
-        format!("{} distinct sequential sums", seq.distinct),
-    ));
-    checks.push(check(
-        "canonical (sorted) reduction order restores bitwise reproducibility",
-        sorted.distinct == 1,
-        format!("{} distinct sorted sums", sorted.distinct),
-    ));
+    let reductions = FigureOutput {
+        id: "reductions".to_string(),
+        title: format!(
+            "Reduction reproducibility over {} runs ({} contributors)",
+            exp.runs,
+            exp.procs - 1
+        ),
+        text,
+        svg: None,
+        checks: vec![
+            (
+                format!(
+                    "arrival-order reductions are irreproducible across runs ({} distinct \
+                     sequential sums)",
+                    seq.distinct
+                ),
+                seq.distinct > 1,
+            ),
+            (
+                format!(
+                    "canonical (sorted) reduction order restores bitwise reproducibility ({} \
+                     distinct sorted sums)",
+                    sorted.distinct
+                ),
+                sorted.distinct == 1,
+            ),
+        ],
+    };
 
     // (b) Record/replay pins the communication itself.
-    let program = Pattern::UnstructuredMesh.build(&MiniAppConfig::with_procs(cfg.procs_small));
+    let program = Pattern::UnstructuredMesh.build(&MiniAppConfig::with_procs(scale.procs_small));
     let reference =
         simulate(&program, &SimConfig::with_nd_percent(100.0, 42)).expect("reference run");
     let record = MatchRecord::from_trace(&reference);
@@ -362,7 +165,7 @@ pub fn use_case_4(cfg: &LessonConfig) -> LessonReport {
     let kernel = WlKernel::default();
     let mut max_replay: f64 = 0.0;
     let mut max_free: f64 = 0.0;
-    for seed in 100..(100 + cfg.runs as u64) {
+    for seed in 100..(100 + scale.runs as u64) {
         let sim = SimConfig::with_nd_percent(100.0, seed);
         let free = simulate(&program, &sim).expect("free run");
         let replayed = simulate_replay(&program, &sim, &record).expect("replayed run");
@@ -373,76 +176,71 @@ pub fn use_case_4(cfg: &LessonConfig) -> LessonReport {
             &EventGraph::from_trace(&replayed),
         ));
     }
-    narrative.push_str(&format!(
-        "\nRecord/replay: free runs reach kernel distance {max_free:.3}; replayed runs stay          at {max_replay:.3}.\n"
-    ));
-    checks.push(check(
-        "replaying recorded match decisions suppresses all communication ND",
-        max_replay == 0.0 && max_free > 0.0,
-        format!("max free {max_free:.3}, max replayed {max_replay:.3}"),
-    ));
+    let replay = FigureOutput {
+        id: "replay".to_string(),
+        title: "Record/replay".to_string(),
+        text: format!(
+            "free runs reach kernel distance {max_free:.3}; replayed runs stay at \
+             {max_replay:.3}\n"
+        ),
+        svg: None,
+        checks: vec![(
+            format!(
+                "replaying recorded match decisions suppresses all communication ND (max free \
+                 {max_free:.3}, max replayed {max_replay:.3})"
+            ),
+            max_replay == 0.0 && max_free > 0.0,
+        )],
+    };
 
     LessonReport {
         use_case: 4,
-        title: "Use Case 4 (extension): Consequences and Remedies".to_string(),
-        narrative,
-        checks,
+        title: "Use Case 4 (extension): Consequences and Remedies",
+        parts: vec![(None, reductions), (None, replay)],
     }
-}
-
-/// Run every lesson (the paper's three use cases plus the extension).
-pub fn run_all(cfg: &LessonConfig) -> Vec<LessonReport> {
-    vec![
-        use_case_1(cfg),
-        use_case_2(cfg),
-        use_case_3(cfg),
-        use_case_4(cfg),
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> LessonConfig {
-        LessonConfig {
-            procs_small: 6,
-            procs_large: 12,
-            runs: 8,
-            threads: 4,
-        }
-    }
+    use crate::figures::ALL_IDS;
+    use crate::levels::GOALS;
 
     #[test]
     fn use_case_1_passes() {
-        let r = use_case_1(&tiny());
+        let r = lesson(1, &Scale::quick()).unwrap();
+        let text = r.render();
         assert_eq!(r.use_case, 1);
-        assert!(r.passed(), "failed checks: {:?}", r.checks);
-        assert!(r.narrative.contains("Figure 2"));
-        assert!(r.narrative.contains("Figure 4"));
+        assert!(r.passed(), "{text}");
+        assert!(text.contains("=== Goal A.1 — Fig. 2: "), "{text}");
+        assert!(text.contains("=== Goal A.2 — Fig. 4: "), "{text}");
     }
 
     #[test]
-    fn use_case_2_passes() {
-        let r = use_case_2(&tiny());
-        assert!(r.passed(), "failed checks: {:?}", r.checks);
-        assert!(r.narrative.contains("Figure 5"));
-        assert!(r.narrative.contains("Figure 6"));
-    }
-
-    #[test]
-    fn use_case_3_passes() {
-        let r = use_case_3(&tiny());
-        assert!(r.passed(), "failed checks: {:?}", r.checks);
-        assert!(r.narrative.contains("Figure 7"));
-        assert!(r.narrative.contains("Figure 8"));
+    fn each_use_case_shows_its_figures_under_their_goals() {
+        let shown: Vec<(u8, &[(&str, &str)])> =
+            USE_CASES.iter().map(|u| (u.number, u.figures)).collect();
+        assert_eq!(
+            shown,
+            [
+                (1, &[("A.1", "fig2"), ("A.1", "fig3"), ("A.2", "fig4")][..]),
+                (2, &[("B.1", "fig5"), ("B.2", "fig6")][..]),
+                (3, &[("C.1", "fig7"), ("C.2", "fig8")][..]),
+            ]
+        );
+        for (goal, id) in USE_CASES.iter().flat_map(|u| u.figures) {
+            assert!(GOALS.iter().any(|g| g.id == *goal), "{goal}");
+            assert!(ALL_IDS.contains(id), "{id}");
+        }
+        assert!(lesson(5, &Scale::quick()).is_none());
     }
 
     #[test]
     fn use_case_4_passes() {
-        let r = use_case_4(&tiny());
-        assert!(r.passed(), "failed checks: {:?}", r.checks);
-        assert!(r.narrative.contains("Record/replay"));
+        let r = use_case_4(&Scale::quick());
+        let text = r.render();
         assert_eq!(r.use_case, 4);
+        assert!(r.passed(), "{text}");
+        assert!(text.contains("=== Record/replay ==="), "{text}");
     }
 }

@@ -6,11 +6,13 @@
 //! * [`levels`] — the three levels and their learning objectives
 //!   (paper Table I);
 //! * [`prereqs`] — prerequisite knowledge per level (paper Table II);
-//! * [`lessons`] — Use Cases 1–3 as *executable* lessons: each runs the
-//!   real pipeline and machine-checks the observation students are asked
-//!   to make (runs differ at 100% ND; more processes/iterations ⇒ more
+//! * [`figures`] — every table and figure of the paper, regenerated with
+//!   its shape checks (`anacin figure`);
+//! * [`lessons`] — the use cases as *executable* lessons: Use Cases 1–3
+//!   run the figures students read in them, each under the Table I goal
+//!   it checks (runs differ at 100% ND; more processes/iterations ⇒ more
 //!   ND; the ND% knob is monotone; racy receives top the callstack
-//!   ranking);
+//!   ranking), and Use Case 4 checks reductions and record/replay;
 //! * [`quiz`] — the comprehension questions each use case opens with,
 //!   with reference answers.
 //!
@@ -19,15 +21,15 @@
 //!
 //! // Table I is data, not prose:
 //! assert_eq!(goals_of(Level::Advanced).len(), 2);
-//! // And the lessons actually run (scaled down here for speed):
-//! let cfg = LessonConfig { procs_small: 4, procs_large: 8, runs: 5, threads: 2 };
-//! let report = use_case_1(&cfg);
+//! // And the lessons actually run their figures:
+//! let report = lesson(1, &Scale::quick()).unwrap();
 //! assert!(report.passed());
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod exercises;
+pub mod figures;
 pub mod lessons;
 pub mod levels;
 pub mod prereqs;
@@ -38,9 +40,8 @@ pub mod tutorial;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::exercises::{by_id as exercise_by_id, Exercise, EXERCISES};
-    pub use crate::lessons::{
-        run_all, use_case_1, use_case_2, use_case_3, use_case_4, Check, LessonConfig, LessonReport,
-    };
+    pub use crate::figures::{FigureOutput, Scale};
+    pub use crate::lessons::{lesson, LessonReport, UseCase, USE_CASES};
     pub use crate::levels::{goals_of, table_i, Goal, Level, GOALS};
     pub use crate::prereqs::{prereqs_of, table_ii, Prerequisite, PREREQUISITES};
     pub use crate::quiz::{questions_of, Question, QUESTIONS};
@@ -48,5 +49,5 @@ pub mod prelude {
     pub use crate::tutorial::{agenda, total_minutes, Session, HALF_DAY};
 }
 
-pub use lessons::{LessonConfig, LessonReport};
+pub use lessons::LessonReport;
 pub use levels::Level;

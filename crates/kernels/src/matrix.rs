@@ -71,12 +71,6 @@ impl KernelMatrix {
         crate::distance::normalized_kernel(self.value(i, i), self.value(j, j), self.value(i, j))
     }
 
-    /// Scale-free distance `√(2 − 2·k̂)` over the normalised kernel — the
-    /// variant to use when comparing patterns of different sizes.
-    pub fn normalized_distance(&self, i: usize, j: usize) -> f64 {
-        (2.0 - 2.0 * self.normalized_value(i, j)).max(0.0).sqrt()
-    }
-
     /// All pairwise distances for `i < j` (the sample the paper's violin
     /// plots draw).
     pub fn pairwise_distances(&self) -> Vec<f64> {
@@ -98,14 +92,6 @@ impl KernelMatrix {
         } else {
             d.iter().sum::<f64>() / d.len() as f64
         }
-    }
-
-    /// Distances from graph `i` to every other graph.
-    pub fn distances_from(&self, i: usize) -> Vec<f64> {
-        (0..self.n)
-            .filter(|&j| j != i)
-            .map(|j| self.distance(i, j))
-            .collect()
     }
 }
 
@@ -970,7 +956,6 @@ mod tests {
         let graphs = race_graphs(6, 100.0);
         let m = gram_matrix(&WlKernel::default(), &graphs, 2);
         assert_eq!(m.pairwise_distances().len(), 6 * 5 / 2);
-        assert_eq!(m.distances_from(0).len(), 5);
     }
 
     #[test]
@@ -996,11 +981,9 @@ mod tests {
         let m = gram_matrix(&WlKernel::default(), &graphs, 2);
         for i in 0..4 {
             assert!((m.normalized_value(i, i) - 1.0).abs() < 1e-9);
-            assert_eq!(m.normalized_distance(i, i), 0.0);
             for j in 0..4 {
                 let v = m.normalized_value(i, j);
                 assert!((0.0..=1.0 + 1e-9).contains(&v));
-                assert!(m.normalized_distance(i, j) <= 2f64.sqrt() + 1e-9);
             }
         }
     }

@@ -106,14 +106,6 @@ fn fold_sorted(
 }
 
 impl WlKernel {
-    /// A WL kernel with `iterations` rounds and the default label policy.
-    pub fn with_iterations(iterations: u32) -> Self {
-        WlKernel {
-            iterations,
-            ..WlKernel::default()
-        }
-    }
-
     /// Drive the refinement, invoking `visit(round, labels)` once per
     /// round (round 0 = initial labels). `labels[v]` is node `v`'s raw
     /// `u64` label for that round.
@@ -342,7 +334,10 @@ mod tests {
     #[test]
     fn feature_total_is_nodes_times_rounds() {
         let g = race_graph(5, 0.0, 0);
-        let k = WlKernel::with_iterations(3);
+        let k = WlKernel {
+            iterations: 3,
+            ..WlKernel::default()
+        };
         let f = k.features(&g);
         let total: f64 = f.iter().map(|(_, w)| w).sum();
         assert_eq!(total, (g.node_count() * 4) as f64);
@@ -418,7 +413,10 @@ mod tests {
         let g = race_graph(5, 100.0, 3);
         let mut prev = 0.0;
         for h in 0..5 {
-            let k = WlKernel::with_iterations(h);
+            let k = WlKernel {
+                iterations: h,
+                ..WlKernel::default()
+            };
             let v = k.value(&g, &g);
             assert!(v >= prev);
             prev = v;
@@ -428,7 +426,10 @@ mod tests {
     #[test]
     fn label_rounds_shape() {
         let g = race_graph(4, 0.0, 0);
-        let k = WlKernel::with_iterations(2);
+        let k = WlKernel {
+            iterations: 2,
+            ..WlKernel::default()
+        };
         let rounds = k.label_rounds(&g);
         assert_eq!(rounds.len(), 3);
         for r in &rounds {

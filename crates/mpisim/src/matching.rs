@@ -294,16 +294,6 @@ impl MatchEngine {
         best.map(|(_, chan, pos)| (chan, pos))
     }
 
-    /// Number of parked (arrived but unmatched) messages.
-    pub fn unexpected_len(&self) -> usize {
-        self.unexpected_count
-    }
-
-    /// Number of posted-but-unsatisfied receives.
-    pub fn posted_len(&self) -> usize {
-        self.specific_count + self.wildcard.len()
-    }
-
     /// Drain parked messages in arrival order (end-of-run diagnostics).
     pub fn drain_unexpected(&mut self) -> impl Iterator<Item = InFlightMsg> + '_ {
         let mut all: Vec<Stamped<InFlightMsg>> = Vec::with_capacity(self.unexpected_count);
@@ -336,6 +326,16 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// Number of parked (arrived but unmatched) messages.
+    fn unexpected_len(e: &MatchEngine) -> usize {
+        e.unexpected_count
+    }
+
+    /// Number of posted-but-unsatisfied receives.
+    fn posted_len(e: &MatchEngine) -> usize {
+        e.specific_count + e.wildcard.len()
+    }
 
     /// The original flat-queue engine, kept verbatim as the differential
     /// oracle: both queues are `VecDeque`s scanned front to back, mid-queue
@@ -405,7 +405,7 @@ mod tests {
         // the wildcard (second posted) wins.
         assert_eq!(r.src, SrcSpec::Any);
         assert_eq!(m.src, Rank(1));
-        assert_eq!(e.posted_len(), 1);
+        assert_eq!(posted_len(&e), 1);
     }
 
     #[test]
@@ -417,7 +417,7 @@ mod tests {
             .on_post(recv(SrcSpec::Any, TagSpec::Any))
             .expect("must match");
         assert_eq!(m.src, Rank(2), "earliest arrival wins");
-        assert_eq!(e.unexpected_len(), 1);
+        assert_eq!(unexpected_len(&e), 1);
     }
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
         r.forced = Some((Rank(2), ChannelSeq(0)));
         let (_, m) = e.on_post(r).expect("forced message is present");
         assert_eq!(m.src, Rank(2));
-        assert_eq!(e.unexpected_len(), 1);
+        assert_eq!(unexpected_len(&e), 1);
     }
 
     #[test]
@@ -451,7 +451,7 @@ mod tests {
         assert!(e.on_post(r).is_none());
         // A non-target message parks.
         assert!(e.on_arrival(msg(2, 0, 0, 5)).is_none());
-        assert_eq!(e.unexpected_len(), 1);
+        assert_eq!(unexpected_len(&e), 1);
         // The target matches.
         let got = e.on_arrival(msg(2, 0, 1, 6));
         assert!(got.is_some());
@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(left.len(), 2);
         // Drain preserves arrival order across channels.
         assert_eq!((left[0].src, left[1].src), (Rank(1), Rank(2)));
-        assert_eq!(e.unexpected_len(), 0);
+        assert_eq!(unexpected_len(&e), 0);
     }
 
     #[test]
@@ -514,7 +514,7 @@ mod tests {
         // …and an untargeted message must still prefer the earlier post.
         let (r, _) = e.on_arrival(msg(1, 0, 0, 6)).unwrap();
         assert_eq!(r.src, SrcSpec::Rank(Rank(1)));
-        assert_eq!(e.posted_len(), 1);
+        assert_eq!(posted_len(&e), 1);
     }
 
     #[test]
@@ -525,13 +525,13 @@ mod tests {
             .on_post(recv(SrcSpec::Any, TagSpec::Tag(Tag(9))))
             .is_none());
         let mut snap = e.clone();
-        assert_eq!(snap.unexpected_len(), e.unexpected_len());
-        assert_eq!(snap.posted_len(), e.posted_len());
+        assert_eq!(unexpected_len(&snap), unexpected_len(&e));
+        assert_eq!(posted_len(&snap), posted_len(&e));
         // Mutating the clone leaves the original untouched.
         let got = snap.on_post(recv(SrcSpec::Any, TagSpec::Any));
         assert!(got.is_some());
-        assert_eq!(snap.unexpected_len(), 0);
-        assert_eq!(e.unexpected_len(), 1);
+        assert_eq!(unexpected_len(&snap), 0);
+        assert_eq!(unexpected_len(&e), 1);
     }
 
     #[test]
@@ -583,14 +583,14 @@ mod tests {
             assert!(e.on_arrival(msg(src, 0, seq, i)).is_none());
             expect.push((Rank(src), ChannelSeq(seq)));
         }
-        assert_eq!(e.unexpected_len(), 256);
+        assert_eq!(unexpected_len(&e), 256);
         for (i, (src, seq)) in expect.iter().enumerate() {
             let (_, m) = e
                 .on_post(recv(SrcSpec::Any, TagSpec::Any))
                 .unwrap_or_else(|| panic!("post {i} must match"));
             assert_eq!((m.src, m.seq), (*src, *seq), "post {i}");
         }
-        assert_eq!(e.unexpected_len(), 0);
+        assert_eq!(unexpected_len(&e), 0);
     }
 
     #[test]
@@ -617,7 +617,7 @@ mod tests {
             };
             assert_eq!(r.src, want, "arrival {i}");
         }
-        assert_eq!(e.posted_len(), 0);
+        assert_eq!(posted_len(&e), 0);
     }
 
     /// Random op-sequence differential test: the per-channel engine must
@@ -669,8 +669,8 @@ mod tests {
                         parked.retain(|p| !(p.src == m.src && p.seq == m.seq));
                     }
                 }
-                assert_eq!(fast.unexpected_len(), slow.unexpected.len());
-                assert_eq!(fast.posted_len(), slow.posted.len());
+                assert_eq!(unexpected_len(&fast), slow.unexpected.len());
+                assert_eq!(posted_len(&fast), slow.posted.len());
             }
             // Terminal states agree element-for-element, in order.
             let fast_left: Vec<_> = fast.drain_unexpected().collect();

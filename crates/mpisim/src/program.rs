@@ -38,11 +38,6 @@ impl Program {
         &self.stacks
     }
 
-    /// Total number of operations across all ranks.
-    pub fn total_ops(&self) -> usize {
-        self.rank_ops.iter().map(Vec::len).sum()
-    }
-
     /// Total number of messages the program will inject.
     pub fn total_sends(&self) -> usize {
         self.rank_ops
@@ -273,13 +268,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Iterate a closure over every rank (convenient for SPMD patterns).
-    pub fn for_each_rank(&mut self, mut f: impl FnMut(RankBuilder<'_>)) {
-        for r in 0..self.world_size {
-            f(self.rank(Rank(r)));
-        }
-    }
-
     /// Finalize the program.
     pub fn build(self) -> Program {
         Program {
@@ -506,7 +494,6 @@ mod tests {
             .send(Rank(0), Tag(1), 4);
         let p = b.build();
         assert_eq!(p.world_size(), 2);
-        assert_eq!(p.total_ops(), 4);
         assert_eq!(p.total_sends(), 2);
         assert_eq!(p.total_receives(), 2);
         assert!(p.check_balance().is_ok());
@@ -756,15 +743,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_world_size_panics() {
         ProgramBuilder::new(0);
-    }
-
-    #[test]
-    fn for_each_rank_visits_all() {
-        let mut b = ProgramBuilder::new(4);
-        b.for_each_rank(|mut rb| {
-            rb.compute(10);
-        });
-        let p = b.build();
-        assert_eq!(p.total_ops(), 4);
     }
 }

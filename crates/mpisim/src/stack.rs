@@ -66,11 +66,6 @@ impl CallStack {
     pub fn depth(&self) -> usize {
         self.frames.len()
     }
-
-    /// True for the reserved empty path.
-    pub fn is_unknown(&self) -> bool {
-        self.frames.is_empty()
-    }
 }
 
 impl fmt::Display for CallStack {
@@ -192,7 +187,7 @@ mod tests {
     fn unknown_is_id_zero() {
         let t = CallStackTable::new();
         assert_eq!(t.len(), 1);
-        assert!(t.resolve(CallStackId::UNKNOWN).is_unknown());
+        assert!(t.resolve(CallStackId::UNKNOWN).frames.is_empty());
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl Reduction {
             Reduction::Promoted => promote_sum(values),
         }
     }
-
-    /// Whether the algorithm is order-invariant by construction.
-    pub fn order_invariant(&self) -> bool {
-        matches!(self, Reduction::Sorted)
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +159,5 @@ mod tests {
             assert!(!r.name().is_empty());
             let _ = r.apply(&TRIPLE);
         }
-        assert!(Reduction::Sorted.order_invariant());
-        assert!(!Reduction::Sequential.order_invariant());
     }
 }

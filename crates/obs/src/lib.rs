@@ -396,12 +396,6 @@ impl MetricsReport {
         self.spans.iter().find(|s| s.name == path)
     }
 
-    /// The first span whose path ends with `suffix` (stage lookups that
-    /// do not care about the nesting prefix).
-    pub fn span_ending_with(&self, suffix: &str) -> Option<&SpanSample> {
-        self.spans.iter().find(|s| s.name.ends_with(suffix))
-    }
-
     /// Merge `other` into `self`: counters and span statistics add,
     /// gauges take `other`'s value (last write wins), and names absent
     /// from `self` are inserted. Means are recomputed from the merged
@@ -576,7 +570,6 @@ mod tests {
         assert_eq!(sp.min_ns, 10);
         assert_eq!(sp.max_ns, 30);
         assert!((sp.mean_ns - 20.0).abs() < 1e-9);
-        assert_eq!(r.span_ending_with("age").map(|s| s.count), Some(3));
     }
 
     #[test]

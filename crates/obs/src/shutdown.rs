@@ -35,12 +35,6 @@ pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-/// Clear the global flag. Only tests should need this: the flag is
-/// process-wide, and test binaries run many tests in one process.
-pub fn reset_shutdown_for_tests() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}
-
 /// A cooperative cancellation handle. Cloning shares the underlying
 /// flag; `is_cancelled` is a single atomic load (plus one more for
 /// shutdown-following tokens), cheap enough to poll per run.
@@ -148,6 +142,12 @@ pub fn restore_default_sigpipe() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clear the global flag: it is process-wide, and this test binary
+    /// runs many tests in one process.
+    fn reset_shutdown_for_tests() {
+        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
 
     #[test]
     fn local_token_is_isolated_from_shutdown() {

@@ -44,12 +44,6 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// The `(lo, hi)` edges of bin `i`.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
-    }
-
     /// Relative frequencies summing to 1 (all zeros for an empty sample).
     pub fn frequencies(&self) -> Vec<f64> {
         let t = self.total();
@@ -96,16 +90,5 @@ mod tests {
         let h = Histogram::of(&[], 3);
         assert_eq!(h.total(), 0);
         assert_eq!(h.frequencies(), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn bin_edges_partition_range() {
-        let h = Histogram::of(&[0.0, 9.0], 3);
-        let (l0, h0) = h.bin_edges(0);
-        let (l2, h2) = h.bin_edges(2);
-        assert_eq!(l0, 0.0);
-        assert!((h0 - 3.0).abs() < 1e-12);
-        assert!((l2 - 6.0).abs() < 1e-12);
-        assert!((h2 - 9.0).abs() < 1e-12);
     }
 }

@@ -16,8 +16,8 @@
 //! * [`stats`] — violins, KDE, bootstrap, rank tests;
 //! * [`core`] — campaigns, sweeps, and root-cause analysis;
 //! * [`viz`] — ASCII and SVG figure renderers;
-//! * [`course`] — the course module itself (Tables I–II, executable Use
-//!   Cases 1–3).
+//! * [`course`] — the course module itself (Tables I–II, Figures 1–8,
+//!   and Use Cases 1–3 as executable lessons that run those figures).
 //!
 //! ## Quickstart
 //!

@@ -4,7 +4,7 @@
 //! records the paper-scale numbers. These run at `Scale::quick()` so the
 //! suite stays fast in debug builds.
 
-use anacin_bench::{figures, Scale};
+use anacin_x::course::figures::{self, Scale};
 
 #[test]
 fn tables_reproduce() {
@@ -45,6 +45,7 @@ fn fig4_same_code_different_runs() {
 fn fig5_more_processes_more_nd() {
     let f = figures::fig5(&Scale::quick());
     assert!(f.passed(), "{:?}", f.checks);
+    assert!(f.svg.as_deref().unwrap().contains("<polygon"));
 }
 
 #[test]
@@ -57,6 +58,7 @@ fn fig6_more_iterations_more_nd() {
 fn fig7_nd_percentage_is_monotone_knob() {
     let f = figures::fig7(&Scale::quick());
     assert!(f.passed(), "{:?}", f.checks);
+    assert!(f.svg.as_deref().unwrap().contains("<polyline"));
 }
 
 #[test]
@@ -64,6 +66,7 @@ fn fig8_root_sources_are_wildcard_receives() {
     let f = figures::fig8(&Scale::quick());
     assert!(f.passed(), "{:?}", f.checks);
     assert!(f.text.contains("hypre"), "AMG call paths expected");
+    assert!(f.text.contains("MPI_Irecv"));
 }
 
 #[test]
