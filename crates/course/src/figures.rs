@@ -467,6 +467,33 @@ mod tests {
     }
 
     #[test]
+    fn fig5_quick_scale_passes() {
+        let f = fig5(&Scale::quick());
+        assert!(f.passed(), "{:?}", f.checks);
+        assert!(f.svg.as_deref().unwrap().contains("<polygon"));
+    }
+
+    #[test]
+    fn fig6_quick_scale_passes() {
+        let f = fig6(&Scale::quick());
+        assert!(f.passed(), "{:?}", f.checks);
+    }
+
+    #[test]
+    fn fig7_quick_scale_passes() {
+        let f = fig7(&Scale::quick());
+        assert!(f.passed(), "{:?}", f.checks);
+        assert!(f.svg.as_deref().unwrap().contains("<polyline"));
+    }
+
+    #[test]
+    fn fig8_quick_scale_passes() {
+        let f = fig8(&Scale::quick());
+        assert!(f.passed(), "{:?}", f.checks);
+        assert!(f.text.contains("MPI_Irecv"));
+    }
+
+    #[test]
     fn render_prints_the_heading_text_and_one_line_per_claim() {
         let f = FigureOutput {
             id: "fig0".to_string(),
@@ -487,8 +514,8 @@ mod tests {
     fn by_id_resolves_every_artifact() {
         let s = Scale::quick();
         for id in ALL_IDS {
-            // Only resolve the cheap ones here; tests/paper_claims.rs runs
-            // the campaign-driven ones. by_id must at least recognise the id.
+            // Only resolve the cheap ones here; the heavy ones are covered
+            // above. by_id must at least recognise the id.
             if matches!(id, "tables" | "fig1" | "fig2" | "fig3") {
                 assert!(by_id(id, &s).is_some(), "{id}");
             }

@@ -217,6 +217,26 @@ mod tests {
     }
 
     #[test]
+    fn use_case_2_passes() {
+        let r = lesson(2, &Scale::quick()).unwrap();
+        let text = r.render();
+        assert_eq!(r.use_case, 2);
+        assert!(r.passed(), "{text}");
+        assert!(text.contains("=== Goal B.1 — Fig. 5: "), "{text}");
+        assert!(text.contains("=== Goal B.2 — Fig. 6: "), "{text}");
+    }
+
+    #[test]
+    fn use_case_3_passes() {
+        let r = lesson(3, &Scale::quick()).unwrap();
+        let text = r.render();
+        assert_eq!(r.use_case, 3);
+        assert!(r.passed(), "{text}");
+        assert!(text.contains("=== Goal C.1 — Fig. 7: "), "{text}");
+        assert!(text.contains("=== Goal C.2 — Fig. 8: "), "{text}");
+    }
+
+    #[test]
     fn each_use_case_shows_its_figures_under_their_goals() {
         let shown: Vec<(u8, &[(&str, &str)])> =
             USE_CASES.iter().map(|u| (u.number, u.figures)).collect();
