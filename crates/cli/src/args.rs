@@ -257,7 +257,7 @@ mod tests {
         ] {
             assert_eq!(err(args), want, "{args:?}");
         }
-        for help in [&["run", "--stream", "--help"][..], &["--help", "run"], &[]] {
+        for help in [&["run", "--json", "--help"][..], &["--help", "run"], &[]] {
             assert_eq!(parse(help).command.name, "help");
         }
         assert_eq!(parse(&["campaign", "--runs", "3"]).command.name, "run");

@@ -20,8 +20,7 @@ use std::io::Write as _;
 #[rustfmt::skip]
 pub const COMMANDS: &[Command] = &[
     Command { name: "run", run: cmd_run, about: "run a measurement campaign (alias: campaign)",
-        args: "campaign observers --dot --append-to --store --progress --explore bounds --json \
-               --stream" },
+        args: "campaign observers --dot --append-to --store --progress --explore bounds --json" },
     Command { name: "explore stats", run: cmd_explore_stats, about: "schedule-space statistics",
         args: "program bounds --metrics --json" },
     Command { name: "graph", run: cmd_graph, args: "program one-run --format --out",
@@ -149,7 +148,6 @@ pub(crate) const OPTIONS: &str = "\
 --solve                 grade the reference solution
 --stats FILE            write the job's store hit/miss/publish counts
 --store DIR             artifact store: reuse what it holds, publish the rest
---stream                accepted for old scripts; does nothing
 --to EVENT              the chain's last event, RANK.INDEX (default 0.1)
 --top FRAC              fraction of windows ranked high-ND (default 0.25)
 --trace FILE            trace every event: Chrome JSON, or .folded stacks
@@ -362,7 +360,7 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
 
 /// `anacin run`. Every campaign frees each run's trace and graph inside
 /// its worker, so memory stays one in-flight run per worker at any rank
-/// count (`--stream` is accepted and changes nothing).
+/// count.
 fn cmd_run(args: &Args) -> Result<(), String> {
     args.only_with("dot", args.get("append-to").is_some(), "--append-to")?;
     args.only_with(
@@ -1061,8 +1059,25 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
     }
 }
 
+/// `anacin course`: one of its modes, each refusing the options of the
+/// others: the tables and questions (`--level`, `--answers`), a lesson
+/// (`--lesson`, `--paper-scale`), the agenda, or the related work.
 fn cmd_course(args: &Args) -> Result<(), String> {
-    if let Some(number) = args.get("lesson") {
+    let number = args.get("lesson");
+    let (agenda, related_work) = (args.flag("agenda"), args.flag("related-work"));
+    args.only_with("paper-scale", number.is_some(), "--lesson")?;
+    args.only_with(
+        "level answers agenda related-work",
+        number.is_none(),
+        "no --lesson",
+    )?;
+    args.only_with("related-work", !agenda, "no --agenda")?;
+    args.only_with(
+        "level answers",
+        !agenda && !related_work,
+        "no --agenda or --related-work",
+    )?;
+    if let Some(number) = number {
         let report = number
             .parse()
             .ok()
@@ -1075,11 +1090,11 @@ fn cmd_course(args: &Args) -> Result<(), String> {
             Err("lesson checks failed".to_string())
         };
     }
-    if args.flag("related-work") {
+    if related_work {
         println!("{}", anacin_course::related_work::comparison());
         return Ok(());
     }
-    if args.flag("agenda") {
+    if agenda {
         println!("{}", anacin_course::tutorial::agenda());
         return Ok(());
     }

@@ -853,8 +853,8 @@ fn sweep_trace_writes_every_simulated_event() {
 }
 
 #[test]
-fn stream_composes_with_the_store_and_the_explorer() {
-    let dir = std::env::temp_dir().join(format!("anacin_cli_stream_{}", std::process::id()));
+fn store_append_and_explore_compose() {
+    let dir = std::env::temp_dir().join(format!("anacin_cli_compose_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.join("s");
     let store = store.to_str().unwrap();
@@ -866,7 +866,7 @@ fn stream_composes_with_the_store_and_the_explorer() {
         (stdout, stderr)
     };
     let (plain4, _) = json_of(&["--runs", "4"]);
-    let (cold, cold_err) = json_of(&["--runs", "4", "--stream", "--store", store]);
+    let (cold, cold_err) = json_of(&["--runs", "4", "--store", store]);
     assert_eq!(cold, plain4);
     // 4 traces, 4 graphs, 4 feature vectors and the matrix (published
     // with its distance sample).
@@ -874,7 +874,7 @@ fn stream_composes_with_the_store_and_the_explorer() {
         cold_err.contains("0 hit(s), 13 miss(es), 14 publish(es)"),
         "{cold_err}"
     );
-    let (warm, warm_err) = json_of(&["--runs", "4", "--stream", "--store", store]);
+    let (warm, warm_err) = json_of(&["--runs", "4", "--store", store]);
     assert_eq!(warm, plain4);
     assert!(
         warm_err.contains(&format!(
@@ -883,12 +883,10 @@ fn stream_composes_with_the_store_and_the_explorer() {
         "{warm_err}"
     );
     let (plain5, _) = json_of(&["--runs", "5"]);
-    let (appended, _) = json_of(&["--runs", "5", "--stream", "--append-to", store]);
+    let (appended, _) = json_of(&["--runs", "5", "--append-to", store]);
     assert_eq!(appended, plain5);
     let explore = ["--pattern", "message-race", "--procs", "5", "--runs", "20"];
     let (explored, _) = json_of(&[&explore[..], &["--explore"]].concat());
-    let (streamed, _) = json_of(&[&explore[..], &["--explore", "--stream"]].concat());
-    assert_eq!(streamed, explored);
     assert!(explored.contains("\"coverage\""), "{explored}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1032,6 +1030,75 @@ fn run_refuses_options_it_reads_only_in_another_mode() {
     ] {
         let line: Vec<&str> = campaign.iter().chain(extra).copied().collect();
         assert_usage_error(&line, needle);
+    }
+}
+
+/// `course` refuses an option it reads only in another of its modes. Each
+/// refused line exited 0 before: the question list's `--level` and
+/// `--answers` and the `--agenda` and `--related-work` modes did nothing
+/// beside `--lesson`, `--paper-scale` nothing without it, and
+/// `--related-work` hid `--agenda`. Each mode alone prints the bytes it
+/// printed before the checks (their length and FNV-1a digest).
+#[test]
+fn course_refuses_options_it_reads_only_in_another_mode() {
+    for (args, needle) in [
+        (
+            &["course", "--lesson", "1", "--level", "z", "--answers"][..],
+            "--level is read only with no --lesson",
+        ),
+        (
+            &["course", "--lesson", "1", "--answers"],
+            "--answers is read only with no --lesson",
+        ),
+        (
+            &["course", "--lesson", "1", "--agenda"],
+            "--agenda is read only with no --lesson",
+        ),
+        (
+            &["course", "--lesson", "1", "--related-work"],
+            "--related-work is read only with no --lesson",
+        ),
+        (
+            &["course", "--paper-scale"],
+            "--paper-scale is read only with --lesson",
+        ),
+        (
+            &["course", "--paper-scale", "--agenda"],
+            "--paper-scale is read only with --lesson",
+        ),
+        (
+            &["course", "--related-work", "--agenda"],
+            "--related-work is read only with no --agenda",
+        ),
+        (
+            &["course", "--agenda", "--answers"],
+            "--answers is read only with no --agenda or --related-work",
+        ),
+        (
+            &["course", "--related-work", "--level", "a"],
+            "--level is read only with no --agenda or --related-work",
+        ),
+    ] {
+        assert_usage_error(args, needle);
+    }
+    for (args, len, digest) in [
+        (&["course"][..], 1784, 0x4289_a50e_0751_39f3),
+        (
+            &["course", "--level", "a", "--answers"],
+            1779,
+            0x0409_beb6_979f_c4dd,
+        ),
+        (&["course", "--agenda"], 1964, 0x8fc8_24b6_c169_b3c2),
+        (&["course", "--related-work"], 1205, 0x946b_2c0e_3840_80ea),
+        (&["course", "--lesson", "1"], 1392, 0xb786_1601_7e58_41f7),
+    ] {
+        let (code, stdout, stderr) = anacin(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        let printed = (
+            stdout.len(),
+            anacin_event_graph::label::fnv1a(stdout.as_bytes()),
+        );
+        assert_eq!(printed, (len, digest), "{args:?}: {stdout}");
     }
 }
 

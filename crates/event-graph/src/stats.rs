@@ -167,15 +167,6 @@ impl GraphStats {
             .sum()
     }
 
-    /// Messages sent by `rank` (row sum of the traffic matrix).
-    pub fn outbound(&self, rank: Rank) -> u64 {
-        self.traffic
-            .iter()
-            .filter(|&(s, _, _)| s == rank)
-            .map(|(_, _, m)| m)
-            .sum()
-    }
-
     /// The busiest channel `(src, dst, messages)`. Ties resolve to the
     /// lowest `(src, dst)`, as in the dense row-major scan this replaced.
     pub fn hottest_channel(&self) -> Option<(Rank, Rank, u64)> {
@@ -260,9 +251,7 @@ mod tests {
     fn traffic_matrix_rows_and_columns() {
         let s = race_stats();
         assert_eq!(s.inbound(Rank(0)), 3);
-        assert_eq!(s.outbound(Rank(0)), 0);
         for r in 1..4 {
-            assert_eq!(s.outbound(Rank(r)), 1);
             assert_eq!(s.inbound(Rank(r)), 0);
         }
         let (_, dst, m) = s.hottest_channel().unwrap();
@@ -283,8 +272,7 @@ mod tests {
     fn sparse_traffic_equals_dense_accumulation() {
         // Equality oracle: accumulate the dense matrix the way the old
         // code did (one cell increment per receive node) and compare to
-        // the sparse form, cell for cell, plus the derived row/column
-        // sums.
+        // the sparse form, cell for cell, plus the derived column sums.
         let n = 6u32;
         let mut b = ProgramBuilder::new(n);
         for r in 0..n {
@@ -313,9 +301,7 @@ mod tests {
             }
             assert_eq!(s.traffic.to_dense(), dense, "seed {seed}");
             for r in 0..n {
-                let row: u64 = dense[r as usize].iter().sum();
                 let col: u64 = dense.iter().map(|row| row[r as usize]).sum();
-                assert_eq!(s.outbound(Rank(r)), row, "seed {seed} rank {r}");
                 assert_eq!(s.inbound(Rank(r)), col, "seed {seed} rank {r}");
                 for d in 0..n {
                     assert_eq!(

@@ -17,18 +17,6 @@ pub fn kernel_distance(k_gg: f64, k_hh: f64, k_gh: f64) -> f64 {
     (k_gg + k_hh - 2.0 * k_gh).max(0.0).sqrt()
 }
 
-/// The normalised kernel value `k(G,H)/√(k(G,G)·k(H,H))` (cosine
-/// similarity in feature space), in `[0, 1]` for non-negative features.
-#[inline]
-pub fn normalized_kernel(k_gg: f64, k_hh: f64, k_gh: f64) -> f64 {
-    let denom = (k_gg * k_hh).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        k_gh / denom
-    }
-}
-
 /// Distance between two graphs under `kernel` (computes features twice;
 /// prefer [`crate::matrix`] when comparing many graphs).
 pub fn distance(kernel: &dyn GraphKernel, g: &EventGraph, h: &EventGraph) -> f64 {
@@ -49,13 +37,6 @@ mod tests {
         assert_eq!(kernel_distance(1.0, 1.0, 0.0), 2f64.sqrt());
         // Rounding clamp.
         assert_eq!(kernel_distance(1.0, 1.0, 1.0 + 1e-12), 0.0);
-    }
-
-    #[test]
-    fn normalized_kernel_bounds() {
-        assert_eq!(normalized_kernel(4.0, 9.0, 6.0), 1.0);
-        assert_eq!(normalized_kernel(4.0, 9.0, 0.0), 0.0);
-        assert_eq!(normalized_kernel(0.0, 9.0, 0.0), 0.0);
     }
 
     #[test]

@@ -105,14 +105,14 @@ pub fn mds(matrix: &KernelMatrix) -> Embedding {
     mds_from_distances(matrix.len(), |i, j| matrix.distance(i, j))
 }
 
-/// Pairwise Euclidean distance between two embedded points.
-pub fn embedded_distance(a: (f64, f64), b: (f64, f64)) -> f64 {
-    ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Euclidean distance between two embedded points.
+    fn embedded_distance(a: (f64, f64), b: (f64, f64)) -> f64 {
+        ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
+    }
 
     #[test]
     fn empty_input() {

@@ -53,8 +53,8 @@ pub mod wl;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::distance::{distance, kernel_distance, normalized_kernel};
-    pub use crate::embed::{embedded_distance, mds, mds_from_distances, Embedding};
+    pub use crate::distance::{distance, kernel_distance};
+    pub use crate::embed::{mds, mds_from_distances, Embedding};
     pub use crate::feature::{DotKind, SparseFeatures};
     pub use crate::graphlet::GraphletKernel;
     pub use crate::histogram::{EdgeHistogramKernel, VertexHistogramKernel};

@@ -66,11 +66,6 @@ impl KernelMatrix {
         kernel_distance(self.value(i, i), self.value(j, j), self.value(i, j))
     }
 
-    /// Cosine-normalised kernel value in `[0, 1]`.
-    pub fn normalized_value(&self, i: usize, j: usize) -> f64 {
-        crate::distance::normalized_kernel(self.value(i, i), self.value(j, j), self.value(i, j))
-    }
-
     /// All pairwise distances for `i < j` (the sample the paper's violin
     /// plots draw).
     pub fn pairwise_distances(&self) -> Vec<f64> {
@@ -973,19 +968,6 @@ mod tests {
         assert!(m.mean_pairwise_distance() > 0.0);
         assert!(!m.is_empty());
         assert!(m.kernel_name().starts_with("wl"));
-    }
-
-    #[test]
-    fn normalized_accessors() {
-        let graphs = race_graphs(4, 100.0);
-        let m = gram_matrix(&WlKernel::default(), &graphs, 2);
-        for i in 0..4 {
-            assert!((m.normalized_value(i, i) - 1.0).abs() < 1e-9);
-            for j in 0..4 {
-                let v = m.normalized_value(i, j);
-                assert!((0.0..=1.0 + 1e-9).contains(&v));
-            }
-        }
     }
 
     #[test]

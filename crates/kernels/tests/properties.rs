@@ -17,6 +17,11 @@ fn race_graph(procs: u32, nd: f64, seed: u64) -> EventGraph {
     EventGraph::from_trace(&t)
 }
 
+/// Euclidean distance between two embedded points.
+fn embedded_distance(a: (f64, f64), b: (f64, f64)) -> f64 {
+    ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
+}
+
 fn arb_kernel() -> impl Strategy<Value = usize> {
     0usize..5
 }

@@ -26,15 +26,11 @@
 
 #![warn(missing_docs)]
 
-pub mod drift;
 pub mod experiment;
 pub mod sum;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::drift::{
-        run as run_drift, sweep_iterations as sweep_drift_iterations, DriftExperiment, DriftReport,
-    };
     pub use crate::experiment::{
         contributions, run, ReductionExperiment, ReductionOutcome, ReductionReport,
     };

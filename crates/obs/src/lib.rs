@@ -61,7 +61,7 @@ pub mod tracer;
 
 pub use hist::{HistBucket, LatencyHistogram};
 pub use progress::ProgressReporter;
-pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_requested, CancelToken};
+pub use shutdown::{install_signal_handlers, shutdown_requested, CancelToken};
 pub use sink::{ChromeJsonSink, CountingWriter, FoldedSink, MemorySink, SharedBuffer, TraceSink};
 pub use tracer::{
     current_thread_id, message_id, MatchedSpan, SimEvent, SimEventKind, SpanMark, TraceRecord,

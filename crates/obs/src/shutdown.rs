@@ -23,16 +23,9 @@ use std::sync::Arc;
 /// Process-wide "a shutdown signal arrived" flag.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once SIGINT/SIGTERM has been received (or [`request_shutdown`]
-/// was called programmatically).
+/// True once SIGINT/SIGTERM has been received.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Set the global shutdown flag without a signal — used by the daemon's
-/// tests and by anything that wants to trigger a drain in-process.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
 /// A cooperative cancellation handle. Cloning shares the underlying
@@ -120,8 +113,8 @@ mod sys {
 
 /// Install SIGINT/SIGTERM handlers that set the global shutdown flag
 /// (first signal) or hard-exit 130 (second signal), and return a token
-/// observing that flag. On non-unix targets this installs nothing and
-/// the returned token only fires on explicit [`request_shutdown`].
+/// observing that flag. On non-unix targets this installs nothing, and
+/// the returned token fires only when cancelled.
 pub fn install_signal_handlers() -> CancelToken {
     #[cfg(unix)]
     sys::install();
@@ -142,6 +135,11 @@ pub fn restore_default_sigpipe() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Set the global flag without a signal.
+    fn request_shutdown() {
+        SHUTDOWN.store(true, Ordering::SeqCst);
+    }
 
     /// Clear the global flag: it is process-wide, and this test binary
     /// runs many tests in one process.

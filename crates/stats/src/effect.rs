@@ -1,6 +1,5 @@
-//! Effect sizes and trend estimation: Kendall's τ, Cliff's delta, and
-//! ordinary least squares — the quantitative backing for "how much more"
-//! non-deterministic one setting is than another.
+//! Kendall's τ-b, a rank correlation over concordant and discordant
+//! pairs: a candidate statistic for Fig. 7's monotonicity claim.
 
 /// Kendall's τ-b rank correlation (tie-corrected).
 ///
@@ -41,86 +40,6 @@ pub fn kendall_tau(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// Cliff's delta: P(a > b) − P(a < b) for a ∈ A, b ∈ B, in `[-1, 1]`.
-/// δ = 1 means every value of `a` exceeds every value of `b` — the effect
-/// size behind "32 processes is more non-deterministic than 16".
-///
-/// # Panics
-/// Panics when either sample is empty.
-pub fn cliffs_delta(a: &[f64], b: &[f64]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "samples must be nonempty");
-    let mut gt = 0i64;
-    let mut lt = 0i64;
-    for &x in a {
-        for &y in b {
-            if x > y {
-                gt += 1;
-            } else if x < y {
-                lt += 1;
-            }
-        }
-    }
-    (gt - lt) as f64 / (a.len() * b.len()) as f64
-}
-
-/// Conventional magnitude label for a Cliff's delta (Romano et al.).
-pub fn cliffs_magnitude(delta: f64) -> &'static str {
-    let d = delta.abs();
-    if d < 0.147 {
-        "negligible"
-    } else if d < 0.33 {
-        "small"
-    } else if d < 0.474 {
-        "medium"
-    } else {
-        "large"
-    }
-}
-
-/// Ordinary least-squares fit `y ≈ slope·x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Slope.
-    pub slope: f64,
-    /// Intercept.
-    pub intercept: f64,
-    /// Coefficient of determination in `[0, 1]`.
-    pub r_squared: f64,
-}
-
-/// Fit a least-squares line.
-///
-/// # Panics
-/// Panics when lengths differ or are < 2, or when `x` is constant.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> LinearFit {
-    assert_eq!(x.len(), y.len(), "samples must be paired");
-    assert!(x.len() >= 2, "need at least two points");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let sxx: f64 = x.iter().map(|a| (a - mx).powi(2)).sum();
-    assert!(sxx > 0.0, "x must not be constant");
-    let sxy: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let ss_tot: f64 = y.iter().map(|b| (b - my).powi(2)).sum();
-    let ss_res: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(a, b)| (b - (slope * a + intercept)).powi(2))
-        .sum();
-    let r_squared = if ss_tot == 0.0 {
-        1.0
-    } else {
-        (1.0 - ss_res / ss_tot).clamp(0.0, 1.0)
-    };
-    LinearFit {
-        slope,
-        intercept,
-        r_squared,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,46 +59,5 @@ mod tests {
         assert!(tau > 0.8 && tau <= 1.0);
         // All-tied x gives 0.
         assert_eq!(kendall_tau(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn cliffs_delta_extremes_and_overlap() {
-        assert_eq!(cliffs_delta(&[10.0, 11.0], &[1.0, 2.0]), 1.0);
-        assert_eq!(cliffs_delta(&[1.0, 2.0], &[10.0, 11.0]), -1.0);
-        let d = cliffs_delta(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(d, 0.0);
-    }
-
-    #[test]
-    fn cliffs_magnitude_labels() {
-        assert_eq!(cliffs_magnitude(0.05), "negligible");
-        assert_eq!(cliffs_magnitude(0.2), "small");
-        assert_eq!(cliffs_magnitude(-0.4), "medium");
-        assert_eq!(cliffs_magnitude(0.9), "large");
-    }
-
-    #[test]
-    fn linear_fit_exact_line() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [1.0, 3.0, 5.0, 7.0];
-        let f = linear_fit(&x, &y);
-        assert!((f.slope - 2.0).abs() < 1e-12);
-        assert!((f.intercept - 1.0).abs() < 1e-12);
-        assert!((f.r_squared - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_noisy_line_r2_below_one() {
-        let x = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let y = [0.0, 1.2, 1.8, 3.3, 3.7];
-        let f = linear_fit(&x, &y);
-        assert!(f.slope > 0.8 && f.slope < 1.1);
-        assert!(f.r_squared > 0.9 && f.r_squared < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "constant")]
-    fn linear_fit_constant_x_panics() {
-        linear_fit(&[1.0, 1.0], &[1.0, 2.0]);
     }
 }

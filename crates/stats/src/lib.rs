@@ -44,12 +44,12 @@ pub mod prelude {
     pub use crate::bootstrap::{bootstrap_ci, mean_ci, ConfidenceInterval};
     pub use crate::correlation::{pearson, ranks, spearman};
     pub use crate::describe::Summary;
-    pub use crate::effect::{cliffs_delta, cliffs_magnitude, kendall_tau, linear_fit, LinearFit};
+    pub use crate::effect::kendall_tau;
     pub use crate::histogram::Histogram;
     pub use crate::kde::{kde_curve, silverman_bandwidth, KdeCurve};
     pub use crate::mwu::{mann_whitney_u, normal_cdf, MwuResult};
     pub use crate::nan_count;
-    pub use crate::quantile::{quantile, quantile_sorted, quantiles};
+    pub use crate::quantile::{quantile, quantile_sorted};
     pub use crate::violin::ViolinSummary;
 }
 

@@ -30,15 +30,6 @@ pub fn quantile(sample: &[f64], q: f64) -> f64 {
     quantile_sorted(&s, q)
 }
 
-/// Several quantiles at once over one sort.
-///
-/// NaNs sort after every finite value, as in [`quantile`].
-pub fn quantiles(sample: &[f64], qs: &[f64]) -> Vec<f64> {
-    let mut s = sample.to_vec();
-    s.sort_by(f64::total_cmp);
-    qs.iter().map(|&q| quantile_sorted(&s, q)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,21 +61,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_quantiles() {
-        let qs = quantiles(&[4.0, 1.0, 3.0, 2.0], &[0.0, 0.5, 1.0]);
-        assert_eq!(qs, vec![1.0, 2.5, 4.0]);
-    }
-
-    #[test]
     fn nan_does_not_panic_and_sorts_last() {
         // A contaminated sample must not abort an analysis pipeline: NaNs
         // order after every finite value, so low quantiles stay finite.
         let s = [2.0, f64::NAN, 1.0, 3.0];
         assert_eq!(quantile(&s, 0.0), 1.0);
         assert!(quantile(&s, 1.0).is_nan());
-        let qs = quantiles(&s, &[0.0, 1.0]);
-        assert_eq!(qs[0], 1.0);
-        assert!(qs[1].is_nan());
     }
 
     #[test]

@@ -79,17 +79,6 @@ proptest! {
         }
     }
 
-    /// Cliff's delta is antisymmetric and bounded.
-    #[test]
-    fn cliffs_delta_properties(
-        a in prop::collection::vec(-1e3f64..1e3, 1..30),
-        b in prop::collection::vec(-1e3f64..1e3, 1..30),
-    ) {
-        let d = cliffs_delta(&a, &b);
-        prop_assert!((-1.0..=1.0).contains(&d));
-        prop_assert!((d + cliffs_delta(&b, &a)).abs() < 1e-12);
-    }
-
     /// Bootstrap CIs bracket the point estimate and shrink when the
     /// sample is constant.
     #[test]
