@@ -220,6 +220,7 @@ pub(crate) mod tests {
     use super::*;
     use anacin_miniapps::Pattern;
     use anacin_mpisim::engine::simulate;
+    use anacin_obs::GaugeSample;
 
     /// Every run of `cfg`, simulated afresh: run `i` is a pure function of
     /// `cfg.sim_config(i)`, so this is what the campaign's workers saw.
@@ -302,6 +303,10 @@ pub(crate) mod tests {
         let a = run_campaign(&cfg).unwrap();
         let b = run_campaign(&cfg).unwrap();
         assert_eq!(a.distance_sample(), b.distance_sample());
+        assert_eq!(a.matrix, b.matrix);
+        assert_eq!(a.schedules, b.schedules);
+        assert_eq!(a.total_events, b.total_events);
+        assert_eq!(a.total_nodes, b.total_nodes);
     }
 
     #[test]
@@ -404,25 +409,15 @@ pub(crate) mod tests {
             assert_eq!(report.counter("kernel/features"), Some(5));
             assert_eq!(report.counter("kernel/dot_products"), Some(5 * 6 / 2));
             assert_eq!(report.counter("stats/nan_distances"), Some(0));
-            assert_eq!(
-                report.gauge("kernel/threads"),
-                Some(cfg.threads.min(5) as f64)
-            );
+            let threads = GaugeSample {
+                name: "kernel/threads".to_string(),
+                value: cfg.threads.min(5) as f64,
+            };
+            assert_eq!(report.gauges, [threads]);
         }
         // The metrics run is bit-identical to an unobserved one.
         let plain = run_campaign(&cfg).unwrap();
         assert_eq!(r.distance_sample(), plain.distance_sample());
         assert_eq!(s.matrix, plain.matrix);
-    }
-
-    #[test]
-    fn streaming_campaign_is_reproducible() {
-        let cfg = CampaignConfig::new(Pattern::UnstructuredMesh, 6).runs(6);
-        let a = run_campaign_streaming(&cfg).unwrap();
-        let b = run_campaign_streaming(&cfg).unwrap();
-        assert_eq!(a.matrix, b.matrix);
-        assert_eq!(a.schedules, b.schedules);
-        assert_eq!(a.total_events, b.total_events);
-        assert_eq!(a.total_nodes, b.total_nodes);
     }
 }

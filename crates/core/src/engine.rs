@@ -1,9 +1,11 @@
 //! The one campaign engine behind every campaign, sweep and exploration.
 //!
-//! One worker pool claims run indices from an atomic counter. Each run
-//! goes simulate → graph → features on its worker, with the artifact store
-//! (when the [`RunCtx`] has one) as a read-through cache at every stage:
-//! an artifact is looked up before it is computed and published after.
+//! The runs go through [`anacin_obs::pool`], which runs them on the
+//! campaign's threads and hands back the finished prefix when the cancel
+//! token fires. Each run goes simulate → graph → features on its worker,
+//! with the artifact store (when the [`RunCtx`] has one) as a
+//! read-through cache at every stage: an artifact is looked up before it
+//! is computed and published after.
 //! One Gram stage then reads a stored matrix, grows a stored prefix
 //! (append), or computes the matrix.
 //!
@@ -28,8 +30,9 @@ use anacin_mpisim::program::Program;
 use anacin_mpisim::replay::MatchRecord;
 use anacin_mpisim::trace::Trace;
 use anacin_mpisim::SimCounters;
+use anacin_obs::pool;
 use anacin_store::{Artifact, ArtifactStore, DistanceSample, Fingerprint, StoreError};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Where run `i` comes from.
 #[derive(Clone, Copy)]
@@ -105,6 +108,7 @@ pub(crate) fn run<S: Send>(
         kernel: kernel.as_ref(),
         plan: &plan,
         per_run,
+        counters: OnceLock::new(),
     };
     let out = engine.output();
     let synced = ctx.store.map_or(Ok(()), |store| {
@@ -123,6 +127,9 @@ struct Engine<'a, S> {
     kernel: &'a dyn GraphKernel,
     plan: &'a Plan<'a>,
     per_run: &'a (dyn Fn(&Trace, &EventGraph) -> S + Sync),
+    /// Created at the first simulation, so a fully warm campaign reports
+    /// no `sim/*` counters.
+    counters: OnceLock<SimCounters>,
 }
 
 impl<S: Send> Engine<'_, S> {
@@ -167,67 +174,21 @@ impl<S: Send> Engine<'_, S> {
         }
     }
 
-    /// Every run, in index order. A single-thread campaign runs on the
-    /// calling thread and spawns nothing (a daemon job's warm allocator
-    /// arena stays in use). Once the cancel token fires, workers stop
-    /// claiming runs; the run each one is on completes, so a half-built
-    /// trace is never observable and (with a store) every finished run is
-    /// published.
+    /// Every run, in index order. Once the cancel token fires, workers
+    /// stop claiming runs; the run each one is on completes, so a
+    /// half-built trace is never observable and (with a store) every
+    /// finished run is published.
     fn runs(&self) -> Result<Vec<RunOut<S>>, CampaignError> {
         let n = self.len();
-        let threads = self.config.threads.max(1).min(n.max(1));
         if let Some(m) = self.ctx.metrics {
-            m.set_gauge("kernel/threads", threads as f64);
+            let workers = pool::workers(n, self.config.threads);
+            m.set_gauge("kernel/threads", workers as f64);
         }
-        let next = AtomicUsize::new(0);
-        let work = || {
-            // Created at the first simulation, so a fully warm campaign
-            // reports no `sim/*` counters.
-            let mut counters = None;
-            let mut local = Vec::new();
-            while !self.ctx.cancel.is_some_and(|c| c.is_cancelled()) {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                local.push((i, self.run_one(i, &mut counters)));
-            }
-            local
-        };
-        // Two or more workers are all spawned threads: sharing the runs with
-        // the caller's long-lived allocator arena raised the peak RSS of
-        // repeated 192-run campaigns that kept every run by ~40%.
-        let done: Vec<Vec<_>> = if threads == 1 {
-            vec![work()]
-        } else {
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
-                workers
-                    .into_iter()
-                    .map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            })
-        };
-        let mut slots: Vec<Option<RunOut<S>>> = (0..n).map(|_| None).collect();
-        // Keep the *lowest* failing run, so the reported failure does not
-        // depend on how runs interleaved across workers.
-        let mut failure: Option<(usize, CampaignError)> = None;
-        for (i, r) in done.into_iter().flatten() {
-            match r {
-                Ok(out) => slots[i] = Some(out),
-                Err(e) => {
-                    if failure.as_ref().is_none_or(|(f, _)| i < *f) {
-                        failure = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = failure {
-            return Err(e);
-        }
-        // Runs are claimed in index order and every claimed run completes,
-        // so a cancelled campaign's finished runs are exactly [0, k).
-        let outs: Vec<RunOut<S>> = slots.into_iter().flatten().collect();
+        // The finished runs are a prefix, so its first failure is the
+        // lowest failing run, however the runs interleaved.
+        let outs = pool::map_indexed(n, self.config.threads, self.ctx.cancel, |i| self.run_one(i))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         if outs.len() < n {
             return Err(CampaignError::Cancelled {
                 completed_runs: outs.len() as u32,
@@ -236,15 +197,11 @@ impl<S: Send> Engine<'_, S> {
         Ok(outs)
     }
 
-    fn run_one(
-        &self,
-        i: usize,
-        counters: &mut Option<SimCounters>,
-    ) -> Result<RunOut<S>, CampaignError> {
+    fn run_one(&self, i: usize) -> Result<RunOut<S>, CampaignError> {
         let span = |path: &str| self.ctx.metrics.map(|m| m.span_at(path));
         let trace = {
             let _s = span("run/simulate");
-            self.trace(i, counters)?
+            self.trace(i)?
         };
         if let Some(t) = self.ctx.tracer {
             trace.record_into(t, self.plan.run_base + i as u32);
@@ -270,7 +227,7 @@ impl<S: Send> Engine<'_, S> {
         })
     }
 
-    fn trace(&self, i: usize, counters: &mut Option<SimCounters>) -> Result<Trace, CampaignError> {
+    fn trace(&self, i: usize) -> Result<Trace, CampaignError> {
         let (fp, sc) = match self.plan.source {
             Source::Seeded => (
                 run_fingerprint(self.config, i as u32),
@@ -289,7 +246,7 @@ impl<S: Send> Engine<'_, S> {
                 let counters = self
                     .ctx
                     .metrics
-                    .map(|m| &*counters.get_or_insert_with(|| SimCounters::new(m)));
+                    .map(|m| self.counters.get_or_init(|| SimCounters::new(m)));
                 simulate_counted(self.program, &sc, counters)
             }
             Source::Schedules(s) => {

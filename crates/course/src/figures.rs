@@ -467,33 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn fig5_quick_scale_passes() {
-        let f = fig5(&Scale::quick());
-        assert!(f.passed(), "{:?}", f.checks);
-        assert!(f.svg.as_deref().unwrap().contains("<polygon"));
-    }
-
-    #[test]
-    fn fig6_quick_scale_passes() {
-        let f = fig6(&Scale::quick());
-        assert!(f.passed(), "{:?}", f.checks);
-    }
-
-    #[test]
-    fn fig7_quick_scale_passes() {
-        let f = fig7(&Scale::quick());
-        assert!(f.passed(), "{:?}", f.checks);
-        assert!(f.svg.as_deref().unwrap().contains("<polyline"));
-    }
-
-    #[test]
-    fn fig8_quick_scale_passes() {
-        let f = fig8(&Scale::quick());
-        assert!(f.passed(), "{:?}", f.checks);
-        assert!(f.text.contains("MPI_Irecv"));
-    }
-
-    #[test]
     fn render_prints_the_heading_text_and_one_line_per_claim() {
         let f = FigureOutput {
             id: "fig0".to_string(),

@@ -5,14 +5,15 @@
 //! computed once per graph. Small samples then merge-join each pair of
 //! vectors; from [`LABEL_MAJOR_MIN_RUNS`] runs on, the matrix is built
 //! label-major instead, multiplying only the labels that runs share. Both
-//! fan out over `std::thread::scope` workers and give the same bits.
+//! give the same bits. Features, merge-join rows and an appended column go
+//! through [`anacin_obs::pool`]; label-major keeps its own workers, which
+//! meet at a barrier every round.
 
 use crate::distance::kernel_distance;
 use crate::feature::{DotKind, SparseFeatures};
 use crate::kernel::GraphKernel;
 use anacin_event_graph::EventGraph;
-use anacin_obs::MetricsRegistry;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use anacin_obs::{pool, MetricsRegistry};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 
 /// A symmetric kernel (Gram) matrix over a sample of graphs.
@@ -90,45 +91,14 @@ impl KernelMatrix {
     }
 }
 
-/// Compute φ(G) for each graph in parallel: workers pull graph indices
-/// from an atomic counter, so one slow graph never idles the others.
+/// Compute φ(G) for each graph on up to `threads` workers of
+/// [`anacin_obs::pool`].
 pub fn parallel_features(
     kernel: &dyn GraphKernel,
     graphs: &[EventGraph],
     threads: usize,
 ) -> Vec<SparseFeatures> {
-    let n = graphs.len();
-    let next = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, SparseFeatures)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.max(1).min(n.max(1)))
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, kernel.features(&graphs[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<SparseFeatures>> = (0..n).map(|_| None).collect();
-    for (i, f) in chunks.into_iter().flatten() {
-        slots[i] = Some(f);
-    }
-    slots
-        .into_iter()
-        .map(|f| f.expect("every graph featurised"))
-        .collect()
+    pool::map_indexed(graphs.len(), threads, None, |i| kernel.features(&graphs[i]))
 }
 
 /// Compute the Gram matrix of `graphs` under `kernel` using up to
@@ -212,46 +182,20 @@ fn pairwise_gram(feats: &[SparseFeatures], threads: usize) -> Vec<f64> {
     // worker draws which. Each (i, j) product is still computed exactly once
     // by the same expression, so the result is bit-identical to the serial
     // computation no matter the thread count.
-    let threads = threads.max(1).min(n.max(1));
-    let half = n.div_ceil(2);
-    let next_block = AtomicUsize::new(0);
-    let rows: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next_block = &next_block;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next_block.fetch_add(1, Ordering::Relaxed);
-                        if k >= half {
-                            break;
-                        }
-                        // The middle row pairs with itself when n is odd.
-                        let pair = n - 1 - k;
-                        let block: &[usize] = if pair == k { &[k] } else { &[k, pair] };
-                        for &i in block {
-                            // Compute the upper triangle of row i (j >= i).
-                            let row: Vec<f64> = (i..n).map(|j| feats[i].dot(&feats[j])).collect();
-                            local.push((i, row));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+    // The upper triangle of row i (j >= i).
+    let row = |i: usize| -> Vec<f64> { (i..n).map(|j| feats[i].dot(&feats[j])).collect() };
+    let blocks = pool::map_indexed(n.div_ceil(2), threads, None, |k| {
+        // The middle row pairs with itself when n is odd.
+        let pair = n - 1 - k;
+        let block: &[usize] = if pair == k { &[k] } else { &[k, pair] };
+        block.iter().map(|&i| (i, row(i))).collect::<Vec<_>>()
     });
     let mut values = vec![0.0; n * n];
-    for chunk in rows {
-        for (i, row) in chunk {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
-                values[i * n + j] = v;
-                values[j * n + i] = v;
-            }
+    for (i, row) in blocks.into_iter().flatten() {
+        for (off, v) in row.into_iter().enumerate() {
+            let j = i + off;
+            values[i * n + j] = v;
+            values[j * n + i] = v;
         }
     }
     values
@@ -268,6 +212,10 @@ fn pairwise_gram(feats: &[SparseFeatures], threads: usize) -> Vec<f64> {
 /// for each published id that runs i < j share. The diagonal is
 /// `feats[i].dot(&feats[i])`. Memory beyond the matrix is per worker and
 /// bounded by the range size, never by the campaign's.
+///
+/// The workers meet at a barrier every round, so they must all run at
+/// once. [`anacin_obs::pool`] does not promise that, so this function
+/// starts its own: worker 0 on the calling thread, the rest spawned.
 ///
 /// **Bit-exactness.** Entry (i, j) receives exactly the products the
 /// merge-join `feats[i].dot(&feats[j])` adds on a match, in the same
@@ -649,35 +597,10 @@ pub fn gram_append(
         values[i * n..i * n + prev.n].copy_from_slice(&prev.values[i * prev.n..(i + 1) * prev.n]);
     }
     let new = n - 1;
-    let threads = threads.max(1).min(n);
-    let next = AtomicUsize::new(0);
-    let col: Vec<Vec<(usize, f64)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i > new {
-                            break;
-                        }
-                        local.push((i, dot.dot(&feats[i], &feats[new])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for chunk in col {
-        for (i, v) in chunk {
-            values[i * n + new] = v;
-            values[new * n + i] = v;
-        }
+    let col = pool::map_indexed(n, threads, None, |i| dot.dot(&feats[i], &feats[new]));
+    for (i, v) in col.into_iter().enumerate() {
+        values[i * n + new] = v;
+        values[new * n + i] = v;
     }
     KernelMatrix {
         n,

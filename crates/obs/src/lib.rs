@@ -35,6 +35,10 @@
 //! stacks, or [`MemorySink`] in tests) through a bounded channel and a
 //! writer thread; see [`tracer`] and [`sink`].
 //!
+//! [`CancelToken`] stops a long-running loop between units of work, and
+//! [`pool`] is the one worker pool behind every parallel loop over runs,
+//! graphs and Gram rows; it checks that token before each claim.
+//!
 //! ```
 //! use anacin_obs::MetricsRegistry;
 //!
@@ -54,6 +58,7 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod hist;
+pub mod pool;
 pub mod progress;
 pub mod shutdown;
 pub mod sink;
@@ -386,11 +391,6 @@ impl MetricsReport {
             .map(|c| c.value)
     }
 
-    /// The value of gauge `name`, if recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
     /// The span recorded under exactly `path`, if any.
     pub fn span(&self, path: &str) -> Option<&SpanSample> {
         self.spans.iter().find(|s| s.name == path)
@@ -502,7 +502,11 @@ mod tests {
         let m = MetricsRegistry::new();
         m.set_gauge("threads", 4.0);
         m.set_gauge("threads", 8.0);
-        assert_eq!(m.report().gauge("threads"), Some(8.0));
+        let threads = GaugeSample {
+            name: "threads".to_string(),
+            value: 8.0,
+        };
+        assert_eq!(m.report().gauges, [threads]);
     }
 
     #[test]
@@ -686,7 +690,11 @@ mod tests {
         merged.merge(&b.report());
         assert_eq!(merged.counter("c"), Some(7));
         assert_eq!(merged.counter("only-b"), Some(1));
-        assert_eq!(merged.gauge("g"), Some(2.0));
+        let g = GaugeSample {
+            name: "g".to_string(),
+            value: 2.0,
+        };
+        assert_eq!(merged.gauges, [g]);
         let sp = merged.span("s").unwrap();
         assert_eq!(
             (sp.count, sp.total_ns, sp.min_ns, sp.max_ns),

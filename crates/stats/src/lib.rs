@@ -4,8 +4,8 @@
 //! summaries, quantiles, Gaussian KDE and violin summaries (the paper's
 //! figures 5–7 are violins over kernel-distance samples), bootstrap
 //! confidence intervals, Pearson/Spearman correlation (the Figure-7
-//! monotonicity check), the Mann–Whitney U test (backing "32 processes >
-//! 16 processes" with a p-value), and simple histograms.
+//! monotonicity check) and the Mann–Whitney U test (backing "32 processes >
+//! 16 processes" with a p-value).
 //!
 //! ```
 //! use anacin_stats::prelude::*;
@@ -23,7 +23,6 @@ pub mod bootstrap;
 pub mod correlation;
 pub mod describe;
 pub mod effect;
-pub mod histogram;
 pub mod kde;
 pub mod mwu;
 pub mod quantile;
@@ -45,7 +44,6 @@ pub mod prelude {
     pub use crate::correlation::{pearson, ranks, spearman};
     pub use crate::describe::Summary;
     pub use crate::effect::kendall_tau;
-    pub use crate::histogram::Histogram;
     pub use crate::kde::{kde_curve, silverman_bandwidth, KdeCurve};
     pub use crate::mwu::{mann_whitney_u, normal_cdf, MwuResult};
     pub use crate::nan_count;

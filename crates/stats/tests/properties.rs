@@ -101,13 +101,4 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&r.p_greater));
         prop_assert!((0.0..=1.0).contains(&r.p_two_sided));
     }
-
-    /// Histograms conserve mass and respect bin ranges.
-    #[test]
-    fn histogram_mass(xs in sample(), bins in 1usize..32) {
-        let h = Histogram::of(&xs, bins);
-        prop_assert_eq!(h.total() as usize, xs.len());
-        let freq_sum: f64 = h.frequencies().iter().sum();
-        prop_assert!((freq_sum - 1.0).abs() < 1e-9);
-    }
 }

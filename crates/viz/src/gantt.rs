@@ -4,6 +4,7 @@
 //! on messages) show up as the dominant colour in delay-heavy runs — the
 //! visual counterpart of the kernel-distance numbers.
 
+use crate::svg::svg_header;
 use anacin_mpisim::timeline::{Activity, Timeline};
 use anacin_mpisim::types::Rank;
 use std::fmt::Write as _;
@@ -54,11 +55,10 @@ pub fn gantt_svg(tl: &Timeline, title: &str) -> String {
     let width = margin * 2.0 + plot_w;
     let span = tl.makespan.nanos().max(1) as f64;
     let x_of = |t: u64| margin + t as f64 / span * plot_w;
-    let mut s = format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width:.0}\" height=\"{height:.0}\" \
-         viewBox=\"0 0 {width:.0} {height:.0}\" font-family=\"sans-serif\">\n\
-         <title>{title}</title>\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n\
-         <text x=\"{:.1}\" y=\"24\" font-size=\"14\" text-anchor=\"middle\">{title}</text>\n",
+    let mut s = svg_header(width, height, title);
+    let _ = writeln!(
+        s,
+        "<text x=\"{:.1}\" y=\"24\" font-size=\"14\" text-anchor=\"middle\">{title}</text>",
         width / 2.0
     );
     for (r, segs) in tl.segments.iter().enumerate() {

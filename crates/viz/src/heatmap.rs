@@ -4,6 +4,7 @@
 //! diverge, the scatter shows the geometry of the run sample in kernel
 //! space (via `anacin_kernels::embed`).
 
+use crate::svg::svg_header;
 use std::fmt::Write as _;
 
 const SHADES: [char; 5] = [' ', '░', '▒', '▓', '█'];
@@ -53,11 +54,7 @@ pub fn heatmap_svg(n: usize, value: impl Fn(usize, usize) -> f64, title: &str) -
             peak = peak.max(value(i, j));
         }
     }
-    let mut s = format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{size:.0}\" height=\"{size:.0}\" \
-         viewBox=\"0 0 {size:.0} {size:.0}\" font-family=\"sans-serif\">\n\
-         <title>{title}</title>\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n"
-    );
+    let mut s = svg_header(size, size, title);
     for i in 0..n {
         for j in 0..n {
             let v = if peak > 0.0 { value(i, j) / peak } else { 0.0 };
@@ -114,12 +111,11 @@ pub fn scatter_svg(points: &[(f64, f64)], title: &str) -> String {
     }
     let px = |x: f64| margin + (x - xlo) / (xhi - xlo) * plot;
     let py = |y: f64| margin + plot - (y - ylo) / (yhi - ylo) * plot;
-    let mut s = format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{size:.0}\" height=\"{size:.0}\" \
-         viewBox=\"0 0 {size:.0} {size:.0}\" font-family=\"sans-serif\">\n\
-         <title>{title}</title>\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n\
-         <rect x=\"{margin}\" y=\"{margin}\" width=\"{plot}\" height=\"{plot}\" fill=\"none\" \
-         stroke=\"#888\"/>\n"
+    let mut s = svg_header(size, size, title);
+    let _ = writeln!(
+        s,
+        "<rect x=\"{margin}\" y=\"{margin}\" width=\"{plot}\" height=\"{plot}\" fill=\"none\" \
+         stroke=\"#888\"/>"
     );
     for (i, &(x, y)) in points.iter().enumerate() {
         let _ = writeln!(

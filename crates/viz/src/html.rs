@@ -5,6 +5,7 @@
 //! ranking. The course's take-home artifact — students attach it to their
 //! assignment instead of screenshots.
 
+use crate::svg::esc;
 use std::fmt::Write as _;
 
 /// One section of a report.
@@ -26,12 +27,6 @@ pub struct HtmlReport {
     title: String,
     subtitle: String,
     sections: Vec<Section>,
-}
-
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 impl HtmlReport {

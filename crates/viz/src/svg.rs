@@ -10,7 +10,9 @@ use anacin_mpisim::types::Rank;
 use anacin_stats::prelude::ViolinSummary;
 use std::fmt::Write as _;
 
-fn svg_header(width: f64, height: f64, title: &str) -> String {
+/// The opening of every SVG this crate writes: the root element, the
+/// title and a white background.
+pub(crate) fn svg_header(width: f64, height: f64, title: &str) -> String {
     format!(
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width:.0}\" height=\"{height:.0}\" \
          viewBox=\"0 0 {width:.0} {height:.0}\" font-family=\"sans-serif\">\n\
@@ -19,8 +21,8 @@ fn svg_header(width: f64, height: f64, title: &str) -> String {
     )
 }
 
-/// Escape text content for XML.
-fn esc(s: &str) -> String {
+/// Escape text content for XML (and HTML).
+pub(crate) fn esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

@@ -14,6 +14,13 @@
 //! `perfbench/src`, outside comments and `use` declarations, that is not
 //! the name a `fn` defines. Words in string literals count: a function
 //! named in a string (a serde `default = "…"`, say) is reached by name.
+//! The scan matches names, not paths, which is its blind spot: a method
+//! passes when another item of its name has a caller, or when its name is
+//! a word in any string, so check such a survivor's callers by hand.
+//!
+//! One more test keeps every parallel loop over indices on the one worker
+//! pool, `anacin_obs::pool`: non-test code may start scoped threads only
+//! in the files `SCOPED_THREADS` lists, once each.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -46,6 +53,15 @@ const KEPT_FUNCTIONS: &[(&str, &str)] = &[
 const KEPT_DEPENDENCIES: &[(&str, &str, &str)] = &[
     ("crates/core", "rand", "perfbench/Cargo.lock records the edge"),
     ("crates/event-graph", "anacin-obs", "perfbench/Cargo.lock records the edge"),
+];
+
+/// The files whose non-test code may name `thread::scope`, once each,
+/// and why each starts its own threads instead of using the pool.
+#[rustfmt::skip]
+const SCOPED_THREADS: &[(&str, &str)] = &[
+    ("crates/obs/src/pool.rs", "the pool itself"),
+    ("crates/kernels/src/matrix.rs", "label-major Gram: its workers meet at a barrier every round, so all must run at once"),
+    ("crates/serve/src/server.rs", "a job's progress ticker runs beside its worker"),
 ];
 
 fn root() -> PathBuf {
@@ -408,6 +424,49 @@ fn every_dependency_is_named() {
         failures.push(format!(
             "KEPT dependency {dep} of {dir} is declared nowhere"
         ));
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn parallel_loops_share_one_pool() {
+    let scope = [
+        Tok::Ident("thread"),
+        Tok::Punct(b':'),
+        Tok::Punct(b':'),
+        Tok::Ident("scope"),
+    ];
+    let mut sites: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for dir in crate_dirs() {
+        for source in Source::under(&within(&dir, "src")) {
+            for w in tokens(source.non_test()).windows(scope.len()) {
+                if w.iter().map(|t| t.0).eq(scope) {
+                    sites.entry(source.path.clone()).or_default().push(w[0].1);
+                }
+            }
+        }
+    }
+    let mut failures = Vec::new();
+    for (path, lines) in &sites {
+        if !SCOPED_THREADS.iter().any(|k| k.0 == path) {
+            for line in lines {
+                failures.push(format!(
+                    "{path}:{line}: thread::scope outside the pool; \
+                     use anacin_obs::pool::map_indexed"
+                ));
+            }
+        } else if lines.len() > 1 {
+            failures.push(format!(
+                "{path}: thread::scope at lines {lines:?}; SCOPED_THREADS allows one"
+            ));
+        }
+    }
+    for (path, _) in SCOPED_THREADS {
+        if !sites.contains_key(*path) {
+            failures.push(format!(
+                "{path}: listed in SCOPED_THREADS but names no thread::scope; drop it"
+            ));
+        }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
