@@ -315,7 +315,7 @@ pub fn run_gram_scale(cfg: &BaselineConfig) -> GramScaleReport {
 /// once `finish()` has written the last one. Panics unless the sink got
 /// at least the campaign's `total_events` records.
 pub fn time_traced_campaign(cfg: &CampaignConfig) -> f64 {
-    let sink = ChromeJsonSink::new(CountingWriter::new(Arc::new(AtomicU64::new(0))), true)
+    let sink = ChromeJsonSink::new(CountingWriter::new(Arc::new(AtomicU64::new(0))))
         .expect("counting sink");
     let tracer = Tracer::new(sink);
     let reg = MetricsRegistry::new();

@@ -8,6 +8,7 @@ use anacin_event_graph::{export, EventGraph};
 use anacin_kernels::prelude::*;
 use anacin_miniapps::{MiniAppConfig, Pattern};
 use anacin_mpisim::prelude::*;
+use anacin_obs::view::ChromeView;
 use anacin_obs::{MetricsRegistry, Tracer};
 use anacin_store::ArtifactStore;
 use anacin_viz::{ascii, svg};
@@ -431,17 +432,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         // reproduce this payload byte-for-byte (the serve crate's
         // acceptance oracle).
         let json = match &explored {
-            Some((xcfg, xr, coverage)) => anacin_core::report::to_json(&RunWithExploreReport {
-                measurement: MeasurementReport::from(&m),
-                explore: ExploreSection {
-                    config: *xcfg,
-                    stats: xr.report.stats,
-                    coverage: *coverage,
-                },
-            })
-            .map_err(|e| e.to_string())?,
-            None => measurement_json(&cfg, &result.matrix).map_err(|e| e.to_string())?,
-        };
+            Some((xcfg, xr, _)) => explore_json(&cfg, &result, xcfg, xr),
+            None => measurement_json(&cfg, &result.matrix),
+        }
+        .map_err(|e| e.to_string())?;
         println!("{json}");
         return Ok(());
     }
@@ -1317,11 +1311,11 @@ fn cmd_trace_view(args: &Args) -> Result<(), String> {
         .ok_or("trace view requires a FILE argument")?;
     let summary = if path.ends_with(".folded") {
         let data = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        folded_view_summary(&data).map_err(|e| format!("{path}: {e}"))?
+        anacin_obs::view::folded_summary(&data)
     } else {
-        trace_view_streaming(path).map_err(|e| format!("{path}: {e}"))?
+        chrome_view(path)
     };
-    print!("{summary}");
+    print!("{}", summary.map_err(|e| format!("{path}: {e}"))?);
     Ok(())
 }
 
@@ -1332,247 +1326,29 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     write_out(args, &json)
 }
 
-/// Scalar per-track aggregates of a Chrome trace's sim events. Holding
-/// only these (never the timestamps themselves) is what lets `trace
-/// view` stream arbitrarily large exports in constant memory per track.
-#[derive(Clone, Copy)]
-struct TrackAgg {
-    count: usize,
-    min_ts: f64,
-    max_ts: f64,
-    /// Previous event's timestamp, for the incremental gap (timestamps
-    /// are monotone per track by construction).
-    last_ts: f64,
-    max_gap: f64,
-}
-
-/// Incremental `trace view` state: feed events one at a time (from a
-/// whole document or a streamed line), render once at the end.
-#[derive(Default)]
-struct TraceViewAgg {
-    // (run pid, rank tid) -> scalar aggregates.
-    tracks: Vec<((i128, i128), TrackAgg)>,
-    // wall span B/E matching, per (tid, name) stack.
-    open: Vec<((i128, String), Vec<f64>)>,
-    span_totals: Vec<(String, u64, f64)>,
-}
-
-impl TraceViewAgg {
-    /// Ingest one trace event object.
-    fn add(&mut self, ev: &serde::Value) {
-        use serde::map_get;
-        let Some(obj) = ev.as_object() else { return };
-        let ph = map_get(obj, "ph").as_str().unwrap_or("");
-        let cat = map_get(obj, "cat").as_str().unwrap_or("");
-        if cat == "sim" && ph == "X" {
-            let pid = map_get(obj, "pid").as_int().unwrap_or(0);
-            let tid = map_get(obj, "tid").as_int().unwrap_or(0);
-            let ts = map_get(obj, "ts").as_f64().unwrap_or(0.0);
-            match self.tracks.iter_mut().find(|(k, _)| *k == (pid, tid)) {
-                Some((_, t)) => {
-                    t.count += 1;
-                    t.min_ts = t.min_ts.min(ts);
-                    t.max_ts = t.max_ts.max(ts);
-                    t.max_gap = t.max_gap.max(ts - t.last_ts);
-                    t.last_ts = ts;
-                }
-                None => self.tracks.push((
-                    (pid, tid),
-                    TrackAgg {
-                        count: 1,
-                        min_ts: ts,
-                        max_ts: ts,
-                        last_ts: ts,
-                        max_gap: 0.0,
-                    },
-                )),
-            }
-        } else if cat == "wall" && (ph == "B" || ph == "E") {
-            let tid = map_get(obj, "tid").as_int().unwrap_or(0);
-            let name = map_get(obj, "name").as_str().unwrap_or("").to_string();
-            let ts = map_get(obj, "ts").as_f64().unwrap_or(0.0);
-            let key = (tid, name.clone());
-            if ph == "B" {
-                match self.open.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, v)) => v.push(ts),
-                    None => self.open.push((key, vec![ts])),
-                }
-            } else if let Some(begin) = self
-                .open
-                .iter_mut()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| v.pop())
-            {
-                let dur = (ts - begin).max(0.0);
-                match self.span_totals.iter_mut().find(|(n, _, _)| *n == name) {
-                    Some((_, c, t)) => {
-                        *c += 1;
-                        *t += dur;
-                    }
-                    None => self.span_totals.push((name, 1, dur)),
-                }
-            }
-        }
-    }
-
-    /// Render the ASCII summary: per-rank event counts with proportional
-    /// bars, the busiest rank, the longest inter-event gap on any rank,
-    /// and the top-5 wall-clock spans by total time.
-    fn render(mut self) -> Result<String, String> {
-        if self.tracks.is_empty() && self.span_totals.is_empty() {
-            return Err("no sim events or wall spans found (is this an anacin trace?)".to_string());
-        }
-        self.tracks.sort_by_key(|a| a.0);
-        let mut out = String::new();
-        let runs: Vec<i128> = {
-            let mut v: Vec<i128> = self.tracks.iter().map(|((pid, _), _)| *pid).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let total_events: usize = self.tracks.iter().map(|(_, t)| t.count).sum();
-        out.push_str(&format!(
-            "sim events: {} across {} run(s), {} rank track(s)\n",
-            total_events,
-            runs.len(),
-            self.tracks.len()
-        ));
-        let max_count = self.tracks.iter().map(|(_, t)| t.count).max().unwrap_or(1);
-        for ((pid, tid), t) in &self.tracks {
-            let bar_len = (t.count * 40 / max_count.max(1)).max(1);
-            out.push_str(&format!(
-                "  run {:>3} rank {:>3}: {:>6} events  {:<40}  [{:.1} µs sim-time]\n",
-                pid - 1000,
-                tid,
-                t.count,
-                "#".repeat(bar_len),
-                t.max_ts - t.min_ts
-            ));
-        }
-        if let Some(((pid, tid), t)) = self.tracks.iter().max_by_key(|(_, t)| t.count) {
-            out.push_str(&format!(
-                "busiest rank: run {} rank {} ({} events)\n",
-                pid - 1000,
-                tid,
-                t.count
-            ));
-        }
-        let longest = self
-            .tracks
-            .iter()
-            .filter(|(_, t)| t.count > 1)
-            .max_by(|a, b| a.1.max_gap.total_cmp(&b.1.max_gap));
-        if let Some(((pid, tid), t)) = longest {
-            out.push_str(&format!(
-                "longest gap: {:.3} µs on run {} rank {}\n",
-                t.max_gap,
-                pid - 1000,
-                tid
-            ));
-        }
-        if !self.span_totals.is_empty() {
-            self.span_totals
-                .sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-            out.push_str("top spans by total wall time:\n");
-            for (name, count, total_us) in self.span_totals.iter().take(5) {
-                out.push_str(&format!(
-                    "  {:<34} {:>6} x {:>12.3} ms\n",
-                    name,
-                    count,
-                    total_us / 1e3
-                ));
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Summarise a Chrome trace file by streaming it line by line — anacin
+/// Summarise a Chrome trace file by streaming it line by line: anacin
 /// exports (and most Chrome traces) hold one event per line, so a
 /// multi-gigabyte streamed trace summarises without ever being resident.
-/// Falls back to whole-document parsing when no per-line events parse
+/// Falls back to parsing the whole document when no line holds an event
 /// (e.g. pretty-printed JSON from another tool).
-fn trace_view_streaming(path: &str) -> Result<String, String> {
+fn chrome_view(path: &str) -> Result<String, String> {
     use std::io::BufRead as _;
     let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    let reader = std::io::BufReader::new(file);
-    let mut agg = TraceViewAgg::default();
-    let mut parsed = 0u64;
-    for line in reader.lines() {
+    let mut view = ChromeView::default();
+    let mut parsed = false;
+    for line in std::io::BufReader::new(file).lines() {
         let line = line.map_err(|e| e.to_string())?;
-        let body = line.trim().trim_end_matches(',');
-        // Skip the document scaffolding; event lines are objects with a
-        // "ph" phase field.
-        if !body.starts_with('{') || !body.ends_with('}') || !body.contains("\"ph\"") {
-            continue;
+        let event = ChromeView::event_line(&line).and_then(|l| serde_json::from_str_value(l).ok());
+        if let Some(ev) = event {
+            view.add(&ev);
+            parsed = true;
         }
-        let Ok(ev) = serde_json::from_str_value(body) else {
-            continue;
-        };
-        agg.add(&ev);
-        parsed += 1;
     }
-    if parsed == 0 {
-        return trace_view_summary(&std::fs::read_to_string(path).map_err(|e| e.to_string())?);
+    if !parsed {
+        let data = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        view.add_document(&serde_json::from_str_value(&data).map_err(|e| e.to_string())?)?;
     }
-    agg.render()
-}
-
-/// Whole-document fallback for traces that aren't one-event-per-line.
-fn trace_view_summary(data: &str) -> Result<String, String> {
-    use serde::map_get;
-    let doc = serde_json::from_str_value(data).map_err(|e| e.to_string())?;
-    let root = doc.as_object().ok_or("trace root must be an object")?;
-    let events = map_get(root, "traceEvents")
-        .as_array()
-        .ok_or("missing traceEvents array")?;
-    let mut agg = TraceViewAgg::default();
-    for ev in events {
-        agg.add(ev);
-    }
-    agg.render()
-}
-
-/// Render the ASCII summary of a folded-stacks file (`a;b;c <self-µs>`
-/// per line, the inferno / `flamegraph.pl` input format): the top stacks
-/// by self-time with proportional bars, plus the file's totals.
-fn folded_view_summary(data: &str) -> Result<String, String> {
-    let mut stacks: Vec<(&str, u64)> = Vec::new();
-    for (lineno, line) in data.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let (stack, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: not 'stack <value>'", lineno + 1))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("line {}: bad self-time '{value}'", lineno + 1))?;
-        stacks.push((stack, value));
-    }
-    if stacks.is_empty() {
-        return Err("no stacks found (is this a folded flamegraph file?)".to_string());
-    }
-    let total: u64 = stacks.iter().map(|&(_, v)| v).sum();
-    stacks.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-    let mut out = format!(
-        "{} stack(s), {:.3} ms total self-time\ntop stacks by self-time:\n",
-        stacks.len(),
-        total as f64 / 1e3
-    );
-    let max = stacks.first().map(|&(_, v)| v).unwrap_or(1).max(1);
-    for (stack, value) in stacks.iter().take(10) {
-        let bar_len = ((*value as usize * 32) / max as usize).max(1);
-        out.push_str(&format!(
-            "  {:<44} {:>12.3} ms {:>5.1}%  {}\n",
-            stack,
-            *value as f64 / 1e3,
-            *value as f64 * 100.0 / total as f64,
-            "#".repeat(bar_len)
-        ));
-    }
-    Ok(out)
+    view.render()
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {

@@ -167,18 +167,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Builder-style: set the kernel.
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Builder-style: set the congestion-delay distribution.
-    pub fn delay(mut self, delay: DelayDistribution) -> Self {
-        self.delay = delay;
-        self
-    }
-
     /// Builder-style: set the dot-product implementation.
     pub fn dot(mut self, dot: DotKind) -> Self {
         self.dot = dot;

@@ -253,11 +253,10 @@ mod tests {
         let cfg = small_cfg();
         let (dir, store) = tmp_store("ksweep");
         run_campaign_with(&cfg, &stored(&store)).unwrap();
-        let other = cfg
-            .clone()
-            .kernel(crate::config::KernelChoice::VertexHistogram {
-                policy: anacin_event_graph::LabelPolicy::EventType,
-            });
+        let mut other = cfg.clone();
+        other.kernel = crate::config::KernelChoice::VertexHistogram {
+            policy: anacin_event_graph::LabelPolicy::EventType,
+        };
         let before = store.activity();
         run_campaign_with(&other, &stored(&store)).unwrap();
         let after = store.activity();
@@ -282,11 +281,10 @@ mod tests {
             run_fingerprint(&cfg.clone().base_seed(7), 1)
         );
         // Kernel affects features and campaign keys, not run keys.
-        let other_kernel = cfg
-            .clone()
-            .kernel(crate::config::KernelChoice::VertexHistogram {
-                policy: anacin_event_graph::LabelPolicy::EventType,
-            });
+        let mut other_kernel = cfg.clone();
+        other_kernel.kernel = crate::config::KernelChoice::VertexHistogram {
+            policy: anacin_event_graph::LabelPolicy::EventType,
+        };
         assert_eq!(base, run_fingerprint(&other_kernel, 0));
         assert_ne!(
             features_fingerprint(&cfg, 0),

@@ -58,8 +58,8 @@ pub mod prelude {
     };
     pub use crate::measure::NdMeasurement;
     pub use crate::report::{
-        campaign_label, measurement_json, ranking_table, sweep_table, sweep_text, ExploreSection,
-        MeasurementReport, RunWithExploreReport,
+        campaign_label, explore_json, measurement_json, ranking_table, sweep_table, sweep_text,
+        MeasurementReport,
     };
     pub use crate::root_cause::{analyze, CallstackRanking, RootCauseConfig};
     pub use crate::sweep::{sweep, Sweep, SweepAxis, SweepMetrics, SweepPoint, SweepPointMetrics};

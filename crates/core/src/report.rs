@@ -1,13 +1,14 @@
 //! Serializable reports and plain-text rendering of campaign results.
 //!
-//! The JSON builders here ([`measurement_json`], [`sweep_text`], the
-//! explore report structs) are shared between the batch CLI and the
-//! `anacin serve` daemon: both construct their output through the same
+//! The JSON builders here ([`measurement_json`], [`explore_json`],
+//! [`sweep_text`]) are shared between the batch CLI and the `anacin
+//! serve` daemon: both construct their output through the same
 //! functions, which is what makes a service `Result` frame byte-identical
 //! to a local `anacin run --json` of the same request.
 
+use crate::campaign::CampaignResult;
 use crate::config::CampaignConfig;
-use crate::explore::ExploreCoverage;
+use crate::explore::{ExploreCampaignResult, ExploreCoverage};
 use crate::measure::NdMeasurement;
 use crate::root_cause::CallstackRanking;
 use crate::sweep::Sweep;
@@ -107,24 +108,44 @@ pub fn sweep_text(sweep: &Sweep) -> String {
     )
 }
 
+/// The exact `anacin run --explore --json` payload: the sampled
+/// campaign's measurement, the enumeration `xcfg` bounded, and how the
+/// sample covers the enumerated space.
+pub fn explore_json(
+    config: &CampaignConfig,
+    sampled: &CampaignResult,
+    xcfg: &ExploreConfig,
+    explored: &ExploreCampaignResult,
+) -> serde_json::Result<String> {
+    let m = NdMeasurement::from_campaign(campaign_label(config), sampled);
+    to_json(&RunWithExploreReport {
+        measurement: MeasurementReport::from(&m),
+        explore: ExploreSection {
+            config: *xcfg,
+            stats: explored.report.stats,
+            coverage: explored.coverage_of(sampled),
+        },
+    })
+}
+
 /// The explore half of a `run --explore --json` payload.
-#[derive(Debug, Clone, Serialize)]
-pub struct ExploreSection {
+#[derive(Serialize)]
+struct ExploreSection {
     /// The enumeration bounds the request asked for.
-    pub config: ExploreConfig,
+    config: ExploreConfig,
     /// What the enumeration found.
-    pub stats: ExploreStats,
+    stats: ExploreStats,
     /// How the sampled campaign relates to the enumerated space.
-    pub coverage: ExploreCoverage,
+    coverage: ExploreCoverage,
 }
 
 /// `run --explore --json`: the sampled measurement plus the enumeration.
-#[derive(Debug, Clone, Serialize)]
-pub struct RunWithExploreReport {
+#[derive(Serialize)]
+struct RunWithExploreReport {
     /// The sampled campaign's measurement.
-    pub measurement: MeasurementReport,
+    measurement: MeasurementReport,
     /// The schedule-space enumeration and coverage.
-    pub explore: ExploreSection,
+    explore: ExploreSection,
 }
 
 #[cfg(test)]

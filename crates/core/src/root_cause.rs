@@ -28,9 +28,10 @@ use crate::config::CampaignConfig;
 use anacin_event_graph::label::{initial_labels, LabelPolicy};
 use anacin_event_graph::slice::slice_by_position;
 use anacin_event_graph::EventGraph;
+use anacin_kernels::feature::SparseFeatures;
 use anacin_mpisim::stack::{CallStackId, CallStackTable};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Root-cause analysis parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -86,12 +87,10 @@ impl CallstackRanking {
     }
 }
 
-/// Label counts of one window of one run.
-type Histogram = HashMap<u64, f64>;
-
 /// One window of one run, as far as the analysis reads it.
 struct Window {
-    labels: Histogram,
+    /// How many of the window's nodes carry each label.
+    labels: SparseFeatures,
     /// `(call path, label)` of each receive, in node order.
     recvs: Vec<(CallStackId, u64)>,
 }
@@ -102,30 +101,14 @@ fn windows(g: &EventGraph, config: &RootCauseConfig) -> Vec<Window> {
     let labels = initial_labels(g, config.policy);
     slice_by_position(g, config.slices)
         .into_iter()
-        .map(|s| {
-            let mut w = Window {
-                labels: HashMap::new(),
-                recvs: Vec::new(),
-            };
-            for &id in &s.nodes {
-                let label = labels[id.index()];
-                *w.labels.entry(label).or_insert(0.0) += 1.0;
-                let node = g.node(id);
-                if node.kind.is_recv() {
-                    w.recvs.push((node.stack, label));
-                }
-            }
-            w
+        .map(|s| Window {
+            labels: s.nodes.iter().map(|id| (labels[id.index()], 1.0)).collect(),
+            recvs: (s.nodes.iter())
+                .filter(|&&id| g.node(id).kind.is_recv())
+                .map(|&id| (g.node(id).stack, labels[id.index()]))
+                .collect(),
         })
         .collect()
-}
-
-fn l1(a: &Histogram, b: &Histogram) -> f64 {
-    let mut keys: HashSet<u64> = a.keys().copied().collect();
-    keys.extend(b.keys().copied());
-    keys.into_iter()
-        .map(|k| (a.get(&k).copied().unwrap_or(0.0) - b.get(&k).copied().unwrap_or(0.0)).abs())
-        .sum()
 }
 
 /// Mean of `f(i, j)` over the run pairs `i < j`, summed in that order
@@ -168,7 +151,7 @@ fn rank(
     let hist = |run: usize, s: usize| &runs[run][s].labels;
     // Divergence per window: mean pairwise L1 across runs.
     let divergence: Vec<f64> = (0..config.slices)
-        .map(|s| mean_pairwise(runs.len(), |i, j| l1(hist(i, s), hist(j, s))))
+        .map(|s| mean_pairwise(runs.len(), |i, j| hist(i, s).l1_distance(hist(j, s))))
         .collect();
     // High-ND windows: top fraction of strictly positive divergences.
     let mut positive: Vec<usize> = (0..config.slices)
@@ -187,17 +170,19 @@ fn rank(
     // Per-window, per-label disagreement: how much each label's count
     // varies across runs (mean pairwise |Δcount|). A receive whose label
     // is identical in every run carries no root-cause signal.
-    let label_divergence: Vec<Histogram> = high
+    let label_divergence: Vec<SparseFeatures> = high
         .iter()
         .map(|&s| {
-            let keys: HashSet<u64> = (0..runs.len())
-                .flat_map(|r| hist(r, s).keys().copied())
+            let mut ids: Vec<u64> = (0..runs.len())
+                .flat_map(|r| hist(r, s).iter().map(|(id, _)| id))
                 .collect();
-            keys.into_iter()
-                .map(|key| {
-                    let count = |r: usize| hist(r, s).get(&key).copied().unwrap_or(0.0);
+            ids.sort_unstable();
+            ids.dedup();
+            ids.into_iter()
+                .map(|id| {
+                    let count = |r: usize| hist(r, s).get(id);
                     (
-                        key,
+                        id,
                         mean_pairwise(runs.len(), |i, j| (count(i) - count(j)).abs()),
                     )
                 })
@@ -212,7 +197,7 @@ fn rank(
             for &(stack, label) in &run[s].recvs {
                 let path = paths.entry(stack).or_insert((0, 0.0));
                 path.0 += 1;
-                path.1 += label_divergence[hi].get(&label).copied().unwrap_or(0.0);
+                path.1 += label_divergence[hi].get(label);
             }
         }
     }
@@ -263,6 +248,18 @@ mod tests {
     use crate::campaign::tests::fresh_traces;
     use anacin_miniapps::Pattern;
     use anacin_store::ArtifactStore;
+    use std::collections::{HashMap, HashSet};
+
+    /// Label counts of one window of one run, as the reference keeps them.
+    type Histogram = HashMap<u64, f64>;
+
+    fn l1(a: &Histogram, b: &Histogram) -> f64 {
+        let mut keys: HashSet<u64> = a.keys().copied().collect();
+        keys.extend(b.keys().copied());
+        keys.into_iter()
+            .map(|k| (a.get(&k).copied().unwrap_or(0.0) - b.get(&k).copied().unwrap_or(0.0)).abs())
+            .sum()
+    }
 
     fn ranking(cfg: &CampaignConfig) -> CallstackRanking {
         analyze(cfg, &RootCauseConfig::default(), &RunCtx::default())

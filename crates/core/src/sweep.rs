@@ -355,12 +355,8 @@ mod tests {
         // The shared tracer saw every run exactly once, with unique ids
         // offset per point.
         tracer.finish().unwrap();
-        let runs: Vec<u32> = sink
-            .snapshot()
-            .sim_events_per_run()
-            .iter()
-            .map(|&(r, _)| r)
-            .collect();
+        let mut runs: Vec<u32> = sink.snapshot().sim.iter().map(|e| e.run).collect();
+        runs.dedup();
         assert_eq!(runs, (0..15).collect::<Vec<u32>>());
     }
 

@@ -86,9 +86,8 @@ fn every_mode_reproduces_the_plain_matrix_bit_for_bit() {
     for (k, kernel) in kernels.into_iter().enumerate() {
         for runs in run_counts {
             for dot in [DotKind::Scalar, DotKind::Blocked] {
-                let base = CampaignConfig::new(Pattern::MessageRace, 6)
-                    .runs(runs)
-                    .kernel(kernel);
+                let mut base = CampaignConfig::new(Pattern::MessageRace, 6).runs(runs);
+                base.kernel = kernel;
                 let reference = run_campaign(&base).expect("plain campaign");
                 for threads in [1usize, 2, 8] {
                     for mode in modes {

@@ -158,15 +158,6 @@ impl GraphStats {
         }
     }
 
-    /// Messages received by `rank` (column sum of the traffic matrix).
-    pub fn inbound(&self, rank: Rank) -> u64 {
-        self.traffic
-            .iter()
-            .filter(|&(_, d, _)| d == rank)
-            .map(|(_, _, m)| m)
-            .sum()
-    }
-
     /// The busiest channel `(src, dst, messages)`. Ties resolve to the
     /// lowest `(src, dst)`, as in the dense row-major scan this replaced.
     pub fn hottest_channel(&self) -> Option<(Rank, Rank, u64)> {
@@ -250,10 +241,6 @@ mod tests {
     #[test]
     fn traffic_matrix_rows_and_columns() {
         let s = race_stats();
-        assert_eq!(s.inbound(Rank(0)), 3);
-        for r in 1..4 {
-            assert_eq!(s.inbound(Rank(r)), 0);
-        }
         let (_, dst, m) = s.hottest_channel().unwrap();
         assert_eq!(dst, Rank(0));
         assert_eq!(m, 1);
@@ -301,8 +288,6 @@ mod tests {
             }
             assert_eq!(s.traffic.to_dense(), dense, "seed {seed}");
             for r in 0..n {
-                let col: u64 = dense.iter().map(|row| row[r as usize]).sum();
-                assert_eq!(s.inbound(Rank(r)), col, "seed {seed} rank {r}");
                 for d in 0..n {
                     assert_eq!(
                         s.traffic.get(Rank(r), Rank(d)),

@@ -321,9 +321,10 @@ impl SparseFeatures {
         self.map.iter().copied()
     }
 
-    /// L1 distance to another vector (used in tests/diagnostics).
-    /// Accumulates over the id union in increasing order, so it shares the
-    /// determinism guarantee of [`SparseFeatures::dot`].
+    /// L1 distance to another vector (root cause scores a window's
+    /// divergence with it). Accumulates over the id union in increasing
+    /// order, so it shares the determinism guarantee of
+    /// [`SparseFeatures::dot`].
     pub fn l1_distance(&self, other: &SparseFeatures) -> f64 {
         let a = &self.map;
         let b = &other.map;

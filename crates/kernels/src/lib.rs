@@ -10,8 +10,7 @@
 //! * [`wl::WlKernel`] — Weisfeiler–Lehman subtree (the ANACIN-X default);
 //! * [`histogram::VertexHistogramKernel`], [`histogram::EdgeHistogramKernel`]
 //!   — cheap baselines, blind to pure match reordering (ablation);
-//! * [`shortest_path::ShortestPathKernel`] — bounded-horizon SP kernel;
-//! * [`graphlet::GraphletKernel`] — label-free sampled 3-graphlets.
+//! * [`shortest_path::ShortestPathKernel`] — bounded-horizon SP kernel.
 //!
 //! [`matrix::gram_matrix`] computes kernel matrices over run samples in
 //! parallel; [`distance::kernel_distance`] turns kernel values into RKHS
@@ -44,7 +43,6 @@ pub mod artifact;
 pub mod distance;
 pub mod embed;
 pub mod feature;
-pub mod graphlet;
 pub mod histogram;
 pub mod kernel;
 pub mod matrix;
@@ -56,7 +54,6 @@ pub mod prelude {
     pub use crate::distance::{distance, kernel_distance};
     pub use crate::embed::{mds, mds_from_distances, Embedding};
     pub use crate::feature::{DotKind, SparseFeatures};
-    pub use crate::graphlet::GraphletKernel;
     pub use crate::histogram::{EdgeHistogramKernel, VertexHistogramKernel};
     pub use crate::kernel::GraphKernel;
     pub use crate::matrix::{

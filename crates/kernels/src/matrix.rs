@@ -719,10 +719,6 @@ mod tests {
                 "shortest-path",
                 features(&crate::shortest_path::ShortestPathKernel::default(), &nd100),
             ),
-            (
-                "graphlet",
-                features(&crate::graphlet::GraphletKernel::default(), &nd100),
-            ),
         ];
         let mut scaled = wl100.clone();
         for (i, f) in scaled.iter_mut().enumerate() {

@@ -50,24 +50,6 @@ impl MiniAppConfig {
         self
     }
 
-    /// Builder-style: set the message size.
-    pub fn message_bytes(mut self, bytes: u64) -> Self {
-        self.message_bytes = bytes;
-        self
-    }
-
-    /// Builder-style: set the mesh topology seed.
-    pub fn topology_seed(mut self, seed: u64) -> Self {
-        self.topology_seed = seed;
-        self
-    }
-
-    /// Builder-style: set the mesh degree.
-    pub fn mesh_degree(mut self, degree: u32) -> Self {
-        self.mesh_degree = degree;
-        self
-    }
-
     /// Panic-checked validation used by the pattern builders.
     pub(crate) fn validate(&self, min_procs: u32) {
         assert!(
@@ -85,16 +67,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = MiniAppConfig::with_procs(16)
-            .iterations(2)
-            .message_bytes(64)
-            .topology_seed(7)
-            .mesh_degree(5);
+        let c = MiniAppConfig::with_procs(16).iterations(2);
         assert_eq!(c.procs, 16);
         assert_eq!(c.iterations, 2);
-        assert_eq!(c.message_bytes, 64);
-        assert_eq!(c.topology_seed, 7);
-        assert_eq!(c.mesh_degree, 5);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! ([`MetricsRegistry::attach_tracer`]), the begin/end of every span. It
 //! streams every record to one [`TraceSink`] (Chrome JSON, folded
 //! stacks, or [`MemorySink`] in tests) through a bounded channel and a
-//! writer thread; see [`tracer`] and [`sink`].
+//! writer thread; see [`tracer`] and [`sink`]. [`view`] reads both file
+//! formats back: it is what `anacin trace view` prints, and what tests
+//! check the sinks' files with.
 //!
 //! [`CancelToken`] stops a long-running loop between units of work, and
 //! [`pool`] is the one worker pool behind every parallel loop over runs,
@@ -63,6 +65,7 @@ pub mod progress;
 pub mod shutdown;
 pub mod sink;
 pub mod tracer;
+pub mod view;
 
 pub use hist::{HistBucket, LatencyHistogram};
 pub use progress::ProgressReporter;

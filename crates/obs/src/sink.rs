@@ -6,23 +6,28 @@
 //! between tracing working and not working at 1024 ranks / tens of
 //! millions of events.
 //!
-//! Two file formats, matching the in-memory exporters of
-//! [`crate::TraceSnapshot`]:
+//! Two file formats, both read back by [`crate::view`]:
 //!
-//! * [`ChromeJsonSink`] — Chrome Trace Event JSON. Simulated events are
-//!   written the moment they arrive (memory stays O(runs × ranks) for the
-//!   track-metadata dedup sets); wall-clock span marks are buffered
-//!   (O(runs × stages), tiny) because begin/end balancing needs the
-//!   whole sequence. Every event line is produced by the same formatting
-//!   helpers as [`crate::TraceSnapshot::chrome_trace`], so the streamed
-//!   file equals the in-memory export after a canonical line sort.
-//! * [`FoldedSink`] — folded flamegraph stacks, byte-identical to
-//!   [`crate::TraceSnapshot::folded_stacks`] (derived wholly from the
-//!   buffered span marks).
+//! * [`ChromeJsonSink`] — Chrome Trace Event JSON (Perfetto /
+//!   `chrome://tracing`). One process per campaign run, named with the
+//!   run's seed, holds one track per simulated rank in **simulated
+//!   time**; matched messages carry flow events (`ph` `s`/`f`) sharing
+//!   the message id, so viewers draw inter-rank arrows. Simulated events
+//!   are written the moment they arrive (memory stays O(runs × ranks)
+//!   for the track-metadata dedup sets). Wall-clock span marks are
+//!   buffered (O(runs × stages), tiny) because begin/end balancing needs
+//!   the whole sequence; at finish they become one more process with a
+//!   track per OS thread in **wall time** and balanced `B`/`E` pairs,
+//!   a section that is empty when no span completed (no registry
+//!   attached).
+//! * [`FoldedSink`] — folded flamegraph stacks (`a;b;c <self-time-µs>`,
+//!   the inferno / `flamegraph.pl` input), derived wholly from the
+//!   buffered span marks at finish.
 //!
-//! [`MemorySink`] keeps every record for tests, and [`CountingWriter`]
-//! backs overhead benchmarks: full formatting work, bytes counted and
-//! discarded.
+//! [`MemorySink`] keeps every record for tests, which read a sink's file
+//! back through [`crate::view`] and compare it with those records.
+//! [`CountingWriter`] backs overhead benchmarks: full formatting work,
+//! bytes counted and discarded.
 
 use crate::tracer::{
     chrome_rank_meta, chrome_run_meta, chrome_sim_flow, chrome_sim_slice, chrome_wall_events,
@@ -90,7 +95,6 @@ impl TraceSink for MemorySink {
 /// Incremental Chrome Trace Event JSON writer.
 pub struct ChromeJsonSink<W: Write + Send> {
     w: W,
-    include_wall: bool,
     wrote_event: bool,
     seen_runs: HashSet<u32>,
     seen_tracks: HashSet<(u32, u32)>,
@@ -98,22 +102,18 @@ pub struct ChromeJsonSink<W: Write + Send> {
 }
 
 impl ChromeJsonSink<BufWriter<std::fs::File>> {
-    /// Create `path` and stream a Chrome JSON trace into it, wall-clock
-    /// span section included.
+    /// Create `path` and stream a Chrome JSON trace into it.
     pub fn create(path: &str) -> io::Result<Self> {
-        Self::new(BufWriter::new(std::fs::File::create(path)?), true)
+        Self::new(BufWriter::new(std::fs::File::create(path)?))
     }
 }
 
 impl<W: Write + Send> ChromeJsonSink<W> {
-    /// Wrap `w`; writes the document header immediately. `include_wall`
-    /// controls whether the wall-clock span section is emitted at
-    /// finish.
-    pub fn new(mut w: W, include_wall: bool) -> io::Result<Self> {
+    /// Wrap `w`; writes the document header immediately.
+    pub fn new(mut w: W) -> io::Result<Self> {
         w.write_all(CHROME_HEADER.as_bytes())?;
         Ok(ChromeJsonSink {
             w,
-            include_wall,
             wrote_event: false,
             seen_runs: HashSet::new(),
             seen_tracks: HashSet::new(),
@@ -145,25 +145,15 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
                     self.write_event(flow)?;
                 }
             }
-            TraceRecord::SpanBegin(m) => {
-                if self.include_wall {
-                    self.spans.push((false, m.clone()));
-                }
-            }
-            TraceRecord::SpanEnd(m) => {
-                if self.include_wall {
-                    self.spans.push((true, m.clone()));
-                }
-            }
+            TraceRecord::SpanBegin(m) => self.spans.push((false, m.clone())),
+            TraceRecord::SpanEnd(m) => self.spans.push((true, m.clone())),
         }
         Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        if self.include_wall {
-            for event in chrome_wall_events(&self.spans) {
-                self.write_event(event)?;
-            }
+        for event in chrome_wall_events(&self.spans) {
+            self.write_event(event)?;
         }
         self.w.write_all(CHROME_FOOTER.as_bytes())?;
         self.w.flush()
@@ -240,7 +230,7 @@ impl Write for CountingWriter {
 }
 
 /// A `Write` into a shared in-memory buffer, retrievable after the sink
-/// is consumed (tests compare streamed output against in-memory exports).
+/// is consumed (tests read back what a sink wrote).
 #[derive(Clone, Default)]
 pub struct SharedBuffer {
     buf: Arc<std::sync::Mutex<Vec<u8>>>,
@@ -276,6 +266,7 @@ impl Write for SharedBuffer {
 mod tests {
     use super::*;
     use crate::tracer::{SimEvent, SimEventKind, Tracer};
+    use crate::view::ChromeView;
 
     fn sim(run: u32, rank: u32, idx: u32) -> TraceRecord {
         TraceRecord::Sim(SimEvent {
@@ -288,8 +279,8 @@ mod tests {
         })
     }
 
-    /// Hands every record to both sinks, so one recording yields a
-    /// streamed export and its in-memory reference.
+    /// Hands every record to both sinks, so one recording yields two
+    /// sinks' output.
     struct Tee<A, B>(A, B);
 
     impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
@@ -311,21 +302,21 @@ mod tests {
         (Tracer::new(Tee(sink, memory.clone())), memory)
     }
 
-    /// Strip trailing commas and sort: the canonical form under which a
-    /// streamed export equals the in-memory export.
-    fn canonical_lines(s: &str) -> Vec<String> {
-        let mut v: Vec<String> = s
-            .lines()
-            .map(|l| l.trim_end_matches(',').to_string())
-            .collect();
-        v.sort();
-        v
+    /// Read a Chrome document back, one event line at a time.
+    fn view_of(doc: &str) -> ChromeView {
+        let mut view = ChromeView::default();
+        for line in doc.lines() {
+            if let Some(body) = ChromeView::event_line(line) {
+                view.add(&serde_json::from_str_value(body).unwrap());
+            }
+        }
+        view
     }
 
     #[test]
     fn streamed_chrome_equals_snapshot_after_sort() {
         let buf = SharedBuffer::new();
-        let (t, memory) = teed(ChromeJsonSink::new(buf.clone(), true).unwrap());
+        let (t, memory) = teed(ChromeJsonSink::new(buf.clone()).unwrap());
         t.span_begin("campaign");
         for run in 0..2 {
             for rank in 0..3 {
@@ -336,43 +327,61 @@ mod tests {
         }
         t.span_end("campaign");
         assert_eq!(t.finish().unwrap(), 2 * 3 * 4 + 2);
-        let snap = memory.snapshot().chrome_trace(true);
-        assert_eq!(canonical_lines(&buf.contents()), canonical_lines(&snap));
-    }
-
-    #[test]
-    fn streamed_folded_is_byte_identical_to_snapshot() {
-        let buf = SharedBuffer::new();
-        let (t, memory) = teed(FoldedSink::new(buf.clone()));
-        t.span_begin("campaign");
-        t.span_begin("campaign/simulate");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        t.span_end("campaign/simulate");
-        t.span_end("campaign");
-        t.finish().unwrap();
-        assert_eq!(buf.contents(), memory.snapshot().folded_stacks());
-        assert!(buf.contents().contains("campaign;simulate "));
+        // Read back and sorted by track, the file holds every track the
+        // memory sink got, with its count and time range, and the span.
+        let view = view_of(&buf.contents());
+        let tracks: Vec<_> = view
+            .tracks()
+            .iter()
+            .map(|t| (t.run, t.rank, t.count, t.min_ts, t.max_ts))
+            .collect();
+        let snap = memory.snapshot();
+        let expected: Vec<(i128, i128, usize, f64, f64)> = snap
+            .sim
+            .chunks(4)
+            .map(|track| {
+                let (first, last) = (&track[0], &track[3]);
+                let us = |e: &SimEvent| e.t_ns as f64 / 1e3;
+                (first.run.into(), first.rank.into(), 4, us(first), us(last))
+            })
+            .collect();
+        assert_eq!(tracks, expected);
+        let span = &snap.matched_spans()[0];
+        let totals = view.span_totals();
+        assert_eq!(totals.len(), 1);
+        assert_eq!((totals[0].0.as_str(), totals[0].1), ("campaign", 1));
+        let ns = (span.end_ns - span.begin_ns) as f64;
+        assert!(
+            (totals[0].2 * 1e3 - ns).abs() < 1e-3,
+            "{totals:?} vs {ns} ns"
+        );
     }
 
     #[test]
     fn empty_stream_is_a_valid_document() {
         let buf = SharedBuffer::new();
-        let (t, memory) = teed(ChromeJsonSink::new(buf.clone(), true).unwrap());
+        let t = Tracer::new(ChromeJsonSink::new(buf.clone()).unwrap());
         assert_eq!(t.finish().unwrap(), 0);
-        assert_eq!(buf.contents(), memory.snapshot().chrome_trace(true));
+        assert_eq!(buf.contents(), format!("{CHROME_HEADER}{CHROME_FOOTER}"));
+        let mut view = ChromeView::default();
+        view.add_document(&serde_json::from_str_value(&buf.contents()).unwrap())
+            .unwrap();
+        assert!(view.tracks().is_empty() && view.span_totals().is_empty());
     }
 
     #[test]
     fn counting_writer_counts_formatted_bytes() {
         let bytes = Arc::new(AtomicU64::new(0));
-        let (t, memory) =
-            teed(ChromeJsonSink::new(CountingWriter::new(Arc::clone(&bytes)), false).unwrap());
+        let buf = SharedBuffer::new();
+        let t = Tracer::new(Tee(
+            ChromeJsonSink::new(CountingWriter::new(Arc::clone(&bytes))).unwrap(),
+            ChromeJsonSink::new(buf.clone()).unwrap(),
+        ));
         for idx in 0..8 {
             t.record(sim(0, 0, idx));
         }
         t.finish().unwrap();
-        let expected = memory.snapshot().chrome_trace(false).len() as u64;
-        assert_eq!(bytes.load(Ordering::Relaxed), expected);
+        assert_eq!(bytes.load(Ordering::Relaxed), buf.contents().len() as u64);
     }
 
     #[test]

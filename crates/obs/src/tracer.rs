@@ -1,5 +1,6 @@
 //! Structured execution tracing: a tracer that streams every record to
-//! one sink, plus the Chrome-trace and flamegraph line formatters.
+//! one sink, plus the Chrome-trace and flamegraph line formatters the
+//! sinks write with and the span matcher [`crate::view`] reads with.
 //!
 //! The metrics registry ([`crate::MetricsRegistry`]) answers *how much* —
 //! totals and span statistics. This module answers *when* and *where*:
@@ -310,10 +311,10 @@ pub struct MatchedSpan {
     pub self_ns: u64,
 }
 
-/// Every record of a traced execution in export order: what a
-/// [`crate::MemorySink`] holds once its tracer has finished. The exports
-/// here are the in-memory reference the streaming sinks are tested
-/// against.
+/// Every record of a traced execution: what a [`crate::MemorySink`] holds
+/// once its tracer has finished. It is the test recorder: tests read a
+/// sink's file back through [`crate::view`] and compare it with these
+/// records.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSnapshot {
     /// Simulated MPI events, sorted by `(run, rank, idx)` — a
@@ -332,92 +333,24 @@ impl TraceSnapshot {
     pub fn matched_spans(&self) -> Vec<MatchedSpan> {
         matched_spans_of(&self.spans)
     }
-
-    /// Export as Chrome Trace Event Format JSON (loadable in Perfetto /
-    /// `chrome://tracing`).
-    ///
-    /// * One process per campaign run (`pid = 1000 + run`, named with the
-    ///   run's seed), one track per simulated rank, in **simulated time**.
-    ///   Matched messages carry flow events (`ph: "s"`/`"f"`) sharing the
-    ///   message id, so viewers draw inter-rank arrows.
-    /// * With `include_wall`, one extra process (`pid = 1`) holding one
-    ///   track per OS thread in **wall time**, with balanced `B`/`E` pairs
-    ///   for every completed pipeline span.
-    ///
-    /// With `include_wall = false` the output is byte-deterministic for a
-    /// given program and seed set (simulated time only).
-    pub fn chrome_trace(&self, include_wall: bool) -> String {
-        let mut events: Vec<String> = Vec::new();
-        // Run/rank track metadata, in sorted order.
-        let mut runs: Vec<(u32, u64)> = self.sim.iter().map(|e| (e.run, e.seed)).collect();
-        runs.sort_unstable();
-        runs.dedup();
-        for &(run, seed) in &runs {
-            events.push(chrome_run_meta(run, seed));
-            let mut ranks: Vec<u32> = self
-                .sim
-                .iter()
-                .filter(|e| e.run == run)
-                .map(|e| e.rank)
-                .collect();
-            ranks.sort_unstable();
-            ranks.dedup();
-            for r in ranks {
-                events.push(chrome_rank_meta(run, r));
-            }
-        }
-        // Simulated events: near-zero-duration slices (so flows can bind
-        // to them) plus flow start/finish events for matched messages.
-        for e in &self.sim {
-            events.push(chrome_sim_slice(e).to_string());
-            if let Some(flow) = chrome_sim_flow(e) {
-                events.push(flow.to_string());
-            }
-        }
-        if include_wall {
-            events.extend(chrome_wall_events(&self.spans));
-        }
-        let mut out = String::from(CHROME_HEADER);
-        out.push_str(&events.join(",\n"));
-        out.push_str(CHROME_FOOTER);
-        out
-    }
-
-    /// Export the wall-clock span tree as folded stacks (one line per
-    /// stack, `a;b;c <self-time-µs>`), the input format of inferno /
-    /// `flamegraph.pl`. Self time excludes nested child spans, so the
-    /// flamegraph does not double-count.
-    pub fn folded_stacks(&self) -> String {
-        folded_from_spans(&self.spans)
-    }
-
-    /// Sanity cross-check used by tests: per-run simulated event counts.
-    pub fn sim_events_per_run(&self) -> Vec<(u32, usize)> {
-        let mut counts: Vec<(u32, usize)> = Vec::new();
-        for e in &self.sim {
-            match counts.iter_mut().find(|(r, _)| *r == e.run) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((e.run, 1)),
-            }
-        }
-        counts.sort_unstable();
-        counts
-    }
 }
+
+/// The `pid` of campaign run 0's process in a Chrome export; run `r` is
+/// `RUN_PID_BASE + r`. The wall-clock process is `pid` 1.
+pub(crate) const RUN_PID_BASE: u32 = 1000;
 
 /// Opening bytes of a Chrome Trace Event Format export. Event objects
 /// follow one per line, comma-separated; [`CHROME_FOOTER`] closes the
-/// document. The streaming sink and [`TraceSnapshot::chrome_trace`]
-/// share these so their outputs are line-for-line comparable.
-pub const CHROME_HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+/// document.
+pub(crate) const CHROME_HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
 
 /// Closing bytes of a Chrome Trace Event Format export.
-pub const CHROME_FOOTER: &str = "\n]}\n";
+pub(crate) const CHROME_FOOTER: &str = "\n]}\n";
 
 /// Chrome-trace metadata naming the process of campaign run `run`
-/// (`pid = 1000 + run`, labelled with the run's seed).
-pub fn chrome_run_meta(run: u32, seed: u64) -> String {
-    let pid = 1000 + run;
+/// (`pid = RUN_PID_BASE + run`, labelled with the run's seed).
+pub(crate) fn chrome_run_meta(run: u32, seed: u64) -> String {
+    let pid = RUN_PID_BASE + run;
     format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
          \"args\":{{\"name\":\"sim run {run} (seed {seed})\"}}}}"
@@ -425,8 +358,8 @@ pub fn chrome_run_meta(run: u32, seed: u64) -> String {
 }
 
 /// Chrome-trace metadata naming run `run`'s track for `rank`.
-pub fn chrome_rank_meta(run: u32, rank: u32) -> String {
-    let pid = 1000 + run;
+pub(crate) fn chrome_rank_meta(run: u32, rank: u32) -> String {
+    let pid = RUN_PID_BASE + run;
     format!(
         "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{rank},\
          \"args\":{{\"name\":\"rank {rank}\"}}}}"
@@ -435,13 +368,13 @@ pub fn chrome_rank_meta(run: u32, rank: u32) -> String {
 
 /// The near-zero-duration slice of one simulated MPI event (flows bind
 /// to these), formatted where it is displayed.
-pub fn chrome_sim_slice(e: &SimEvent) -> impl fmt::Display + '_ {
+pub(crate) fn chrome_sim_slice(e: &SimEvent) -> impl fmt::Display + '_ {
     SimLine { e, flow: false }
 }
 
 /// The flow event of a matched message (`ph: "s"` at the send, `"f"` at
 /// the receive); `None` for events that carry no message.
-pub fn chrome_sim_flow(e: &SimEvent) -> Option<impl fmt::Display + '_> {
+pub(crate) fn chrome_sim_flow(e: &SimEvent) -> Option<impl fmt::Display + '_> {
     matches!(
         e.kind,
         SimEventKind::Send { .. } | SimEventKind::Recv { .. }
@@ -459,7 +392,7 @@ struct SimLine<'a> {
 
 impl fmt::Display for SimLine<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (pid, rank, ts) = (1000 + self.e.run, self.e.rank, Micros(self.e.t_ns));
+        let (pid, rank, ts) = (RUN_PID_BASE + self.e.run, self.e.rank, Micros(self.e.t_ns));
         if !self.flow {
             write!(
                 f,
@@ -493,9 +426,10 @@ impl fmt::Display for SimLine<'_> {
 /// The one span matcher: pair begin/end marks per thread, LIFO. An end
 /// mark closes the innermost open span of its thread when the paths
 /// agree; any other mark stays unpaired and is discarded by every
-/// export. Yields `(begin index, end index, self time)`, self time being
-/// the span's duration minus its nested child spans.
-fn pair_marks(spans: &[(bool, SpanMark)]) -> Vec<(usize, usize, u64)> {
+/// export and by [`crate::view`]. Yields `(begin index, end index, self
+/// time)` in end-mark order, self time being the span's duration minus
+/// its nested child spans.
+pub(crate) fn pair_marks(spans: &[(bool, SpanMark)]) -> Vec<(usize, usize, u64)> {
     // Per-thread stacks of (begin index, child time).
     let mut stacks: Vec<(u32, Vec<(usize, u64)>)> = Vec::new();
     let mut out = Vec::new();
@@ -545,9 +479,8 @@ fn matched_spans_of(spans: &[(bool, SpanMark)]) -> Vec<MatchedSpan> {
 /// for every thread that completed a span, then the marks of every
 /// matched span (the one matcher behind
 /// [`TraceSnapshot::matched_spans`]) in arrival order, so `B`/`E` balance.
-/// Shared by the in-memory exporter and the streaming sink, so both emit
-/// byte-identical event lines.
-pub fn chrome_wall_events(spans: &[(bool, SpanMark)]) -> Vec<String> {
+/// Empty when no span completed.
+pub(crate) fn chrome_wall_events(spans: &[(bool, SpanMark)]) -> Vec<String> {
     let mut events = Vec::new();
     let mut keep = vec![false; spans.len()];
     for (bi, ei, _) in pair_marks(spans) {
@@ -595,7 +528,7 @@ pub fn chrome_wall_events(spans: &[(bool, SpanMark)]) -> Vec<String> {
 /// `a;b;c <self-time-µs>`, the inferno / `flamegraph.pl` input). Self
 /// time excludes nested child spans, so the flamegraph does not
 /// double-count.
-pub fn folded_from_spans(spans: &[(bool, SpanMark)]) -> String {
+pub(crate) fn folded_from_spans(spans: &[(bool, SpanMark)]) -> String {
     let mut totals: Vec<(String, u64)> = Vec::new();
     for s in matched_spans_of(spans) {
         let key = s.path.replace('/', ";");
@@ -705,7 +638,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
+    use crate::sink::{ChromeJsonSink, FoldedSink, MemorySink, SharedBuffer};
 
     fn sim(run: u32, rank: u32, idx: u32, t_ns: u64) -> TraceRecord {
         TraceRecord::Sim(SimEvent {
@@ -737,6 +670,17 @@ mod tests {
         sink.snapshot()
     }
 
+    /// The Chrome document a sink writes for `records`.
+    fn chrome(records: impl IntoIterator<Item = TraceRecord>) -> String {
+        let buf = SharedBuffer::new();
+        let t = Tracer::new(ChromeJsonSink::new(buf.clone()).unwrap());
+        for r in records {
+            t.record(r);
+        }
+        t.finish().unwrap();
+        buf.contents()
+    }
+
     #[test]
     fn concurrent_recording_never_panics_and_accounts_every_record() {
         let sink = MemorySink::new();
@@ -754,10 +698,10 @@ mod tests {
         assert_eq!(t.finish().unwrap(), 20_000);
         let snap = sink.snapshot();
         assert_eq!(snap.sim.len(), 20_000);
-        assert_eq!(
-            snap.sim_events_per_run(),
-            [(0, 5_000), (1, 5_000), (2, 5_000), (3, 5_000)]
-        );
+        for run in 0..4 {
+            let count = snap.sim.iter().filter(|e| e.run == run).count();
+            assert_eq!(count, 5_000, "run {run}");
+        }
     }
 
     #[test]
@@ -775,8 +719,8 @@ mod tests {
 
     #[test]
     fn dropping_the_last_handle_finishes_the_sink() {
-        let buf = crate::sink::SharedBuffer::new();
-        let t = Tracer::new(crate::sink::ChromeJsonSink::new(buf.clone(), true).unwrap());
+        let buf = SharedBuffer::new();
+        let t = Tracer::new(ChromeJsonSink::new(buf.clone()).unwrap());
         t.clone().record(sim(0, 0, 0, 0));
         drop(t);
         let doc = buf.contents();
@@ -822,19 +766,19 @@ mod tests {
 
     #[test]
     fn unbalanced_marks_are_discarded() {
-        let snap = traced([
+        let records = [
             // An end without a begin, then a clean pair.
             TraceRecord::SpanEnd(mark("orphan", 5)),
             TraceRecord::SpanBegin(mark("ok", 10)),
             TraceRecord::SpanEnd(mark("ok", 20)),
             // A begin that never ends.
             TraceRecord::SpanBegin(mark("dangling", 30)),
-        ]);
-        let spans = snap.matched_spans();
+        ];
+        let spans = traced(records.clone()).matched_spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].path, "ok");
         // The chrome export stays balanced too.
-        let json = snap.chrome_trace(true);
+        let json = chrome(records);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);
         assert!(!json.contains("orphan"));
@@ -844,7 +788,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_one_track_per_rank_and_flows() {
         let msg = message_id(0, 1, 0, 0);
-        let snap = traced(
+        let json = chrome(
             [
                 (0u32, 0u32, SimEventKind::Init, 0u64),
                 (1, 0, SimEventKind::Init, 0),
@@ -872,7 +816,6 @@ mod tests {
                 })
             }),
         );
-        let json = snap.chrome_trace(false);
         assert!(json.contains("\"name\":\"rank 0\""));
         assert!(json.contains("\"name\":\"rank 1\""));
         assert!(json.contains("\"name\":\"sim run 0 (seed 7)\""));
@@ -901,22 +844,31 @@ mod tests {
             kind: SimEventKind::Init,
             t_ns: 0,
         };
-        let a = traced([TraceRecord::Sim(e0.clone()), TraceRecord::Sim(e1.clone())]);
-        let b = traced([TraceRecord::Sim(e1), TraceRecord::Sim(e0)]);
-        assert_eq!(a.chrome_trace(false), b.chrome_trace(false));
+        // The sink writes in arrival order, so the documents agree as
+        // line multisets: trailing commas stripped, lines sorted.
+        let canonical = |records: [SimEvent; 2]| {
+            let doc = chrome(records.map(TraceRecord::Sim));
+            let mut lines: Vec<String> = doc
+                .lines()
+                .map(|l| l.trim_end_matches(',').to_string())
+                .collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(canonical([e0.clone(), e1.clone()]), canonical([e1, e0]));
     }
 
     #[test]
     fn folded_stacks_use_self_time() {
-        let sink = MemorySink::new();
-        let t = Tracer::new(sink.clone());
+        let buf = SharedBuffer::new();
+        let t = Tracer::new(FoldedSink::new(buf.clone()));
         t.span_begin("campaign");
         t.span_begin("campaign/simulate");
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.span_end("campaign/simulate");
         t.span_end("campaign");
         t.finish().unwrap();
-        let folded = sink.snapshot().folded_stacks();
+        let folded = buf.contents();
         assert!(folded.contains("campaign;simulate "), "{folded}");
         for line in folded.lines() {
             let (_, n) = line.rsplit_once(' ').expect("space-separated folded line");

@@ -85,7 +85,6 @@ pub enum Outcome {
 pub struct Client {
     reader: Stream,
     writer: Stream,
-    schema: u16,
     /// Terminal outcomes read while waiting on another job id.
     finished: HashMap<u64, Outcome>,
 }
@@ -107,7 +106,6 @@ impl Client {
         let mut client = Client {
             reader: stream,
             writer,
-            schema: PROTOCOL_SCHEMA,
             finished: HashMap::new(),
         };
         client.send(&Frame::Hello {
@@ -115,20 +113,12 @@ impl Client {
             peer: peer.to_string(),
         })?;
         match client.recv()? {
-            Some(Frame::Hello { schema, .. }) => {
-                client.schema = schema.min(PROTOCOL_SCHEMA);
-                Ok(client)
-            }
+            Some(Frame::Hello { .. }) => Ok(client),
             Some(Frame::Error { message, .. }) => Err(ClientError::Protocol(message)),
             other => Err(ClientError::Protocol(format!(
                 "expected Hello from server, got {other:?}"
             ))),
         }
-    }
-
-    /// The schema both sides agreed on in the `Hello` exchange.
-    pub fn schema(&self) -> u16 {
-        self.schema
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {

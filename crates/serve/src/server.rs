@@ -29,7 +29,6 @@ use crate::frame::{read_frame, write_frame, FrameError};
 use crate::jobs::{Cancel, Job, Jobs};
 use crate::proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
 use anacin_core::prelude::*;
-use anacin_core::report::to_json;
 use anacin_mpisim::explore::ExploreConfig;
 use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport};
 use anacin_store::{ArtifactStore, Fingerprint};
@@ -649,15 +648,7 @@ fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, Box<dyn std::erro
             }
             let result = run_campaign_with(config, ctx)?;
             let xr = explore_campaign(config, &result.program, &xcfg, ctx)?;
-            let m = NdMeasurement::from_campaign(campaign_label(config), &result);
-            to_json(&RunWithExploreReport {
-                measurement: MeasurementReport::from(&m),
-                explore: ExploreSection {
-                    config: xcfg,
-                    stats: xr.report.stats,
-                    coverage: xr.coverage_of(&result),
-                },
-            })?
+            explore_json(config, &result, &xcfg, &xr)?
         }
     };
     Ok(format!("{payload}\n"))

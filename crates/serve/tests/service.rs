@@ -10,6 +10,7 @@
 
 use anacin_core::prelude::*;
 use anacin_miniapps::Pattern;
+use anacin_mpisim::explore::ExploreConfig;
 use anacin_serve::client::{Client, Outcome};
 use anacin_serve::frame::{read_frame, write_frame};
 use anacin_serve::proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
@@ -308,6 +309,37 @@ fn append_job_payload_matches_campaign_job() {
         assert!(warm.store_hits > 0, "append must reuse the stored prefix");
         let report = handle.join();
         assert_eq!(report.counter("serve/jobs_completed"), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// An explore job answers exactly what `anacin run --explore --json`
+/// prints: the local `explore_json` output plus println!'s newline.
+#[test]
+fn explore_job_payload_matches_local_json() {
+    within(|| {
+        let cfg = CampaignConfig::new(Pattern::MessageRace, 5).runs(20);
+        let xcfg = ExploreConfig::with_budget(64);
+        let sampled = run_campaign(&cfg).expect("local campaign");
+        let explored = explore_campaign(&cfg, &sampled.program, &xcfg, &RunCtx::default())
+            .expect("local exploration");
+        let json = explore_json(&cfg, &sampled, &xcfg, &explored).expect("local json");
+
+        let (dir, handle) = start("explore", |c| c.workers(1));
+        let job = JobSpec::Explore {
+            config: cfg,
+            budget: 64,
+            brute_force: false,
+        };
+        let mut client = connect(&dir, "explorer");
+        let got = done(client.run(1, job, |_| {}).expect("explore job"));
+        assert_eq!(
+            got.payload,
+            format!("{json}\n"),
+            "explore payload must match the local CLI"
+        );
+        let report = handle.join();
+        assert_eq!(report.counter("serve/jobs_completed"), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     });
 }

@@ -95,11 +95,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Write a `u16`, little-endian.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Write a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -172,11 +167,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Read a `u16`, little-endian.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// Read a `u32`, little-endian.
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -246,7 +236,6 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = ByteWriter::new();
         w.u8(7);
-        w.u16(0xBEEF);
         w.u32(123_456);
         w.u64(u64::MAX - 3);
         w.i32(-42);
@@ -257,7 +246,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 123_456);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.i32().unwrap(), -42);

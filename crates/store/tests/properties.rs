@@ -11,7 +11,6 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Prim {
     U8(u8),
-    U16(u16),
     U32(u32),
     U64(u64),
     I32(i32),
@@ -29,7 +28,6 @@ fn short_string() -> impl Strategy<Value = String> {
 fn prim() -> impl Strategy<Value = Prim> {
     prop_oneof![
         (0u8..=u8::MAX).prop_map(Prim::U8),
-        (0u16..=u16::MAX).prop_map(Prim::U16),
         (0u32..u32::MAX).prop_map(Prim::U32),
         (0u64..u64::MAX).prop_map(Prim::U64),
         (i32::MIN..i32::MAX).prop_map(Prim::I32),
@@ -58,7 +56,6 @@ proptest! {
         for p in &prims {
             match p {
                 Prim::U8(v) => w.u8(*v),
-                Prim::U16(v) => w.u16(*v),
                 Prim::U32(v) => w.u32(*v),
                 Prim::U64(v) => w.u64(*v),
                 Prim::I32(v) => w.i32(*v),
@@ -72,7 +69,6 @@ proptest! {
         for p in &prims {
             match p {
                 Prim::U8(v) => prop_assert_eq!(*v, r.u8().unwrap()),
-                Prim::U16(v) => prop_assert_eq!(*v, r.u16().unwrap()),
                 Prim::U32(v) => prop_assert_eq!(*v, r.u32().unwrap()),
                 Prim::U64(v) => prop_assert_eq!(*v, r.u64().unwrap()),
                 Prim::I32(v) => prop_assert_eq!(*v, r.i32().unwrap()),

@@ -110,7 +110,6 @@ fn kernel_choices_agree_on_identity() {
         Box::new(VertexHistogramKernel::default()),
         Box::new(EdgeHistogramKernel::default()),
         Box::new(ShortestPathKernel::default()),
-        Box::new(GraphletKernel::default()),
     ];
     for k in &kernels {
         assert_eq!(distance(k.as_ref(), &g, &g), 0.0, "{}", k.name());

@@ -86,9 +86,8 @@ fn fig7_shape_is_robust_to_the_delay_distribution() {
             alpha: 2.0,
         },
     ] {
-        let base = CampaignConfig::new(Pattern::MessageRace, 8)
-            .runs(8)
-            .delay(delay);
+        let mut base = CampaignConfig::new(Pattern::MessageRace, 8).runs(8);
+        base.delay = delay;
         let percents = [0.0, 25.0, 50.0, 75.0, 100.0];
         let sweep = sweep(SweepAxis::NdPercent, &base, &percents, &RunCtx::default()).unwrap();
         let rho = sweep.spearman_monotonicity();

@@ -227,9 +227,10 @@ fn kernel_sweep_reuses_run_artifacts_across_kernel_choices() {
     let wl = CampaignConfig::new(Pattern::Collectives, 6)
         .runs(4)
         .base_seed(7);
-    let vh = wl.clone().kernel(KernelChoice::VertexHistogram {
+    let mut vh = wl.clone();
+    vh.kernel = KernelChoice::VertexHistogram {
         policy: LabelPolicy::default(),
-    });
+    };
 
     let (dir, store) = temp_store("kernels");
     stored_campaign(&wl, &store).expect("wl campaign");

@@ -11,12 +11,17 @@
 //! Non-test code is the part of a file before its first column-0
 //! `#[cfg(test)]`, the boundary the ROADMAP's line counts use. A caller is
 //! a name in the non-test code of `crates/*/src`, `src`, `examples` or
-//! `perfbench/src`, outside comments and `use` declarations, that is not
-//! the name a `fn` defines. Words in string literals count: a function
-//! named in a string (a serde `default = "…"`, say) is reached by name.
-//! The scan matches names, not paths, which is its blind spot: a method
-//! passes when another item of its name has a caller, or when its name is
-//! a word in any string, so check such a survivor's callers by hand.
+//! `perfbench/src`, outside comments and `use` declarations, used where a
+//! function can be: called (`name(`, `.name(`), as a path's last segment
+//! (`::name`), with a turbofish (`name::<`), or passed bare as a call's
+//! argument. A field access, a struct-literal field, a pattern binding or
+//! a local variable of the same name is not a caller. Words in string
+//! literals count: a function named in a string (a serde `default = "…"`,
+//! say) is reached by name. The scan matches names, not items, which is
+//! its blind spot: a method passes when another item of its name has a
+//! caller (`NetworkConfig::delay` hid an uncalled `CampaignConfig::delay`),
+//! when its name is a word in any string, or when a local of its name is
+//! passed to a call, so check such a survivor's callers by hand.
 //!
 //! One more test keeps every parallel loop over indices on the one worker
 //! pool, `anacin_obs::pool`: non-test code may start scoped threads only
@@ -34,14 +39,10 @@ const KEPT_FUNCTIONS: &[(&str, &str)] = &[
     ("fnv1a", "event-graph: the label hash; tests/sim_golden.rs digests with it"),
     ("from_json", "event-graph export: the inverse of to_json, for round trips"),
     ("decode_frame", "serve: decodes one frame; protocol properties feed it prefixes"),
-    ("l1_distance", "kernels SparseFeatures: the L1 distance, a kernel referee"),
     ("label_rounds", "kernels WlKernel: each round's labels, tests/pipeline.rs's referee"),
-    ("snapshot", "obs MemorySink: the trace reference streaming sinks are tested against"),
+    ("snapshot", "obs MemorySink: the records a sink's file is checked against"),
     ("contents", "obs SharedBuffer: what a streaming sink wrote"),
-    ("matched_spans", "obs TraceSnapshot: the reference's spans"),
-    ("chrome_trace", "obs TraceSnapshot: the reference Chrome formatter"),
-    ("folded_stacks", "obs TraceSnapshot: the reference folded formatter"),
-    ("sim_events_per_run", "obs TraceSnapshot: the reference's events per run"),
+    ("matched_spans", "obs TraceSnapshot: the recorded spans a file's span totals must equal"),
     ("oracle_schedule_exhaustiveness", "testkit: an oracle for the schedule explorer"),
     ("kendall_tau", "stats: for Fig. 7's claim over seeds to adopt or drop"),
     ("mean_ci", "stats: for Fig. 7's claim over seeds to adopt or drop"),
@@ -52,6 +53,7 @@ const KEPT_FUNCTIONS: &[(&str, &str)] = &[
 #[rustfmt::skip]
 const KEPT_DEPENDENCIES: &[(&str, &str, &str)] = &[
     ("crates/core", "rand", "perfbench/Cargo.lock records the edge"),
+    ("crates/kernels", "rand", "perfbench/Cargo.lock records the edge"),
     ("crates/event-graph", "anacin-obs", "perfbench/Cargo.lock records the edge"),
 ];
 
@@ -265,20 +267,59 @@ fn public_functions<'a>(toks: &[(Tok<'a>, usize)]) -> Vec<(&'a str, usize)> {
     defs
 }
 
-/// The names in `toks` that can call a function: every word but the name
-/// after `fn` and the whole of each `use` declaration.
+/// The names in `toks` that call or name a function: `name(` and
+/// `.name(`, a path's last segment `::name`, a turbofish `name::<`, a
+/// bare name passed as an argument of a call, and every word in a string
+/// literal. The name after `fn` and the whole of each `use` declaration
+/// are left out.
 fn callers<'a>(toks: &[(Tok<'a>, usize)]) -> Vec<(&'a str, usize)> {
+    let tok = |at: usize| toks.get(at).map(|t| t.0);
+    let punct = |at: usize, p: &[u8]| {
+        p.iter()
+            .enumerate()
+            .all(|(k, &c)| tok(at + k) == Some(Tok::Punct(c)))
+    };
+    // A name before `(` that calls: lowercase, and not a keyword, so
+    // the parentheses of `Some(x)`, `let (a, b)` and `for (i, x)` are
+    // not a call's.
+    let callee = |name: &str| {
+        name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+            && !matches!(
+                name,
+                "if" | "while" | "match" | "for" | "in" | "let" | "return" | "mut" | "ref"
+            )
+    };
     let mut names = Vec::new();
     let (mut in_use, mut after_fn) = (false, false);
-    for &(tok, line) in toks {
-        match tok {
+    // Each open bracket, and whether it opens a call's arguments.
+    let mut open: Vec<bool> = Vec::new();
+    for (at, &(this, line)) in toks.iter().enumerate() {
+        let prev = at.checked_sub(1).and_then(tok);
+        match this {
             Tok::Ident("use") => in_use = true,
             Tok::Punct(b';') => in_use = false,
-            Tok::Ident(name) if !in_use && !after_fn => names.push((name, line)),
+            Tok::Punct(b'(' | b'[' | b'{') => open.push(
+                this == Tok::Punct(b'(') && matches!(prev, Some(Tok::Ident(name)) if callee(name)),
+            ),
+            Tok::Punct(b')' | b']' | b'}') => {
+                open.pop();
+            }
+            Tok::Ident(name) if !in_use && !after_fn => {
+                let argument = open.last() == Some(&true)
+                    && matches!(prev, Some(Tok::Punct(b'(' | b',')))
+                    && (punct(at + 1, b")") || punct(at + 1, b","));
+                let called = (punct(at + 1, b"(") && callee(name))
+                    || (at >= 2 && punct(at - 2, b"::"))
+                    || punct(at + 1, b"::<")
+                    || argument;
+                if called {
+                    names.push((name, line));
+                }
+            }
             Tok::Word(word) => names.push((word, line)),
             _ => {}
         }
-        after_fn = tok == Tok::Ident("fn");
+        after_fn = this == Tok::Ident("fn");
     }
     names
 }
@@ -291,12 +332,21 @@ fn every_public_function_has_a_caller() {
                   use t::{u,\n v}; 'o: loop { break 'o; } p(1u32) }";
     let toks = tokens(sample);
     assert_eq!(public_functions(&toks), [("f", 1)]);
-    let names: Vec<String> = callers(&toks)
-        .iter()
-        .map(|(name, line)| format!("{name}:{line}"))
-        .collect();
-    let expected = "pub:1 fn:1 x:1 str:1 char:1 s:2 k:2 l:2 m:2 b:2 loop:4 break:4 p:4";
-    assert_eq!(names.join(" "), expected);
+    let named = |code| {
+        let names: Vec<String> = callers(&tokens(code))
+            .iter()
+            .map(|(name, line)| format!("{name}:{line}"))
+            .collect();
+        names.join(" ")
+    };
+    assert_eq!(named(sample), "s:2 k:2 l:2 m:2 b:2 p:4");
+    // Calls, paths, turbofish and names passed to a call count; fields,
+    // struct-literal fields, pattern bindings and locals do not.
+    let sample = "let v = S { field: 1, short, other }; v.field; let local = v;\n\
+                  if let Some(bound) = local.meth() { T::path; turbo::<u8>(); }\n\
+                  g(h, fname); for (i, x) in w { let (a, b) = (i, x); }";
+    let expected = "meth:2 path:2 turbo:2 g:3 h:3 fname:3";
+    assert_eq!(named(sample), expected);
 
     let mut defining = Vec::new();
     for dir in crate_dirs() {

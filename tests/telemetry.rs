@@ -1,33 +1,22 @@
 //! Tier-1 integration tests of the streaming-telemetry layer (PR 8).
 //!
-//! Two load-bearing properties. First, the streaming trace sinks are
-//! faithful exporters: a streamed Chrome/folded file and the in-memory
-//! export of the same campaign's records must contain exactly the same
-//! event lines (streaming may only reorder metadata, never change or
-//! lose an event). Second, the latency histograms behind every span
-//! timer are self-consistent: quantiles are ordered, bounded by the
-//! observed maximum, and conserve the span count exactly.
+//! Two load-bearing properties. First, the streaming Chrome sink is a
+//! faithful exporter: its file, read back through `anacin_obs::view`,
+//! holds exactly the tracks, span totals and track metadata of the
+//! records a memory sink got from the same campaign. Second, the latency
+//! histograms behind every span timer are self-consistent: quantiles are
+//! ordered, bounded by the observed maximum, and conserve the span count
+//! exactly.
 
+use anacin_obs::view::ChromeView;
 use anacin_obs::{
-    hist, ChromeJsonSink, FoldedSink, MemorySink, MetricsRegistry, SharedBuffer, TraceRecord,
+    hist, ChromeJsonSink, MemorySink, MetricsRegistry, SharedBuffer, SimEvent, TraceRecord,
     TraceSink, TraceSnapshot, Tracer,
 };
 use anacin_x::prelude::*;
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io;
-
-/// A canonical multiset of a Chrome export's lines: trailing commas
-/// stripped (position in the array is formatting, not content), then
-/// sorted. Streamed and in-memory exports emit metadata at different
-/// points, so only this order-free form is comparable.
-fn canonical_lines(doc: &str) -> Vec<String> {
-    let mut lines: Vec<String> = doc
-        .lines()
-        .map(|l| l.trim_end_matches(',').to_string())
-        .filter(|l| !l.is_empty())
-        .collect();
-    lines.sort();
-    lines
-}
 
 /// A campaign recording into `metrics` and, optionally, `tracer`.
 fn streamed(cfg: &CampaignConfig, metrics: &MetricsRegistry, tracer: Option<&Tracer>) {
@@ -40,7 +29,7 @@ fn streamed(cfg: &CampaignConfig, metrics: &MetricsRegistry, tracer: Option<&Tra
 }
 
 /// Hands every record to both sinks, so one campaign yields a streamed
-/// export and its in-memory reference.
+/// file and the records it was written from.
 struct Tee<A, B>(A, B);
 
 impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
@@ -69,36 +58,110 @@ fn teed_campaign(cfg: &CampaignConfig, sink: impl TraceSink + 'static) -> TraceS
     snap
 }
 
-/// One campaign's streamed Chrome document and its in-memory reference.
+/// One campaign's streamed Chrome document and the records it holds.
 fn streamed_campaign(pattern: Pattern, procs: u32, runs: u32) -> (String, TraceSnapshot) {
     let cfg = CampaignConfig::new(pattern, procs).runs(runs);
     let buf = SharedBuffer::new();
-    let sink = ChromeJsonSink::new(buf.clone(), true).expect("sink header");
+    let sink = ChromeJsonSink::new(buf.clone()).expect("sink header");
     let snap = teed_campaign(&cfg, sink);
     (buf.contents(), snap)
+}
+
+/// `key` of a JSON object; `Null` when absent.
+fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    static NULL: Value = Value::Null;
+    let found = v.as_object().and_then(|o| o.iter().find(|(k, _)| k == key));
+    found.map_or(&NULL, |(_, v)| v)
+}
+
+/// A Chrome document read back through the view, one event line at a
+/// time, with every metadata event as `(name, pid, tid, label)`.
+fn read_back(doc: &str) -> (ChromeView, Vec<(String, i128, i128, String)>) {
+    let mut view = ChromeView::default();
+    let mut meta = Vec::new();
+    for body in doc.lines().filter_map(ChromeView::event_line) {
+        let ev = serde_json::from_str_value(body).expect("event line parses");
+        if field(&ev, "ph").as_str() == Some("M") {
+            let text = |v: &Value| v.as_str().expect("metadata string").to_string();
+            meta.push((
+                text(field(&ev, "name")),
+                field(&ev, "pid").as_int().expect("pid"),
+                field(&ev, "tid").as_int().expect("tid"),
+                text(field(field(&ev, "args"), "name")),
+            ));
+        }
+        view.add(&ev);
+    }
+    (view, meta)
 }
 
 #[test]
 fn streamed_chrome_export_matches_snapshot_on_every_tier1_pattern() {
     for pattern in Pattern::ALL {
-        let (streamed, snap) = streamed_campaign(pattern, 8, 4);
-        let snapshot = snap.chrome_trace(true);
-        assert_eq!(
-            canonical_lines(&streamed),
-            canonical_lines(&snapshot),
-            "{pattern}: streamed and snapshot Chrome exports diverged"
-        );
+        let (doc, snap) = streamed_campaign(pattern, 8, 4);
+        let (view, meta) = read_back(&doc);
+        // Each (run, rank) track: its event count, first and last
+        // timestamp.
+        let us = |e: &SimEvent| e.t_ns as f64 / 1e3;
+        let expected: Vec<(i128, i128, usize, f64, f64)> = snap
+            .sim
+            .chunk_by(|a, b| (a.run, a.rank) == (b.run, b.rank))
+            .map(|t| {
+                let last = &t[t.len() - 1];
+                (
+                    t[0].run.into(),
+                    t[0].rank.into(),
+                    t.len(),
+                    us(&t[0]),
+                    us(last),
+                )
+            })
+            .collect();
+        let tracks: Vec<(i128, i128, usize, f64, f64)> = view
+            .tracks()
+            .iter()
+            .map(|t| (t.run, t.rank, t.count, t.min_ts, t.max_ts))
+            .collect();
+        assert_eq!(tracks, expected, "{pattern}: tracks");
+        // Each span path: its count and total duration.
+        let mut spans: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        for s in snap.matched_spans() {
+            let path = spans.entry(s.path).or_default();
+            path.0 += 1;
+            path.1 += s.end_ns - s.begin_ns;
+        }
+        let totals = view.span_totals();
+        assert!(!totals.is_empty(), "{pattern}: no spans");
+        assert_eq!(totals.len(), spans.len(), "{pattern}: span paths");
+        for (path, count, total_us) in totals {
+            let (n, ns) = spans[&path];
+            assert_eq!(count, n, "{pattern} {path}: span count");
+            let off = (total_us * 1e3 - ns as f64).abs();
+            assert!(
+                off < 1e-3 * n as f64,
+                "{pattern} {path}: {total_us} µs vs {ns} ns"
+            );
+        }
+        // Each run's and each rank's metadata line appears once.
+        let mut sim_meta = 0;
+        for t in snap.sim.chunk_by(|a, b| a.run == b.run) {
+            let (run, seed) = (t[0].run, t[0].seed);
+            let label = format!("sim run {run} (seed {seed})");
+            let procs: Vec<_> = meta.iter().filter(|m| m.3 == label).collect();
+            assert_eq!(procs.len(), 1, "{pattern}: {label}");
+            let pid = procs[0].1;
+            for r in t.chunk_by(|a, b| a.rank == b.rank) {
+                let rank = i128::from(r[0].rank);
+                let track = ("thread_name".to_string(), pid, rank, format!("rank {rank}"));
+                let n = meta.iter().filter(|m| **m == track).count();
+                assert_eq!(n, 1, "{pattern}: run {run} rank {rank}");
+                sim_meta += 1;
+            }
+            sim_meta += 1;
+        }
+        let pipeline = meta.iter().filter(|m| m.1 == 1).count();
+        assert_eq!(meta.len(), sim_meta + pipeline, "{pattern}: {meta:?}");
     }
-}
-
-#[test]
-fn streamed_folded_export_is_byte_identical_to_snapshot() {
-    let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
-    let buf = SharedBuffer::new();
-    let snap = teed_campaign(&cfg, FoldedSink::new(buf.clone()));
-    // Folded output is derived entirely from span marks at finish time,
-    // so it is byte-identical, not merely canonically equal.
-    assert_eq!(buf.contents(), snap.folded_stacks());
 }
 
 #[test]

@@ -6,7 +6,10 @@
 //! that foundation.
 
 use anacin_obs::tracer::RECORD_BATCH;
-use anacin_obs::{MemorySink, MetricsRegistry, SimEventKind, TraceSnapshot, Tracer};
+use anacin_obs::{
+    ChromeJsonSink, FoldedSink, MemorySink, MetricsRegistry, SharedBuffer, SimEventKind, TraceSink,
+    TraceSnapshot, Tracer,
+};
 use anacin_store::ArtifactStore;
 use anacin_x::prelude::*;
 
@@ -20,15 +23,14 @@ fn fresh_trace(cfg: &CampaignConfig, run: u32) -> Trace {
     simulate(&cfg.pattern.build(&cfg.app), &cfg.sim_config(run)).expect("run simulates")
 }
 
-/// A campaign traced into a memory sink (wall-clock spans too, when a
-/// metrics registry is given): its result and everything the sink held
-/// once the tracer finished.
-fn traced_campaign(
+/// A campaign traced into `sink` (wall-clock spans too, when a metrics
+/// registry is given): its result, once the tracer finished.
+fn traced_into(
     cfg: &CampaignConfig,
     metrics: Option<&MetricsRegistry>,
-) -> (CampaignResult, TraceSnapshot) {
-    let sink = MemorySink::new();
-    let tracer = Tracer::new(sink.clone());
+    sink: impl TraceSink + 'static,
+) -> CampaignResult {
+    let tracer = Tracer::new(sink);
     if let Some(m) = metrics {
         m.attach_tracer(&tracer);
     }
@@ -39,7 +41,41 @@ fn traced_campaign(
     };
     let result = run_campaign_with(cfg, &ctx).expect("traced campaign");
     tracer.finish().expect("trace finishes");
+    result
+}
+
+/// A campaign traced into a memory sink: its result and everything the
+/// sink held.
+fn traced_campaign(
+    cfg: &CampaignConfig,
+    metrics: Option<&MetricsRegistry>,
+) -> (CampaignResult, TraceSnapshot) {
+    let sink = MemorySink::new();
+    let result = traced_into(cfg, metrics, sink.clone());
     (result, sink.snapshot())
+}
+
+/// The file the sink `make` builds over a buffer wrote for a traced
+/// campaign.
+fn written<S: TraceSink + 'static>(
+    cfg: &CampaignConfig,
+    metrics: Option<&MetricsRegistry>,
+    make: impl FnOnce(SharedBuffer) -> S,
+) -> String {
+    let buf = SharedBuffer::new();
+    traced_into(cfg, metrics, make(buf.clone()));
+    buf.contents()
+}
+
+/// A Chrome sink over `buf`.
+fn chrome(buf: SharedBuffer) -> ChromeJsonSink<SharedBuffer> {
+    ChromeJsonSink::new(buf).expect("sink header")
+}
+
+/// Simulated events per run, in run order.
+fn events_per_run(snap: &TraceSnapshot) -> Vec<(u32, usize)> {
+    let runs = snap.sim.chunk_by(|a, b| a.run == b.run);
+    runs.map(|run| (run[0].run, run.len())).collect()
 }
 
 /// Serialise traces for bit-identity comparison (Trace has no PartialEq;
@@ -115,10 +151,14 @@ fn sim_trace_export_is_byte_identical_across_worker_thread_counts() {
     let mut exports = Vec::new();
     for threads in [1usize, 2, 8] {
         cfg.threads = threads;
-        let (_, snap) = traced_campaign(&cfg, None);
-        // Wall-clock spans depend on real time; the simulated-time export
-        // must not.
-        exports.push(snap.chrome_trace(false));
+        // Wall-clock spans depend on real time; with no registry the file
+        // has none, and its simulated-time lines must not depend on the
+        // workers. The sink writes them in arrival order, so compare
+        // them as a multiset: trailing commas stripped, lines sorted.
+        let doc = written(&cfg, None, chrome);
+        let mut lines: Vec<&str> = doc.lines().map(|l| l.trim_end_matches(',')).collect();
+        lines.sort_unstable();
+        exports.push(lines.join("\n"));
     }
     assert_eq!(exports[0], exports[1], "1 vs 2 worker threads");
     assert_eq!(exports[0], exports[2], "1 vs 8 worker threads");
@@ -136,7 +176,7 @@ fn traced_event_counts_match_event_graph_node_counts() {
     ] {
         let cfg = campaign(pattern, 6, 5);
         let (result, snap) = traced_campaign(&cfg, None);
-        let per_run = snap.sim_events_per_run();
+        let per_run = events_per_run(&snap);
         assert_eq!(per_run.len(), cfg.runs as usize, "{pattern}");
         let mut nodes = 0;
         for (run, count) in per_run {
@@ -191,8 +231,8 @@ fn chrome_export_has_one_track_per_rank_with_monotone_timestamps() {
             );
         }
     }
-    // The JSON itself mentions each rank's track metadata.
-    let json = snap.chrome_trace(false);
+    // The file itself names each rank's track.
+    let json = written(&cfg, None, chrome);
     for r in 0..procs {
         assert!(json.contains(&format!("\"name\":\"rank {r}\"")), "rank {r}");
     }
@@ -242,7 +282,7 @@ fn memory_sink_holds_every_event_of_a_two_worker_campaign() {
     cfg.threads = 2;
     let (result, snap) = traced_campaign(&cfg, None);
     assert_eq!(snap.sim.len() as u64, result.total_events);
-    let per_run = snap.sim_events_per_run();
+    let per_run = events_per_run(&snap);
     assert_eq!(per_run.len(), 4);
     for (run, count) in per_run {
         assert!(count > 2 * RECORD_BATCH, "run {run}: {count} events");
@@ -254,8 +294,7 @@ fn memory_sink_holds_every_event_of_a_two_worker_campaign() {
 fn folded_stacks_cover_the_pipeline_stages() {
     let cfg = campaign(Pattern::MessageRace, 6, 4);
     let reg = MetricsRegistry::new();
-    let (_, snap) = traced_campaign(&cfg, Some(&reg));
-    let folded = snap.folded_stacks();
+    let folded = written(&cfg, Some(&reg), FoldedSink::new);
     assert!(folded.contains("campaign"), "{folded}");
     for line in folded.lines() {
         let (stack, weight) = line.rsplit_once(' ').expect("folded line shape");
