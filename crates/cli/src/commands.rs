@@ -8,12 +8,15 @@ use anacin_event_graph::{export, EventGraph};
 use anacin_kernels::prelude::*;
 use anacin_miniapps::{MiniAppConfig, Pattern};
 use anacin_mpisim::prelude::*;
+use anacin_obs::progress::Sampler;
 use anacin_obs::view::ChromeView;
 use anacin_obs::{MetricsRegistry, Tracer};
 use anacin_store::ArtifactStore;
 use anacin_viz::{ascii, svg};
 use serde::Serialize;
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The command table: one entry per command, or per action of a command
 /// whose actions read different options. [`Args::parse`], [`dispatch`]
@@ -359,6 +362,28 @@ fn report_store(store: &Option<(String, ArtifactStore)>) {
     }
 }
 
+/// `run --progress`: rewrite one stderr line with every progress sample
+/// of `reg` (`\r`, then spaces over the rest of a longer line before).
+/// The returned closure stops the sampler and clears the line.
+fn draw_progress(reg: &MetricsRegistry, total_runs: u64) -> impl FnOnce() {
+    let width = Arc::new(AtomicUsize::new(0));
+    let drawn = Arc::clone(&width);
+    let interval = std::time::Duration::from_millis(250);
+    let sampler = Sampler::start(reg, total_runs, interval, move |p| {
+        let line = p.to_string();
+        let before = drawn.swap(line.len(), Ordering::Relaxed);
+        eprint!("\r{line}{}", " ".repeat(before.saturating_sub(line.len())));
+        true
+    });
+    move || {
+        sampler.finish();
+        let n = width.load(Ordering::Relaxed);
+        if n > 0 {
+            eprint!("\r{}\r", " ".repeat(n));
+        }
+    }
+}
+
 /// `anacin run`. Every campaign frees each run's trace and graph inside
 /// its worker, so memory stays one in-flight run per worker at any rank
 /// count.
@@ -383,10 +408,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err("--append-to already names the store; drop --store or --append-to".into());
     }
     let store = obs.store(args.get("store").or_else(|| args.get("append-to")))?;
-    let reporter = obs.reg.as_ref().filter(|_| progress).map(|reg| {
-        let interval = std::time::Duration::from_millis(250);
-        anacin_obs::ProgressReporter::start(reg, cfg.runs as u64, interval)
-    });
+    let stop_progress = obs
+        .reg
+        .as_ref()
+        .filter(|_| progress)
+        .map(|reg| draw_progress(reg, cfg.runs as u64));
     let token = anacin_obs::install_signal_handlers();
     let ctx = obs.ctx(&token, store.as_ref().map(|(_, s)| s));
     let result = if append {
@@ -394,8 +420,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         run_campaign_with(&cfg, &ctx)
     };
-    if let Some(r) = reporter {
-        r.finish();
+    if let Some(stop) = stop_progress {
+        stop();
     }
     let result = until_cancelled(result)?;
     // `--explore`: enumerate the schedule space of the same setting and
@@ -513,9 +539,12 @@ fn cmd_explore_stats(args: &Args) -> Result<(), String> {
     let (pattern, app, program) = program_of(args, 4)?;
     let xcfg = explore_config_of(args)?;
     let metrics = metrics_of(args);
-    let report = explore_observed(&program, &xcfg, metrics.as_ref().map(|(_, r)| r))
-        .map_err(|e| e.to_string())?;
+    let report = {
+        let _span = metrics.as_ref().map(|(_, reg)| reg.span("explore"));
+        explore(&program, &xcfg).map_err(|e| e.to_string())?
+    };
     if let Some((path, reg)) = &metrics {
+        flush_explore_metrics(reg, &report.stats);
         write_metrics(path, reg)?;
     }
     if args.flag("json") {
@@ -705,7 +734,7 @@ struct ClientStats {
 /// byte-identical to running the equivalent command locally.
 fn cmd_client(args: &Args) -> Result<(), String> {
     use anacin_serve::client::Outcome;
-    use anacin_serve::{Client, Frame, JobSpec};
+    use anacin_serve::{Client, JobSpec};
     let kind = args.get_or("job", "campaign");
     let explore = kind == "explore" || args.flag("explore");
     args.only_with("dot", kind == "append", "--job append")?;
@@ -750,24 +779,8 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     };
     let outcome = client
         .run_with_retry(1, job, retries, |frame| {
-            if let Frame::Progress {
-                done_runs,
-                total_runs,
-                events,
-                event_rate,
-                hottest,
-                eta_ms,
-                ..
-            } = frame
-            {
-                let eta = match eta_ms {
-                    Some(ms) => format!(", eta {ms} ms"),
-                    None => String::new(),
-                };
-                eprintln!(
-                    "progress: {done_runs}/{total_runs} run(s), {events} event(s) \
-                     ({event_rate:.0}/s), hottest {hottest}{eta}"
-                );
+            if let Some(p) = frame.progress() {
+                eprintln!("{p}");
             }
         })
         .map_err(|e| e.to_string())?;

@@ -12,6 +12,7 @@ use crate::campaign::{seeded_campaign, CampaignError, RunCtx};
 use crate::config::{CampaignConfig, KernelChoice};
 use anacin_event_graph::LabelPolicy;
 use anacin_kernels::matrix::gram_matrix;
+use anacin_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 
 /// One kernel's row in the ablation table.
@@ -103,9 +104,14 @@ pub fn ablate(
         .iter()
         .map(|kc| {
             let kernel = kc.instantiate();
-            let start = std::time::Instant::now();
-            let m = gram_matrix(kernel.as_ref(), &graphs, config.threads);
-            let micros = start.elapsed().as_micros();
+            // Timed by an obs span: this crate reads no clock itself.
+            let timer = MetricsRegistry::new();
+            let m = {
+                let _gram = timer.span("gram");
+                gram_matrix(kernel.as_ref(), &graphs, config.threads)
+            };
+            let gram_ns = timer.report().span("gram").map_or(0, |s| s.total_ns);
+            let micros = u128::from(gram_ns / 1_000);
             let d = m.pairwise_distances();
             let separated = if d.is_empty() {
                 0.0

@@ -155,12 +155,13 @@ pub struct SweepPointMetrics {
     pub report: MetricsReport,
 }
 
-/// Metrics of an instrumented sweep: one report per point plus their
-/// merged aggregate — the per-point breakdown lets stage time be plotted
+/// Metrics of an instrumented sweep: one report per point plus the
+/// whole sweep's — the per-point breakdown lets stage time be plotted
 /// against the swept parameter instead of lumping all campaigns together.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepMetrics {
-    /// All per-point reports merged ([`MetricsReport::merge`]).
+    /// What the registry recorded over the whole sweep, the sum of the
+    /// points ([`MetricsReport::delta_since`] its first snapshot).
     pub aggregate: MetricsReport,
     /// One entry per sweep point, in sweep order.
     pub points: Vec<SweepPointMetrics>,
@@ -181,7 +182,8 @@ pub fn sweep(
 ) -> Result<Sweep, CampaignError> {
     let mut out = Vec::with_capacity(points.len());
     let mut point_metrics = Vec::new();
-    let mut before = ctx.metrics.map(|m| m.report());
+    let first = ctx.metrics.map(|m| m.report());
+    let mut before = first.clone();
     let mut done_runs = 0u32;
     for &x in points {
         if ctx.cancel.is_some_and(|c| c.is_cancelled()) {
@@ -221,15 +223,9 @@ pub fn sweep(
             measurement: NdMeasurement::from_matrix(label, &matrix),
         });
     }
-    let metrics = ctx.metrics.map(|_| {
-        let mut aggregate = MetricsReport::default();
-        for p in &point_metrics {
-            aggregate.merge(&p.report);
-        }
-        SweepMetrics {
-            aggregate,
-            points: point_metrics,
-        }
+    let metrics = first.zip(before).map(|(first, last)| SweepMetrics {
+        aggregate: last.delta_since(&first),
+        points: point_metrics,
     });
     Ok(Sweep {
         parameter: axis.name().to_string(),

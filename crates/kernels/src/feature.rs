@@ -277,38 +277,6 @@ impl SparseFeatures {
         self.map.iter().map(|&(_, w)| w * w).sum()
     }
 
-    /// Accumulate another vector into this one (merge-join; shared ids sum
-    /// as `self + other`, matching [`SparseFeatures::add`]).
-    pub fn merge(&mut self, other: &SparseFeatures) {
-        if other.map.is_empty() {
-            return;
-        }
-        let a = &self.map;
-        let b = &other.map;
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((a[i].0, a[i].1 + b[j].1));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.map = merged;
-    }
-
     /// Scale every weight by `s`.
     pub fn scale(&mut self, s: f64) {
         for (_, w) in &mut self.map {
@@ -391,7 +359,9 @@ mod tests {
     fn merge_and_scale() {
         let mut a: SparseFeatures = [(1, 1.0)].into_iter().collect();
         let b: SparseFeatures = [(1, 2.0), (2, 3.0)].into_iter().collect();
-        a.merge(&b);
+        for (id, w) in b.iter() {
+            a.add(id, w);
+        }
         assert_eq!(a.get(1), 3.0);
         assert_eq!(a.get(2), 3.0);
         a.scale(0.5);

@@ -382,20 +382,6 @@ pub fn explore<'p>(
     Ok(ExploreReport { schedules, stats })
 }
 
-/// [`explore`] under an `"explore"` span, flushing the walk counters.
-pub fn explore_observed(
-    program: &Program,
-    config: &ExploreConfig,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<ExploreReport, SimError> {
-    let _span = metrics.map(|m| m.span("explore"));
-    let report = explore(program, config)?;
-    if let Some(m) = metrics {
-        flush_explore_metrics(m, &report.stats);
-    }
-    Ok(report)
-}
-
 /// Flush walk statistics into the standard explore counters
 /// (`explore/branches`, `explore/pruned`, `explore/schedules`).
 pub fn flush_explore_metrics(metrics: &MetricsRegistry, stats: &ExploreStats) {
@@ -643,19 +629,5 @@ mod tests {
         for s in &a.schedules {
             assert_eq!(format!("{}", s.id()).len(), 16);
         }
-    }
-
-    #[test]
-    fn explore_observed_flushes_counters() {
-        let m = MetricsRegistry::new();
-        let report =
-            explore_observed(&message_race(4), &ExploreConfig::default(), Some(&m)).unwrap();
-        let rep = m.report();
-        assert_eq!(
-            rep.counter("explore/schedules"),
-            Some(report.stats.schedules)
-        );
-        assert_eq!(rep.counter("explore/branches"), Some(report.stats.branches));
-        assert!(rep.span("explore").is_some());
     }
 }

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::counters::SimCounters;
     pub use crate::engine::{simulate, simulate_counted, simulate_replay, SimConfig, SimError};
     pub use crate::explore::{
-        explore, explore_observed, ExploreConfig, ExploreReport, ExploreStats, ScheduleId,
+        explore, flush_explore_metrics, ExploreConfig, ExploreReport, ExploreStats, ScheduleId,
     };
     pub use crate::network::{DelayDistribution, NetworkConfig};
     pub use crate::program::{BalanceError, Program, ProgramBuilder, RequestError};

@@ -1,5 +1,5 @@
 //! Log-bucketed latency histograms: fixed-footprint, lock-free, and
-//! mergeable.
+//! subtractable between two snapshots.
 //!
 //! Every span timer in the registry feeds one of these so reports can
 //! quote p50/p95/p99 — Hunold & Carpen-Amarie's point (PAPERS.md) that
@@ -135,17 +135,6 @@ pub fn percentiles_sparse(buckets: &[HistBucket]) -> (u64, u64, u64) {
     )
 }
 
-/// Merge `other` into `into`, keeping index order and summing counts —
-/// the histogram half of [`crate::MetricsReport::merge`].
-pub fn merge_sparse(into: &mut Vec<HistBucket>, other: &[HistBucket]) {
-    for b in other {
-        match into.binary_search_by_key(&b.i, |x| x.i) {
-            Ok(pos) => into[pos].n += b.n,
-            Err(pos) => into.insert(pos, *b),
-        }
-    }
-}
-
 /// The buckets `later` gained over `earlier` (two snapshots of one
 /// histogram), dropping buckets that gained nothing — the histogram half
 /// of [`crate::MetricsReport::delta_since`].
@@ -239,21 +228,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert!(h.sparse().is_empty());
         assert_eq!(percentiles_sparse(&[]), (0, 0, 0));
-    }
-
-    #[test]
-    fn merge_sums_counts_in_index_order() {
-        let mut a = vec![HistBucket { i: 1, n: 2 }, HistBucket { i: 5, n: 1 }];
-        let b = vec![HistBucket { i: 0, n: 3 }, HistBucket { i: 5, n: 4 }];
-        merge_sparse(&mut a, &b);
-        assert_eq!(
-            a,
-            vec![
-                HistBucket { i: 0, n: 3 },
-                HistBucket { i: 1, n: 2 },
-                HistBucket { i: 5, n: 5 },
-            ]
-        );
     }
 
     #[test]

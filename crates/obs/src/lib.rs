@@ -68,7 +68,6 @@ pub mod tracer;
 pub mod view;
 
 pub use hist::{HistBucket, LatencyHistogram};
-pub use progress::ProgressReporter;
 pub use shutdown::{install_signal_handlers, shutdown_requested, CancelToken};
 pub use sink::{ChromeJsonSink, CountingWriter, FoldedSink, MemorySink, SharedBuffer, TraceSink};
 pub use tracer::{
@@ -370,7 +369,8 @@ pub struct SpanSample {
     /// 99th-percentile interval (same error bound as `p50_ns`).
     pub p99_ns: u64,
     /// Sparse latency histogram (non-empty buckets, index order); the
-    /// source of truth for re-deriving quantiles after [`MetricsReport::merge`].
+    /// source of truth for re-deriving quantiles after
+    /// [`MetricsReport::delta_since`].
     pub hist: Vec<HistBucket>,
 }
 
@@ -397,15 +397,6 @@ impl MetricsReport {
     /// The span recorded under exactly `path`, if any.
     pub fn span(&self, path: &str) -> Option<&SpanSample> {
         self.spans.iter().find(|s| s.name == path)
-    }
-
-    /// Merge `other` into `self`: counters and span statistics add,
-    /// gauges take `other`'s value (last write wins), and names absent
-    /// from `self` are inserted. Means are recomputed from the merged
-    /// totals (zero-count spans mean 0). Used to aggregate per-point
-    /// sweep reports into one table.
-    pub fn merge(&mut self, other: &MetricsReport) {
-        tracer::merge_reports(self, other);
     }
 
     /// A human-readable summary table (what the CLI prints to stderr).
@@ -677,32 +668,5 @@ mod tests {
         let m = MetricsRegistry::new();
         let _ = m.span("quiet");
         assert!(m.tracer().is_none());
-    }
-
-    #[test]
-    fn merge_adds_counters_and_span_stats() {
-        let a = MetricsRegistry::new();
-        a.counter("c").add(3);
-        a.record_span("s", 10);
-        let b = MetricsRegistry::new();
-        b.counter("c").add(4);
-        b.counter("only-b").add(1);
-        b.record_span("s", 30);
-        b.set_gauge("g", 2.0);
-        let mut merged = a.report();
-        merged.merge(&b.report());
-        assert_eq!(merged.counter("c"), Some(7));
-        assert_eq!(merged.counter("only-b"), Some(1));
-        let g = GaugeSample {
-            name: "g".to_string(),
-            value: 2.0,
-        };
-        assert_eq!(merged.gauges, [g]);
-        let sp = merged.span("s").unwrap();
-        assert_eq!(
-            (sp.count, sp.total_ns, sp.min_ns, sp.max_ns),
-            (2, 40, 10, 30)
-        );
-        assert!((sp.mean_ns - 20.0).abs() < 1e-9);
     }
 }

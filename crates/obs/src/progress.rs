@@ -1,22 +1,24 @@
-//! Live progress reporting: periodic registry snapshots, deltas between
-//! them, and a one-line stderr renderer.
+//! Live progress: one sample definition and one sampling thread for
+//! every mode that reports how far a job is.
 //!
 //! The primitive is [`MetricsReport::delta_since`]: two point-in-time
 //! reports subtract into the report of what happened *this interval* —
-//! what `anacin serve` streams to clients and what a sweep attributes to
-//! each of its points. The CLI's `--progress` flag drives the same
-//! machinery locally: a [`ProgressReporter`] thread snapshots the
-//! registry a few times a second and rewrites one stderr status line
-//! (runs done, events simulated, the currently hottest stage, ETA).
+//! what a sweep attributes to each of its points and to itself. A
+//! [`Progress`] is read from two such snapshots: runs done of total,
+//! events simulated, the event rate and the hottest stage over the
+//! interval, and a linear ETA. Its `Display` is the status line that
+//! `run --progress` rewrites on stderr and `anacin client` prints once
+//! per `Progress` frame; the daemon sends its fields as that frame. A
+//! [`Sampler`] thread hands the caller one sample per interval.
 //!
-//! Everything here is observability-only: the reporter thread reads the
-//! registry and writes stderr; it cannot perturb a measurement.
+//! Everything here is observability-only: the sampler reads the registry
+//! and calls the caller's closure; it cannot perturb a measurement.
 
 use crate::hist::{bucket_lower_bound, percentiles_sparse, subtract_sparse};
 use crate::{CounterSample, MetricsRegistry, MetricsReport, SpanSample};
-use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 impl MetricsReport {
@@ -94,119 +96,148 @@ fn compact(n: u64) -> String {
     }
 }
 
-/// Render one status line from a cumulative report plus the latest
-/// interval delta. Pure, so the format is unit-testable: runs done out
-/// of `total_runs` (from the `sim/runs` counter), events simulated with
-/// the current rate, the span that consumed the most wall time this
-/// interval, and a linear ETA once at least one run has finished.
-pub fn render_progress_line(
-    report: &MetricsReport,
-    delta: &MetricsReport,
-    total_runs: u64,
-    elapsed: Duration,
-) -> String {
-    let done = report.counter("sim/runs").unwrap_or(0).min(total_runs);
-    let events = report.counter("sim/events").unwrap_or(0);
-    let secs = elapsed.as_secs_f64();
-    let rate = if secs > 0.0 {
-        format!(" ({}/s)", compact((events as f64 / secs) as u64))
-    } else {
-        String::new()
-    };
-    let stage = delta
-        .spans
-        .iter()
-        .max_by_key(|s| s.total_ns)
-        .map(|s| format!(" · {}", s.name))
-        .unwrap_or_default();
-    let eta = if done > 0 && done < total_runs {
-        let remaining = secs * (total_runs - done) as f64 / done as f64;
-        format!(" · ETA {remaining:.0}s")
-    } else {
-        String::new()
-    };
-    format!(
-        "[{done}/{total_runs} runs] {} events{rate}{stage}{eta}",
-        compact(events)
-    )
+/// How far a job is: one sample of its registry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Progress {
+    /// Runs finished: closed `run/features` spans. That span closes once
+    /// per run, whether its artifacts were read from a store or computed,
+    /// so stored runs count as done.
+    pub done_runs: u64,
+    /// Runs the job will execute.
+    pub total_runs: u64,
+    /// Events simulated so far (`sim/events`).
+    pub events: u64,
+    /// Events simulated per second over the last interval.
+    pub event_rate: f64,
+    /// The span that took the most wall time over the last interval
+    /// (empty when none closed).
+    pub hottest: String,
+    /// Remaining milliseconds at the pace so far; absent until a run has
+    /// finished, and once every run has.
+    pub eta_ms: Option<u64>,
 }
 
-/// A background thread that renders [`render_progress_line`] onto one
-/// `\r`-rewritten stderr line every `interval` until finished or
-/// dropped.
-pub struct ProgressReporter {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+impl Progress {
+    /// The sample of `now` against `prev`, a snapshot of the same registry
+    /// taken `interval` earlier, for a job of `total_runs` runs that
+    /// started `elapsed` ago.
+    pub fn between(
+        now: &MetricsReport,
+        prev: &MetricsReport,
+        total_runs: u64,
+        interval: Duration,
+        elapsed: Duration,
+    ) -> Progress {
+        let delta = now.delta_since(prev);
+        let done_runs = now
+            .span("run/features")
+            .map_or(0, |s| s.count)
+            .min(total_runs);
+        let secs = interval.as_secs_f64();
+        let event_rate = match delta.counter("sim/events") {
+            Some(n) if secs > 0.0 => n as f64 / secs,
+            _ => 0.0,
+        };
+        let hottest = delta
+            .spans
+            .iter()
+            .max_by_key(|s| s.total_ns)
+            .map(|s| s.name.clone())
+            .unwrap_or_default();
+        let eta_ms = (done_runs > 0 && done_runs < total_runs).then(|| {
+            let left = (total_runs - done_runs) as f64 / done_runs as f64;
+            (elapsed.as_secs_f64() * left * 1e3) as u64
+        });
+        Progress {
+            done_runs,
+            total_runs,
+            events: now.counter("sim/events").unwrap_or(0),
+            event_rate,
+            hottest,
+            eta_ms,
+        }
+    }
 }
 
-impl ProgressReporter {
-    /// Start reporting on `registry`. `total_runs` scales the run
-    /// counter and the ETA.
-    pub fn start(registry: &MetricsRegistry, total_runs: u64, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+/// The status line: `[4/16 runs] 1.2M events (150k/s) · run/simulate ·
+/// ETA 24s`, without the stage when none closed and without the ETA when
+/// there is none.
+impl fmt::Display for Progress {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[{}/{} runs] {} events ({}/s)",
+            self.done_runs,
+            self.total_runs,
+            compact(self.events),
+            compact(self.event_rate as u64)
+        )?;
+        if !self.hottest.is_empty() {
+            write!(f, " · {}", self.hottest)?;
+        }
+        if let Some(ms) = self.eta_ms {
+            write!(f, " · ETA {:.0}s", ms as f64 / 1e3)?;
+        }
+        Ok(())
+    }
+}
+
+/// A thread that hands the caller a [`Progress`] sample of one registry
+/// every interval, until [`Sampler::finish`] or until the caller's
+/// closure returns `false`.
+pub struct Sampler {
+    /// Never sent on: dropping it wakes the thread at once.
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Sampler {
+    /// Sample `registry`, for a job of `total_runs` runs, every
+    /// `interval`, the first time one interval from now, and hand each
+    /// sample to `on_sample`; returning `false` stops the sampling.
+    pub fn start(
+        registry: &MetricsRegistry,
+        total_runs: u64,
+        interval: Duration,
+        mut on_sample: impl FnMut(Progress) -> bool + Send + 'static,
+    ) -> Sampler {
+        let (stop, stopped) = mpsc::channel::<()>();
         let reg = registry.clone();
-        let handle = std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name("anacin-progress".to_string())
             .spawn(move || {
-                let started = Instant::now();
-                let mut prev = reg.report();
-                let mut last_len = 0usize;
-                let tick = Duration::from_millis(25).min(interval);
-                let mut since_render = interval; // render immediately
-                while !flag.load(Ordering::Relaxed) {
-                    if since_render >= interval {
-                        since_render = Duration::ZERO;
-                        let cur = reg.report();
-                        let delta = cur.delta_since(&prev);
-                        let line =
-                            render_progress_line(&cur, &delta, total_runs, started.elapsed());
-                        // Pad with spaces so a shorter line fully
-                        // overwrites the previous one (no ANSI needed).
-                        let pad = last_len.saturating_sub(line.len());
-                        last_len = line.len();
-                        eprint!("\r{line}{}", " ".repeat(pad));
-                        let _ = std::io::stderr().flush();
-                        prev = cur;
+                let start = Instant::now();
+                let (mut prev, mut taken) = (reg.report(), start);
+                while stopped.recv_timeout(interval.saturating_sub(taken.elapsed()))
+                    == Err(RecvTimeoutError::Timeout)
+                {
+                    let now = reg.report();
+                    let at = Instant::now();
+                    let sample = Progress::between(&now, &prev, total_runs, at - taken, at - start);
+                    (prev, taken) = (now, at);
+                    if !on_sample(sample) {
+                        break;
                     }
-                    std::thread::sleep(tick);
-                    since_render += tick;
-                }
-                if last_len > 0 {
-                    // Clear the status line so final output starts clean.
-                    eprint!("\r{}\r", " ".repeat(last_len));
-                    let _ = std::io::stderr().flush();
                 }
             })
-            .expect("spawn progress reporter");
-        ProgressReporter {
-            stop,
-            handle: Some(handle),
-        }
+            .expect("spawn progress sampler");
+        Sampler { stop, thread }
     }
 
-    /// Stop the reporter and clear the status line.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ProgressReporter {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// Stop sampling and join the thread: no sample is handed out after
+    /// this returns, and it does not wait for the next interval.
+    pub fn finish(self) {
+        drop(self.stop);
+        // A panicked closure costs only its samples.
+        let _ = self.thread.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn delta_keeps_only_what_changed() {
@@ -254,43 +285,130 @@ mod tests {
         assert!(json.contains("\"counters\""), "{json}");
     }
 
+    /// `n` finished runs' worth of `run/features` spans.
+    fn finish_runs(m: &MetricsRegistry, n: usize) {
+        for _ in 0..n {
+            m.record_span("run/features", 10);
+        }
+    }
+
     #[test]
     fn progress_line_reports_runs_events_stage_and_eta() {
         let m = MetricsRegistry::new();
-        m.counter("sim/runs").add(4);
-        m.counter("sim/events").add(1_200_000);
-        m.record_span("campaign/simulate", 900);
-        m.record_span("campaign/kernel", 100);
-        let report = m.report();
-        let delta = report.delta_since(&MetricsReport::default());
-        let line = render_progress_line(&report, &delta, 16, Duration::from_secs(8));
-        assert!(line.starts_with("[4/16 runs]"), "{line}");
-        assert!(line.contains("1.2M events"), "{line}");
-        assert!(line.contains("campaign/simulate"), "{line}");
-        assert!(line.contains("ETA 24s"), "{line}");
+        m.counter("sim/events").add(200_000);
+        let prev = m.report();
+        finish_runs(&m, 4);
+        m.counter("sim/events").add(1_000_000);
+        m.record_span("run/simulate", 900);
+        let now = m.report();
+        let p = Progress::between(
+            &now,
+            &prev,
+            16,
+            Duration::from_secs(2),
+            Duration::from_secs(8),
+        );
+        assert_eq!((p.done_runs, p.total_runs, p.events), (4, 16, 1_200_000));
+        assert_eq!(p.event_rate, 500_000.0, "the rate is the interval's");
+        assert_eq!(p.eta_ms, Some(24_000));
+        assert_eq!(
+            p.to_string(),
+            "[4/16 runs] 1.2M events (500k/s) · run/simulate · ETA 24s"
+        );
     }
 
     #[test]
     fn progress_line_omits_eta_when_done_or_idle() {
         let m = MetricsRegistry::new();
-        let report = m.report();
-        let delta = MetricsReport::default();
-        let idle = render_progress_line(&report, &delta, 8, Duration::from_secs(1));
-        assert!(idle.starts_with("[0/8 runs]"), "{idle}");
-        assert!(!idle.contains("ETA"), "{idle}");
-        m.counter("sim/runs").add(8);
-        let done = render_progress_line(&m.report(), &delta, 8, Duration::from_secs(1));
-        assert!(done.starts_with("[8/8 runs]"), "{done}");
-        assert!(!done.contains("ETA"), "{done}");
+        let idle = Progress::between(&m.report(), &m.report(), 8, Duration::ZERO, Duration::ZERO);
+        assert_eq!(idle.to_string(), "[0/8 runs] 0 events (0/s)");
+        finish_runs(&m, 8);
+        let r = m.report();
+        let done = Progress::between(&r, &r, 8, Duration::from_secs(1), Duration::from_secs(1));
+        assert_eq!(done.to_string(), "[8/8 runs] 0 events (0/s)");
+    }
+
+    /// A warm job reads every run's artifacts from the store and
+    /// simulates nothing: its ten `run/features` spans are ten runs done.
+    #[test]
+    fn stored_runs_count_as_done() {
+        let m = MetricsRegistry::new();
+        let prev = m.report();
+        finish_runs(&m, 10);
+        let p = Progress::between(
+            &m.report(),
+            &prev,
+            10,
+            Duration::from_secs(1),
+            Duration::from_secs(1),
+        );
+        assert_eq!(m.report().counter("sim/runs"), None);
+        assert!(p.to_string().starts_with("[10/10 runs]"), "{p}");
+        assert_eq!(p.eta_ms, None);
     }
 
     #[test]
     fn reporter_starts_and_stops_cleanly() {
         let m = MetricsRegistry::new();
-        let p = ProgressReporter::start(&m, 4, Duration::from_millis(10));
-        m.counter("sim/runs").add(2);
-        std::thread::sleep(Duration::from_millis(30));
-        p.finish();
+        let (tx, samples) = mpsc::channel();
+        let s = Sampler::start(&m, 4, Duration::from_millis(10), move |p| {
+            tx.send(p).is_ok()
+        });
+        finish_runs(&m, 2);
+        let p = samples.recv_timeout(Duration::from_secs(60)).unwrap();
+        assert_eq!(p.total_runs, 4);
+        s.finish();
+    }
+
+    #[test]
+    fn no_sample_follows_finish() {
+        let m = MetricsRegistry::new();
+        let count = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&count);
+        let s = Sampler::start(&m, 4, Duration::from_millis(1), move |_| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            true
+        });
+        while count.load(Ordering::SeqCst) < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        s.finish();
+        let after = count.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count.load(Ordering::SeqCst), after);
+    }
+
+    #[test]
+    fn finish_does_not_wait_for_the_next_interval() {
+        let m = MetricsRegistry::new();
+        let s = Sampler::start(&m, 4, Duration::from_secs(60), |_| {
+            panic!("no sample is due within a minute")
+        });
+        let asked = Instant::now();
+        s.finish();
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            asked.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_closure_returning_false_stops_the_sampler() {
+        let m = MetricsRegistry::new();
+        let count = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&count);
+        let s = Sampler::start(&m, 4, Duration::from_millis(1), move |_| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            false
+        });
+        let asked = Instant::now();
+        while !s.thread.is_finished() {
+            assert!(asked.elapsed() < Duration::from_secs(60), "still sampling");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        s.finish();
     }
 
     /// Two jobs hammering the same registry while a third thread

@@ -10,7 +10,9 @@
 //! - [`CancelToken::new`] is purely local — the `anacin serve` daemon
 //!   gives every job its own so a drain (SIGTERM) can stop *admitting*
 //!   work without killing jobs already in flight, and so one client's
-//!   `Cancel` frame never touches another client's job.
+//!   `Cancel` frame never touches another client's job. Under
+//!   `--job-timeout` the daemon's tokens are [`CancelToken::with_timeout`]
+//!   ones, which also fire by themselves at their deadline.
 //!
 //! The signal handler itself only performs an atomic store (the one
 //! thing that is async-signal-safe); a second signal while the first is
@@ -19,6 +21,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Process-wide "a shutdown signal arrived" flag.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -29,11 +32,14 @@ pub fn shutdown_requested() -> bool {
 }
 
 /// A cooperative cancellation handle. Cloning shares the underlying
-/// flag; `is_cancelled` is a single atomic load (plus one more for
-/// shutdown-following tokens), cheap enough to poll per run.
+/// flag; `is_cancelled` is a single atomic load (plus a shutdown-flag
+/// load or a clock read for the tokens that follow those), cheap enough
+/// to poll per run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
+    /// Set by a [`CancelToken::cancel`] that came before the deadline.
     local: Arc<AtomicBool>,
+    deadline: Option<Instant>,
     follow_shutdown: bool,
 }
 
@@ -47,20 +53,43 @@ impl CancelToken {
     /// flag is set (SIGINT/SIGTERM).
     pub fn for_shutdown() -> Self {
         CancelToken {
-            local: Arc::new(AtomicBool::new(false)),
             follow_shutdown: true,
+            ..Self::default()
         }
     }
 
-    /// Fire this token (and every clone of it).
+    /// A token that additionally fires once `timeout` has passed from
+    /// now; [`CancelToken::timed_out`] tells that from a cancel.
+    pub fn with_timeout(timeout: Duration) -> Self {
+        CancelToken {
+            deadline: Instant::now().checked_add(timeout),
+            ..Self::default()
+        }
+    }
+
+    fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Fire this token (and every clone of it). Past its deadline a token
+    /// has fired already, as a timeout, and stays one.
     pub fn cancel(&self) {
-        self.local.store(true, Ordering::SeqCst);
+        if !self.past_deadline() {
+            self.local.store(true, Ordering::SeqCst);
+        }
     }
 
     /// Has this token (or, for shutdown-following tokens, the process)
-    /// been asked to stop?
+    /// been asked to stop, or has its deadline passed?
     pub fn is_cancelled(&self) -> bool {
-        self.local.load(Ordering::SeqCst) || (self.follow_shutdown && shutdown_requested())
+        self.local.load(Ordering::SeqCst)
+            || self.past_deadline()
+            || (self.follow_shutdown && shutdown_requested())
+    }
+
+    /// Did the deadline pass before any [`CancelToken::cancel`]?
+    pub fn timed_out(&self) -> bool {
+        self.past_deadline() && !self.local.load(Ordering::SeqCst)
     }
 }
 
@@ -158,6 +187,31 @@ mod tests {
             !CancelToken::new().is_cancelled(),
             "fresh tokens start clear"
         );
+    }
+
+    #[test]
+    fn deadline_fires_the_token_once_it_passes() {
+        let far = CancelToken::with_timeout(Duration::from_secs(3600));
+        assert!(!far.is_cancelled() && !far.timed_out());
+        let near = CancelToken::with_timeout(Duration::from_millis(5));
+        let clone = near.clone();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(clone.is_cancelled() && clone.timed_out());
+        near.cancel();
+        assert!(
+            clone.timed_out(),
+            "a cancel after the deadline is a timeout"
+        );
+        assert!(!CancelToken::new().timed_out(), "no deadline, no timeout");
+    }
+
+    #[test]
+    fn a_cancel_before_the_deadline_is_not_a_timeout() {
+        let t = CancelToken::with_timeout(Duration::from_millis(200));
+        t.clone().cancel();
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(t.is_cancelled());
+        assert!(!t.timed_out(), "the cancel came first");
     }
 
     #[test]

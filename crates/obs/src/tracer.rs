@@ -35,7 +35,6 @@
 //! a plain run; `tests/tracing.rs` asserts this differentially.
 
 use crate::sink::TraceSink;
-use crate::MetricsReport;
 use std::cell::Cell;
 use std::fmt;
 use std::io;
@@ -549,58 +548,6 @@ pub(crate) fn folded_from_spans(spans: &[(bool, SpanMark)]) -> String {
         }
     }
     out
-}
-
-/// Merge of [`MetricsReport`]s — see [`MetricsReport::merge`].
-pub(crate) fn merge_reports(into: &mut MetricsReport, other: &MetricsReport) {
-    for c in &other.counters {
-        match into.counters.iter_mut().find(|x| x.name == c.name) {
-            Some(x) => x.value += c.value,
-            None => into.counters.push(c.clone()),
-        }
-    }
-    for g in &other.gauges {
-        match into.gauges.iter_mut().find(|x| x.name == g.name) {
-            Some(x) => x.value = g.value,
-            None => into.gauges.push(g.clone()),
-        }
-    }
-    for s in &other.spans {
-        match into.spans.iter_mut().find(|x| x.name == s.name) {
-            Some(x) => {
-                if x.count == 0 {
-                    x.min_ns = s.min_ns;
-                    x.max_ns = s.max_ns;
-                } else if s.count > 0 {
-                    x.min_ns = x.min_ns.min(s.min_ns);
-                    x.max_ns = x.max_ns.max(s.max_ns);
-                }
-                x.count += s.count;
-                x.total_ns += s.total_ns;
-                x.mean_ns = if x.count == 0 {
-                    0.0
-                } else {
-                    x.total_ns as f64 / x.count as f64
-                };
-                // Histograms add bucket-wise; quantiles re-derive from
-                // the merged distribution, not from the inputs' quantiles
-                // (quantiles do not compose, bucket counts do).
-                crate::hist::merge_sparse(&mut x.hist, &s.hist);
-                let (p50, p95, p99) = crate::hist::percentiles_sparse(&x.hist);
-                x.p50_ns = p50;
-                x.p95_ns = p95;
-                x.p99_ns = p99;
-            }
-            None => into.spans.push(s.clone()),
-        }
-    }
-    into.counters.sort_by(|a, b| a.name.cmp(&b.name));
-    into.gauges.sort_by(|a, b| {
-        a.name
-            .partial_cmp(&b.name)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    into.spans.sort_by(|a, b| a.name.cmp(&b.name));
 }
 
 /// Nanoseconds → Chrome-trace microsecond timestamp (printed as an exact

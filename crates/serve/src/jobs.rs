@@ -3,7 +3,7 @@
 //!
 //! A job is either **queued** — in its client's FIFO, waiting for a
 //! worker — or **running** — claimed by a worker, which polls the job's
-//! [`CancelToken`]. Every transition ([`Jobs::admit`], [`Jobs::claim`],
+//! [`CancelToken`] (one carrying the job's deadline under a timeout). Every transition ([`Jobs::admit`], [`Jobs::claim`],
 //! [`Jobs::cancel`], [`Jobs::disconnect`], [`Jobs::finish`],
 //! [`Jobs::close`]) takes the one lock, so until its worker has written
 //! the terminal frame an admitted job is always in exactly one of the
@@ -21,7 +21,7 @@ use crate::server::SharedWriter;
 use anacin_obs::{CancelToken, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// An admitted job, with everything a worker needs to run and answer it.
 pub(crate) struct Job {
@@ -70,6 +70,8 @@ pub(crate) struct Jobs {
     table: Mutex<Table>,
     ready: Condvar,
     capacity: usize,
+    /// How long a claimed job may run before its token fires.
+    timeout: Option<Duration>,
     /// The daemon registry. Admission and dequeue counters move under
     /// the table lock, so once the workers have exited
     /// `jobs_admitted == jobs_completed + jobs_failed + jobs_cancelled`.
@@ -77,8 +79,9 @@ pub(crate) struct Jobs {
 }
 
 impl Jobs {
-    /// An empty table queueing at most `capacity` jobs.
-    pub(crate) fn new(capacity: usize, reg: MetricsRegistry) -> Self {
+    /// An empty table queueing at most `capacity` jobs, whose claimed
+    /// jobs time out after `timeout`.
+    pub(crate) fn new(capacity: usize, timeout: Option<Duration>, reg: MetricsRegistry) -> Self {
         Jobs {
             table: Mutex::new(Table {
                 queued: VecDeque::new(),
@@ -87,6 +90,7 @@ impl Jobs {
             }),
             ready: Condvar::new(),
             capacity,
+            timeout,
             reg,
         }
     }
@@ -115,7 +119,8 @@ impl Jobs {
     }
 
     /// Block until a job is queued, then move the next one round-robin
-    /// to running, registering the token its worker polls. `None` once
+    /// to running, registering the token its worker polls; its deadline,
+    /// if any, counts from here. `None` once
     /// the table is closed and nothing is queued — the worker's exit
     /// signal.
     pub(crate) fn claim(&self) -> Option<(Job, CancelToken)> {
@@ -126,7 +131,9 @@ impl Jobs {
                 if !fifo.is_empty() {
                     t.queued.push_back((client, fifo));
                 }
-                let cancel = CancelToken::new();
+                let cancel = self
+                    .timeout
+                    .map_or_else(CancelToken::new, CancelToken::with_timeout);
                 t.running.insert((job.client, job.id), cancel.clone());
                 return Some((job, cancel));
             }
@@ -220,7 +227,7 @@ mod tests {
 
     fn table(capacity: usize) -> (Jobs, MetricsRegistry) {
         let reg = MetricsRegistry::new();
-        (Jobs::new(capacity, reg.clone()), reg)
+        (Jobs::new(capacity, None, reg.clone()), reg)
     }
 
     fn claim_order(jobs: &Jobs, n: usize) -> Vec<(u64, u64)> {
@@ -325,6 +332,18 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(jobs.admit(job(1, 7)));
         assert_eq!(h.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn a_claimed_job_times_out_from_its_claim() {
+        let timed = Jobs::new(4, Some(std::time::Duration::ZERO), MetricsRegistry::new());
+        assert!(timed.admit(job(1, 0)));
+        let (_, token) = timed.claim().unwrap();
+        assert!(token.is_cancelled() && token.timed_out());
+        let (untimed, _) = table(4);
+        assert!(untimed.admit(job(1, 0)));
+        let (_, token) = untimed.claim().unwrap();
+        assert!(!token.is_cancelled() && !token.timed_out());
     }
 
     /// A claimed job is running until `finish`: a cancel racing a claim

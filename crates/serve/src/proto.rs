@@ -20,6 +20,7 @@
 //! frame it cannot decode.
 
 use anacin_core::prelude::{CampaignConfig, SweepAxis};
+use anacin_obs::progress::Progress;
 use serde::{Deserialize, Serialize};
 
 /// Highest protocol schema this build speaks.
@@ -114,9 +115,9 @@ pub enum Frame {
         /// What to run.
         job: JobSpec,
     },
-    /// Server → client: the job moved. Built from
-    /// `MetricsReport::delta_since` snapshots of the job's registry —
-    /// the same data the local `--progress` line renders.
+    /// Server → client: the job moved. The fields of one [`Progress`]
+    /// sample of the job's registry ([`Frame::progress`] reads them
+    /// back) — what the local `--progress` line renders.
     Progress {
         /// The job this frame describes.
         id: u64,
@@ -179,6 +180,50 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// Job `id`'s `Progress` frame, carrying `p` field for field.
+    pub(crate) fn of_progress(id: u64, p: Progress) -> Frame {
+        let Progress {
+            done_runs,
+            total_runs,
+            events,
+            event_rate,
+            hottest,
+            eta_ms,
+        } = p;
+        Frame::Progress {
+            id,
+            done_runs,
+            total_runs,
+            events,
+            event_rate,
+            hottest,
+            eta_ms,
+        }
+    }
+
+    /// The sample a `Progress` frame carries (`None` for other frames).
+    pub fn progress(&self) -> Option<Progress> {
+        match self {
+            Frame::Progress {
+                done_runs,
+                total_runs,
+                events,
+                event_rate,
+                hottest,
+                eta_ms,
+                ..
+            } => Some(Progress {
+                done_runs: *done_runs,
+                total_runs: *total_runs,
+                events: *events,
+                event_rate: *event_rate,
+                hottest: hottest.clone(),
+                eta_ms: *eta_ms,
+            }),
+            _ => None,
+        }
+    }
+
     /// The job id this frame concerns (`Hello` has none).
     pub fn job_id(&self) -> Option<u64> {
         match self {
@@ -266,6 +311,31 @@ mod tests {
             assert_eq!(back, f, "round-trip failed for {json}");
         }
     }
+
+    /// The schema-1 wire text of one `Progress` frame, pinned: a field
+    /// renamed, reordered or retyped on either side of the conversion
+    /// changes it.
+    #[test]
+    fn progress_frame_wire_text_is_pinned() {
+        let p = Progress {
+            done_runs: 3,
+            total_runs: 6,
+            events: 120_000,
+            event_rate: 1500.5,
+            hottest: "run/simulate".into(),
+            eta_ms: Some(420),
+        };
+        let frame = Frame::of_progress(7, p.clone());
+        assert_eq!(serde_json::to_string(&frame).unwrap(), GOLDEN_PROGRESS);
+        let back: Frame = serde_json::from_str(GOLDEN_PROGRESS).unwrap();
+        assert_eq!(back.progress(), Some(p));
+        assert_eq!(Frame::Cancel { id: 7 }.progress(), None);
+    }
+
+    const GOLDEN_PROGRESS: &str = concat!(
+        r#"{"Progress":{"id":7,"done_runs":3,"total_runs":6,"events":120000,"#,
+        r#""event_rate":1500.5,"hottest":"run/simulate","eta_ms":420}}"#
+    );
 
     #[test]
     fn sweep_total_runs_counts_points() {

@@ -10,9 +10,12 @@
 //!   or cancelling jobs in the job table;
 //! - `workers` **worker** threads claiming jobs from the table and
 //!   executing them;
-//! - one **ticker** thread per running job, streaming `Progress` frames
-//!   every `progress_interval` from the job's registry and enforcing the
-//!   per-job timeout, until its worker stops it.
+//! - one progress [`Sampler`] thread per running job, streaming
+//!   `Progress` frames every `progress_interval` from the job's registry
+//!   until its worker finishes it.
+//!
+//! A per-job timeout is a deadline on the job's [`CancelToken`], which
+//! the campaign polls before each run like any other cancel.
 //!
 //! Every job opens its own [`ArtifactStore`] handle on the shared root
 //! and gets a fresh [`MetricsRegistry`], so per-job progress deltas and
@@ -30,6 +33,7 @@ use crate::jobs::{Cancel, Job, Jobs};
 use crate::proto::{Frame, JobSpec, PROTOCOL_SCHEMA};
 use anacin_core::prelude::*;
 use anacin_mpisim::explore::ExploreConfig;
+use anacin_obs::progress::Sampler;
 use anacin_obs::{CancelToken, MetricsRegistry, MetricsReport};
 use anacin_store::{ArtifactStore, Fingerprint};
 use std::collections::HashMap;
@@ -38,7 +42,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -279,7 +282,7 @@ impl Server {
             reg.counter(name);
         }
         let shared = Arc::new(Shared {
-            jobs: Jobs::new(cfg.queue_capacity, reg.clone()),
+            jobs: Jobs::new(cfg.queue_capacity, cfg.job_timeout, reg.clone()),
             reg,
             producers: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
@@ -507,29 +510,34 @@ enum JobOutcome {
     Failed(String),
 }
 
-/// Run one claimed job and build its terminal frame, with the ticker
+/// Run one claimed job and build its terminal frame, with the sampler
 /// already joined so no `Progress` frame can follow it.
 fn execute_job(shared: &Shared, job: &Job, cancel: &CancelToken) -> Frame {
-    // A fresh registry per job: progress deltas and store counts are
+    // A fresh registry per job: progress samples and store counts are
     // exactly this job's, even with many jobs in flight.
     let reg = MetricsRegistry::new();
     let start = Instant::now();
-    let (outcome, timed_out) = thread::scope(|s| {
-        let (stop, stopped) = mpsc::channel::<()>();
-        let ticker = thread::Builder::new()
-            .name(format!("serve-progress-{}", job.id))
-            .spawn_scoped(s, || tick(&shared.cfg, job, &reg, cancel, start, stopped))
-            .expect("spawn progress ticker");
-        let outcome = run_spec(shared, &job.spec, &reg, cancel);
-        drop(stop);
-        // A panicked ticker costs only Progress frames; still answer.
-        (outcome, ticker.join().unwrap_or(false))
-    });
+    let (id, writer, stop) = (job.id, Arc::clone(&job.writer), cancel.clone());
+    let sampler = Sampler::start(
+        &reg,
+        job.spec.total_runs(),
+        shared.cfg.progress_interval,
+        move |p| {
+            let sent = send(&writer, &Frame::of_progress(id, p));
+            if !sent {
+                // The client is unreachable; stop burning compute on a
+                // result nobody will read.
+                stop.cancel();
+            }
+            sent
+        },
+    );
+    let outcome = run_spec(shared, &job.spec, &reg, cancel);
+    sampler.finish();
     let elapsed = start.elapsed();
     shared
         .reg
         .record_span("serve/job_exec", elapsed.as_nanos() as u64);
-    let id = job.id;
     match outcome {
         JobOutcome::Done {
             payload,
@@ -554,7 +562,7 @@ fn execute_job(shared: &Shared, job: &Job, cancel: &CancelToken) -> Frame {
         JobOutcome::Cancelled => {
             shared.reg.counter("serve/jobs_cancelled").inc();
             let message = match shared.cfg.job_timeout {
-                Some(limit) if timed_out => {
+                Some(limit) if cancel.timed_out() => {
                     format!("job timed out after {} ms", limit.as_millis())
                 }
                 _ => "cancelled".to_string(),
@@ -652,103 +660,4 @@ fn job_payload(spec: &JobSpec, ctx: &RunCtx) -> Result<String, Box<dyn std::erro
         }
     };
     Ok(format!("{payload}\n"))
-}
-
-/// Stream `Progress` frames from the job registry's deltas every
-/// `progress_interval`, and cancel the job at its deadline, until the
-/// worker drops the sender of `stop`. Between frames it sleeps in
-/// `stop` until the next frame or the deadline, whichever is sooner.
-/// Returns whether the deadline cancelled the job.
-fn tick(
-    cfg: &ServerConfig,
-    job: &Job,
-    reg: &MetricsRegistry,
-    cancel: &CancelToken,
-    start: Instant,
-    stop: Receiver<()>,
-) -> bool {
-    let interval = cfg.progress_interval;
-    let mut deadline = cfg.job_timeout.map(|limit| start + limit);
-    let mut timed_out = false;
-    let mut prev = reg.report();
-    let mut last_emit = start;
-    loop {
-        let wake = deadline.map_or(last_emit + interval, |d| d.min(last_emit + interval));
-        let wait = wake.saturating_duration_since(Instant::now());
-        if stop.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
-            return timed_out;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            deadline = None;
-            if !cancel.is_cancelled() {
-                timed_out = true;
-                cancel.cancel();
-            }
-        }
-        if last_emit.elapsed() >= interval {
-            let now = reg.report();
-            let delta = now.delta_since(&prev);
-            let frame = progress_frame(
-                job.id,
-                job.spec.total_runs(),
-                &now,
-                &delta,
-                last_emit.elapsed(),
-                start.elapsed(),
-            );
-            prev = now;
-            last_emit = Instant::now();
-            if !send(&job.writer, &frame) {
-                // The client is unreachable; stop burning compute on a
-                // result nobody will read.
-                cancel.cancel();
-                return timed_out;
-            }
-        }
-    }
-}
-
-/// One `Progress` frame from a cumulative report plus the interval
-/// delta — the same inputs the local `--progress` line renders from.
-fn progress_frame(
-    id: u64,
-    total_runs: u64,
-    report: &MetricsReport,
-    delta: &MetricsReport,
-    interval: Duration,
-    elapsed: Duration,
-) -> Frame {
-    let done_runs = report.counter("sim/runs").unwrap_or(0).min(total_runs);
-    let events = report.counter("sim/events").unwrap_or(0);
-    let interval_events = delta
-        .counters
-        .iter()
-        .find(|c| c.name == "sim/events")
-        .map(|c| c.value)
-        .unwrap_or(0);
-    let secs = interval.as_secs_f64();
-    let event_rate = if secs > 0.0 {
-        interval_events as f64 / secs
-    } else {
-        0.0
-    };
-    let hottest = delta
-        .spans
-        .iter()
-        .max_by_key(|s| s.total_ns)
-        .map(|s| s.name.clone())
-        .unwrap_or_default();
-    let eta_ms = (done_runs > 0 && done_runs < total_runs).then(|| {
-        let remaining = elapsed.as_secs_f64() * (total_runs - done_runs) as f64 / done_runs as f64;
-        (remaining * 1000.0) as u64
-    });
-    Frame::Progress {
-        id,
-        done_runs,
-        total_runs,
-        events,
-        event_rate,
-        hottest,
-        eta_ms,
-    }
 }

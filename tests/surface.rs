@@ -63,7 +63,6 @@ const KEPT_DEPENDENCIES: &[(&str, &str, &str)] = &[
 const SCOPED_THREADS: &[(&str, &str)] = &[
     ("crates/obs/src/pool.rs", "the pool itself"),
     ("crates/kernels/src/matrix.rs", "label-major Gram: its workers meet at a barrier every round, so all must run at once"),
-    ("crates/serve/src/server.rs", "a job's progress ticker runs beside its worker"),
 ];
 
 fn root() -> PathBuf {

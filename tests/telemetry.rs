@@ -6,7 +6,7 @@
 //! records a memory sink got from the same campaign. Second, the latency
 //! histograms behind every span timer are self-consistent: quantiles are
 //! ordered, bounded by the observed maximum, and conserve the span count
-//! exactly.
+//! exactly, in a registry's report and in a sweep's aggregate.
 
 use anacin_obs::view::ChromeView;
 use anacin_obs::{
@@ -215,27 +215,53 @@ fn span_histograms_are_ordered_bounded_and_conserve_counts() {
     }
 }
 
+/// A sweep's aggregate merges its points: the same counters and spans,
+/// counter values, span counts and `total_ns` adding up, and quantiles
+/// read from the summed histogram. What the registry held before the
+/// sweep is not the sweep's.
 #[test]
 fn merged_report_percentiles_come_from_merged_histograms() {
-    let cfg = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
-    let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
-    streamed(&cfg, &a, None);
-    streamed(&cfg, &b, None);
-    let (ra, rb) = (a.report(), b.report());
-    let mut merged = ra.clone();
-    merged.merge(&rb);
-    for span in &merged.spans {
-        let (ca, cb) = (
-            ra.span(&span.name).map(|s| s.count).unwrap_or(0),
-            rb.span(&span.name).map(|s| s.count).unwrap_or(0),
-        );
-        assert_eq!(span.count, ca + cb, "{}: merge lost intervals", span.name);
-        let bucket_total: u64 = span.hist.iter().map(|b| b.n).sum();
+    let base = CampaignConfig::new(Pattern::MessageRace, 8).runs(4);
+    let reg = MetricsRegistry::new();
+    reg.counter("before/sweep").add(5);
+    let ctx = RunCtx {
+        metrics: Some(&reg),
+        ..RunCtx::default()
+    };
+    let metrics = sweep(SweepAxis::NdPercent, &base, &[0.0, 50.0, 100.0], &ctx)
+        .expect("sweep")
+        .metrics
+        .expect("a registry yields sweep metrics");
+    let (aggregate, points) = (&metrics.aggregate, &metrics.points);
+    for p in points {
+        let r = &p.report;
+        assert!(r
+            .counters
+            .iter()
+            .all(|c| aggregate.counter(&c.name).is_some()));
+        assert!(r.spans.iter().all(|s| aggregate.span(&s.name).is_some()));
+    }
+    assert!(aggregate.counter("before/sweep").is_none());
+    for c in &aggregate.counters {
+        let sum: u64 = points
+            .iter()
+            .filter_map(|p| p.report.counter(&c.name))
+            .sum();
+        assert_eq!(c.value, sum, "{}: counter", c.name);
+    }
+    for span in &aggregate.spans {
+        let (count, total_ns) = points
+            .iter()
+            .filter_map(|p| p.report.span(&span.name))
+            .fold((0, 0), |(n, t), s| (n + s.count, t + s.total_ns));
         assert_eq!(
-            bucket_total, span.count,
-            "{}: merged histogram lost observations",
+            (span.count, span.total_ns),
+            (count, total_ns),
+            "{}",
             span.name
         );
+        let bucket_total: u64 = span.hist.iter().map(|b| b.n).sum();
+        assert_eq!(bucket_total, span.count, "{}: histogram", span.name);
         assert!(span.p50_ns <= span.p95_ns && span.p95_ns <= span.p99_ns);
         assert!(span.p99_ns <= span.max_ns);
     }
