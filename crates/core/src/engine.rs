@@ -5,7 +5,9 @@
 //! token fires. Each run goes simulate → graph → features on its worker,
 //! with the artifact store (when the [`RunCtx`] has one) as a
 //! read-through cache at every stage: an artifact is looked up before it
-//! is computed and published after.
+//! is computed and published after. A stage's span times only its
+//! computing; lookups record under `run/load` and publications under
+//! `run/publish`, so a warm run names no compute stage.
 //! One Gram stage then reads a stored matrix, grows a stored prefix
 //! (append), or computes the matrix.
 //!
@@ -30,7 +32,8 @@ use anacin_mpisim::program::Program;
 use anacin_mpisim::replay::MatchRecord;
 use anacin_mpisim::trace::Trace;
 use anacin_mpisim::SimCounters;
-use anacin_obs::pool;
+use anacin_obs::progress::RUNS_DONE;
+use anacin_obs::{pool, Counter, Span};
 use anacin_store::{Artifact, ArtifactStore, DistanceSample, Fingerprint, StoreError};
 use std::sync::OnceLock;
 
@@ -85,8 +88,10 @@ pub(crate) fn build_program(config: &CampaignConfig, ctx: &RunCtx) -> Program {
 /// Run `plan` over `program`, calling `per_run` on each run's trace and
 /// graph inside its worker. Records the `campaign` span (with
 /// `campaign/gram` and, with a store, `campaign/sync` under it) on the
-/// calling thread and the per-run `run/simulate`, `run/graph` and
-/// `run/features` spans on the workers.
+/// calling thread; on the workers, the `run/simulate`, `run/graph` and
+/// `run/features` spans of what each run computes, with a store its
+/// `run/load` and `run/publish` spans, and the [`RUNS_DONE`] counter once
+/// per finished run.
 ///
 /// With a store, the campaign ends with its one durability barrier
 /// ([`ArtifactStore::sync`]) on every path: a cancelled or failed
@@ -109,6 +114,7 @@ pub(crate) fn run<S: Send>(
         plan: &plan,
         per_run,
         counters: OnceLock::new(),
+        runs_done: ctx.metrics.map(|m| m.counter(RUNS_DONE)),
     };
     let out = engine.output();
     let synced = ctx.store.map_or(Ok(()), |store| {
@@ -130,6 +136,8 @@ struct Engine<'a, S> {
     /// Created at the first simulation, so a fully warm campaign reports
     /// no `sim/*` counters.
     counters: OnceLock<SimCounters>,
+    /// Bumped once per finished run: what progress reports count.
+    runs_done: Option<Counter>,
 }
 
 impl<S: Send> Engine<'_, S> {
@@ -198,27 +206,20 @@ impl<S: Send> Engine<'_, S> {
     }
 
     fn run_one(&self, i: usize) -> Result<RunOut<S>, CampaignError> {
-        let span = |path: &str| self.ctx.metrics.map(|m| m.span_at(path));
-        let trace = {
-            let _s = span("run/simulate");
-            self.trace(i)?
-        };
+        let trace = self.trace(i)?;
         if let Some(t) = self.ctx.tracer {
             trace.record_into(t, self.plan.run_base + i as u32);
         }
-        let graph = {
-            let _s = span("run/graph");
-            self.graph(i, &trace)?
-        };
+        let graph = self.graph(i, &trace)?;
         let events = trace.total_events() as u64;
         let summary = (self.per_run)(&trace, &graph);
         // Free the trace before feature extraction: at 1024 ranks it is
         // the largest object on a worker.
         drop(trace);
-        let features = {
-            let _s = span("run/features");
-            self.features(i, &graph)?
-        };
+        let features = self.features(i, &graph)?;
+        if let Some(done) = &self.runs_done {
+            done.inc();
+        }
         Ok(RunOut {
             summary,
             features,
@@ -238,60 +239,53 @@ impl<S: Send> Engine<'_, S> {
                 self.config.sim_config(0),
             ),
         };
-        if let Some(t) = self.lookup(Some(fp))? {
-            return Ok(t);
-        }
-        let simulated = match self.plan.source {
-            Source::Seeded => {
-                let counters = self
-                    .ctx
-                    .metrics
-                    .map(|m| self.counters.get_or_init(|| SimCounters::new(m)));
-                simulate_counted(self.program, &sc, counters)
-            }
-            Source::Schedules(s) => {
-                if let Some(m) = self.ctx.metrics {
-                    m.counter("explore/replays").inc();
+        self.load_or_compute(Some(fp), "run/simulate", || {
+            let simulated = match self.plan.source {
+                Source::Seeded => {
+                    let counters = self
+                        .ctx
+                        .metrics
+                        .map(|m| self.counters.get_or_init(|| SimCounters::new(m)));
+                    simulate_counted(self.program, &sc, counters)
                 }
-                simulate_replay(self.program, &sc, &s[i])
-            }
-        };
-        let trace = simulated.map_err(|source| CampaignError::Run {
-            run: i as u32,
-            seed: sc.seed,
-            source,
-        })?;
-        self.publish(Some(fp), &trace)?;
-        Ok(trace)
+                Source::Schedules(s) => {
+                    if let Some(m) = self.ctx.metrics {
+                        m.counter("explore/replays").inc();
+                    }
+                    simulate_replay(self.program, &sc, &s[i])
+                }
+            };
+            simulated.map_err(|source| CampaignError::Run {
+                run: i as u32,
+                seed: sc.seed,
+                source,
+            })
+        })
     }
 
     fn graph(&self, i: usize, trace: &Trace) -> Result<EventGraph, CampaignError> {
         let fp = self.seeded_key(i, run_fingerprint);
-        if let Some(g) = self.lookup(fp)? {
-            return Ok(g);
-        }
-        let g = EventGraph::from_trace(trace);
-        if let Some(m) = self.ctx.metrics {
-            m.counter("graph/nodes").add(g.node_count() as u64);
-            m.counter("graph/edges").add(g.edge_count() as u64);
-            m.counter("graph/message_edges")
-                .add(g.message_edge_count() as u64);
-        }
-        self.publish(fp, &g)?;
-        Ok(g)
+        self.load_or_compute(fp, "run/graph", || {
+            let g = EventGraph::from_trace(trace);
+            if let Some(m) = self.ctx.metrics {
+                m.counter("graph/nodes").add(g.node_count() as u64);
+                m.counter("graph/edges").add(g.edge_count() as u64);
+                m.counter("graph/message_edges")
+                    .add(g.message_edge_count() as u64);
+            }
+            Ok(g)
+        })
     }
 
     fn features(&self, i: usize, graph: &EventGraph) -> Result<SparseFeatures, CampaignError> {
         let fp = self.seeded_key(i, features_fingerprint);
-        if let Some(f) = self.lookup(fp)? {
-            return Ok(f);
-        }
-        let f = self.kernel.features(graph);
-        if let Some(m) = self.ctx.metrics {
-            m.counter("kernel/features").inc();
-        }
-        self.publish(fp, &f)?;
-        Ok(f)
+        self.load_or_compute(fp, "run/features", || {
+            let f = self.kernel.features(graph);
+            if let Some(m) = self.ctx.metrics {
+                m.counter("kernel/features").inc();
+            }
+            Ok(f)
+        })
     }
 
     /// The Gram stage.
@@ -342,22 +336,36 @@ impl<S: Send> Engine<'_, S> {
         matches!(self.plan.source, Source::Seeded).then(|| key(self.config, i as u32))
     }
 
-    fn lookup<A: Artifact>(&self, fp: Option<Fingerprint>) -> Result<Option<A>, CampaignError> {
-        match (self.ctx.store, fp) {
-            (Some(store), Some(fp)) => Ok(get_or_heal(store, fp)?),
-            _ => Ok(None),
-        }
-    }
-
-    fn publish<A: Artifact>(
+    /// The artifact stored under `fp`, read under a `run/load` span; or,
+    /// when there is none, `compute`'s under a `stage` span, published
+    /// under `fp` under a `run/publish` span.
+    fn load_or_compute<A: Artifact>(
         &self,
         fp: Option<Fingerprint>,
-        value: &A,
-    ) -> Result<(), CampaignError> {
-        if let (Some(store), Some(fp)) = (self.ctx.store, fp) {
-            store.put(fp, value)?;
+        stage: &'static str,
+        compute: impl FnOnce() -> Result<A, CampaignError>,
+    ) -> Result<A, CampaignError> {
+        let store = self.ctx.store.zip(fp);
+        if let Some((store, fp)) = store {
+            let _s = self.span("run/load");
+            if let Some(a) = get_or_heal(store, fp)? {
+                return Ok(a);
+            }
         }
-        Ok(())
+        let a = {
+            let _s = self.span(stage);
+            compute()?
+        };
+        if let Some((store, fp)) = store {
+            let _s = self.span("run/publish");
+            store.put(fp, &a)?;
+        }
+        Ok(a)
+    }
+
+    /// A per-run span under exactly `path`, when there are metrics.
+    fn span(&self, path: &'static str) -> Option<Span> {
+        self.ctx.metrics.map(|m| m.span_at(path))
     }
 }
 

@@ -12,6 +12,8 @@ use anacin_event_graph::LabelPolicy;
 use anacin_kernels::feature::DotKind;
 use anacin_kernels::matrix::{KernelMatrix, LABEL_MAJOR_MIN_RUNS};
 use anacin_miniapps::Pattern;
+use anacin_obs::progress::RUNS_DONE;
+use anacin_obs::{MetricsRegistry, MetricsReport};
 use anacin_store::ArtifactStore;
 use std::path::PathBuf;
 
@@ -135,5 +137,35 @@ fn store_traffic_per_job_is_fixed_by_what_the_store_holds() {
     // prefix hits; the new run's three artifacts miss and are published,
     // with the grown matrix and its distances.
     assert_eq!(traffic(&dir, &cfg.clone().runs(11), true), (31, 4, 5));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a store, a stage's span times only what a run computes: a cold
+/// job computes and publishes every artifact, a warm one only loads
+/// them, and both count every run as done.
+#[test]
+fn store_lookups_and_publications_are_timed_apart_from_computing() {
+    let dir = temp_dir("spans");
+    let cfg = CampaignConfig::new(Pattern::Amg2013, 8).runs(4);
+    let job = || {
+        let store = ArtifactStore::open(&dir).expect("open store");
+        let reg = MetricsRegistry::new();
+        let ctx = RunCtx {
+            metrics: Some(&reg),
+            ..stored(&store)
+        };
+        run_campaign_with(&cfg, &ctx).expect("campaign job");
+        reg.report()
+    };
+    let (cold, warm) = (job(), job());
+    let count = |report: &MetricsReport, path: &str| report.span(path).map_or(0, |s| s.count);
+    for (report, computed, published) in [(&cold, 4, 12), (&warm, 0, 0)] {
+        for stage in ["run/simulate", "run/graph", "run/features"] {
+            assert_eq!(count(report, stage), computed, "{stage}");
+        }
+        assert_eq!(count(report, "run/load"), 12);
+        assert_eq!(count(report, "run/publish"), published);
+        assert_eq!(report.counter(RUNS_DONE), Some(4));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -26,20 +26,18 @@ impl Artifact for SparseFeatures {
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let n = r.seq_len(16)?;
-        let mut f = SparseFeatures::new();
-        let mut prev: Option<u64> = None;
+        let mut entries: Vec<(u64, f64)> = Vec::with_capacity(n);
         for _ in 0..n {
             let id = r.u64()?;
             // Ids must be strictly increasing: that both rejects damaged
             // payloads and guarantees decode(encode(x)) == x (duplicate
             // ids would silently sum).
-            if prev.is_some_and(|p| id <= p) {
+            if entries.last().is_some_and(|&(prev, _)| id <= prev) {
                 return Err(WireError::BadLength(id));
             }
-            prev = Some(id);
-            f.add(id, r.f64()?);
+            entries.push((id, r.f64()?));
         }
-        Ok(f)
+        Ok(SparseFeatures::from_sorted(entries))
     }
 }
 
@@ -106,6 +104,19 @@ mod tests {
             // Canonical: the sorted encoding is independent of HashMap
             // iteration order, so re-encoding is byte-identical.
             assert_eq!(back.to_wire(), bytes);
+        }
+    }
+
+    /// The decoder allocates each vector at its length, as extraction
+    /// does: a warm campaign keeps every run's vector for its Gram stage.
+    #[test]
+    fn decoded_features_equal_computed_ones_and_hold_no_spare_capacity() {
+        let k = WlKernel::default();
+        for g in race_graphs(4) {
+            let computed = k.features(&g);
+            let decoded = SparseFeatures::from_wire(&computed.to_wire()).unwrap();
+            assert_eq!(decoded, computed);
+            assert_eq!(decoded.capacity(), decoded.nnz());
         }
     }
 

@@ -141,6 +141,13 @@ impl SparseFeatures {
         Self { map }
     }
 
+    /// The vector holding exactly `entries`, whose ids strictly increase
+    /// (the store's decoder checks that as it reads them).
+    pub(crate) fn from_sorted(entries: Vec<(u64, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        Self { map: entries }
+    }
+
     /// Add `weight` to feature `id`.
     pub fn add(&mut self, id: u64, weight: f64) {
         match self.map.binary_search_by_key(&id, |&(i, _)| i) {
@@ -175,6 +182,12 @@ impl SparseFeatures {
     /// The `(id, weight)` entries, sorted by id.
     pub(crate) fn entries(&self) -> &[(u64, f64)] {
         &self.map
+    }
+
+    /// Entries the vector has room for without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.map.capacity()
     }
 
     /// Inner product with another vector: a linear merge-join over the two

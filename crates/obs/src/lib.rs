@@ -76,6 +76,7 @@ pub use tracer::{
 };
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -86,7 +87,7 @@ use std::time::Instant;
 thread_local! {
     /// Active span paths of the current thread, innermost last. Spans are
     /// guards, so well-formed code pushes and pops in LIFO order.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<Cow<'static, str>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Accumulated statistics of one named span. The histogram is shared
@@ -129,10 +130,12 @@ impl MetricsRegistry {
     /// handle are a single relaxed atomic add with no lock.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.inner.counters.lock().expect("counter map poisoned");
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Arc::clone(cell))
+        if let Some(cell) = map.get(name) {
+            return Counter(Arc::clone(cell));
+        }
+        let cell = Arc::new(AtomicU64::new(0));
+        map.insert(name.to_string(), Arc::clone(&cell));
+        Counter(cell)
     }
 
     /// Set the gauge `name` to `value` (last write wins).
@@ -160,8 +163,10 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::span`], recorded under exactly `path` whatever
     /// spans are open on this thread: for per-item spans (one per campaign
     /// run, say) that must aggregate under one name on every thread.
-    /// Spans started inside it still nest under `path`.
-    pub fn span_at(&self, path: impl Into<String>) -> Span {
+    /// Spans started inside it still nest under `path`. A `&'static str`
+    /// path is never copied: with no tracer attached, such a span
+    /// allocates nothing once its path has been recorded.
+    pub fn span_at(&self, path: impl Into<Cow<'static, str>>) -> Span {
         let path = path.into();
         SPAN_STACK.with(|stack| stack.borrow_mut().push(path.clone()));
         let tracer = self.tracer();
@@ -197,7 +202,10 @@ impl MetricsRegistry {
     /// (what `Span::drop` calls; public so external timers can feed in).
     pub fn record_span(&self, path: &str, elapsed_ns: u64) {
         let mut map = self.inner.spans.lock().expect("span map poisoned");
-        let acc = map.entry(path.to_string()).or_default();
+        if !map.contains_key(path) {
+            map.insert(path.to_string(), SpanAccum::default());
+        }
+        let acc = map.get_mut(path).expect("inserted above");
         if acc.count == 0 {
             acc.min_ns = elapsed_ns;
             acc.max_ns = elapsed_ns;
@@ -296,7 +304,7 @@ impl Counter {
 /// A scoped span timer; records its wall time into the registry on drop.
 pub struct Span {
     registry: MetricsRegistry,
-    path: String,
+    path: Cow<'static, str>,
     tracer: Option<Tracer>,
     start: Instant,
 }

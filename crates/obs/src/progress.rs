@@ -4,12 +4,13 @@
 //! The primitive is [`MetricsReport::delta_since`]: two point-in-time
 //! reports subtract into the report of what happened *this interval* —
 //! what a sweep attributes to each of its points and to itself. A
-//! [`Progress`] is read from two such snapshots: runs done of total,
-//! events simulated, the event rate and the hottest stage over the
-//! interval, and a linear ETA. Its `Display` is the status line that
-//! `run --progress` rewrites on stderr and `anacin client` prints once
-//! per `Progress` frame; the daemon sends its fields as that frame. A
-//! [`Sampler`] thread hands the caller one sample per interval.
+//! [`Progress`] is read from two such snapshots: runs done of total
+//! (the [`RUNS_DONE`] counter), events simulated, the event rate and the
+//! hottest stage over the interval, and a linear ETA. Its `Display` is
+//! the status line that `run --progress` rewrites on stderr and `anacin
+//! client` prints once per `Progress` frame; the daemon sends its fields
+//! as that frame. A [`Sampler`] thread hands the caller one sample per
+//! interval.
 //!
 //! Everything here is observability-only: the sampler reads the registry
 //! and calls the caller's closure; it cannot perturb a measurement.
@@ -20,6 +21,10 @@ use std::fmt;
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The counter the campaign engine bumps once per finished run, whether
+/// its artifacts were read from a store or computed.
+pub const RUNS_DONE: &str = "campaign/runs_done";
 
 impl MetricsReport {
     /// What happened between `prev` (an earlier snapshot of the same
@@ -99,9 +104,8 @@ fn compact(n: u64) -> String {
 /// How far a job is: one sample of its registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Progress {
-    /// Runs finished: closed `run/features` spans. That span closes once
-    /// per run, whether its artifacts were read from a store or computed,
-    /// so stored runs count as done.
+    /// Runs finished: the [`RUNS_DONE`] counter, so stored runs count as
+    /// done.
     pub done_runs: u64,
     /// Runs the job will execute.
     pub total_runs: u64,
@@ -129,10 +133,7 @@ impl Progress {
         elapsed: Duration,
     ) -> Progress {
         let delta = now.delta_since(prev);
-        let done_runs = now
-            .span("run/features")
-            .map_or(0, |s| s.count)
-            .min(total_runs);
+        let done_runs = now.counter(RUNS_DONE).unwrap_or(0).min(total_runs);
         let secs = interval.as_secs_f64();
         let event_rate = match delta.counter("sim/events") {
             Some(n) if secs > 0.0 => n as f64 / secs,
@@ -285,11 +286,9 @@ mod tests {
         assert!(json.contains("\"counters\""), "{json}");
     }
 
-    /// `n` finished runs' worth of `run/features` spans.
-    fn finish_runs(m: &MetricsRegistry, n: usize) {
-        for _ in 0..n {
-            m.record_span("run/features", 10);
-        }
+    /// `n` finished runs, as the engine counts them.
+    fn finish_runs(m: &MetricsRegistry, n: u64) {
+        m.counter(RUNS_DONE).add(n);
     }
 
     #[test]
@@ -329,7 +328,7 @@ mod tests {
     }
 
     /// A warm job reads every run's artifacts from the store and
-    /// simulates nothing: its ten `run/features` spans are ten runs done.
+    /// simulates nothing: its ten counted runs are ten runs done.
     #[test]
     fn stored_runs_count_as_done() {
         let m = MetricsRegistry::new();

@@ -42,6 +42,11 @@ impl ArtifactKind {
         ArtifactKind::Distances,
     ];
 
+    /// This kind's position in [`ArtifactKind::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize - 1
+    }
+
     /// The on-disk file extension for this kind.
     pub fn ext(self) -> &'static str {
         match self {
@@ -140,6 +145,7 @@ mod tests {
         for k in ArtifactKind::ALL {
             assert_eq!(ArtifactKind::from_u8(k as u8), Some(k));
             assert_eq!(ArtifactKind::from_ext(k.ext()), Some(k));
+            assert_eq!(ArtifactKind::ALL[k.index()], k);
         }
         // Frozen discriminants: these are on-disk bytes.
         assert_eq!(ArtifactKind::Trace as u8, 1);

@@ -20,16 +20,34 @@
 //!
 //! ```text
 //! magic  b"ANST"        4 bytes
-//! format u8             frame layout version (1)
+//! format u8             frame layout version (2)
 //! schema u16 LE         store payload schema (STORE_SCHEMA_VERSION)
 //! kind   u8             ArtifactKind discriminant
 //! payload …             artifact wire encoding
-//! checksum u64 LE       FNV-1a 64 over everything above
+//! checksum u64 LE       the word-wide sum below, over everything above
 //! ```
 //!
-//! A wrong magic/format/kind or checksum mismatch is **corruption**
-//! ([`StoreError::Corrupt`]); a schema mismatch is a clean **miss**
-//! (old artifacts are invalidated, not errors).
+//! [`ArtifactStore::put`] encodes the payload straight after the header
+//! into the one buffer it writes, and [`ArtifactStore::get`] decodes it
+//! straight out of the buffer it read.
+//!
+//! The checksum reads the framed bytes as little-endian 64-bit words, in
+//! 32-byte blocks over four independent lanes: lane `k` takes words `k`,
+//! `k + 4`, `k + 8`, … through `lane = ((lane ^ word) · P).rotate_left(31)`
+//! with `P` odd. For a fixed lane that step is a bijection of the word, and
+//! for a fixed word a bijection of the lane, so a change confined to one
+//! aligned 8-byte word (any flipped byte) always changes its lane's final
+//! state. The lanes are then combined by xor under distinct rotations,
+//! and the tail words, the zero-padded tail bytes and the length are
+//! folded in by the same step: each of those is a bijection of the sum,
+//! so such a change always changes the checksum. The rotation keeps two
+//! flips of a word's top bit, 32 bytes apart, from cancelling, as they
+//! would under a multiply alone.
+//!
+//! A wrong magic, kind, unknown format or checksum mismatch is
+//! **corruption** ([`StoreError::Corrupt`]). A schema mismatch, and a
+//! frame of format 1 (whose FNV-1a footer this build does not compute),
+//! is a clean **miss**: old artifacts are invalidated, not errors.
 //!
 //! ## Durability
 //!
@@ -55,9 +73,8 @@
 
 use crate::artifact::{Artifact, ArtifactKind};
 use crate::fingerprint::Fingerprint;
-use crate::wire::WireError;
+use crate::wire::{ByteWriter, WireError};
 use anacin_obs::{Counter, MetricsRegistry};
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -69,20 +86,57 @@ use std::time::SystemTime;
 /// File magic: "ANacin STore".
 pub const MAGIC: [u8; 4] = *b"ANST";
 /// Frame layout version (header/footer shape, not payload shape).
-pub const FORMAT_VERSION: u8 = 1;
+pub const FORMAT_VERSION: u8 = 2;
+/// The format whose footer was FNV-1a 64: its frames read as misses.
+const FNV_FORMAT_VERSION: u8 = 1;
 /// Payload schema version. Bump when any artifact's wire layout changes;
 /// every existing artifact then reads as a miss and is recomputed.
 pub const STORE_SCHEMA_VERSION: u16 = 1;
 /// Frame overhead: 8-byte header + 8-byte checksum footer.
 pub const FRAME_OVERHEAD: usize = 16;
 
-/// FNV-1a 64 over a byte slice — the frame checksum.
+/// The buffer [`ArtifactStore::put`] starts a frame in: a page, so the
+/// smallest growth steps of the larger artifacts are skipped.
+const PUT_CAPACITY: usize = 4096;
+
+/// The checksum's odd multiplier (the 64-bit golden ratio).
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Each lane's starting state (hex digits of π).
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One checksum step: a bijection of `lane` for a fixed `word` and of
+/// `word` for a fixed `lane`.
+#[inline(always)]
+fn checksum_step(lane: u64, word: u64) -> u64 {
+    ((lane ^ word).wrapping_mul(CHECKSUM_MUL)).rotate_left(31)
+}
+
+/// The frame checksum: four independent lanes over 32-byte blocks of
+/// little-endian words, combined by xor under distinct rotations, then
+/// the tail words (the last one zero-padded) and the length folded in
+/// (see the module doc).
 fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = CHECKSUM_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = word.try_into().expect("an 8-byte chunk");
+            *lane = checksum_step(*lane, u64::from_le_bytes(word));
+        }
     }
-    h
+    let mut sum =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    for tail in blocks.remainder().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        sum = checksum_step(sum, u64::from_le_bytes(word));
+    }
+    checksum_step(sum, bytes.len() as u64)
 }
 
 /// A store failure.
@@ -331,17 +385,18 @@ impl ArtifactStore {
     /// either the previous state or the complete new file, never a tear.
     /// Durable once [`ArtifactStore::sync`] returns.
     pub fn put<A: Artifact>(&self, fp: Fingerprint, value: &A) -> Result<(), StoreError> {
-        self.put_bytes(fp, A::KIND, &value.to_wire())
+        self.publish(
+            fp,
+            A::KIND,
+            &frame(A::KIND, PUT_CAPACITY, |w| value.encode_into(w)),
+        )
     }
 
     /// Fetch and decode an artifact. `Ok(None)` means absent or written
-    /// under a different schema version; [`StoreError::Corrupt`] means the
-    /// file exists but is damaged.
+    /// under a different schema or frame format; [`StoreError::Corrupt`]
+    /// means the file exists but is damaged.
     pub fn get<A: Artifact>(&self, fp: Fingerprint) -> Result<Option<A>, StoreError> {
-        match self.get_bytes(fp, A::KIND)? {
-            Some(payload) => Ok(Some(A::from_wire(&payload)?)),
-            None => Ok(None),
-        }
+        self.read(fp, A::KIND, |payload| Ok(A::from_wire(payload)?))
     }
 
     /// Publish raw payload bytes under `(fp, kind)`: temp file, then
@@ -352,22 +407,19 @@ impl ArtifactStore {
         kind: ArtifactKind,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        frame.extend_from_slice(&MAGIC);
-        frame.push(FORMAT_VERSION);
-        frame.extend_from_slice(&STORE_SCHEMA_VERSION.to_le_bytes());
-        frame.push(kind as u8);
-        frame.extend_from_slice(payload);
-        let sum = checksum(&frame);
-        frame.extend_from_slice(&sum.to_le_bytes());
+        let capacity = payload.len() + FRAME_OVERHEAD;
+        self.publish(fp, kind, &frame(kind, capacity, |w| w.bytes(payload)))
+    }
 
+    /// Write a whole frame to `(fp, kind)`'s path.
+    fn publish(&self, fp: Fingerprint, kind: ArtifactKind, frame: &[u8]) -> Result<(), StoreError> {
         let path = self.path_of(fp, kind);
         let dir = path.parent().expect("sharded path has a parent");
         fs::create_dir_all(dir)?;
         // The final rename is atomic and idempotent because
         // content-addressed bytes are identical.
         let tmp = self.temp_path(fp, kind);
-        fs::write(&tmp, &frame)?;
+        fs::write(&tmp, frame)?;
         if let Err(e) = fs::rename(&tmp, &path) {
             let _ = fs::remove_file(&tmp);
             return Err(e.into());
@@ -408,6 +460,17 @@ impl ArtifactStore {
         fp: Fingerprint,
         kind: ArtifactKind,
     ) -> Result<Option<Vec<u8>>, StoreError> {
+        self.read(fp, kind, |payload| Ok(payload.to_vec()))
+    }
+
+    /// Read `(fp, kind)`'s frame and hand its checked payload to
+    /// `decode`, in the buffer the file was read into.
+    fn read<T>(
+        &self,
+        fp: Fingerprint,
+        kind: ArtifactKind,
+        decode: impl FnOnce(&[u8]) -> Result<T, StoreError>,
+    ) -> Result<Option<T>, StoreError> {
         let path = self.path_of(fp, kind);
         let frame = match fs::read(&path) {
             Ok(f) => f,
@@ -421,10 +484,11 @@ impl ArtifactStore {
         match unframe(&path, &frame, kind) {
             Ok(Unframed::Payload(payload)) => {
                 self.bump(|a| &a.hits, |c| &c.hits, 1);
-                Ok(Some(payload.to_vec()))
+                decode(payload).map(Some)
             }
-            Ok(Unframed::StaleSchema) => {
-                // Invalidated by a schema bump: a miss, not an error.
+            Ok(Unframed::Stale) => {
+                // Invalidated by a schema or format bump: a miss, not an
+                // error.
                 self.bump(|a| &a.misses, |c| &c.misses, 1);
                 Ok(None)
             }
@@ -475,19 +539,15 @@ impl ArtifactStore {
     /// Disk usage summary: file and byte totals, per artifact kind.
     pub fn stats(&self) -> Result<StoreStats, StoreError> {
         let mut stats = StoreStats::default();
-        let mut per: HashMap<u8, (u64, u64)> = HashMap::new();
+        let mut per = ArtifactKind::ALL.map(|kind| (kind, 0, 0));
         for (_, kind, len, _) in self.walk()? {
             stats.files += 1;
             stats.bytes += len;
-            let e = per.entry(kind as u8).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += len;
+            let (_, files, bytes) = &mut per[kind.index()];
+            *files += 1;
+            *bytes += len;
         }
-        for kind in ArtifactKind::ALL {
-            if let Some(&(files, bytes)) = per.get(&(kind as u8)) {
-                stats.by_kind.push((kind, files, bytes));
-            }
-        }
+        stats.by_kind = per.into_iter().filter(|&(_, files, _)| files > 0).collect();
         Ok(stats)
     }
 
@@ -505,7 +565,7 @@ impl ArtifactStore {
             };
             match unframe(&path, &frame, kind) {
                 Ok(Unframed::Payload(_)) => report.ok += 1,
-                Ok(Unframed::StaleSchema) => report.stale_schema += 1,
+                Ok(Unframed::Stale) => report.stale_schema += 1,
                 Err(StoreError::Corrupt { path, reason }) => report.corrupt.push((path, reason)),
                 Err(e) => return Err(e),
             }
@@ -603,12 +663,28 @@ mod barrier {
     }
 }
 
-enum Unframed<'a> {
-    Payload(&'a [u8]),
-    StaleSchema,
+/// A frame of `kind` around what `encode` writes as its payload, built in
+/// one buffer of `capacity` bytes to start with.
+fn frame(kind: ArtifactKind, capacity: usize, encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(capacity);
+    w.bytes(&MAGIC);
+    w.u8(FORMAT_VERSION);
+    w.bytes(&STORE_SCHEMA_VERSION.to_le_bytes());
+    w.u8(kind as u8);
+    encode(&mut w);
+    let mut frame = w.into_bytes();
+    let sum = checksum(&frame);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame
 }
 
-/// Validate a frame: magic, format, kind, checksum.
+enum Unframed<'a> {
+    Payload(&'a [u8]),
+    /// Written under another schema, or in the FNV-1a format.
+    Stale,
+}
+
+/// Validate a frame: magic, format, checksum, kind.
 fn unframe<'a>(
     path: &Path,
     frame: &'a [u8],
@@ -624,8 +700,12 @@ fn unframe<'a>(
     if frame[0..4] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    if frame[4] != FORMAT_VERSION {
-        return Err(corrupt("unknown frame format"));
+    match frame[4] {
+        FORMAT_VERSION => {}
+        // Its footer is a sum this build does not compute: recompute the
+        // artifact rather than trust the frame or call it damaged.
+        FNV_FORMAT_VERSION => return Ok(Unframed::Stale),
+        _ => return Err(corrupt("unknown frame format")),
     }
     let (body, footer) = frame.split_at(frame.len() - 8);
     let stored = u64::from_le_bytes(footer.try_into().unwrap());
@@ -640,7 +720,7 @@ fn unframe<'a>(
     }
     let schema = u16::from_le_bytes(frame[5..7].try_into().unwrap());
     if schema != STORE_SCHEMA_VERSION {
-        return Ok(Unframed::StaleSchema);
+        return Ok(Unframed::Stale);
     }
     Ok(Unframed::Payload(&body[8..]))
 }
@@ -729,6 +809,105 @@ mod tests {
         // Self-heal: republish over the damaged file.
         store.put(fp, &DistanceSample(vec![42.0])).unwrap();
         assert!(store.get::<DistanceSample>(fp).unwrap().is_some());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Frames of every payload length from 0 to 63, so the frame lengths
+    /// cover each residue mod 32 twice.
+    fn frames() -> Vec<Vec<u8>> {
+        (0..64usize)
+            .map(|len| {
+                let payload: Vec<u8> = (0..len).map(|i| (31 * i + len) as u8).collect();
+                frame(ArtifactKind::Distances, 0, |w| w.bytes(&payload))
+            })
+            .collect()
+    }
+
+    fn is_corrupt(frame: &[u8]) -> bool {
+        matches!(
+            unframe(Path::new("f"), frame, ArtifactKind::Distances),
+            Err(StoreError::Corrupt { .. })
+        )
+    }
+
+    /// Any value in any one byte, and any truncation, is damage. The one
+    /// exception is by design: a format byte of 1 reads as a stale frame.
+    #[test]
+    fn every_changed_byte_and_every_truncation_is_corrupt() {
+        for mut frame in frames() {
+            let len = frame.len();
+            assert!(!is_corrupt(&frame), "intact frame of {len} bytes");
+            for at in 0..len {
+                let kept = frame[at];
+                for value in (0..=u8::MAX).filter(|&v| v != kept) {
+                    frame[at] = value;
+                    if at == 4 && value == FNV_FORMAT_VERSION {
+                        let stale = unframe(Path::new("f"), &frame, ArtifactKind::Distances);
+                        assert!(matches!(stale, Ok(Unframed::Stale)));
+                    } else {
+                        assert!(is_corrupt(&frame), "{len}-byte frame, byte {at} = {value}");
+                    }
+                }
+                frame[at] = kept;
+            }
+            for cut in 0..len {
+                assert!(is_corrupt(&frame[..cut]), "{len}-byte frame cut to {cut}");
+            }
+        }
+    }
+
+    /// Two flips of bit 63 in two words of one lane, 32 bytes apart. The
+    /// rotation is what catches them: under a multiply-only lane the
+    /// first flip passes through the multiply as bit 63 and the second
+    /// one cancels it.
+    #[test]
+    fn two_top_bit_flips_in_one_lane_are_detected() {
+        let multiply_only = |bytes: &[u8]| {
+            let mut lanes = CHECKSUM_SEEDS;
+            for block in bytes.chunks_exact(32) {
+                for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    let word = u64::from_le_bytes(word.try_into().unwrap());
+                    *lane = (*lane ^ word).wrapping_mul(CHECKSUM_MUL);
+                }
+            }
+            lanes
+        };
+        let frame = frame(ArtifactKind::Distances, 0, |w| w.bytes(&[0x5A; 80]));
+        let mut bad = frame.clone();
+        // The top bytes of words 1 and 5, both lane 1.
+        bad[15] ^= 0x80;
+        bad[47] ^= 0x80;
+        assert_eq!(multiply_only(&bad[..64]), multiply_only(&frame[..64]));
+        assert!(is_corrupt(&bad));
+    }
+
+    /// FNV-1a 64, the footer of format-1 frames.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// A format-1 frame, as stores written before the word-wide checksum
+    /// hold them, reads as a miss and verifies as stale, never as damage.
+    #[test]
+    fn format_1_frame_is_a_clean_miss() {
+        let root = tmp_root("format-1");
+        let store = ArtifactStore::open(&root).unwrap();
+        let fp = Fingerprint::of(b"written by format 1");
+        store.put(fp, &DistanceSample(vec![7.0, 8.5])).unwrap();
+        let path = store.path_of(fp, ArtifactKind::Distances);
+        let frame = fs::read(&path).unwrap();
+        let mut old = frame[..frame.len() - 8].to_vec();
+        old[4] = FNV_FORMAT_VERSION;
+        let sum = fnv1a(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &old).unwrap();
+        assert_eq!(store.get::<DistanceSample>(fp).unwrap(), None);
+        let a = store.activity();
+        assert_eq!((a.hits, a.misses, a.corrupt), (0, 1, 0));
+        let v = store.verify().unwrap();
+        assert_eq!((v.ok, v.stale_schema, v.corrupt.len()), (0, 1, 0));
         let _ = fs::remove_dir_all(&root);
     }
 

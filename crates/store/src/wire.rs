@@ -95,6 +95,11 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
+    /// Write `bytes` as they are, with no length prefix.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Write a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());

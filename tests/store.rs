@@ -8,6 +8,7 @@
 //! flush what it published once, whichever way it ends.
 
 use anacin_core::prelude::*;
+use anacin_event_graph::label::fnv1a;
 use anacin_event_graph::{EventGraph, LabelPolicy};
 use anacin_miniapps::Pattern;
 use anacin_mpisim::engine::simulate;
@@ -441,5 +442,50 @@ fn damaged_distance_sample_is_found_by_verify_not_by_campaigns() {
     let v = store.verify().expect("verify");
     assert_eq!(v.corrupt.len(), 1, "{:?}", v.corrupt);
     assert_eq!(v.corrupt[0].0, dist);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrite the frame at `path` in format 1: format byte 1 and an FNV-1a
+/// 64 footer over everything before it, as stores written before the
+/// word-wide checksum hold their files.
+fn rewrite_as_format_1(path: &Path) {
+    let frame = std::fs::read(path).expect("read stored file");
+    let mut old = frame[..frame.len() - 8].to_vec();
+    old[4] = 1;
+    let sum = fnv1a(&old);
+    old.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, &old).expect("rewrite stored file");
+}
+
+/// A store whose every frame is in the old format reads as misses: the
+/// next campaign counts no damage, republishes every artifact it reads,
+/// and returns the cold matrix bit for bit.
+#[test]
+fn format_1_store_reads_as_misses_and_is_republished() {
+    let cfg = CampaignConfig::new(Pattern::Amg2013, 8)
+        .runs(4)
+        .base_seed(3);
+    let (dir, store) = temp_store("format-1");
+    let cold = stored_campaign(&cfg, &store).expect("cold campaign");
+    let mut files: Vec<PathBuf> = campaign_files(&cfg, &store)
+        .into_iter()
+        .map(|(_, path)| path)
+        .collect();
+    let reads = files.len() as u64;
+    files.push(store.path_of(campaign_fingerprint(&cfg), ArtifactKind::Distances));
+    for path in &files {
+        rewrite_as_format_1(path);
+    }
+    let v = store.verify().expect("verify the old store");
+    assert_eq!((v.ok, v.stale_schema, v.corrupt.len()), (0, reads + 1, 0));
+
+    let (again, a, _) = rerun(&cfg, &dir);
+    assert_eq!(bits(&again.matrix), bits(&cold.matrix));
+    assert_eq!(
+        (a.hits, a.misses, a.corrupt, a.puts),
+        (0, reads, 0, reads + 1)
+    );
+    let v = store.verify().expect("verify the republished store");
+    assert_eq!((v.ok, v.stale_schema, v.corrupt.len()), (reads + 1, 0, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
